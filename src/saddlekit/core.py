@@ -128,6 +128,14 @@ class OracleKind(enum.Enum):
     PROX_H = "prox_h"
     MATVEC = "matvec"
 
+    # identity hash in C: Enum's default hashes the member name in Python on
+    # every tally lookup.  Members are singletons, so equality is unchanged.
+    __hash__ = object.__hash__
+
+
+# (kind, key) pairs in the key order of OracleTally.snapshot
+_SNAPSHOT_ORDER = tuple((k, k.value) for k in sorted(OracleKind, key=lambda k: k.value))
+
 
 class OracleTally:
     """Monotone per-kind call counters.
@@ -148,10 +156,11 @@ class OracleTally:
                     self._counts[k] = int(v)
 
     def bump(self, kind: OracleKind, n: int = 1) -> None:
-        if n < 0:
+        if n > 0:
+            counts = self._counts
+            counts[kind] = counts.get(kind, 0) + n
+        elif n:
             raise ValueError("counters never decrease")
-        if n:
-            self._counts[kind] = self._counts.get(kind, 0) + n
 
     def count(self, kind: OracleKind) -> int:
         return self._counts.get(kind, 0)
@@ -160,8 +169,9 @@ class OracleTally:
         return sum(self._counts.values())
 
     def snapshot(self) -> dict[str, int]:
-        """Plain-dict snapshot keyed by the kind's string value."""
-        return {k.value: v for k, v in sorted(self._counts.items(), key=lambda kv: kv[0].value)}
+        """Plain-dict snapshot keyed by the kind's string value, in key order."""
+        counts = self._counts
+        return {key: counts[k] for k, key in _SNAPSHOT_ORDER if k in counts}
 
     def copy(self) -> "OracleTally":
         return OracleTally(self._counts)
@@ -308,13 +318,16 @@ class Metered:
     """Counting view of a :class:`SaddleProblem` bound to one run's tally.
 
     Gradient and prox calls bump the corresponding counter (plus the declared
-    matvec cost).  Value oracles pass through unmetered: they feed histories
-    and certificates, not the complexity accounting.
+    matvec cost, read from the problem once, at construction).  Value oracles
+    pass through unmetered: they feed certificates and the values of
+    inexact-gradient bundles, which are computed only when first read, not
+    the complexity accounting.
     """
 
     def __init__(self, problem: SaddleProblem, tally: Optional[OracleTally] = None):
         self.problem = problem
         self.tally = tally if tally is not None else OracleTally()
+        self._matvecs = {k: problem.matvec_cost.get(k, 0) for k in OracleKind}
 
     @property
     def spec(self) -> SaddleSpec:
@@ -322,7 +335,7 @@ class Metered:
 
     def _bump(self, kind: OracleKind) -> None:
         self.tally.bump(kind)
-        mv = self.problem.matvec_cost.get(kind, 0)
+        mv = self._matvecs[kind]
         if mv:
             self.tally.bump(OracleKind.MATVEC, mv)
 

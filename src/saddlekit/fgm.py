@@ -287,8 +287,9 @@ def solve_to_gap(
 
     Runs restart blocks of the accelerated method, checking the certificate
     after each block; the certificate's witness becomes the next start.  When
-    the block cap is reached first, raises :class:`BudgetExceededError`
-    carrying the best iterate.
+    the block cap is reached first, or a certificate is not finite (a NaN or
+    inf oracle value), raises :class:`BudgetExceededError` carrying the best
+    iterate.
     """
     if target_gap <= 0:
         raise InvalidSpecError("target gap must be positive")
@@ -302,7 +303,13 @@ def solve_to_gap(
     history = [
         HistoryRow(0, bound, tally.snapshot(), (time.perf_counter() - start) * 1e3)
     ]
-    while bound > target_gap:
+    while not bound <= target_gap:
+        if not math.isfinite(bound):
+            raise BudgetExceededError(
+                f"certificate {bound} is not finite after {blocks} blocks",
+                best=witness,
+                tally=tally,
+            )
         if blocks >= max_blocks:
             raise BudgetExceededError(
                 f"certificate still {bound:.3e} > {target_gap:.3e} after {blocks} blocks",

@@ -9,12 +9,16 @@ inexact gradient of the partial-max function
 satisfying the two-sided model envelope with inexactness 2*delta and envelope
 constant 2*L, L = l_xx + 2 l_xy^2 / mu_y, together with the error bound
 ``||grad - grad g(x)|| <= l_xy sqrt(2 delta / mu_y)``.
+
+The bundle's value F(x, w) - h(w) is computed when it is first read, not
+when the bundle is built: the solvers only use the gradient, and the value
+costs a ``value_F`` evaluation (a matvec on bilinear instances).
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -39,13 +43,18 @@ class InexactGrad:
     ``delta`` is the envelope inexactness (= 2x the inner accuracy actually
     requested), ``l_env`` the envelope constant (= 2x the smoothness of g).
     ``witness_y`` is the approximate inner maximizer behind the bundle.
+    ``value`` is computed by ``value_fn`` on first read and cached.
     """
 
-    value: float
     grad: Vector
     delta: float
     l_env: float
     witness_y: Vector
+    value_fn: Callable[[], float] = field(repr=False)
+
+    @cached_property
+    def value(self) -> float:
+        return float(self.value_fn())
 
 
 def _as_metered(problem, tally: Optional[OracleTally]) -> Metered:
@@ -140,16 +149,21 @@ def inexact_grad_from_witness(
     delta: float,
     tally: Optional[OracleTally] = None,
 ) -> InexactGrad:
-    """Package a given delta-accurate inner point as an inexact gradient of g."""
+    """Package a given delta-accurate inner point as an inexact gradient of g.
+
+    Costs one ``grad_x_F`` call; the value oracles run only if ``.value`` is
+    read.
+    """
     mp = _as_metered(problem, tally)
-    value = mp.value_S_hat(x, witness)
     grad = mp.grad_x_F(x, witness)
+    x = np.array(x, dtype=float)  # the caller may reuse its buffer before .value is read
+    witness = np.asarray(witness, dtype=float)
     return InexactGrad(
-        value=float(value),
         grad=np.asarray(grad, dtype=float),
         delta=2.0 * float(delta),
         l_env=2.0 * effective_smoothness(mp.spec),
-        witness_y=np.asarray(witness, dtype=float),
+        witness_y=witness,
+        value_fn=lambda: mp.value_S_hat(x, witness),
     )
 
 
@@ -171,11 +185,6 @@ def envelope_check(
     d = np.asarray(z, dtype=float) - np.asarray(x, dtype=float)
     rhs = 0.5 * ig.l_env * float(d @ d) + ig.delta + 1e-9 * (1.0 + abs(gz))
     return (lhs >= -abs(lower_slack)) and (lhs <= rhs)
-
-
-def grad_error_bound(spec, delta: float) -> float:
-    """Worst-case gradient error of a delta-accurate inner solve."""
-    return spec.l_xy * math.sqrt(2.0 * delta / spec.mu_y)
 
 
 class EnvelopeGradOracle:
@@ -214,10 +223,6 @@ class EnvelopeGradOracle:
         if delta_env <= 0:
             raise InvalidSpecError("envelope inexactness must be positive")
         self._delta_env = float(delta_env)
-
-    def reset(self) -> None:
-        self._warm = None
-        self.last_bundle = None
 
     def bundle(self, x: Vector) -> InexactGrad:
         ig = inexact_grad_g(

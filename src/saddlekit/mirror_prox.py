@@ -49,8 +49,12 @@ class ProductSet:
     second: FeasibleSet
     dim_first: int
 
+    @property
+    def is_all_space(self) -> bool:
+        return isinstance(self.first, AllSpace) and isinstance(self.second, AllSpace)
+
     def project(self, v: Vector) -> Vector:
-        if isinstance(self.first, AllSpace) and isinstance(self.second, AllSpace):
+        if self.is_all_space:
             return v
         a = self.first.project(v[: self.dim_first])
         b = self.second.project(v[self.dim_first :])
@@ -104,22 +108,28 @@ def assemble_saddle_operator(
         )
     spec = mp.spec
     nx = spec.dim_x
+    dim = nx + spec.dim_y
     # one evaluation = one call of each gradient oracle; bump in batch to keep
     # the hot extragradient loop lean
     tally_obj = mp.tally
     kinds = (OracleKind.GRAD_R, OracleKind.GRAD_X_F, OracleKind.GRAD_H, OracleKind.GRAD_Y_F)
     matvecs = sum(p.matvec_cost.get(k, 0) for k in kinds)
     grad_r, grad_h, grad_x_f, grad_y_f = p.grad_r, p.grad_h, p.grad_x_F, p.grad_y_F
+    grad_r_kind, grad_x_f_kind, grad_h_kind, grad_y_f_kind = kinds
+    matvec_kind = OracleKind.MATVEC
 
     def evaluate(z: Vector) -> Vector:
         x, y = z[:nx], z[nx:]
-        for kind in kinds:
-            tally_obj.bump(kind)
+        tally_obj.bump(grad_r_kind)
+        tally_obj.bump(grad_x_f_kind)
+        tally_obj.bump(grad_h_kind)
+        tally_obj.bump(grad_y_f_kind)
         if matvecs:
-            tally_obj.bump(OracleKind.MATVEC, matvecs)
-        gx = grad_r(x) + grad_x_f(x, y)
-        gy = grad_h(y) - grad_y_f(x, y)
-        return np.concatenate([gx, gy])
+            tally_obj.bump(matvec_kind, matvecs)
+        out = np.empty(dim)
+        np.add(grad_r(x), grad_x_f(x, y), out=out[:nx])
+        np.subtract(grad_h(y), grad_y_f(x, y), out=out[nx:])
+        return out
 
     return ViOperator(
         evaluate=evaluate,
@@ -168,21 +178,34 @@ def run_mirror_prox(
         )
     z = np.array(z0, dtype=float)
     inv_l = 1.0 / op.l
-    project = op.domain.project
+    domain = op.domain
+    # on all of space the steps run in place: z, w and step are owned here
+    free = isinstance(domain, AllSpace) or (
+        isinstance(domain, ProductSet) and domain.is_all_space
+    )
+    project = domain.project
     evaluate = op.evaluate
+    w = np.empty_like(z)
+    step = np.empty_like(z)
     lead_sum = np.zeros_like(z)
     resid_sum = 0.0
     last_gw: Optional[Vector] = None
     history: list[HistoryRow] = []
     for k in range(1, int(n) + 1):
         g0 = evaluate(z)
-        w = project(z - inv_l * g0)
+        if free:
+            np.subtract(z, np.multiply(inv_l, g0, out=step), out=w)
+        else:
+            w = project(z - inv_l * g0)
         if single_step:
-            z = w
+            z = w.copy() if free else w
             gw = g0
         else:
             gw = evaluate(w)
-            z = project(z - inv_l * gw)
+            if free:
+                np.subtract(z, np.multiply(inv_l, gw, out=step), out=z)
+            else:
+                z = project(z - inv_l * gw)
         lead_sum += w
         last_gw = gw
         if z_star is not None:

@@ -91,6 +91,31 @@ class TestTally:
         merged = sk.tally_merge(t, OracleTally({OracleKind.GRAD_Y_F: 2}))
         assert merged.snapshot() == {"gradx_F": 1, "grady_F": 2}
 
+    def test_snapshot_keys_in_value_order(self):
+        t = OracleTally()
+        for kind in reversed(list(OracleKind)):
+            t.bump(kind, 2)
+        keys = list(t.snapshot())
+        assert keys == sorted(k.value for k in OracleKind)
+        assert list(OracleTally({OracleKind.PROX_H: 1, OracleKind.GRAD_H: 1}).snapshot()) == [
+            "grad_h",
+            "prox_h",
+        ]
+
+    def test_merge_copy_eq_agree_across_insertion_orders(self):
+        kinds = list(OracleKind)
+        a, b = OracleTally(), OracleTally()
+        for i, kind in enumerate(kinds):
+            a.bump(kind, i + 1)
+        for i, kind in reversed(list(enumerate(kinds))):
+            b.bump(kind, i + 1)
+        assert a == b and a.copy() == b and b.copy() == a
+        merged = sk.tally_merge(a, b)
+        assert merged == sk.tally_merge(b, a)
+        assert all(merged.count(k) == 2 * (i + 1) for i, k in enumerate(kinds))
+        assert merged.snapshot() == {k.value: 2 * (i + 1) for i, k in enumerate(kinds)}
+        assert {OracleKind(k.value) for k in kinds} == set(kinds)
+
     def test_counters_never_decrease(self):
         t = OracleTally()
         with pytest.raises(ValueError):

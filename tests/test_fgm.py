@@ -166,6 +166,17 @@ class TestSolveToGap:
             sk.solve_to_gap(obj, np.full(2, 10.0), 1e-14, max_blocks=1)
         assert err.value.best is not None
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_certificate_fails_closed(self, bad):
+        # `bound > target` is False for NaN: a plain comparison would stop as converged
+        obj = sk.CompositeObjective(
+            smooth_grad=lambda x: np.full_like(x, bad), l_smooth=1.0, mu=1.0
+        )
+        with pytest.raises(sk.BudgetExceededError) as err:
+            sk.solve_to_gap(obj, np.zeros(2), 1e-6)
+        assert np.array_equal(err.value.best, np.zeros(2))
+        assert err.value.tally is not None
+
     def test_composite_certificate_bounds_gap(self):
         # ball-constrained quadratic: certificate upper-bounds the true gap
         rng = np.random.default_rng(7)

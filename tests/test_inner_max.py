@@ -64,6 +64,28 @@ class TestInexactGrad:
         assert ig.delta == pytest.approx(0.01)
         assert ig.l_env == pytest.approx(16.0)
 
+    def test_value_computed_on_first_read(self, b1_problem):
+        calls = {"value_F": 0, "value_h": 0}
+        base_vf, base_vh = b1_problem.value_F, b1_problem.value_h
+
+        def vf(x, y):
+            calls["value_F"] += 1
+            return base_vf(x, y)
+
+        def vh(y):
+            calls["value_h"] += 1
+            return base_vh(y)
+
+        b1_problem.value_F, b1_problem.value_h = vf, vh
+        x, w = np.array([1.0, 1.0]), np.array([1.0, 1.9])
+        ig = sk.inexact_grad_from_witness(b1_problem, x, w, 0.005)
+        assert calls == {"value_F": 0, "value_h": 0}
+        x[:] = 7.0  # the bundle keeps its own base point
+        expected = base_vf(np.array([1.0, 1.0]), w) - base_vh(w)
+        assert ig.value == expected
+        assert ig.value == expected
+        assert calls == {"value_F": 1, "value_h": 1}
+
     def test_small_delta_recovers_gradient(self, b1_problem):
         ig = sk.inexact_grad_g(b1_problem, np.array([1.0, 1.0]), 1e-12)
         assert np.allclose(ig.grad, [1.0, 4.0], atol=1e-5)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import saddlekit as sk
-from saddlekit.core import Metered, OracleTally
+from saddlekit.core import Metered, OracleKind, OracleTally
 
 
 class TestAssembly:
@@ -20,6 +20,18 @@ class TestAssembly:
         z = np.array([0.3, -1.0, 2.0, 0.5])
         assert np.allclose(op.evaluate(z), z)
         assert op.mu == 1.0
+
+    def test_fresh_output_and_counts_per_evaluation(self):
+        inst = sk.gen_bilinear(3, 4, 10.0, seed=0)
+        tally = OracleTally()
+        op = sk.assemble_saddle_operator(inst.problem(), tally)
+        z = np.linspace(-1.0, 1.0, 7)
+        a = op.evaluate(z)
+        b = op.evaluate(z)
+        assert a is not b and not np.shares_memory(a, b)
+        assert a.tobytes() == b.tobytes()
+        per_call = {"grad_r": 1, "gradx_F": 1, "grad_h": 1, "grady_F": 1, "matvec": 2}
+        assert tally.snapshot() == {k: 2 * v for k, v in per_call.items()}
 
     def test_gradient_oracle_required(self, b1):
         p = b1.problem()
