@@ -318,7 +318,8 @@ class Metered:
     """Counting view of a :class:`SaddleProblem` bound to one run's tally.
 
     Gradient and prox calls bump the corresponding counter (plus the declared
-    matvec cost, read from the problem once, at construction).  Value oracles
+    matvec cost, read from the problem once, at construction); a call to an
+    oracle the problem lacks raises and counts nothing.  Value oracles
     pass through unmetered: they feed certificates and the values of
     inexact-gradient bundles, which are computed only when first read, not
     the complexity accounting.
@@ -333,15 +334,15 @@ class Metered:
     def spec(self) -> SaddleSpec:
         return self.problem.spec
 
-    def _bump(self, kind: OracleKind) -> None:
-        self.tally.bump(kind)
-        mv = self._matvecs[kind]
-        if mv:
-            self.tally.bump(OracleKind.MATVEC, mv)
-
-    def _need(self, fn, name: str):
+    def _metered(self, kind: OracleKind, fn, name: str):
+        """Return oracle ``fn`` after counting one call; a missing oracle counts nothing."""
         if fn is None:
             raise UnsupportedProblemError(f"problem does not provide the {name} oracle")
+        tally = self.tally
+        tally.bump(kind)
+        mv = self._matvecs[kind]
+        if mv:
+            tally.bump(OracleKind.MATVEC, mv)
         return fn
 
     # -- values (unmetered) --
@@ -360,28 +361,22 @@ class Metered:
 
     # -- gradients / proxes (metered) --
     def grad_r(self, x):
-        self._bump(OracleKind.GRAD_R)
-        return self._need(self.problem.grad_r, "grad_r")(x)
+        return self._metered(OracleKind.GRAD_R, self.problem.grad_r, "grad_r")(x)
 
     def grad_h(self, y):
-        self._bump(OracleKind.GRAD_H)
-        return self._need(self.problem.grad_h, "grad_h")(y)
+        return self._metered(OracleKind.GRAD_H, self.problem.grad_h, "grad_h")(y)
 
     def grad_x_F(self, x, y):
-        self._bump(OracleKind.GRAD_X_F)
-        return self._need(self.problem.grad_x_F, "grad_x_F")(x, y)
+        return self._metered(OracleKind.GRAD_X_F, self.problem.grad_x_F, "grad_x_F")(x, y)
 
     def grad_y_F(self, x, y):
-        self._bump(OracleKind.GRAD_Y_F)
-        return self._need(self.problem.grad_y_F, "grad_y_F")(x, y)
+        return self._metered(OracleKind.GRAD_Y_F, self.problem.grad_y_F, "grad_y_F")(x, y)
 
     def prox_r(self, c1, c2):
-        self._bump(OracleKind.PROX_R)
-        return self._need(self.problem.prox_r, "prox_r")(c1, c2)
+        return self._metered(OracleKind.PROX_R, self.problem.prox_r, "prox_r")(c1, c2)
 
     def prox_h(self, c1, c2):
-        self._bump(OracleKind.PROX_H)
-        return self._need(self.problem.prox_h, "prox_h")(c1, c2)
+        return self._metered(OracleKind.PROX_H, self.problem.prox_h, "prox_h")(c1, c2)
 
 
 # ---------------------------------------------------------------------------

@@ -271,7 +271,8 @@ def certificate(obj: CompositeObjective, x: Vector) -> tuple[float, Vector]:
         return float(g @ g) / (2.0 * obj.mu), x
     l_c = max(obj.l_smooth, obj.mu)
     x_plus = obj.prox_model(x, 1.0 / l_c, g)
-    step_sq = float(np.dot(x_plus - x, x_plus - x))
+    step = x_plus - x
+    step_sq = float(np.dot(step, step))
     bound = (obj.l_smooth + l_c) ** 2 * step_sq / (2.0 * obj.mu)
     return bound, x_plus
 
@@ -289,7 +290,8 @@ def solve_to_gap(
     after each block; the certificate's witness becomes the next start.  When
     the block cap is reached first, or a certificate is not finite (a NaN or
     inf oracle value), raises :class:`BudgetExceededError` carrying the best
-    iterate.
+    iterate.  The report keeps no per-block history: the number of blocks run
+    is in ``extras["blocks"]``.
     """
     if target_gap <= 0:
         raise InvalidSpecError("target gap must be positive")
@@ -300,9 +302,6 @@ def solve_to_gap(
     x = np.array(x0, dtype=float)
     bound, witness = certificate(obj, x)
     blocks = 0
-    history = [
-        HistoryRow(0, bound, tally.snapshot(), (time.perf_counter() - start) * 1e3)
-    ]
     while not bound <= target_gap:
         if not math.isfinite(bound):
             raise BudgetExceededError(
@@ -320,15 +319,11 @@ def solve_to_gap(
         x = rep.x_final
         bound, witness = certificate(obj, x)
         blocks += 1
-        history.append(
-            HistoryRow(blocks, bound, tally.snapshot(), (time.perf_counter() - start) * 1e3)
-        )
     return SolveReport(
         x_final=witness,
         certified_gap=bound,
         tally=tally,
         converged=True,
-        history=history,
         wall_ms=(time.perf_counter() - start) * 1e3,
         extras={"blocks": blocks, "block_size": n_b},
     )

@@ -13,6 +13,10 @@ constant 2*L, L = l_xx + 2 l_xy^2 / mu_y, together with the error bound
 The bundle's value F(x, w) - h(w) is computed when it is first read, not
 when the bundle is built: the solvers only use the gradient, and the value
 costs a ``value_F`` evaluation (a matvec on bilinear instances).
+
+The inner objective does not depend on x, so :class:`InnerMax` builds it
+once per metered view, with the set center and the envelope constant, and
+:class:`EnvelopeGradOracle` reuses one such object for every outer gradient.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ import numpy as np
 
 from . import fgm
 from .core import (
-    FeasibleSet,
     InvalidSpecError,
     Metered,
     OracleTally,
@@ -57,45 +60,88 @@ class InexactGrad:
         return float(self.value_fn())
 
 
-def _as_metered(problem, tally: Optional[OracleTally]) -> Metered:
-    if isinstance(problem, Metered):
-        return problem
-    return Metered(problem, tally)
+class InnerMax:
+    """The inner maximization of one metered view, built once and reused for every x.
 
-
-def _inner_objective(mp: Metered, x: Vector, domain: Optional[FeasibleSet] = None):
-    """Minimization form of the inner problem: phi(y) = h(y) - F(x, y).
+    Holds the minimization form of the inner problem, phi(y) = h(y) - F(x, y),
+    as one :class:`~saddlekit.fgm.CompositeObjective` whose smooth gradient
+    reads the base point from ``self.x`` (set by :meth:`solve` before each
+    inner solve), together with the x-independent pieces every solve and
+    bundle need: the set center, the envelope constant and the exact-prox flag.
 
     With a prox-friendly h the coupling part is the smooth term and h stays
     composite; otherwise h must be smooth (constant l_y) and the whole
     objective is handled as one smooth term over the feasible set.
     """
-    spec = mp.spec
-    dom = domain if domain is not None else spec.set_y
-    composite_mode = mp.problem.prox_friendly_h and domain is None
-    if composite_mode:
-        return fgm.CompositeObjective(
-            smooth_grad=lambda y: -mp.grad_y_F(x, y),
-            l_smooth=max(spec.l_yy, spec.mu_y),
-            mu=spec.mu_y,
-            prox_model=fgm.prox_model_from_friendly(mp.prox_h),
-            domain=dom,
+
+    def __init__(self, mp: Metered):
+        spec = mp.spec
+        self.mp = mp
+        self.x: Optional[Vector] = None
+        self.center = set_center(spec.set_y, spec.dim_y)
+        self.l_env = 2.0 * effective_smoothness(spec)
+        # constant smooth gradient: the model subproblem IS the inner problem
+        self.exact_prox = bool(mp.problem.prox_friendly_h and spec.l_yy == 0.0)
+        self.objective: Optional[fgm.CompositeObjective] = None
+        if mp.problem.prox_friendly_h:
+            self.objective = fgm.CompositeObjective(
+                smooth_grad=lambda y: -mp.grad_y_F(self.x, y),
+                l_smooth=max(spec.l_yy, spec.mu_y),
+                mu=spec.mu_y,
+                prox_model=fgm.prox_model_from_friendly(mp.prox_h),
+                domain=spec.set_y,
+            )
+        elif mp.problem.grad_h is not None:
+            l_y = spec.l_y if spec.l_y is not None else spec.mu_y
+            self.objective = fgm.CompositeObjective(
+                smooth_grad=lambda y: mp.grad_h(y) - mp.grad_y_F(self.x, y),
+                l_smooth=max(spec.l_yy + l_y, spec.mu_y),
+                mu=spec.mu_y,
+                domain=spec.set_y,
+            )
+
+    def solve(
+        self, x: Vector, delta: float, y0: Optional[Vector] = None, max_blocks: int = 256
+    ) -> Vector:
+        """Certified delta-accurate maximizer of F(x, .) - h(.); see :func:`solve_inner_max`."""
+        if delta <= 0:
+            raise InvalidSpecError("inner accuracy delta must be positive")
+        mp = self.mp
+        x = np.asarray(x, dtype=float)
+        if self.exact_prox:
+            return mp.prox_h(-mp.grad_y_F(x, self.center), 0.0)
+        if self.objective is None:
+            raise InvalidSpecError(
+                "inner solve needs either a prox-friendly h or a grad_h oracle"
+            )
+        self.x = x
+        start = self.center if y0 is None else y0  # solve_to_gap copies its start
+        rep = fgm.solve_to_gap(self.objective, start, delta, max_blocks=max_blocks, tally=mp.tally)
+        return rep.x_final
+
+    def bundle(self, x: Vector, witness: Vector, delta: float) -> InexactGrad:
+        """Inexact-gradient bundle of g at x; see :func:`inexact_grad_from_witness`."""
+        mp = self.mp
+        grad = mp.grad_x_F(x, witness)
+        x = np.array(x, dtype=float)  # the caller may reuse its buffer before .value is read
+        witness = np.asarray(witness, dtype=float)
+        return InexactGrad(
+            grad=np.asarray(grad, dtype=float),
+            delta=2.0 * float(delta),
+            l_env=self.l_env,
+            witness_y=witness,
+            value_fn=lambda: mp.value_S_hat(x, witness),
         )
-    if mp.problem.grad_h is None:
-        raise InvalidSpecError(
-            "inner solve needs either a prox-friendly h or a grad_h oracle"
-        )
-    l_y = spec.l_y if spec.l_y is not None else spec.mu_y
-    return fgm.CompositeObjective(
-        smooth_grad=lambda y: mp.grad_h(y) - mp.grad_y_F(x, y),
-        l_smooth=max(spec.l_yy + l_y, spec.mu_y),
-        mu=spec.mu_y,
-        domain=dom,
-    )
+
+
+def _as_inner(problem, tally: Optional[OracleTally]) -> InnerMax:
+    if isinstance(problem, InnerMax):
+        return problem
+    return InnerMax(problem if isinstance(problem, Metered) else Metered(problem, tally))
 
 
 def solve_inner_max(
-    problem: SaddleProblem | Metered,
+    problem: SaddleProblem | Metered | InnerMax,
     x: Vector,
     delta: float,
     y0: Optional[Vector] = None,
@@ -113,23 +159,12 @@ def solve_inner_max(
     Raises :class:`~saddlekit.core.BudgetExceededError` (carrying the best
     iterate) if the block cap is hit before certification.
     """
-    if delta <= 0:
-        raise InvalidSpecError("inner accuracy delta must be positive")
-    mp = _as_metered(problem, tally)
-    spec = mp.spec
-    x = np.asarray(x, dtype=float)
-    if mp.problem.prox_friendly_h and spec.l_yy == 0.0:
-        # constant smooth gradient: the model subproblem IS the inner problem
-        witness = mp.prox_h(-mp.grad_y_F(x, set_center(spec.set_y, spec.dim_y)), 0.0)
-        return witness, mp.tally
-    obj = _inner_objective(mp, x)
-    start = np.array(y0, dtype=float) if y0 is not None else set_center(spec.set_y, spec.dim_y)
-    rep = fgm.solve_to_gap(obj, start, delta, max_blocks=max_blocks, tally=mp.tally)
-    return rep.x_final, mp.tally
+    inner = _as_inner(problem, tally)
+    return inner.solve(x, delta, y0, max_blocks), inner.mp.tally
 
 
 def inexact_grad_g(
-    problem: SaddleProblem | Metered,
+    problem: SaddleProblem | Metered | InnerMax,
     x: Vector,
     delta: float,
     y0: Optional[Vector] = None,
@@ -137,13 +172,12 @@ def inexact_grad_g(
     tally: Optional[OracleTally] = None,
 ) -> InexactGrad:
     """Inexact-gradient bundle of g at x from a certified inner solve."""
-    mp = _as_metered(problem, tally)
-    witness, _ = solve_inner_max(mp, x, delta, y0=y0, max_blocks=max_blocks)
-    return inexact_grad_from_witness(mp, x, witness, delta)
+    inner = _as_inner(problem, tally)
+    return inner.bundle(x, inner.solve(x, delta, y0, max_blocks), delta)
 
 
 def inexact_grad_from_witness(
-    problem: SaddleProblem | Metered,
+    problem: SaddleProblem | Metered | InnerMax,
     x: Vector,
     witness: Vector,
     delta: float,
@@ -154,17 +188,7 @@ def inexact_grad_from_witness(
     Costs one ``grad_x_F`` call; the value oracles run only if ``.value`` is
     read.
     """
-    mp = _as_metered(problem, tally)
-    grad = mp.grad_x_F(x, witness)
-    x = np.array(x, dtype=float)  # the caller may reuse its buffer before .value is read
-    witness = np.asarray(witness, dtype=float)
-    return InexactGrad(
-        grad=np.asarray(grad, dtype=float),
-        delta=2.0 * float(delta),
-        l_env=2.0 * effective_smoothness(mp.spec),
-        witness_y=witness,
-        value_fn=lambda: mp.value_S_hat(x, witness),
-    )
+    return _as_inner(problem, tally).bundle(x, witness, delta)
 
 
 def envelope_check(
@@ -192,8 +216,9 @@ class EnvelopeGradOracle:
 
     Each call runs one certified inner maximization at the currently
     requested accuracy and returns the resulting bundle; the witness seeds
-    the next call.  ``set_delta`` accepts the *envelope* inexactness (the
-    inner solver is asked for half of it).
+    the next call.  The inner problem (:class:`InnerMax`) is built once, at
+    construction, and reused for every x.  ``set_delta`` accepts the
+    *envelope* inexactness (the inner solver is asked for half of it).
     """
 
     def __init__(
@@ -203,7 +228,7 @@ class EnvelopeGradOracle:
         tally: Optional[OracleTally] = None,
         max_blocks: int = 256,
     ):
-        self._mp = _as_metered(problem, tally)
+        self._inner = _as_inner(problem, tally)
         if delta_env <= 0:
             raise InvalidSpecError("envelope inexactness must be positive")
         self._delta_env = float(delta_env)
@@ -213,7 +238,7 @@ class EnvelopeGradOracle:
 
     @property
     def tally(self) -> OracleTally:
-        return self._mp.tally
+        return self._inner.mp.tally
 
     @property
     def delta_env(self) -> float:
@@ -226,7 +251,7 @@ class EnvelopeGradOracle:
 
     def bundle(self, x: Vector) -> InexactGrad:
         ig = inexact_grad_g(
-            self._mp,
+            self._inner,
             x,
             0.5 * self._delta_env,
             y0=self._warm,

@@ -303,7 +303,9 @@ def apg_inexact_solve(
     g-gradient calls.  With ``exact_inner`` the prox subproblem is solved by
     the objective's closed-form ``prox_g``.  When ``obj.x_star`` is known the
     report's ``extras["lyapunov"]`` logs the contraction quantity after every
-    step.
+    step.  The report echoes ``epsilon`` as its certified gap when the final
+    iterate is finite; a NaN or inf iterate returns ``converged=False`` with
+    an infinite gap.
     """
     if not normalized:
         obj, spec, _ = normalize_split(obj, spec)
@@ -354,11 +356,14 @@ def apg_inexact_solve(
                 wall_ms=(time.perf_counter() - start_t) * 1e3,
             )
         )
+    # the schedule certifies nothing about a NaN or inf iterate (an understated
+    # constant can blow the loop up): fail closed without spending an oracle call
+    finite = bool(np.isfinite(y).all())
     return SolveReport(
         x_final=y,
-        certified_gap=epsilon,
+        certified_gap=epsilon if finite else float("inf"),
         tally=tally,
-        converged=True,
+        converged=finite,
         history=history,
         wall_ms=(time.perf_counter() - start_t) * 1e3,
         extras={"params": params, "lyapunov": lyapunov, "engine": "apg"},

@@ -169,6 +169,14 @@ class TestMetering:
         with pytest.raises(sk.UnsupportedProblemError):
             Metered(problem).grad_h(np.zeros(2))
 
+    def test_missing_oracle_counts_nothing(self):
+        problem = sk.gen_bilinear(3, 3, 2.0, seed=1).problem()
+        problem.grad_h = None
+        tally = OracleTally()
+        with pytest.raises(sk.UnsupportedProblemError):
+            Metered(problem, tally).grad_h(np.zeros(3))
+        assert tally.snapshot() == {}
+
 
 class TestDeterminism:
     def test_repeat_runs_bitwise_identical(self, b1):

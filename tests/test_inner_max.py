@@ -166,3 +166,57 @@ class TestEnvelopeOracle:
         assert oracle.last_bundle.delta == pytest.approx(1e-6)
         with pytest.raises(sk.InvalidSpecError):
             oracle.set_delta(0.0)
+
+
+def inner_mode_problem(mode):
+    """One problem per inner-solve mode of the shared inner object."""
+    if mode == "exact-prox":  # prox-friendly h, l_yy = 0: one prox call per solve
+        p = sk.gen_bilinear(6, 5, 10.0, seed=2).problem()
+        assert p.prox_friendly_h and p.spec.l_yy == 0.0
+        return p
+    p = sk.gen_quadratic_saddle(6, 5, 10.0, seed=2).problem()
+    assert p.spec.l_yy > 0.0
+    p.prox_friendly_h = mode == "prox-h"  # otherwise h is a smooth term
+    return p
+
+
+INNER_MODES = ["prox-h", "smooth-h", "exact-prox"]
+
+
+class TestSharedInnerObject:
+    """EnvelopeGradOracle reuses one inner object for every x."""
+
+    def points(self, n=6):
+        rng = np.random.default_rng(11)
+        return [rng.standard_normal(6) for _ in range(n)]
+
+    @pytest.mark.parametrize("mode", INNER_MODES)
+    def test_bundles_equal_one_shot_calls(self, mode):
+        p = inner_mode_problem(mode)
+        shared_tally, fresh_tally = OracleTally(), OracleTally()
+        oracle = sk.EnvelopeGradOracle(p, delta_env=1e-3, tally=shared_tally)
+        warm = None
+        for k, x in enumerate(self.points()):
+            delta_env = 1e-3 * 0.1**k
+            oracle.set_delta(delta_env)
+            ig = oracle.bundle(x)
+            ref = sk.inexact_grad_g(p, x, 0.5 * delta_env, y0=warm, tally=fresh_tally)
+            warm = ref.witness_y
+            assert ig.grad.tobytes() == ref.grad.tobytes()
+            assert ig.witness_y.tobytes() == ref.witness_y.tobytes()
+            assert (ig.delta, ig.l_env) == (ref.delta, ref.l_env)
+            assert shared_tally.snapshot() == fresh_tally.snapshot()
+
+    @pytest.mark.parametrize("mode", INNER_MODES)
+    def test_early_value_keeps_its_own_point(self, mode):
+        p = inner_mode_problem(mode)
+        oracle = sk.EnvelopeGradOracle(p, delta_env=1e-6)
+        x_buf = np.empty(6)  # one buffer, overwritten before every call
+        xs, bundles = [], []
+        for x in self.points():
+            x_buf[:] = x
+            xs.append(x.copy())
+            bundles.append(oracle.bundle(x_buf))
+        for x, ig in zip(xs, bundles):
+            w = ig.witness_y
+            assert ig.value == p.value_F(x, w) - p.value_h(w)

@@ -116,6 +116,48 @@ class TestSolveSaddle:
             sk.solve_saddle(b1_problem, 1e-6)  # unbounded sets need radii
 
 
+# Full tallies of four certified solves at epsilon 1e-6 with the criterion-11
+# radii, one per route; `flags`, when given, override the generated problem's
+# (prox_friendly_r, prox_friendly_h).
+# A change that moves any count moves one of these.
+PINNED_TALLIES = [
+    (
+        "bilinear", (10, 8, 10.0), None, "case1",
+        {"grad_h": 1, "grad_r": 1, "gradx_F": 191, "grady_F": 191, "matvec": 382,
+         "prox_h": 190, "prox_r": 189},
+    ),
+    (
+        "quadratic", (10, 8, 10.0), None, "case1",
+        {"grad_h": 1, "grad_r": 1, "gradx_F": 218, "grady_F": 422, "matvec": 640,
+         "prox_h": 421, "prox_r": 216},
+    ),
+    (
+        "quadratic", (12, 12, 20.0), (False, True), "case2",
+        {"grad_h": 1, "grad_r": 84, "gradx_F": 3654, "grady_F": 4326, "matvec": 7980,
+         "prox_h": 4325},
+    ),
+    (
+        "quadratic", (12, 12, 20.0), (False, False), "case4",
+        {"grad_h": 4278, "grad_r": 84, "gradx_F": 3654, "grady_F": 4278, "matvec": 7932},
+    ),
+]
+
+
+@pytest.mark.parametrize("family, shape, flags, engine, tally", PINNED_TALLIES)
+def test_pinned_oracle_counts(family, shape, flags, engine, tally):
+    gen = sk.gen_bilinear if family == "bilinear" else sk.gen_quadratic_saddle
+    inst = gen(*shape, seed=5, mu_x=4.0, mu_y=4.0)
+    problem = inst.problem()
+    if flags is not None:
+        problem.prox_friendly_r, problem.prox_friendly_h = flags
+    r_x = 2.0 * (float(np.linalg.norm(inst.closed_form_x)) + 1.0)
+    r_y = 2.0 * (float(np.linalg.norm(inst.closed_form_y)) + 1.0)
+    rep = sk.solve_saddle(problem, 1e-6, engine="auto", r_x=r_x, r_y=r_y)
+    assert rep.converged
+    assert rep.extras["engine"] == engine
+    assert rep.tally.snapshot() == tally
+
+
 class TestDualityGap:
     def test_at_saddle(self, b1, b1_problem):
         cert = sk.duality_gap(b1_problem, b1.closed_form_x, b1.closed_form_y, 10.0, 10.0, 1e-5)

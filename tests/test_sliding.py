@@ -217,6 +217,25 @@ class TestApg:
         rep = sk.sliding_solve(spec, obj, np.zeros(1), 1e-10, gap0=2.0, tally=tally)
         assert obj.value(rep.x_final) - obj.f_star <= 1e-10
 
+    @pytest.mark.parametrize("solve", ["apg", "sliding"])
+    def test_non_finite_iterate_fails_closed(self, solve):
+        # l_g declared 2, true 1e6: the scheduled loop blows up to NaN
+        tally = OracleTally()
+        obj, _ = two_term_quadratic([1.0, 1.0], [1e6, 1.0], [1.0, -1.0], tally)
+        spec = sk.SlidingSpec(l_r=1.0, l_g=2.0, mu_r=1.0, mu_g=1.0)
+        with np.errstate(all="ignore"):
+            if solve == "apg":
+                rep = sk.apg_inexact_solve(spec, obj, np.zeros(2), 1e-6, tally=tally)
+            else:
+                rep = sk.sliding_solve(spec, obj, np.zeros(2), 1e-6, tally=tally)
+        assert not np.isfinite(rep.x_final).all()
+        assert not rep.converged
+        assert rep.certified_gap == math.inf
+        # failing closed spends no oracle call beyond the schedule
+        p = rep.extras["params"]
+        assert tally.count(OracleKind.GRAD_R) == p.k_outer
+        assert tally.count(OracleKind.GRAD_X_F) == p.k_outer * p.t_inner
+
 
 class TestCatalyst:
     def test_converges_with_certificate(self):
