@@ -237,6 +237,11 @@ class EnvelopeGradOracle:
         self.last_bundle: Optional[InexactGrad] = None
 
     @property
+    def inner(self) -> InnerMax:
+        """The shared inner problem, for other solves on the same metered view."""
+        return self._inner
+
+    @property
     def tally(self) -> OracleTally:
         return self._inner.mp.tally
 

@@ -2,17 +2,18 @@
 
 The saddle problem is driven as the strongly convex minimization of
 f(x) = r(x) + g(x), g the partial max, whose inexact gradients come from
-certified inner maximizations.  Engine selection follows the composites'
-prox-friendliness:
+certified inner maximizations.  h only shapes those inner solves (its prox
+when prox-friendly, its gradient otherwise), so the outer loop follows r:
 
-* both prox-friendly          -> restarted fast gradient with composite r;
-* r smooth, h prox-friendly   -> two-term splitting outer loop;
-* r prox-friendly, h smooth   -> splitting outer loop, smooth inner solves;
-* both smooth                 -> splitting outer loop, smooth inner solves;
-* ``mirror_prox``             -> restarted extragradient baseline.
+* r prox-friendly (``case1``, ``case3``) -> restarted fast gradient with
+  composite r;
+* r smooth (``case2``, ``case4``)        -> two-term splitting, Catalyst
+  engine;
+* ``mirror_prox``                        -> restarted extragradient baseline.
 
 Solutions are certified by a restricted primal-dual gap over balls around
-the starting points, computed by two independent auxiliary solves.
+the starting points, computed by two independent auxiliary solves.  An inner
+or certificate solve that exhausts its budget ends the solve unconverged.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import numpy as np
 from . import fgm, inner_max, mirror_prox, sliding
 from .core import (
     AllSpace,
+    BudgetExceededError,
     EuclideanBall,
     InvalidSpecError,
     Metered,
@@ -88,27 +90,17 @@ class ComplexityPrediction:
 
 def _flatten_histories(reports) -> list:
     """Concatenate per-attempt histories with a global iteration index."""
-    rows = []
-    for rep in reports:
-        for row in rep.history:
-            rows.append(
-                replace(row, iteration=len(rows) + 1)
-            )
-    return rows
+    rows = [row for rep in reports for row in rep.history]
+    return [replace(row, iteration=i) for i, row in enumerate(rows, 1)]
 
 
 def _resolve_engine(problem: SaddleProblem, engine: Engine | str) -> Engine:
     eng = Engine(engine) if not isinstance(engine, Engine) else engine
     if eng is not Engine.AUTO:
         return eng
-    pf_r, pf_h = problem.prox_friendly_r, problem.prox_friendly_h
-    if pf_r and pf_h:
-        return Engine.CASE1
-    if not pf_r and pf_h:
-        return Engine.CASE2
-    if pf_r and not pf_h:
-        return Engine.CASE3
-    return Engine.CASE4
+    if problem.prox_friendly_r:
+        return Engine.CASE1 if problem.prox_friendly_h else Engine.CASE3
+    return Engine.CASE2 if problem.prox_friendly_h else Engine.CASE4
 
 
 def _outer_modulus(problem: SaddleProblem) -> tuple[float, float]:
@@ -229,7 +221,9 @@ def solve_saddle(
     pair, the gap certificate, and the full oracle tally including the
     certification cost.  Internal accuracy targets start at the scheduled
     O(epsilon) values and tighten geometrically until the certificate passes;
-    ``max_attempts`` caps that loop.
+    ``max_attempts`` caps that loop.  An inner or certificate solve that
+    exhausts its budget ends the loop with ``converged=False``, an infinite
+    gap and the message in ``extras["error"]``.
     """
     problem.validate()
     if epsilon <= 0:
@@ -257,42 +251,52 @@ def solve_saddle(
     gamma_w = 0.25 * epsilon  # accuracy of the witness behind the certificate
     cert_eps = epsilon / 8.0
     r_cur = r_x
-    cert = None
+    cert = failure = None
     outer_reports = []
     attempts = 0
-    for attempt in range(max_attempts):
-        attempts += 1
-        if eng is Engine.CASE1:
-            rep = _case1_outer(mp, oracle, x_cur, eps_f, r_cur, mu_f, l_env)
-        else:
-            rep = _sliding_outer(mp, oracle, x_cur, eps_f, r_cur, mu_f, mu_from_g, l_env)
-        outer_reports.append(rep)
-        x_cur = rep.x_final
-        if rep.certified_gap < float("inf") and mu_f > 0:
-            r_cur = min(r_cur, math.sqrt(max(2.0 * rep.certified_gap / mu_f, 0.0)))
-        ig = inner_max.inexact_grad_g(mp, x_cur, gamma_w, y0=y_cur)
-        y_cur = ig.witness_y
-        cert = duality_gap(mp, x_cur, y_cur, r_x, r_y, cert_eps)
-        if cert.gap <= epsilon:
-            break
-        eps_f *= 0.125
-        gamma_w *= 0.125
+    try:
+        for attempts in range(1, max_attempts + 1):
+            if eng in (Engine.CASE1, Engine.CASE3):  # prox-friendly r
+                rep = _case1_outer(mp, oracle, x_cur, eps_f, r_cur, mu_f, l_env)
+            else:
+                rep = _sliding_outer(mp, oracle, x_cur, eps_f, mu_from_g, l_env)
+            outer_reports.append(rep)
+            if rep.certified_gap < float("inf") and mu_f > 0:
+                r_cur = min(r_cur, math.sqrt(max(2.0 * rep.certified_gap / mu_f, 0.0)))
+            ig = inner_max.inexact_grad_g(oracle.inner, rep.x_final, gamma_w, y0=y_cur)
+            x_cur, y_cur = rep.x_final, ig.witness_y
+            cert = duality_gap(mp, x_cur, y_cur, r_x, r_y, cert_eps)
+            if cert.gap <= epsilon:
+                break
+            eps_f *= 0.125
+            gamma_w *= 0.125
+    except BudgetExceededError as err:
+        failure = str(err)
+    return _attempts_report(
+        mp, x_cur, y_cur, epsilon, cert, failure, outer_reports, start_t,
+        engine=eng.value, attempts=attempts, outer_modulus=mu_f,
+    )
 
-    converged = cert is not None and cert.gap <= epsilon
+
+def _attempts_report(mp, x, y, epsilon, cert, failure, reports, start_t, **extras) -> SolveReport:
+    """Report of an attempt loop, certified only by a passed, uninterrupted certificate.
+
+    A ``failure`` (the message of a :class:`BudgetExceededError` from an
+    inner or certificate solve) leaves the last completed pair unconverged,
+    with an infinite gap and the message in ``extras["error"]``.
+    """
+    if failure is not None:
+        cert = None
+        extras["error"] = failure
     return SolveReport(
-        x_final=x_cur,
-        y_final=y_cur,
+        x_final=x,
+        y_final=y,
         certified_gap=cert.gap if cert is not None else float("inf"),
         tally=mp.tally,
-        converged=converged,
-        history=_flatten_histories(outer_reports),
+        converged=cert is not None and cert.gap <= epsilon,
+        history=_flatten_histories(reports),
         wall_ms=(time.perf_counter() - start_t) * 1e3,
-        extras={
-            "certificate": cert,
-            "engine": eng.value,
-            "attempts": attempts,
-            "outer_modulus": mu_f,
-        },
+        extras={"certificate": cert, **extras},
     )
 
 
@@ -323,8 +327,8 @@ def _case1_outer(mp, oracle, x0, eps_f, r0, mu_f, l_env) -> SolveReport:
     )
 
 
-def _sliding_outer(mp, oracle, x0, eps_f, r0, mu_f, mu_from_g, l_env) -> SolveReport:
-    """Two-term splitting outer loop: smooth r plus the inexact partial max."""
+def _sliding_outer(mp, oracle, x0, eps_f, mu_from_g, l_env) -> SolveReport:
+    """Two-term splitting outer loop (Catalyst): smooth r plus the inexact partial max."""
     spec = mp.spec
     if mp.problem.grad_r is None or spec.l_x is None or spec.l_x <= 0:
         raise UnsupportedProblemError(
@@ -345,44 +349,35 @@ def _sliding_outer(mp, oracle, x0, eps_f, r0, mu_f, mu_from_g, l_env) -> SolveRe
         grad_g=oracle,
         set_delta_g=oracle.set_delta,
     )
-    gap0 = 0.5 * (spec.l_x + l_env) * r0 * r0
-    return sliding.sliding_solve(out_spec, obj, x0, eps_f, engine="apg", gap0=gap0, tally=mp.tally)
+    return sliding.sliding_solve(out_spec, obj, x0, eps_f, engine="catalyst", tally=mp.tally)
 
 
-def _solve_via_extragradient(
-    mp, epsilon, x0, y0, r_x, r_y, max_attempts, start_t
-) -> SolveReport:
+def _solve_via_extragradient(mp, epsilon, x0, y0, r_x, r_y, max_attempts, start_t) -> SolveReport:
     op = mirror_prox.assemble_saddle_operator(mp)
     z = np.concatenate([x0, y0])
     r0 = math.hypot(r_x, r_y)
     nx = mp.spec.dim_x
     cert_eps = epsilon / 8.0
     eps_vi = epsilon
-    cert = None
+    cert = failure = None
     attempts = 0
     inner_reports = []
-    for attempt in range(max_attempts):
-        attempts += 1
-        rep = mirror_prox.run_restarted_mp(op, z, eps_vi, r0=r0, tally=mp.tally)
-        z = rep.x_final
-        d_sq = rep.extras.get("dist_sq_bound", float("inf"))
-        r0 = math.sqrt(d_sq) if d_sq < float("inf") else r0
-        inner_reports.append(rep)
-        x_hat, y_hat = z[:nx], z[nx:]
-        cert = duality_gap(mp, x_hat, y_hat, r_x, r_y, cert_eps)
-        if cert.gap <= epsilon:
-            break
-        eps_vi /= 16.0
-    converged = cert is not None and cert.gap <= epsilon
-    return SolveReport(
-        x_final=z[:nx],
-        y_final=z[nx:],
-        certified_gap=cert.gap if cert is not None else float("inf"),
-        tally=mp.tally,
-        converged=converged,
-        history=_flatten_histories(inner_reports),
-        wall_ms=(time.perf_counter() - start_t) * 1e3,
-        extras={"certificate": cert, "engine": "mirror_prox", "attempts": attempts},
+    try:
+        for attempts in range(1, max_attempts + 1):
+            rep = mirror_prox.run_restarted_mp(op, z, eps_vi, r0=r0, tally=mp.tally)
+            z = rep.x_final
+            d_sq = rep.extras.get("dist_sq_bound", float("inf"))
+            r0 = math.sqrt(d_sq) if d_sq < float("inf") else r0
+            inner_reports.append(rep)
+            cert = duality_gap(mp, z[:nx], z[nx:], r_x, r_y, cert_eps)
+            if cert.gap <= epsilon:
+                break
+            eps_vi /= 16.0
+    except BudgetExceededError as err:
+        failure = str(err)
+    return _attempts_report(
+        mp, z[:nx], z[nx:], epsilon, cert, failure, inner_reports, start_t,
+        engine="mirror_prox", attempts=attempts,
     )
 
 

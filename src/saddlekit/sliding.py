@@ -7,13 +7,16 @@ cheap-to-accelerate term and ~sqrt(l_g / mu) of the other, instead of
 * :func:`apg_inexact_solve` - an accelerated proximal gradient outer loop
   whose prox step ``prox_{g / l_r}(x - grad r(x) / l_r)`` is approximated by a
   fixed budget of fast-gradient iterations; tolerates per-call inexactness in
-  both terms' gradients.  This is the default engine: its step sizes,
-  contraction factor, and accuracy thresholds are fully explicit
-  (:func:`alg5_params`).
+  both terms' gradients.  Its step sizes, contraction factor, and accuracy
+  thresholds are fully explicit (:func:`alg5_params`), so it stays
+  :func:`sliding_solve`'s default engine and the scheduled reference that
+  acceptance criteria 9a, 9b, 10 and 12 pin.
 * :func:`catalyst_solve` - an outer proximal-point acceleration wrapper whose
   regularized subproblems are handled by the non-accelerated composite method
-  (:func:`composite_gm_solve`) with an accelerated innermost solver.  Kept as
-  an independent cross-check of the oracle counts.
+  (:func:`composite_gm_solve`) with an accelerated innermost solver.  Its
+  inner solves stop on certificates rather than a fixed budget, so it spends
+  far fewer g-gradients; it is the engine of
+  :func:`~saddlekit.saddle.solve_saddle`'s smooth-r route.
 """
 
 from __future__ import annotations

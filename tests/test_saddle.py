@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import saddlekit as sk
+from saddlekit import inner_max
 from saddlekit.core import OracleKind, SpectralInfo
 
 
@@ -56,7 +57,7 @@ class TestSolveSaddle:
 
     def test_smooth_dual_route(self):
         # h declared non-prox-friendly: inner solves use grad_h instead of
-        # its prox, and the outer goes through the splitting loop
+        # its prox, and the outer loop still uses r's prox
         inst = sk.gen_quadratic_saddle(4, 5, 10.0, seed=11)
         p = inst.problem()
         p.prox_friendly_h = False
@@ -116,9 +117,9 @@ class TestSolveSaddle:
             sk.solve_saddle(b1_problem, 1e-6)  # unbounded sets need radii
 
 
-# Full tallies of four certified solves at epsilon 1e-6 with the criterion-11
-# radii, one per route; `flags`, when given, override the generated problem's
-# (prox_friendly_r, prox_friendly_h).
+# Full tallies of five certified solves at epsilon 1e-6 with the criterion-11
+# radii, one per engine case; `flags`, when given, override the generated
+# problem's (prox_friendly_r, prox_friendly_h).
 # A change that moves any count moves one of these.
 PINNED_TALLIES = [
     (
@@ -133,12 +134,17 @@ PINNED_TALLIES = [
     ),
     (
         "quadratic", (12, 12, 20.0), (False, True), "case2",
-        {"grad_h": 1, "grad_r": 84, "gradx_F": 3654, "grady_F": 4326, "matvec": 7980,
-         "prox_h": 4325},
+        {"grad_h": 1, "grad_r": 23, "gradx_F": 154, "grady_F": 580, "matvec": 734,
+         "prox_h": 579},
+    ),
+    (
+        "quadratic", (12, 12, 20.0), (True, False), "case3",
+        {"grad_h": 458, "grad_r": 1, "gradx_F": 272, "grady_F": 458, "matvec": 730,
+         "prox_r": 270},
     ),
     (
         "quadratic", (12, 12, 20.0), (False, False), "case4",
-        {"grad_h": 4278, "grad_r": 84, "gradx_F": 3654, "grady_F": 4278, "matvec": 7932},
+        {"grad_h": 542, "grad_r": 23, "gradx_F": 164, "grady_F": 542, "matvec": 706},
     ),
 ]
 
@@ -156,6 +162,68 @@ def test_pinned_oracle_counts(family, shape, flags, engine, tally):
     assert rep.converged
     assert rep.extras["engine"] == engine
     assert rep.tally.snapshot() == tally
+
+
+def _criterion11_radii(inst) -> tuple[float, float]:
+    return (
+        2.0 * (float(np.linalg.norm(inst.closed_form_x)) + 1.0),
+        2.0 * (float(np.linalg.norm(inst.closed_form_y)) + 1.0),
+    )
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("gen", [sk.gen_bilinear, sk.gen_quadratic_saddle])
+def test_smooth_r_costs_the_order_of_prox_r(gen, seed):
+    # the paper's headline claim: a smooth r costs the same order of oracle
+    # calls as a prox-friendly one on the same instance
+    inst = gen(12, 12, 20.0, seed=seed, mu_x=4.0, mu_y=4.0)
+    r_x, r_y = _criterion11_radii(inst)
+    matvecs = {}
+    for prox_friendly_r in (True, False):
+        problem = inst.problem()
+        problem.prox_friendly_r = prox_friendly_r
+        rep = sk.solve_saddle(problem, 1e-6, r_x=r_x, r_y=r_y)
+        assert rep.converged
+        matvecs[prox_friendly_r] = rep.tally.count(OracleKind.MATVEC)
+    assert matvecs[False] <= 2 * matvecs[True], matvecs
+
+
+@pytest.mark.parametrize("engine", ["case1", "case2", "case3", "case4"])
+def test_one_inner_max_per_solve(engine, monkeypatch):
+    # the witness solve reuses the outer oracle's inner problem
+    built = []
+    init = inner_max.InnerMax.__init__
+
+    def counting_init(self, mp):
+        built.append(mp)
+        init(self, mp)
+
+    monkeypatch.setattr(inner_max.InnerMax, "__init__", counting_init)
+    inst = sk.gen_quadratic_saddle(6, 6, 10.0, seed=3, mu_x=4.0, mu_y=4.0)
+    r_x, r_y = _criterion11_radii(inst)
+    rep = sk.solve_saddle(inst.problem(), 1e-8, engine=engine, r_x=r_x, r_y=r_y)
+    assert rep.converged
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("engine", ["auto", "case4", "mirror_prox"])
+def test_exhausted_inner_budget_fails_closed(engine):
+    # a coupling gradient that turns NaN midway makes an inner or certificate
+    # solve give up; the solve must come back unconverged, not raise
+    p = sk.gen_quadratic_saddle(4, 4, 5.0, seed=1, mu_x=4, mu_y=4).problem()
+    grad_y_F, calls = p.grad_y_F, [0]
+
+    def failing_grad_y_F(x, y):
+        calls[0] += 1
+        return grad_y_F(x, y) if calls[0] <= 30 else np.full(len(y), np.nan)
+
+    p.grad_y_F = failing_grad_y_F
+    rep = sk.solve_saddle(p, 1e-6, engine=engine, r_x=10.0, r_y=10.0)
+    assert not rep.converged
+    assert rep.certified_gap == math.inf
+    assert rep.extras["certificate"] is None
+    assert "not finite" in rep.extras["error"]
+    assert rep.x_final.shape == (4,) and rep.y_final.shape == (4,)
 
 
 class TestDualityGap:
