@@ -138,13 +138,13 @@ PINNED_TALLIES = [
          "prox_h": 579},
     ),
     (
+        "quadratic", (12, 12, 20.0), (False, False), "case4",
+        {"grad_h": 542, "grad_r": 23, "gradx_F": 164, "grady_F": 542, "matvec": 706},
+    ),
+    (
         "quadratic", (12, 12, 20.0), (True, False), "case3",
         {"grad_h": 458, "grad_r": 1, "gradx_F": 272, "grady_F": 458, "matvec": 730,
          "prox_r": 270},
-    ),
-    (
-        "quadratic", (12, 12, 20.0), (False, False), "case4",
-        {"grad_h": 542, "grad_r": 23, "gradx_F": 164, "grady_F": 542, "matvec": 706},
     ),
 ]
 
