@@ -28,7 +28,6 @@ from .core import (
 )
 from .fgm import (
     CompositeObjective,
-    RestartVariant,
     next_alpha,
     restart_budget,
     restart_count,
@@ -101,7 +100,6 @@ __all__ = [
     "OracleKind",
     "OracleTally",
     "QuadraticSaddleInstance",
-    "RestartVariant",
     "SaddleProblem",
     "SaddleSpec",
     "SlidingSpec",

@@ -96,10 +96,6 @@ def _load_instance(desc: dict):
     raise ConfigError(f"unknown instance family {family!r}")
 
 
-def _instance_dims(inst) -> tuple[int, int]:
-    return inst.dims
-
-
 def _default_radii(inst) -> tuple[float, float]:
     rx = 2.0 * (float(np.linalg.norm(inst.closed_form_x)) + 1.0)
     ry = 2.0 * (float(np.linalg.norm(inst.closed_form_y)) + 1.0)
@@ -165,7 +161,7 @@ def _cmd_solve(args) -> int:
     inst = _load_instance(desc)
     report = _run_one(inst, args.engine, args.eps, args.rx, args.ry)
     out = _out_dir(args.out)
-    n, m = _instance_dims(inst)
+    n, m = inst.dims
     run_id = f"{desc.get('family', 'bilinear')}-n{n}-m{m}-{args.engine}"
     summary = "\n".join(
         [

@@ -58,9 +58,6 @@ class AllSpace:
     def project(self, v: Vector) -> Vector:
         return v
 
-    def contains(self, v: Vector, tol: float = 1e-9) -> bool:
-        return True
-
 
 @dataclass(frozen=True, eq=False)
 class EuclideanBall:
@@ -79,9 +76,6 @@ class EuclideanBall:
         if n <= self.radius:
             return v
         return self.center + d * (self.radius / n)
-
-    def contains(self, v: Vector, tol: float = 1e-9) -> bool:
-        return float(np.linalg.norm(v - self.center)) <= self.radius + tol
 
 
 FeasibleSet = AllSpace | EuclideanBall

@@ -20,7 +20,6 @@ Three drivers are provided:
 
 from __future__ import annotations
 
-import enum
 import math
 import time
 from dataclasses import dataclass, field
@@ -92,9 +91,10 @@ def run_fgm(
 ) -> SolveReport:
     """Run ``n`` accelerated steps from ``x0``.
 
-    ``delta`` is the per-call oracle inexactness, used only for the reported
-    bound; realizing it is the oracle's business.  The history logs the
-    objective gap whenever the objective carries an exact value oracle.
+    ``delta`` is the per-call oracle inexactness the caller asked for; it
+    changes no step and is only echoed in ``extras["delta"]``, and
+    ``certified_gap`` is inf.  The history logs the objective gap whenever
+    the objective carries an exact value oracle.
     """
     tally = tally if tally is not None else OracleTally()
     start = time.perf_counter()
@@ -119,10 +119,9 @@ def run_fgm(
                     wall_ms=(time.perf_counter() - start) * 1e3,
                 )
             )
-    bound = float("inf")
     return SolveReport(
         x_final=x,
-        certified_gap=bound,
+        certified_gap=float("inf"),
         tally=tally,
         converged=False,
         history=history,
@@ -131,37 +130,21 @@ def run_fgm(
     )
 
 
-class RestartVariant(enum.Enum):
-    """Two published choices of restart budget and restart count.
-
-    ``ALG4`` uses N_j = ceil(3 sqrt(2L/mu)) blocks and p = ceil(log2(mu R^2 / eps))
-    restarts; ``TEXT`` uses N_j = ceil(3 e sqrt(L/mu)) and
-    p = ceil(ln(mu R^2 / eps) / 2).  ALG4 is the default.
-    """
-
-    ALG4 = "alg4"
-    TEXT = "text"
-
-
-def restart_budget(l: float, mu: float, variant: RestartVariant = RestartVariant.ALG4) -> int:
+def restart_budget(l: float, mu: float) -> int:
+    """Iterations per restart block, N = ceil(3 sqrt(2 L / mu))."""
     if mu <= 0:
         raise InvalidSpecError("restart budget requires mu > 0")
-    if variant is RestartVariant.ALG4:
-        return int(math.ceil(3.0 * math.sqrt(2.0 * l / mu)))
-    return int(math.ceil(3.0 * math.e * math.sqrt(l / mu)))
+    return int(math.ceil(3.0 * math.sqrt(2.0 * l / mu)))
 
 
-def restart_count(
-    mu: float, r0_sq: float, epsilon: float, variant: RestartVariant = RestartVariant.ALG4
-) -> int:
+def restart_count(mu: float, r0_sq: float, epsilon: float) -> int:
+    """Scheduled restarts, p = ceil(log2(mu R^2 / eps)), at least one."""
     if mu <= 0 or epsilon <= 0 or r0_sq <= 0:
         raise InvalidSpecError("restart count requires positive mu, radius, epsilon")
     ratio = mu * r0_sq / epsilon
     if ratio <= 1.0:
         return 1
-    if variant is RestartVariant.ALG4:
-        return max(1, int(math.ceil(math.log2(ratio))))
-    return max(1, int(math.ceil(0.5 * math.log(ratio))))
+    return max(1, int(math.ceil(math.log2(ratio))))
 
 
 def run_restarted_fgm(
@@ -169,28 +152,24 @@ def run_restarted_fgm(
     x0: Vector,
     epsilon: float,
     r0: float,
-    variant: RestartVariant = RestartVariant.ALG4,
-    delta_mode: str = "scheduled",
-    fixed_delta: float = 0.0,
+    fixed_delta: Optional[float] = None,
     until_certified: bool = False,
-    max_restarts: Optional[int] = None,
     tally: Optional[OracleTally] = None,
 ) -> SolveReport:
     """Restarted accelerated method for ``mu``-strongly convex objectives.
 
     ``r0`` upper-bounds the starting distance ``||x0 - x*||``.  Each restart
-    runs a fixed block of iterations and halves the certified squared
-    distance.  ``delta_mode`` controls the oracle-accuracy schedule:
-
-    * ``"scheduled"``: delta_j = L D_j^2 / (4 N^3), which keeps the
-      accumulated oracle error below L D_j^2 / (4 N^2) per block;
-    * ``"fixed"``: a constant per-call inexactness ``fixed_delta``;
-    * ``"exact"``: no inexactness.
+    runs a block of :func:`restart_budget` iterations and halves the
+    certified squared distance; :func:`restart_count` restarts are scheduled.
+    Before every block the per-call oracle inexactness is passed to
+    ``obj.set_delta`` (when provided): ``fixed_delta`` when given, otherwise
+    the schedule delta_j = L D_j^2 / (4 N^3), which keeps the accumulated
+    oracle error below L D_j^2 / (4 N^2) per block.
 
     The returned ``certified_gap`` is the running worst-case objective bound;
     ``converged`` reflects ``certified_gap <= epsilon``.  With
     ``until_certified`` the wrapper keeps restarting past the scheduled count
-    until the bound is met (or ``max_restarts`` blocks were spent).
+    until the bound is met, for at most 4 p + 64 blocks in all.
     """
     if obj.mu <= 0:
         raise InvalidSpecError("restarted method requires mu > 0")
@@ -199,9 +178,9 @@ def run_restarted_fgm(
     tally = tally if tally is not None else OracleTally()
     start = time.perf_counter()
     l, mu = obj.l_smooth, obj.mu
-    n_j = restart_budget(l, mu, variant)
-    p = restart_count(mu, r0 * r0, epsilon, variant)
-    cap = max_restarts if max_restarts is not None else (4 * p + 64 if until_certified else p)
+    n_j = restart_budget(l, mu)
+    p = restart_count(mu, r0 * r0, epsilon)
+    cap = 4 * p + 64 if until_certified else p
 
     x = np.array(x0, dtype=float)
     d_sq = r0 * r0
@@ -210,14 +189,7 @@ def run_restarted_fgm(
     restarts = 0
     smooth_calls = 0
     while restarts < cap:
-        if delta_mode == "scheduled":
-            delta_j = l * d_sq / (4.0 * n_j**3)
-        elif delta_mode == "fixed":
-            delta_j = fixed_delta
-        elif delta_mode == "exact":
-            delta_j = 0.0
-        else:
-            raise InvalidSpecError(f"unknown delta_mode {delta_mode!r}")
+        delta_j = l * d_sq / (4.0 * n_j**3) if fixed_delta is None else fixed_delta
         if obj.set_delta is not None:
             obj.set_delta(delta_j)
         rep = run_fgm(obj, x, n_j, delta_j, tally=tally, record_history=False)

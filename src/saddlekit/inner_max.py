@@ -168,12 +168,11 @@ def inexact_grad_g(
     x: Vector,
     delta: float,
     y0: Optional[Vector] = None,
-    max_blocks: int = 256,
     tally: Optional[OracleTally] = None,
 ) -> InexactGrad:
     """Inexact-gradient bundle of g at x from a certified inner solve."""
     inner = _as_inner(problem, tally)
-    return inner.bundle(x, inner.solve(x, delta, y0, max_blocks), delta)
+    return inner.bundle(x, inner.solve(x, delta, y0), delta)
 
 
 def inexact_grad_from_witness(
@@ -226,14 +225,10 @@ class EnvelopeGradOracle:
         problem: SaddleProblem | Metered,
         delta_env: float,
         tally: Optional[OracleTally] = None,
-        max_blocks: int = 256,
     ):
         self._inner = _as_inner(problem, tally)
-        if delta_env <= 0:
-            raise InvalidSpecError("envelope inexactness must be positive")
-        self._delta_env = float(delta_env)
+        self.set_delta(delta_env)
         self._warm: Optional[Vector] = None
-        self._max_blocks = max_blocks
         self.last_bundle: Optional[InexactGrad] = None
 
     @property
@@ -241,27 +236,13 @@ class EnvelopeGradOracle:
         """The shared inner problem, for other solves on the same metered view."""
         return self._inner
 
-    @property
-    def tally(self) -> OracleTally:
-        return self._inner.mp.tally
-
-    @property
-    def delta_env(self) -> float:
-        return self._delta_env
-
     def set_delta(self, delta_env: float) -> None:
         if delta_env <= 0:
             raise InvalidSpecError("envelope inexactness must be positive")
         self._delta_env = float(delta_env)
 
     def bundle(self, x: Vector) -> InexactGrad:
-        ig = inexact_grad_g(
-            self._inner,
-            x,
-            0.5 * self._delta_env,
-            y0=self._warm,
-            max_blocks=self._max_blocks,
-        )
+        ig = inexact_grad_g(self._inner, x, 0.5 * self._delta_env, y0=self._warm)
         self._warm = ig.witness_y
         self.last_bundle = ig
         return ig

@@ -37,7 +37,6 @@ from .core import (
     SolveReport,
     UnsupportedProblemError,
     Vector,
-    set_center,
 )
 
 
@@ -60,11 +59,6 @@ class ProductSet:
         b = self.second.project(v[self.dim_first :])
         return np.concatenate([a, b])
 
-    def contains(self, v: Vector, tol: float = 1e-9) -> bool:
-        return self.first.contains(v[: self.dim_first], tol) and self.second.contains(
-            v[self.dim_first :], tol
-        )
-
 
 @dataclass
 class ViOperator:
@@ -74,7 +68,6 @@ class ViOperator:
     l: float
     mu: float
     domain: FeasibleSet = field(default_factory=AllSpace)
-    dim_split: Optional[int] = None  # saddle-derived operators: len(x)
 
     def __post_init__(self):
         if self.l <= 0:
@@ -136,14 +129,6 @@ def assemble_saddle_operator(
         l=p.operator_l if p.operator_l is not None else _default_operator_l(spec),
         mu=min(spec.mu_x, spec.mu_y),
         domain=ProductSet(spec.set_x, spec.set_y, nx),
-        dim_split=nx,
-    )
-
-
-def saddle_start_point(problem: SaddleProblem) -> Vector:
-    spec = problem.spec
-    return np.concatenate(
-        [set_center(spec.set_x, spec.dim_x), set_center(spec.set_y, spec.dim_y)]
     )
 
 
@@ -153,17 +138,18 @@ def run_mirror_prox(
     n: int,
     z_star: Optional[Vector] = None,
     tally: Optional[OracleTally] = None,
-    single_step: bool = False,
     record_every: int = 1,
 ) -> SolveReport:
     """Fixed-step extragradient with leading-point averaging.
 
     Each iteration takes an extrapolation step and a main step, both with
-    step 1/L (``single_step`` collapses them into one prox step per
-    iteration, for comparison).  Returns the average of the leading points.
-    When ``z_star`` is supplied the history logs the running averaged
-    residual (1/k) sum <G(w^j), w^j - z_star>, which the averaged bound
-    above upper-bounds by L ||z_star - z0||^2 / (2k).
+    step 1/L, at two operator evaluations.  Returns the average of the
+    leading points.  Every ``record_every`` iterations and at the last one
+    the history logs the running averaged residual
+    (1/k) sum <G(w^j), w^j - z_star> when ``z_star`` is supplied, which the
+    averaged bound above upper-bounds by L ||z_star - z0||^2 / (2k), and the
+    operator norm at the leading point otherwise.  ``record_every=0`` logs
+    nothing.
     """
     tally = tally if tally is not None else OracleTally()
     start = time.perf_counter()
@@ -197,15 +183,11 @@ def run_mirror_prox(
             np.subtract(z, np.multiply(inv_l, g0, out=step), out=w)
         else:
             w = project(z - inv_l * g0)
-        if single_step:
-            z = w.copy() if free else w
-            gw = g0
+        gw = evaluate(w)
+        if free:
+            np.subtract(z, np.multiply(inv_l, gw, out=step), out=z)
         else:
-            gw = evaluate(w)
-            if free:
-                np.subtract(z, np.multiply(inv_l, gw, out=step), out=z)
-            else:
-                z = project(z - inv_l * gw)
+            z = project(z - inv_l * gw)
         lead_sum += w
         last_gw = gw
         if z_star is not None:
@@ -241,7 +223,6 @@ def run_restarted_mp(
     epsilon: float,
     r0: Optional[float] = None,
     tally: Optional[OracleTally] = None,
-    record_every: int = 0,
 ) -> SolveReport:
     """Restarted extragradient under strong monotonicity.
 
@@ -270,7 +251,7 @@ def run_restarted_mp(
     history: list[HistoryRow] = []
     restarts = 0
     for j in range(p):
-        rep = run_mirror_prox(op, z, n_j, tally=tally, record_every=record_every)
+        rep = run_mirror_prox(op, z, n_j, tally=tally, record_every=0)
         z = rep.x_final
         restarts += 1
         d_sq = min(d_sq, op.l * d_sq / (2.0 * op.mu * n_j))

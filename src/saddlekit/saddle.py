@@ -95,10 +95,15 @@ def _flatten_histories(reports) -> list:
 
 
 def _resolve_engine(problem: SaddleProblem, engine: Engine | str) -> Engine:
+    """The case that runs: the requested route (r's flag for ``auto``), h's own flag."""
     eng = Engine(engine) if not isinstance(engine, Engine) else engine
-    if eng is not Engine.AUTO:
+    if eng is Engine.MIRROR_PROX:
         return eng
-    if problem.prox_friendly_r:
+    if eng is Engine.AUTO:
+        prox_r = problem.prox_friendly_r
+    else:
+        prox_r = eng in (Engine.CASE1, Engine.CASE3)
+    if prox_r:
         return Engine.CASE1 if problem.prox_friendly_h else Engine.CASE3
     return Engine.CASE2 if problem.prox_friendly_h else Engine.CASE4
 
@@ -223,7 +228,9 @@ def solve_saddle(
     O(epsilon) values and tighten geometrically until the certificate passes;
     ``max_attempts`` caps that loop.  An inner or certificate solve that
     exhausts its budget ends the loop with ``converged=False``, an infinite
-    gap and the message in ``extras["error"]``.
+    gap and the message in ``extras["error"]``.  An explicit ``case*``
+    engine picks the route (r's prox or r's gradient); ``extras["engine"]``
+    names the case that ran, whose h part follows ``prox_friendly_h``.
     """
     problem.validate()
     if epsilon <= 0:
@@ -306,7 +313,6 @@ def _case1_outer(mp, oracle, x0, eps_f, r0, mu_f, l_env) -> SolveReport:
         raise UnsupportedProblemError("this route needs the prox oracle of r")
     n_j = fgm.restart_budget(l_env, mu_f)
     gamma = eps_f / (8.0 * n_j)
-    oracle.set_delta(2.0 * gamma)
     obj = fgm.CompositeObjective(
         smooth_grad=oracle,
         l_smooth=l_env,
@@ -320,7 +326,6 @@ def _case1_outer(mp, oracle, x0, eps_f, r0, mu_f, l_env) -> SolveReport:
         x0,
         eps_f,
         r0=r0,
-        delta_mode="fixed",
         fixed_delta=2.0 * gamma,
         until_certified=True,
         tally=mp.tally,

@@ -198,17 +198,12 @@ class Alg5Params:
 DEFAULT_T_INNER_MULTIPLIER = 1.5
 
 
-def alg5_params(
-    spec: SlidingSpec,
-    epsilon: float,
-    gap0: float = 1.0,
-    t_multiplier: float = DEFAULT_T_INNER_MULTIPLIER,
-) -> Alg5Params:
+def alg5_params(spec: SlidingSpec, epsilon: float, gap0: float = 1.0) -> Alg5Params:
     """Evaluate the closed-form parameter schedule for accuracy ``epsilon``.
 
-    ``gap0`` upper-bounds P(x0) - P*.  ``t_multiplier`` scales the inner
-    iteration budget; the default was calibrated once against the inner
-    approximation certificate on quadratic instances.
+    ``gap0`` upper-bounds P(x0) - P*.  The inner iteration budget ``t_inner``
+    is scaled by :data:`DEFAULT_T_INNER_MULTIPLIER`.  The result has passed
+    :meth:`Alg5Params.check_ranges`.
     """
     spec.validate()
     if epsilon <= 0 or gap0 <= 0:
@@ -227,7 +222,7 @@ def alg5_params(
         1,
         int(
             math.ceil(
-                t_multiplier
+                DEFAULT_T_INNER_MULTIPLIER
                 * math.sqrt((l_r + l_g) / denom)
                 * math.log((l_r + l_g) / (delta_rel * denom))
             )
@@ -293,32 +288,26 @@ def apg_inexact_solve(
     x0: Vector,
     epsilon: float,
     gap0: float = 1.0,
-    params: Optional[Alg5Params] = None,
     exact_inner: bool = False,
-    t_multiplier: float = DEFAULT_T_INNER_MULTIPLIER,
     tally: Optional[OracleTally] = None,
-    normalized: bool = False,
 ) -> SolveReport:
     """Accelerated proximal gradient loop with inexact gradients of both terms.
 
-    Runs the scheduled ``k_outer`` iterations; per iteration there is exactly
-    one r-gradient call and (unless ``exact_inner``) exactly ``t_inner``
-    g-gradient calls.  With ``exact_inner`` the prox subproblem is solved by
-    the objective's closed-form ``prox_g``.  When ``obj.x_star`` is known the
-    report's ``extras["lyapunov"]`` logs the contraction quantity after every
-    step.  The report echoes ``epsilon`` as its certified gap when the final
-    iterate is finite; a NaN or inf iterate returns ``converged=False`` with
-    an infinite gap.
+    The split is oriented by :func:`normalize_split` and the schedule is
+    :func:`alg5_params` of the oriented spec.  Runs its ``k_outer``
+    iterations; per iteration there is exactly one r-gradient call and
+    (unless ``exact_inner``) exactly ``t_inner`` g-gradient calls.  With
+    ``exact_inner`` the prox subproblem is solved by the objective's
+    closed-form ``prox_g``.  When ``obj.x_star`` is known the report's
+    ``extras["lyapunov"]`` logs the contraction quantity after every step.
+    The report echoes ``epsilon`` as its certified gap when the final iterate
+    is finite; a NaN or inf iterate returns ``converged=False`` with an
+    infinite gap.
     """
-    if not normalized:
-        obj, spec, _ = normalize_split(obj, spec)
-    else:
-        spec.validate()
+    obj, spec, _ = normalize_split(obj, spec)
     tally = tally if tally is not None else OracleTally()
     start_t = time.perf_counter()
-    if params is None:
-        params = alg5_params(spec, epsilon, gap0=gap0, t_multiplier=t_multiplier)
-    params.check_ranges()
+    params = alg5_params(spec, epsilon, gap0=gap0)
     if exact_inner and obj.prox_g is None:
         raise InvalidSpecError("exact_inner requires a prox_g oracle")
     if obj.set_delta_r is not None:
@@ -440,10 +429,8 @@ def catalyst_solve(
     x0: Vector,
     reg_l: float,
     epsilon: float,
-    spec: Optional[SlidingSpec] = None,
-    max_outer: Optional[int] = None,
+    spec: SlidingSpec,
     tally: Optional[OracleTally] = None,
-    normalized: bool = False,
 ) -> SolveReport:
     """Proximal-point outer acceleration around inexact regularized solves.
 
@@ -453,14 +440,10 @@ def catalyst_solve(
     certified solver), then extrapolates with the strongly convex momentum
     beta = (1 - sqrt(q)) / (1 + sqrt(q)), q = mu / (mu + reg_l).  Subproblems
     stop when the certified gap falls below q/10 of the regularization term.
-    Outer iterations stop on a gradient-norm certificate for P.
+    Outer iterations stop on a gradient-norm certificate for P.  ``spec``
+    holds the constants of ``obj``; both are oriented by :func:`normalize_split`.
     """
-    if spec is None:
-        raise InvalidSpecError("catalyst_solve needs the SlidingSpec of the objective")
-    if not normalized:
-        obj, spec, _ = normalize_split(obj, spec)
-    else:
-        spec.validate()
+    obj, spec, _ = normalize_split(obj, spec)
     if reg_l <= 0 or epsilon <= 0:
         raise InvalidSpecError("reg_l and epsilon must be positive")
     tally = tally if tally is not None else OracleTally()
@@ -475,7 +458,7 @@ def catalyst_solve(
         obj.set_delta_g(delta_req)
     q = mu / (mu + reg_l)
     momentum = (1.0 - math.sqrt(q)) / (1.0 + math.sqrt(q))
-    cap = max_outer if max_outer is not None else max(8, int(math.ceil(20.0 / math.sqrt(q))) + 64)
+    cap = max(8, int(math.ceil(20.0 / math.sqrt(q))) + 64)
 
     x = np.array(x0, dtype=float)
     y_prev = x.copy()
@@ -562,7 +545,6 @@ def sliding_solve(
     epsilon: float,
     engine: str = "apg",
     gap0: float = 1.0,
-    t_multiplier: float = DEFAULT_T_INNER_MULTIPLIER,
     tally: Optional[OracleTally] = None,
 ) -> SolveReport:
     """Two-term splitting solve with the requested engine.
@@ -572,19 +554,11 @@ def sliding_solve(
     regularization weight l_r (the cheaper term's constant, which minimizes
     the total g-gradient count).
     """
-    spec.validate()
-    if spec.mu <= 0:
-        raise InvalidSpecError("sliding requires a strongly convex objective")
     obj_n, spec_n, swapped = normalize_split(obj, spec)
     if engine == "apg":
-        rep = apg_inexact_solve(
-            spec_n, obj_n, x0, epsilon, gap0=gap0, t_multiplier=t_multiplier,
-            tally=tally, normalized=True,
-        )
+        rep = apg_inexact_solve(spec_n, obj_n, x0, epsilon, gap0=gap0, tally=tally)
     elif engine == "catalyst":
-        rep = catalyst_solve(
-            obj_n, x0, spec_n.l_r, epsilon, spec=spec_n, tally=tally, normalized=True,
-        )
+        rep = catalyst_solve(obj_n, x0, spec_n.l_r, epsilon, spec=spec_n, tally=tally)
     else:
         raise InvalidSpecError(f"unknown sliding engine {engine!r}")
     rep.extras["swapped"] = swapped

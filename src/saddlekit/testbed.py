@@ -114,9 +114,6 @@ class BilinearInstance:
     def y_star_of(self, x: Vector) -> Vector:
         return self.a @ x / self.mu_y
 
-    def saddle_value(self) -> float:
-        return self.f_star()
-
     def problem(self) -> SaddleProblem:
         a, b = self.a, self.b
         mu_x, mu_y = self.mu_x, self.mu_y

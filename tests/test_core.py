@@ -191,6 +191,12 @@ class TestDeterminism:
         assert a.tally == b.tally
 
 
+def test_exports_resolve_without_duplicates():
+    assert len(sk.__all__) == len(set(sk.__all__))
+    missing = [name for name in sk.__all__ if not hasattr(sk, name)]
+    assert missing == []
+
+
 class TestSets:
     def test_ball_projection(self):
         ball = EuclideanBall(np.zeros(2), 1.0)

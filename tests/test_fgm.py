@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import saddlekit as sk
-from saddlekit.fgm import RestartVariant, certificate, quadratic_prox_model
+from saddlekit.fgm import certificate, quadratic_prox_model
 
 
 def quad_objective(diag, b=None, domain=None):
@@ -123,22 +123,6 @@ class TestRestarts:
         rep = sk.run_restarted_fgm(obj, x0, 1e-8, r0=r0)
         assert rep.converged
         assert obj.full_value(rep.x_final) - obj.f_star <= 1e-8
-
-    def test_contraction_per_restart_text_variant(self):
-        # each block of ceil(3e sqrt(L/mu)) iterations shrinks the squared
-        # distance by at least e^-2 on quadratics
-        rng = np.random.default_rng(5)
-        for _ in range(10):
-            n = int(rng.integers(2, 12))
-            diag = rng.uniform(1.0, 200.0, n)
-            b = rng.standard_normal(n)
-            obj, x_star = quad_objective(diag, b)
-            x0 = rng.standard_normal(n) * 3
-            n1 = sk.restart_budget(obj.l_smooth, obj.mu, RestartVariant.TEXT)
-            rep = sk.run_fgm(obj, x0, n1, record_history=False)
-            num = float(np.linalg.norm(rep.x_final - x_star) ** 2)
-            den = float(np.linalg.norm(x0 - x_star) ** 2)
-            assert num <= den / math.e**2 * (1 + 1e-9)
 
     def test_scaling_slope(self):
         # total smooth calls vs condition number: log-log slope 1/2

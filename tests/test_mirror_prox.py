@@ -90,11 +90,6 @@ class TestRunMirrorProx:
         assert not rep.converged
         assert "error" in rep.extras
 
-    def test_single_step_variant_available(self, b1_problem):
-        op = sk.assemble_saddle_operator(b1_problem)
-        rep = sk.run_mirror_prox(op, np.zeros(4), 30, single_step=True)
-        assert rep.x_final is not None
-
 
 class TestRestartedMp:
     def test_identity_quick(self):

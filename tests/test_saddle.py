@@ -206,6 +206,21 @@ def test_one_inner_max_per_solve(engine, monkeypatch):
     assert len(built) == 1
 
 
+@pytest.mark.parametrize("requested, ran", [("case3", "case1"), ("case4", "case2")])
+def test_engine_names_the_case_that_ran(requested, ran):
+    # h is treated as prox_friendly_h says whatever case was asked for, so a
+    # "smooth h" request on a prox-friendly h runs, and reports, its prox case
+    inst = sk.gen_quadratic_saddle(8, 8, 10.0, seed=0, mu_x=4, mu_y=4)
+    r_x, r_y = _criterion11_radii(inst)
+    reps = {
+        engine: sk.solve_saddle(inst.problem(), 1e-6, engine=engine, r_x=r_x, r_y=r_y)
+        for engine in (requested, ran)
+    }
+    assert reps[requested].extras["engine"] == ran
+    assert reps[requested].tally.count(OracleKind.PROX_H) > 0
+    assert reps[requested].tally == reps[ran].tally
+
+
 @pytest.mark.parametrize("engine", ["auto", "case4", "mirror_prox"])
 def test_exhausted_inner_budget_fails_closed(engine):
     # a coupling gradient that turns NaN midway makes an inner or certificate

@@ -87,6 +87,24 @@ class TestNormalization:
         assert swapped
         assert spec_n.l_r <= spec_n.l_g
 
+    @pytest.mark.parametrize(
+        "rdiag, gdiag, l_r, l_g, mu_r, mu_g",
+        [
+            ([5.0, 5.0], [1.0, 1.0], 5.0, 1.0, 0.0, 1.0),  # swapped, then shifted
+            ([1.0, 1.0], [4.0, 4.0], 1.0, 4.0, 1.0, 0.0),  # shifted only
+            ([1.0, 0.5], [4.0, 2.0], 1.0, 4.0, 0.5, 2.0),  # left alone
+        ],
+    )
+    def test_idempotent(self, rdiag, gdiag, l_r, l_g, mu_r, mu_g):
+        # both engines normalize again what sliding_solve already normalized
+        obj, _ = two_term_quadratic(rdiag, gdiag, [1.0, -1.0])
+        spec = sk.SlidingSpec(l_r=l_r, l_g=l_g, mu_r=mu_r, mu_g=mu_g)
+        obj_n, spec_n, _ = normalize_split(obj, spec)
+        obj_2, spec_2, swapped = normalize_split(obj_n, spec_n)
+        assert obj_2 is obj_n
+        assert spec_2 is spec_n
+        assert not swapped
+
     def test_shift_when_only_r_strongly_convex(self):
         obj, _ = two_term_quadratic([1.0, 1.0], [4.0, 4.0], [1.0, 1.0])
         spec = sk.SlidingSpec(l_r=1.0, l_g=4.0, mu_r=1.0, mu_g=0.0)
@@ -264,6 +282,20 @@ class TestCatalyst:
         rep = sk.catalyst_solve(obj, x0, 1.0, 1e-6, spec=spec, tally=tally)
         assert rep.converged
         assert rep.extras["outer_iterations"] <= 3
+
+    def test_sliding_solve_swaps_a_heavier_r(self):
+        # sliding_solve normalizes before the engine does; the result must be
+        # that of the engine on the raw objective
+        rdiag, gdiag, b = [40.0, 3.0], [2.0, 0.5], [1.0, -2.0]
+        spec = sk.SlidingSpec(l_r=40.0, l_g=2.0, mu_r=3.0, mu_g=0.5)
+        obj, tally = two_term_quadratic(rdiag, gdiag, b)
+        rep = sk.sliding_solve(spec, obj, np.zeros(2), 1e-8, engine="catalyst", tally=tally)
+        assert rep.converged
+        assert rep.extras["swapped"] is True
+        obj_raw, tally_raw = two_term_quadratic(rdiag, gdiag, b)
+        ref = sk.catalyst_solve(obj_raw, np.zeros(2), 2.0, 1e-8, spec=spec, tally=tally_raw)
+        assert rep.x_final.tobytes() == ref.x_final.tobytes()
+        assert tally == tally_raw
 
     def test_gradient_split_scaling(self):
         # reg weight at l_r: g-gradient calls stay within a small factor of
