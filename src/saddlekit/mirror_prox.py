@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Mapping, Optional
 
 import numpy as np
 
@@ -62,18 +62,43 @@ class ProductSet:
 
 @dataclass
 class ViOperator:
-    """Lipschitz (possibly strongly) monotone operator on a feasible set."""
+    """Lipschitz (possibly strongly) monotone operator on a feasible set.
+
+    ``evaluate(z)`` returns a fresh array and bills one evaluation.
+    ``evaluate_into(z, out)`` computes the same values without billing,
+    writing them into ``out`` when it can, and returns the result; loops that
+    know how many evaluations they made bill them in one go with
+    :meth:`charge`, which adds ``cost`` (the counter increments of one
+    evaluation) ``k`` times to ``tally``.  An operator built from ``evaluate``
+    alone gets an ``evaluate_into`` that calls it and ignores ``out``, and an
+    empty ``cost``: whatever ``evaluate`` counts, it counts itself.
+    """
 
     evaluate: Callable[[Vector], Vector]
     l: float
     mu: float
     domain: FeasibleSet = field(default_factory=AllSpace)
+    evaluate_into: Optional[Callable[[Vector, Vector], Vector]] = None
+    tally: Optional[OracleTally] = None
+    cost: Mapping[OracleKind, int] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.l <= 0:
             raise InvalidSpecError("operator Lipschitz constant must be positive")
         if self.mu < 0:
             raise InvalidSpecError("strong-monotonicity modulus must be nonnegative")
+        if self.cost and self.tally is None:
+            raise InvalidSpecError("an operator with a cost needs a tally to bill")
+        if self.evaluate_into is None:
+            evaluate = self.evaluate
+            self.evaluate_into = lambda z, out: evaluate(z)
+
+    def charge(self, k: int) -> None:
+        """Bill ``k`` evaluations: bump every counter of ``cost`` by ``k`` times its amount."""
+        if k:
+            tally = self.tally
+            for kind, n in self.cost.items():
+                tally.bump(kind, n * k)
 
 
 def _default_operator_l(spec) -> float:
@@ -91,7 +116,11 @@ def assemble_saddle_operator(
     """Stack the saddle instance's gradients into a monotone operator.
 
     Requires gradient oracles for both composites; a prox-only composite
-    cannot be driven by the extragradient baseline.
+    cannot be driven by the extragradient baseline.  The operator bills the
+    metered view's tally: one evaluation costs one call of each of the four
+    gradient oracles plus their declared matvecs.  ``evaluate`` bills as it
+    goes; ``evaluate_into`` calls the raw oracles and leaves the billing to
+    the caller's :meth:`ViOperator.charge`.
     """
     mp = problem if isinstance(problem, Metered) else Metered(problem, tally)
     p = mp.problem
@@ -102,34 +131,33 @@ def assemble_saddle_operator(
     spec = mp.spec
     nx = spec.dim_x
     dim = nx + spec.dim_y
-    # one evaluation = one call of each gradient oracle; bump in batch to keep
-    # the hot extragradient loop lean
-    tally_obj = mp.tally
     kinds = (OracleKind.GRAD_R, OracleKind.GRAD_X_F, OracleKind.GRAD_H, OracleKind.GRAD_Y_F)
+    cost = dict.fromkeys(kinds, 1)
     matvecs = sum(p.matvec_cost.get(k, 0) for k in kinds)
+    if matvecs:
+        cost[OracleKind.MATVEC] = matvecs
     grad_r, grad_h, grad_x_f, grad_y_f = p.grad_r, p.grad_h, p.grad_x_F, p.grad_y_F
-    grad_r_kind, grad_x_f_kind, grad_h_kind, grad_y_f_kind = kinds
-    matvec_kind = OracleKind.MATVEC
 
-    def evaluate(z: Vector) -> Vector:
+    def evaluate_into(z: Vector, out: Vector) -> Vector:
         x, y = z[:nx], z[nx:]
-        tally_obj.bump(grad_r_kind)
-        tally_obj.bump(grad_x_f_kind)
-        tally_obj.bump(grad_h_kind)
-        tally_obj.bump(grad_y_f_kind)
-        if matvecs:
-            tally_obj.bump(matvec_kind, matvecs)
-        out = np.empty(dim)
         np.add(grad_r(x), grad_x_f(x, y), out=out[:nx])
         np.subtract(grad_h(y), grad_y_f(x, y), out=out[nx:])
         return out
 
-    return ViOperator(
+    def evaluate(z: Vector) -> Vector:
+        op.charge(1)
+        return evaluate_into(z, np.empty(dim))
+
+    op = ViOperator(
         evaluate=evaluate,
         l=p.operator_l if p.operator_l is not None else _default_operator_l(spec),
         mu=min(spec.mu_x, spec.mu_y),
         domain=ProductSet(spec.set_x, spec.set_y, nx),
+        evaluate_into=evaluate_into,
+        tally=mp.tally,
+        cost=cost,
     )
+    return op
 
 
 def run_mirror_prox(
@@ -137,7 +165,6 @@ def run_mirror_prox(
     z0: Vector,
     n: int,
     z_star: Optional[Vector] = None,
-    tally: Optional[OracleTally] = None,
     record_every: int = 1,
 ) -> SolveReport:
     """Fixed-step extragradient with leading-point averaging.
@@ -150,8 +177,14 @@ def run_mirror_prox(
     averaged bound above upper-bounds by L ||z_star - z0||^2 / (2k), and the
     operator norm at the leading point otherwise.  ``record_every=0`` logs
     nothing.
+
+    The loop evaluates through ``op.evaluate_into`` into two buffers it owns
+    and bills the evaluations it made with ``op.charge`` before each history
+    row and on the way out, also when an evaluation raises (that evaluation
+    is billed too).  The report carries ``op.tally``, or a fresh tally when
+    the operator has none.
     """
-    tally = tally if tally is not None else OracleTally()
+    tally = op.tally if op.tally is not None else OracleTally()
     start = time.perf_counter()
     if n <= 0:
         return SolveReport(
@@ -170,33 +203,43 @@ def run_mirror_prox(
         isinstance(domain, ProductSet) and domain.is_all_space
     )
     project = domain.project
-    evaluate = op.evaluate
+    evaluate_into = op.evaluate_into
     w = np.empty_like(z)
     step = np.empty_like(z)
+    g0_buf = np.empty_like(z)
+    gw_buf = np.empty_like(z)
     lead_sum = np.zeros_like(z)
     resid_sum = 0.0
     last_gw: Optional[Vector] = None
     history: list[HistoryRow] = []
-    for k in range(1, int(n) + 1):
-        g0 = evaluate(z)
-        if free:
-            np.subtract(z, np.multiply(inv_l, g0, out=step), out=w)
-        else:
-            w = project(z - inv_l * g0)
-        gw = evaluate(w)
-        if free:
-            np.subtract(z, np.multiply(inv_l, gw, out=step), out=z)
-        else:
-            z = project(z - inv_l * gw)
-        lead_sum += w
-        last_gw = gw
-        if z_star is not None:
-            resid_sum += float(gw @ (w - z_star))
-        if record_every and (k % record_every == 0 or k == n):
-            gap = resid_sum / k if z_star is not None else float(np.linalg.norm(gw))
-            history.append(
-                HistoryRow(k, gap, tally.snapshot(), (time.perf_counter() - start) * 1e3)
-            )
+    unbilled = 0  # evaluations made but not yet charged
+    try:
+        for k in range(1, int(n) + 1):
+            unbilled += 1
+            g0 = evaluate_into(z, g0_buf)
+            if free:
+                np.subtract(z, np.multiply(inv_l, g0, out=step), out=w)
+            else:
+                w = project(z - inv_l * g0)
+            unbilled += 1
+            gw = evaluate_into(w, gw_buf)
+            if free:
+                np.subtract(z, np.multiply(inv_l, gw, out=step), out=z)
+            else:
+                z = project(z - inv_l * gw)
+            lead_sum += w
+            last_gw = gw
+            if z_star is not None:
+                resid_sum += float(gw @ (w - z_star))
+            if record_every and (k % record_every == 0 or k == n):
+                op.charge(unbilled)
+                unbilled = 0
+                gap = resid_sum / k if z_star is not None else float(np.linalg.norm(gw))
+                history.append(
+                    HistoryRow(k, gap, tally.snapshot(), (time.perf_counter() - start) * 1e3)
+                )
+    finally:
+        op.charge(unbilled)
     avg = lead_sum / float(n)
     bound = op.l * float(np.dot(np.asarray(z0) - z_star, np.asarray(z0) - z_star)) / (
         2.0 * n
@@ -222,7 +265,6 @@ def run_restarted_mp(
     z0: Vector,
     epsilon: float,
     r0: Optional[float] = None,
-    tally: Optional[OracleTally] = None,
 ) -> SolveReport:
     """Restarted extragradient under strong monotonicity.
 
@@ -230,13 +272,15 @@ def run_restarted_mp(
     mu ||avg - z*||^2 <= L R^2 / (2N) <= mu R^2 / 2, halving the certified
     squared distance; p = ceil(log2(mu R0^2 / eps)) restarts bring it to
     eps / mu.  A free residual check (strong monotonicity bounds the distance
-    by ||G(w)|| / mu) allows early exit.
+    by ||G(w)|| / mu) allows early exit.  Each block bills ``op.tally`` as
+    :func:`run_mirror_prox` does; the report carries that tally, or a fresh
+    one when the operator has none.
     """
     if op.mu <= 0:
         raise InvalidSpecError("restarted extragradient requires mu > 0")
     if epsilon <= 0:
         raise InvalidSpecError("epsilon must be positive")
-    tally = tally if tally is not None else OracleTally()
+    tally = op.tally if op.tally is not None else OracleTally()
     start = time.perf_counter()
     z = np.array(z0, dtype=float)
     if r0 is None:
@@ -251,7 +295,7 @@ def run_restarted_mp(
     history: list[HistoryRow] = []
     restarts = 0
     for j in range(p):
-        rep = run_mirror_prox(op, z, n_j, tally=tally, record_every=0)
+        rep = run_mirror_prox(op, z, n_j, record_every=0)
         z = rep.x_final
         restarts += 1
         d_sq = min(d_sq, op.l * d_sq / (2.0 * op.mu * n_j))

@@ -369,7 +369,7 @@ def _solve_via_extragradient(mp, epsilon, x0, y0, r_x, r_y, max_attempts, start_
     inner_reports = []
     try:
         for attempts in range(1, max_attempts + 1):
-            rep = mirror_prox.run_restarted_mp(op, z, eps_vi, r0=r0, tally=mp.tally)
+            rep = mirror_prox.run_restarted_mp(op, z, eps_vi, r0=r0)
             z = rep.x_final
             d_sq = rep.extras.get("dist_sq_bound", float("inf"))
             r0 = math.sqrt(d_sq) if d_sq < float("inf") else r0

@@ -298,17 +298,24 @@ def apg_inexact_solve(
     iterations; per iteration there is exactly one r-gradient call and
     (unless ``exact_inner``) exactly ``t_inner`` g-gradient calls.  With
     ``exact_inner`` the prox subproblem is solved by the objective's
-    closed-form ``prox_g``.  When ``obj.x_star`` is known the report's
-    ``extras["lyapunov"]`` logs the contraction quantity after every step.
+    closed-form ``prox_g``; a split that :func:`normalize_split` swaps has
+    no such prox, and ``exact_inner`` then raises.  When ``obj.x_star`` is
+    known the report's ``extras["lyapunov"]`` logs the contraction quantity
+    after every step.
     The report echoes ``epsilon`` as its certified gap when the final iterate
     is finite; a NaN or inf iterate returns ``converged=False`` with an
     infinite gap.
     """
-    obj, spec, _ = normalize_split(obj, spec)
+    obj, spec, swapped = normalize_split(obj, spec)
     tally = tally if tally is not None else OracleTally()
     start_t = time.perf_counter()
     params = alg5_params(spec, epsilon, gap0=gap0)
     if exact_inner and obj.prox_g is None:
+        if swapped:
+            raise InvalidSpecError(
+                "exact_inner needs the g-term's prox, but l_r > l_g swapped the split "
+                "and the original r-term has no prox"
+            )
         raise InvalidSpecError("exact_inner requires a prox_g oracle")
     if obj.set_delta_r is not None:
         obj.set_delta_r(params.delta_r)

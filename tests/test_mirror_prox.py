@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import saddlekit as sk
-from saddlekit.core import Metered, OracleKind, OracleTally
+from saddlekit.core import EuclideanBall, Metered, OracleKind, OracleTally
+from saddlekit.mirror_prox import ProductSet
 
 
 class TestAssembly:
@@ -122,3 +125,105 @@ class TestRestartedMp:
             evals.append(tally.count(sk.OracleKind.GRAD_X_F))
         slope = np.polyfit(np.log10(ratios), np.log10(evals), 1)[0]
         assert 0.8 <= slope <= 1.2
+
+
+def _metered_op(tally, seed=0):
+    inst = sk.gen_bilinear(3, 4, 10.0, seed=seed)
+    return sk.assemble_saddle_operator(Metered(inst.problem(), tally))
+
+
+def _reference_run(op, z0, n):
+    """The extragradient loop written plainly from the billed ``op.evaluate``."""
+    inv_l = 1.0 / op.l
+    z = np.array(z0, dtype=float)
+    lead_sum = np.zeros_like(z)
+    for _ in range(n):
+        w = op.domain.project(z - inv_l * op.evaluate(z))
+        z = op.domain.project(z - inv_l * op.evaluate(w))
+        lead_sum += w
+    return lead_sum / float(n), z
+
+
+class TestBlockBilling:
+    def test_reports_carry_the_operator_tally(self):
+        tally = OracleTally()
+        op = _metered_op(tally)
+        rep = sk.run_mirror_prox(op, np.linspace(-1.0, 1.0, 7), 5, record_every=1)
+        assert rep.tally is tally
+        assert tally.snapshot() == {
+            "grad_r": 10, "grad_h": 10, "gradx_F": 10, "grady_F": 10, "matvec": 20
+        }
+        assert all(row.tally for row in rep.history)
+        rep = sk.run_restarted_mp(op, np.zeros(7), 1e-6, r0=4.0)
+        assert rep.tally is tally
+        assert rep.history[-1].tally == tally.snapshot()
+
+    def test_history_row_k_bills_2k_evaluations(self):
+        tally = OracleTally()
+        op = _metered_op(tally)
+        assert op.cost == {
+            OracleKind.GRAD_R: 1, OracleKind.GRAD_X_F: 1, OracleKind.GRAD_H: 1,
+            OracleKind.GRAD_Y_F: 1, OracleKind.MATVEC: 2,
+        }
+        rep = sk.run_mirror_prox(op, np.ones(7), 9, record_every=1)
+        assert [row.iteration for row in rep.history] == list(range(1, 10))
+        for row in rep.history:
+            want = OracleTally({kind: 2 * row.iteration * n for kind, n in op.cost.items()})
+            assert row.tally == want.snapshot()
+
+    @pytest.mark.parametrize("j", [1, 2, 5, 8])
+    def test_raising_evaluation_bills_what_was_made(self, j):
+        # the j-th evaluation raises inside grad_y_F: j evaluations are billed,
+        # as when every evaluation bumped the tally before computing
+        p = sk.gen_bilinear(3, 4, 10.0, seed=0).problem()
+        grad_y_f, calls = p.grad_y_F, [0]
+
+        def failing(x, y):
+            calls[0] += 1
+            if calls[0] == j:
+                raise FloatingPointError("oracle failure")
+            return grad_y_f(x, y)
+
+        p.grad_y_F = failing
+        tally = OracleTally()
+        op = sk.assemble_saddle_operator(Metered(p, tally))
+        with pytest.raises(FloatingPointError):
+            sk.run_mirror_prox(op, np.ones(7), 10, record_every=3)
+        assert tally.snapshot() == {kind.value: j * n for kind, n in op.cost.items()}
+
+    @pytest.mark.parametrize("bounded", [False, True])
+    def test_matches_the_reference_loop_bytewise(self, bounded):
+        runs = []
+        for _ in range(2):
+            tally = OracleTally()
+            op = _metered_op(tally, seed=3)
+            if bounded:
+                balls = ProductSet(
+                    EuclideanBall(np.zeros(3), 0.3), EuclideanBall(np.full(4, 0.1), 0.2), 3
+                )
+                op = dataclasses.replace(op, domain=balls)
+            runs.append((op, tally))
+        (op, tally), (ref_op, ref_tally) = runs
+        z0 = np.linspace(-1.0, 1.0, 7)
+        rep = sk.run_mirror_prox(op, z0, 23, record_every=4)
+        avg, last = _reference_run(ref_op, z0, 23)
+        assert rep.x_final.tobytes() == avg.tobytes()
+        assert rep.extras["last_point"].tobytes() == last.tobytes()
+        assert tally == ref_tally
+
+    def test_evaluate_only_operator_runs(self):
+        tally = OracleTally()
+
+        def evaluate(z):
+            tally.bump(OracleKind.MATVEC)
+            return 2.0 * z
+
+        op = sk.ViOperator(evaluate=evaluate, l=2.0, mu=2.0)
+        out = np.empty(2)
+        assert op.evaluate_into(np.ones(2), out) is not out
+        z0 = np.array([3.0, -1.0])
+        rep = sk.run_mirror_prox(op, z0, 4)
+        avg, _ = _reference_run(op, z0, 4)
+        assert rep.x_final.tobytes() == avg.tobytes()
+        assert tally.count(OracleKind.MATVEC) == 1 + 8 + 8
+        assert op.tally is None and rep.tally.snapshot() == {}

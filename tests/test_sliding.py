@@ -254,6 +254,15 @@ class TestApg:
         assert tally.count(OracleKind.GRAD_R) == p.k_outer
         assert tally.count(OracleKind.GRAD_X_F) == p.k_outer * p.t_inner
 
+    def test_exact_inner_names_a_swapped_split(self):
+        # prox_g is passed, but l_r > l_g makes the original r the new g
+        obj, tally = two_term_quadratic([40.0, 3.0], [2.0, 0.5], [1.0, -2.0])
+        assert obj.prox_g is not None
+        spec = sk.SlidingSpec(l_r=40.0, l_g=2.0, mu_r=3.0, mu_g=0.5)
+        with pytest.raises(sk.InvalidSpecError, match="swapped"):
+            sk.apg_inexact_solve(spec, obj, np.zeros(2), 1e-6, exact_inner=True, tally=tally)
+        assert tally.total() == 0
+
 
 class TestCatalyst:
     def test_converges_with_certificate(self):
