@@ -9,6 +9,8 @@ extragradient baseline, the meta-solver) consumes the types defined here:
 * :class:`SaddleProblem` bundles the user-supplied oracles.
 * :class:`OracleTally` / :class:`Metered` implement call counting; every
   solver in the package reports how many times each oracle was invoked.
+* :class:`RunLog` records a solver run's history rows and builds its
+  :class:`SolveReport`.
 * :func:`regularize` computes the quadratic moduli that make a merely
   convex-concave instance strongly convex-concave at an O(epsilon) bias.
 """
@@ -18,6 +20,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field, replace
+from time import perf_counter
 from typing import Callable, Mapping, Optional
 
 import numpy as np
@@ -324,6 +327,20 @@ class Metered:
         self.tally = tally if tally is not None else OracleTally()
         self._matvecs = {k: problem.matvec_cost.get(k, 0) for k in OracleKind}
 
+    @classmethod
+    def of(cls, problem, tally: Optional[OracleTally] = None) -> "Metered":
+        """``problem`` itself when it is already a view, otherwise a view billing ``tally``.
+
+        A view bills its own tally, so a view passed with a different
+        ``tally`` raises :class:`InvalidSpecError` instead of leaving that
+        tally silently empty.
+        """
+        if not isinstance(problem, Metered):
+            return cls(problem, tally)
+        if tally is not None and tally is not problem.tally:
+            raise InvalidSpecError("a metered view bills its own tally; pass that tally or none")
+        return problem
+
     @property
     def spec(self) -> SaddleSpec:
         return self.problem.spec
@@ -475,3 +492,31 @@ class SolveReport:
     def history_key(self) -> tuple:
         """Hashable view of the history used by determinism checks."""
         return tuple(row.deterministic_view() for row in self.history)
+
+
+class RunLog:
+    """One solver run's tally, history rows and wall time.
+
+    Every driver logs its rows with :meth:`row` and builds its report with
+    :meth:`report`, so the history format lives here alone: the iteration,
+    the logged gap, a snapshot of the tally and the milliseconds elapsed
+    since the log was created.
+    """
+
+    __slots__ = ("tally", "history", "_start")
+
+    def __init__(self, tally: Optional[OracleTally] = None):
+        self.tally = tally if tally is not None else OracleTally()
+        self.history: list[HistoryRow] = []
+        self._start = perf_counter()
+
+    def row(self, iteration: int, gap: float) -> None:
+        """Log ``gap`` with the tally as it stands now."""
+        snapshot = self.tally.snapshot()
+        wall_ms = (perf_counter() - self._start) * 1e3
+        self.history.append(HistoryRow(iteration, gap, snapshot, wall_ms))
+
+    def report(self, x, gap: float, converged: bool, y=None, **extras) -> SolveReport:
+        """The run's report: the logged history, the tally and the total wall time."""
+        wall_ms = (perf_counter() - self._start) * 1e3
+        return SolveReport(x, gap, self.tally, converged, self.history, y, wall_ms, extras)

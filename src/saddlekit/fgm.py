@@ -21,7 +21,6 @@ Three drivers are provided:
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -31,9 +30,9 @@ from .core import (
     AllSpace,
     BudgetExceededError,
     FeasibleSet,
-    HistoryRow,
     InvalidSpecError,
     OracleTally,
+    RunLog,
     SolveReport,
     Vector,
 )
@@ -87,21 +86,20 @@ def run_fgm(
     n: int,
     delta: float = 0.0,
     tally: Optional[OracleTally] = None,
-    record_history: bool = True,
 ) -> SolveReport:
     """Run ``n`` accelerated steps from ``x0``.
 
     ``delta`` is the per-call oracle inexactness the caller asked for; it
     changes no step and is only echoed in ``extras["delta"]``, and
-    ``certified_gap`` is inf.  The history logs the objective gap whenever
-    the objective carries an exact value oracle.
+    ``certified_gap`` is inf.  When the objective has a value oracle
+    (``obj.full_value``) the history logs one row per step with the
+    objective gap (nan without ``obj.f_star``); without one it stays empty.
     """
-    tally = tally if tally is not None else OracleTally()
-    start = time.perf_counter()
+    log = RunLog(tally)
     x = np.array(x0, dtype=float)
     u = x.copy()
     big_a = 0.0
-    history: list[HistoryRow] = []
+    record = obj.full_value is not None
     for k in range(int(n)):
         alpha = next_alpha(big_a, obj.l_smooth)
         a_next = big_a + alpha
@@ -110,24 +108,9 @@ def run_fgm(
         u = obj.prox_model(u, alpha, lin)
         x = (alpha * u + big_a * x) / a_next
         big_a = a_next
-        if record_history:
-            history.append(
-                HistoryRow(
-                    iteration=k + 1,
-                    gap=obj.gap_at(x),
-                    tally=tally.snapshot(),
-                    wall_ms=(time.perf_counter() - start) * 1e3,
-                )
-            )
-    return SolveReport(
-        x_final=x,
-        certified_gap=float("inf"),
-        tally=tally,
-        converged=False,
-        history=history,
-        wall_ms=(time.perf_counter() - start) * 1e3,
-        extras={"big_a": big_a, "delta": delta, "iterations": int(n)},
-    )
+        if record:
+            log.row(k + 1, obj.gap_at(x))
+    return log.report(x, float("inf"), False, big_a=big_a, delta=delta, iterations=int(n))
 
 
 def restart_budget(l: float, mu: float) -> int:
@@ -153,7 +136,6 @@ def run_restarted_fgm(
     epsilon: float,
     r0: float,
     fixed_delta: Optional[float] = None,
-    until_certified: bool = False,
     tally: Optional[OracleTally] = None,
 ) -> SolveReport:
     """Restarted accelerated method for ``mu``-strongly convex objectives.
@@ -166,61 +148,40 @@ def run_restarted_fgm(
     the schedule delta_j = L D_j^2 / (4 N^3), which keeps the accumulated
     oracle error below L D_j^2 / (4 N^2) per block.
 
-    The returned ``certified_gap`` is the running worst-case objective bound;
-    ``converged`` reflects ``certified_gap <= epsilon``.  With
-    ``until_certified`` the wrapper keeps restarting past the scheduled count
-    until the bound is met, for at most 4 p + 64 blocks in all.
+    The wrapper restarts until the running worst-case objective bound, the
+    returned ``certified_gap``, is at most ``epsilon`` (then ``converged``),
+    for at most 4 p + 64 blocks.  With the scheduled delta_j each block's
+    bound is at most mu D_j^2 / 4, since N^2 >= 18 L / mu, so the p scheduled
+    blocks bring it to mu r0^2 / 2^(p+1) <= epsilon / 2 and the run stops
+    there; only a larger ``fixed_delta`` can need more blocks.
     """
     if obj.mu <= 0:
         raise InvalidSpecError("restarted method requires mu > 0")
     if epsilon <= 0 or r0 <= 0:
         raise InvalidSpecError("epsilon and r0 must be positive")
-    tally = tally if tally is not None else OracleTally()
-    start = time.perf_counter()
+    log = RunLog(tally)
     l, mu = obj.l_smooth, obj.mu
     n_j = restart_budget(l, mu)
     p = restart_count(mu, r0 * r0, epsilon)
-    cap = 4 * p + 64 if until_certified else p
 
     x = np.array(x0, dtype=float)
     d_sq = r0 * r0
     bound = float("inf")
-    history: list[HistoryRow] = []
     restarts = 0
-    smooth_calls = 0
-    while restarts < cap:
+    while restarts < 4 * p + 64:
         delta_j = l * d_sq / (4.0 * n_j**3) if fixed_delta is None else fixed_delta
         if obj.set_delta is not None:
             obj.set_delta(delta_j)
-        rep = run_fgm(obj, x, n_j, delta_j, tally=tally, record_history=False)
-        x = rep.x_final
-        smooth_calls += n_j
+        x = run_fgm(obj, x, n_j, delta_j, tally=log.tally).x_final
         restarts += 1
         bound = 4.0 * l * d_sq / (n_j + 1) ** 2 + 2.0 * n_j * delta_j
         d_sq = min(d_sq, 2.0 * bound / mu)
-        history.append(
-            HistoryRow(
-                iteration=restarts,
-                gap=obj.gap_at(x) if obj.full_value is not None else bound,
-                tally=tally.snapshot(),
-                wall_ms=(time.perf_counter() - start) * 1e3,
-            )
-        )
-        if restarts >= p and (not until_certified or bound <= epsilon):
+        log.row(restarts, obj.gap_at(x) if obj.full_value is not None else bound)
+        if restarts >= p and bound <= epsilon:
             break
-    return SolveReport(
-        x_final=x,
-        certified_gap=bound,
-        tally=tally,
-        converged=bool(bound <= epsilon),
-        history=history,
-        wall_ms=(time.perf_counter() - start) * 1e3,
-        extras={
-            "restarts": restarts,
-            "block_size": n_j,
-            "scheduled_restarts": p,
-            "smooth_calls": smooth_calls,
-        },
+    return log.report(
+        x, bound, bool(bound <= epsilon),
+        restarts=restarts, block_size=n_j, scheduled_restarts=p, smooth_calls=restarts * n_j,
     )
 
 
@@ -263,14 +224,14 @@ def solve_to_gap(
     the block cap is reached first, or a certificate is not finite (a NaN or
     inf oracle value), raises :class:`BudgetExceededError` carrying the best
     iterate.  The report keeps no per-block history: the number of blocks run
-    is in ``extras["blocks"]``.
+    is in ``extras["blocks"]``.  Blocks are :func:`restart_budget` steps
+    long, so an objective without strong convexity (``mu <= 0``) raises
+    :class:`~saddlekit.core.InvalidSpecError` before any oracle call.
     """
     if target_gap <= 0:
         raise InvalidSpecError("target gap must be positive")
-    tally = tally if tally is not None else OracleTally()
-    start = time.perf_counter()
-    l_eff = max(obj.l_smooth, obj.mu)
-    n_b = int(math.ceil(3.0 * math.sqrt(2.0 * l_eff / obj.mu)))
+    log = RunLog(tally)
+    n_b = restart_budget(max(obj.l_smooth, obj.mu), obj.mu)
     x = np.array(x0, dtype=float)
     bound, witness = certificate(obj, x)
     blocks = 0
@@ -279,26 +240,18 @@ def solve_to_gap(
             raise BudgetExceededError(
                 f"certificate {bound} is not finite after {blocks} blocks",
                 best=witness,
-                tally=tally,
+                tally=log.tally,
             )
         if blocks >= max_blocks:
             raise BudgetExceededError(
                 f"certificate still {bound:.3e} > {target_gap:.3e} after {blocks} blocks",
                 best=witness,
-                tally=tally,
+                tally=log.tally,
             )
-        rep = run_fgm(obj, witness, n_b, 0.0, tally=tally, record_history=False)
-        x = rep.x_final
+        x = run_fgm(obj, witness, n_b, 0.0, tally=log.tally).x_final
         bound, witness = certificate(obj, x)
         blocks += 1
-    return SolveReport(
-        x_final=witness,
-        certified_gap=bound,
-        tally=tally,
-        converged=True,
-        wall_ms=(time.perf_counter() - start) * 1e3,
-        extras={"blocks": blocks, "block_size": n_b},
-    )
+    return log.report(witness, bound, True, blocks=blocks, block_size=n_b)
 
 
 # ---------------------------------------------------------------------------

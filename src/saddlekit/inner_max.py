@@ -137,7 +137,7 @@ class InnerMax:
 def _as_inner(problem, tally: Optional[OracleTally]) -> InnerMax:
     if isinstance(problem, InnerMax):
         return problem
-    return InnerMax(problem if isinstance(problem, Metered) else Metered(problem, tally))
+    return InnerMax(Metered.of(problem, tally))
 
 
 def solve_inner_max(

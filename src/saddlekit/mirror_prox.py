@@ -18,7 +18,6 @@ against.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional
 
@@ -28,11 +27,11 @@ from .core import (
     AllSpace,
     EuclideanBall,
     FeasibleSet,
-    HistoryRow,
     InvalidSpecError,
     Metered,
     OracleKind,
     OracleTally,
+    RunLog,
     SaddleProblem,
     SolveReport,
     UnsupportedProblemError,
@@ -117,12 +116,13 @@ def assemble_saddle_operator(
 
     Requires gradient oracles for both composites; a prox-only composite
     cannot be driven by the extragradient baseline.  The operator bills the
-    metered view's tally: one evaluation costs one call of each of the four
-    gradient oracles plus their declared matvecs.  ``evaluate`` bills as it
-    goes; ``evaluate_into`` calls the raw oracles and leaves the billing to
-    the caller's :meth:`ViOperator.charge`.
+    tally of :meth:`Metered.of(problem, tally) <saddlekit.core.Metered.of>`:
+    one evaluation costs one call of each of the four gradient oracles plus
+    their declared matvecs.  ``evaluate`` bills as it goes; ``evaluate_into``
+    calls the raw oracles and leaves the billing to the caller's
+    :meth:`ViOperator.charge`.
     """
-    mp = problem if isinstance(problem, Metered) else Metered(problem, tally)
+    mp = Metered.of(problem, tally)
     p = mp.problem
     if p.grad_r is None or p.grad_h is None or p.grad_x_F is None or p.grad_y_F is None:
         raise UnsupportedProblemError(
@@ -184,17 +184,9 @@ def run_mirror_prox(
     is billed too).  The report carries ``op.tally``, or a fresh tally when
     the operator has none.
     """
-    tally = op.tally if op.tally is not None else OracleTally()
-    start = time.perf_counter()
+    log = RunLog(op.tally)
     if n <= 0:
-        return SolveReport(
-            x_final=None,
-            certified_gap=float("inf"),
-            tally=tally,
-            converged=False,
-            wall_ms=(time.perf_counter() - start) * 1e3,
-            extras={"error": "degenerate budget n=0", "iterations": 0},
-        )
+        return log.report(None, float("inf"), False, error="degenerate budget n=0", iterations=0)
     z = np.array(z0, dtype=float)
     inv_l = 1.0 / op.l
     domain = op.domain
@@ -211,7 +203,6 @@ def run_mirror_prox(
     lead_sum = np.zeros_like(z)
     resid_sum = 0.0
     last_gw: Optional[Vector] = None
-    history: list[HistoryRow] = []
     unbilled = 0  # evaluations made but not yet charged
     try:
         for k in range(1, int(n) + 1):
@@ -234,29 +225,18 @@ def run_mirror_prox(
             if record_every and (k % record_every == 0 or k == n):
                 op.charge(unbilled)
                 unbilled = 0
-                gap = resid_sum / k if z_star is not None else float(np.linalg.norm(gw))
-                history.append(
-                    HistoryRow(k, gap, tally.snapshot(), (time.perf_counter() - start) * 1e3)
-                )
+                log.row(k, resid_sum / k if z_star is not None else float(np.linalg.norm(gw)))
     finally:
         op.charge(unbilled)
     avg = lead_sum / float(n)
     bound = op.l * float(np.dot(np.asarray(z0) - z_star, np.asarray(z0) - z_star)) / (
         2.0 * n
     ) if z_star is not None else float("inf")
-    return SolveReport(
-        x_final=avg,
-        certified_gap=bound,
-        tally=tally,
-        converged=True,
-        history=history,
-        wall_ms=(time.perf_counter() - start) * 1e3,
-        extras={
-            "iterations": int(n),
-            "avg_residual": (resid_sum / n) if z_star is not None else None,
-            "last_point": z,
-            "last_operator_norm": float(np.linalg.norm(last_gw)) if last_gw is not None else None,
-        },
+    return log.report(
+        avg, bound, True, iterations=int(n),
+        avg_residual=(resid_sum / n) if z_star is not None else None,
+        last_point=z,
+        last_operator_norm=float(np.linalg.norm(last_gw)) if last_gw is not None else None,
     )
 
 
@@ -280,8 +260,7 @@ def run_restarted_mp(
         raise InvalidSpecError("restarted extragradient requires mu > 0")
     if epsilon <= 0:
         raise InvalidSpecError("epsilon must be positive")
-    tally = op.tally if op.tally is not None else OracleTally()
-    start = time.perf_counter()
+    log = RunLog(op.tally)
     z = np.array(z0, dtype=float)
     if r0 is None:
         if isinstance(op.domain, EuclideanBall):
@@ -292,31 +271,18 @@ def run_restarted_mp(
     ratio = op.mu * r0 * r0 / epsilon
     p = max(1, int(math.ceil(math.log2(ratio)))) if ratio > 1.0 else 1
     d_sq = r0 * r0
-    history: list[HistoryRow] = []
     restarts = 0
     for j in range(p):
         rep = run_mirror_prox(op, z, n_j, record_every=0)
         z = rep.x_final
         restarts += 1
         d_sq = min(d_sq, op.l * d_sq / (2.0 * op.mu * n_j))
-        history.append(
-            HistoryRow(restarts, d_sq, tally.snapshot(), (time.perf_counter() - start) * 1e3)
-        )
+        log.row(restarts, d_sq)
         op_norm = rep.extras.get("last_operator_norm")
         if op_norm is not None and op_norm**2 <= epsilon * op.mu:
             d_sq = min(d_sq, op_norm**2 / op.mu**2)
             break
-    return SolveReport(
-        x_final=z,
-        certified_gap=op.mu * d_sq,  # mu * dist^2 <= epsilon certifies the solve
-        tally=tally,
-        converged=bool(d_sq <= epsilon / op.mu),
-        history=history,
-        wall_ms=(time.perf_counter() - start) * 1e3,
-        extras={
-            "restarts": restarts,
-            "block_size": n_j,
-            "scheduled_restarts": p,
-            "dist_sq_bound": d_sq,
-        },
+    return log.report(
+        z, op.mu * d_sq, bool(d_sq <= epsilon / op.mu),  # mu * dist^2 <= epsilon certifies
+        restarts=restarts, block_size=n_j, scheduled_restarts=p, dist_sq_bound=d_sq,
     )

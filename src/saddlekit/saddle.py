@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import enum
 import math
-import time
 import warnings
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -36,6 +35,7 @@ from .core import (
     Metered,
     OracleKind,
     OracleTally,
+    RunLog,
     SaddleProblem,
     SaddleSpec,
     SolveReport,
@@ -46,6 +46,9 @@ from .core import (
     restrict_to_ball,
     set_center,
 )
+
+
+MAX_ATTEMPTS = 10  # attempts of solve_saddle's accuracy loop before it gives up
 
 
 class Engine(enum.Enum):
@@ -86,12 +89,6 @@ class ComplexityPrediction:
     counts: dict[OracleKind, tuple[float, str]]
     formulas: dict[str, float]
     mu_x_substituted: bool = False
-
-
-def _flatten_histories(reports) -> list:
-    """Concatenate per-attempt histories with a global iteration index."""
-    rows = [row for rep in reports for row in rep.history]
-    return [replace(row, iteration=i) for i, row in enumerate(rows, 1)]
 
 
 def _resolve_engine(problem: SaddleProblem, engine: Engine | str) -> Engine:
@@ -145,43 +142,43 @@ def duality_gap(
     The primal side maximizes S(x, .) over Q_y intersected with the ball of
     radius 2 r_y around Q_y's center; the dual side minimizes S(., y)
     symmetrically.  Both use gradient oracles of the composites (a prox-only
-    composite would need its feasible set unchanged by the restriction).
+    composite would need its feasible set unchanged by the restriction), and
+    a missing one raises before either side spends a call.  ``tally`` is
+    billed when ``problem`` is a raw problem; a metered view bills its own.
     """
     if inner_eps <= 0 or r_x <= 0 or r_y <= 0:
         raise InvalidSpecError("duality_gap needs positive radii and accuracy")
-    mp = problem if isinstance(problem, Metered) else Metered(problem, tally)
+    mp = Metered.of(problem, tally)
+    if mp.problem.grad_h is None:
+        raise UnsupportedProblemError("duality_gap needs grad_h for the primal side")
+    if mp.problem.grad_r is None:
+        raise UnsupportedProblemError("duality_gap needs grad_r for the dual side")
     spec = mp.spec
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
 
-    # primal side: minimize h(v) - F(x, v) over the restricted dual set
-    dom_y = restrict_to_ball(spec.set_y, set_center(spec.set_y, spec.dim_y), 2.0 * r_y)
-    if mp.problem.grad_h is None:
-        raise UnsupportedProblemError("duality_gap needs grad_h for the primal side")
-    l_y = spec.l_y if spec.l_y is not None else spec.mu_y
-    primal_obj = fgm.CompositeObjective(
-        smooth_grad=lambda v: mp.grad_h(v) - mp.grad_y_F(x, v),
-        l_smooth=max(spec.l_yy + l_y, spec.mu_y),
-        mu=spec.mu_y,
-        domain=dom_y,
-    )
-    rep_p = fgm.solve_to_gap(primal_obj, dom_y.project(y), inner_eps, tally=mp.tally)
-    y_p = rep_p.x_final
-    primal_value = mp.value_r(x) + mp.value_S_hat(x, y_p)
+    def restricted_argmin(smooth_grad, feasible, dim, radius, l_coupling, l_comp, mu, start):
+        """Certified minimizer of one side over its set intersected with B(center, 2 radius)."""
+        dom = restrict_to_ball(feasible, set_center(feasible, dim), 2.0 * radius)
+        side = fgm.CompositeObjective(
+            smooth_grad=smooth_grad,
+            l_smooth=max(l_coupling + (l_comp if l_comp is not None else mu), mu),
+            mu=mu,
+            domain=dom,
+        )
+        return fgm.solve_to_gap(side, dom.project(start), inner_eps, tally=mp.tally).x_final
 
-    # dual side: minimize r(v) + F(v, y) over the restricted primal set
-    dom_x = restrict_to_ball(spec.set_x, set_center(spec.set_x, spec.dim_x), 2.0 * r_x)
-    if mp.problem.grad_r is None:
-        raise UnsupportedProblemError("duality_gap needs grad_r for the dual side")
-    l_x = spec.l_x if spec.l_x is not None else spec.mu_x
-    dual_obj = fgm.CompositeObjective(
-        smooth_grad=lambda v: mp.grad_r(v) + mp.grad_x_F(v, y),
-        l_smooth=max(spec.l_xx + l_x, spec.mu_x),
-        mu=spec.mu_x,
-        domain=dom_x,
+    # primal side: minimize h(v) - F(x, v) over the restricted dual set
+    y_p = restricted_argmin(
+        lambda v: mp.grad_h(v) - mp.grad_y_F(x, v),
+        spec.set_y, spec.dim_y, r_y, spec.l_yy, spec.l_y, spec.mu_y, y,
     )
-    rep_d = fgm.solve_to_gap(dual_obj, dom_x.project(x), inner_eps, tally=mp.tally)
-    x_d = rep_d.x_final
+    primal_value = mp.value_r(x) + mp.value_S_hat(x, y_p)
+    # dual side: minimize r(v) + F(v, y) over the restricted primal set
+    x_d = restricted_argmin(
+        lambda v: mp.grad_r(v) + mp.grad_x_F(v, y),
+        spec.set_x, spec.dim_x, r_x, spec.l_xx, spec.l_x, spec.mu_x, x,
+    )
     dual_value = mp.value_r(x_d) + mp.value_S_hat(x_d, y)
 
     gap = float(primal_value) - float(dual_value) + 2.0 * inner_eps
@@ -216,7 +213,6 @@ def solve_saddle(
     r_x: Optional[float] = None,
     r_y: Optional[float] = None,
     tally: Optional[OracleTally] = None,
-    max_attempts: int = 10,
 ) -> SolveReport:
     """Solve to a certified restricted duality gap of at most ``epsilon``.
 
@@ -225,10 +221,10 @@ def solve_saddle(
     fix the certificate's restriction balls.  The returned report carries the
     pair, the gap certificate, and the full oracle tally including the
     certification cost.  Internal accuracy targets start at the scheduled
-    O(epsilon) values and tighten geometrically until the certificate passes;
-    ``max_attempts`` caps that loop.  An inner or certificate solve that
-    exhausts its budget ends the loop with ``converged=False``, an infinite
-    gap and the message in ``extras["error"]``.  An explicit ``case*``
+    O(epsilon) values and tighten geometrically until the certificate passes,
+    for at most :data:`MAX_ATTEMPTS` attempts.  An inner or certificate solve
+    that exhausts its budget ends the loop with ``converged=False``, an
+    infinite gap and the message in ``extras["error"]``.  An explicit ``case*``
     engine picks the route (r's prox or r's gradient); ``extras["engine"]``
     names the case that ran, whose h part follows ``prox_friendly_h``.
     """
@@ -238,16 +234,14 @@ def solve_saddle(
     eng = _resolve_engine(problem, engine)
     mp = Metered(problem, tally)
     spec = problem.spec
-    start_t = time.perf_counter()
+    log = RunLog(mp.tally)
     x_cur = np.array(x0, dtype=float) if x0 is not None else set_center(spec.set_x, spec.dim_x)
     y_cur = np.array(y0, dtype=float) if y0 is not None else set_center(spec.set_y, spec.dim_y)
     r_x = _default_radius(spec.set_x, "r_x", r_x)
     r_y = _default_radius(spec.set_y, "r_y", r_y)
 
     if eng is Engine.MIRROR_PROX:
-        return _solve_via_extragradient(
-            mp, epsilon, x_cur, y_cur, r_x, r_y, max_attempts, start_t
-        )
+        return _solve_via_extragradient(mp, epsilon, x_cur, y_cur, r_x, r_y, log)
 
     mu_f, mu_from_g = _outer_modulus(problem)
     # a decoupled problem (zero coupling) leaves the partial max flat; any
@@ -262,7 +256,7 @@ def solve_saddle(
     outer_reports = []
     attempts = 0
     try:
-        for attempts in range(1, max_attempts + 1):
+        for attempts in range(1, MAX_ATTEMPTS + 1):
             if eng in (Engine.CASE1, Engine.CASE3):  # prox-friendly r
                 rep = _case1_outer(mp, oracle, x_cur, eps_f, r_cur, mu_f, l_env)
             else:
@@ -280,31 +274,26 @@ def solve_saddle(
     except BudgetExceededError as err:
         failure = str(err)
     return _attempts_report(
-        mp, x_cur, y_cur, epsilon, cert, failure, outer_reports, start_t,
+        log, x_cur, y_cur, epsilon, cert, failure, outer_reports,
         engine=eng.value, attempts=attempts, outer_modulus=mu_f,
     )
 
 
-def _attempts_report(mp, x, y, epsilon, cert, failure, reports, start_t, **extras) -> SolveReport:
+def _attempts_report(log, x, y, epsilon, cert, failure, reports, **extras) -> SolveReport:
     """Report of an attempt loop, certified only by a passed, uninterrupted certificate.
 
     A ``failure`` (the message of a :class:`BudgetExceededError` from an
     inner or certificate solve) leaves the last completed pair unconverged,
-    with an infinite gap and the message in ``extras["error"]``.
+    with an infinite gap and the message in ``extras["error"]``.  The history
+    is the attempts' rows in order, renumbered with a global iteration index.
     """
     if failure is not None:
         cert = None
         extras["error"] = failure
-    return SolveReport(
-        x_final=x,
-        y_final=y,
-        certified_gap=cert.gap if cert is not None else float("inf"),
-        tally=mp.tally,
-        converged=cert is not None and cert.gap <= epsilon,
-        history=_flatten_histories(reports),
-        wall_ms=(time.perf_counter() - start_t) * 1e3,
-        extras={"certificate": cert, **extras},
-    )
+    rows = [row for rep in reports for row in rep.history]
+    log.history = [replace(row, iteration=i) for i, row in enumerate(rows, 1)]
+    gap = cert.gap if cert is not None else float("inf")
+    return log.report(x, gap, gap <= epsilon, y=y, certificate=cert, **extras)
 
 
 def _case1_outer(mp, oracle, x0, eps_f, r0, mu_f, l_env) -> SolveReport:
@@ -327,7 +316,6 @@ def _case1_outer(mp, oracle, x0, eps_f, r0, mu_f, l_env) -> SolveReport:
         eps_f,
         r0=r0,
         fixed_delta=2.0 * gamma,
-        until_certified=True,
         tally=mp.tally,
     )
 
@@ -357,7 +345,7 @@ def _sliding_outer(mp, oracle, x0, eps_f, mu_from_g, l_env) -> SolveReport:
     return sliding.sliding_solve(out_spec, obj, x0, eps_f, engine="catalyst", tally=mp.tally)
 
 
-def _solve_via_extragradient(mp, epsilon, x0, y0, r_x, r_y, max_attempts, start_t) -> SolveReport:
+def _solve_via_extragradient(mp, epsilon, x0, y0, r_x, r_y, log) -> SolveReport:
     op = mirror_prox.assemble_saddle_operator(mp)
     z = np.concatenate([x0, y0])
     r0 = math.hypot(r_x, r_y)
@@ -368,7 +356,7 @@ def _solve_via_extragradient(mp, epsilon, x0, y0, r_x, r_y, max_attempts, start_
     attempts = 0
     inner_reports = []
     try:
-        for attempts in range(1, max_attempts + 1):
+        for attempts in range(1, MAX_ATTEMPTS + 1):
             rep = mirror_prox.run_restarted_mp(op, z, eps_vi, r0=r0)
             z = rep.x_final
             d_sq = rep.extras.get("dist_sq_bound", float("inf"))
@@ -381,7 +369,7 @@ def _solve_via_extragradient(mp, epsilon, x0, y0, r_x, r_y, max_attempts, start_
     except BudgetExceededError as err:
         failure = str(err)
     return _attempts_report(
-        mp, z[:nx], z[nx:], epsilon, cert, failure, inner_reports, start_t,
+        log, z[:nx], z[nx:], epsilon, cert, failure, inner_reports,
         engine="mirror_prox", attempts=attempts,
     )
 
@@ -422,9 +410,7 @@ def predict_complexity(
     if spec.l_x is not None:
         formulas["grad_r_smooth"] = math.sqrt(spec.l_x / mu_x)
     formulas["dual_outer"] = math.sqrt(spec.l_yy / mu_y + 2.0 * spec.l_xy**2 / (mu_x * mu_y))
-    formulas["extragradient"] = (
-        max(spec.l_xx, spec.l_xy, spec.l_yy) / min(mu_x, mu_y)
-    )
+    formulas["extragradient"] = formulas["general_pf"]
     if spectral is not None:
         if spec.l_x is not None and spec.l_y is not None:
             formulas["kernel_restricted"] = math.sqrt(

@@ -22,7 +22,6 @@ cheap-to-accelerate term and ~sqrt(l_g / mu) of the other, instead of
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -30,9 +29,9 @@ import numpy as np
 
 from . import fgm
 from .core import (
-    HistoryRow,
     InvalidSpecError,
     OracleTally,
+    RunLog,
     SolveReport,
     Vector,
 )
@@ -40,14 +39,16 @@ from .core import (
 
 @dataclass
 class SlidingSpec:
-    """Constants of the two terms; the full objective has modulus mu_r + mu_g."""
+    """Constants of the two terms; the full objective has modulus mu_r + mu_g.
+
+    Each engine works out the per-call oracle accuracies it needs from its
+    target and requests them through ``TwoTermObjective.set_delta_r`` / ``set_delta_g``.
+    """
 
     l_r: float
     l_g: float
     mu_r: float = 0.0
     mu_g: float = 0.0
-    delta_r: float = 0.0  # per-call gradient inexactness of the r-term oracle
-    delta_g: float = 0.0
 
     @property
     def mu(self) -> float:
@@ -60,8 +61,6 @@ class SlidingSpec:
             raise InvalidSpecError("need mu_r, mu_g >= 0 with mu_r + mu_g > 0")
         if self.mu_r > self.l_r + 1e-12 or self.mu_g > self.l_g + 1e-12:
             raise InvalidSpecError("a term's modulus cannot exceed its smoothness")
-        if self.delta_r < 0 or self.delta_g < 0:
-            raise InvalidSpecError("oracle inexactness must be nonnegative")
 
 
 @dataclass
@@ -147,8 +146,6 @@ def normalize_split(obj: TwoTermObjective, spec: SlidingSpec):
             l_g=spec.l_r,
             mu_r=spec.mu_g,
             mu_g=spec.mu_r,
-            delta_r=spec.delta_g,
-            delta_g=spec.delta_r,
         )
     if spec.mu_g == 0.0 and spec.mu_r > 0.0:
         obj, spec = _shift_modulus(obj, spec, 0.5 * spec.mu_r)
@@ -271,13 +268,12 @@ def _approx_prox_g(
         mu=spec.l_r + spec.mu_g,
         prox_model=fgm.quadratic_prox_model(spec.l_r, center=w),
     )
-    block = max(1, int(math.ceil(3.0 * math.sqrt(2.0 * inner.l_smooth / inner.mu))))
+    block = fgm.restart_budget(inner.l_smooth, inner.mu)
     v = np.array(start, dtype=float)
     remaining = int(budget)
     while remaining > 0:
         steps = min(block, remaining)
-        rep = fgm.run_fgm(inner, v, steps, tally=tally, record_history=False)
-        v = rep.x_final
+        v = fgm.run_fgm(inner, v, steps, tally=tally).x_final
         remaining -= steps
     return v
 
@@ -307,8 +303,7 @@ def apg_inexact_solve(
     infinite gap.
     """
     obj, spec, swapped = normalize_split(obj, spec)
-    tally = tally if tally is not None else OracleTally()
-    start_t = time.perf_counter()
+    log = RunLog(tally)
     params = alg5_params(spec, epsilon, gap0=gap0)
     if exact_inner and obj.prox_g is None:
         if swapped:
@@ -328,7 +323,6 @@ def apg_inexact_solve(
     y = x.copy()
     p_star = obj.f_star
     lyapunov: list[float] = []
-    history: list[HistoryRow] = []
 
     def lyap(zv: Vector, yv: Vector) -> float:
         d = zv - obj.x_star
@@ -342,31 +336,17 @@ def apg_inexact_solve(
         if exact_inner:
             y_next = obj.prox_g(w, l_r)
         else:
-            y_next = _approx_prox_g(obj, spec, w, xk, params.t_inner, tally)
+            y_next = _approx_prox_g(obj, spec, w, xk, params.t_inner, log.tally)
         z = params.beta * z + (1.0 - params.beta) * xk + params.eta * (y_next - xk)
         y = y_next
         if obj.x_star is not None and p_star is not None:
             lyapunov.append(lyap(z, y))
-        history.append(
-            HistoryRow(
-                iteration=k + 1,
-                gap=obj.gap_at(y),
-                tally=tally.snapshot(),
-                wall_ms=(time.perf_counter() - start_t) * 1e3,
-            )
-        )
+        log.row(k + 1, obj.gap_at(y))
     # the schedule certifies nothing about a NaN or inf iterate (an understated
     # constant can blow the loop up): fail closed without spending an oracle call
     finite = bool(np.isfinite(y).all())
-    return SolveReport(
-        x_final=y,
-        certified_gap=epsilon if finite else float("inf"),
-        tally=tally,
-        converged=finite,
-        history=history,
-        wall_ms=(time.perf_counter() - start_t) * 1e3,
-        extras={"params": params, "lyapunov": lyapunov, "engine": "apg"},
-    )
+    gap = epsilon if finite else float("inf")
+    return log.report(y, gap, finite, params=params, lyapunov=lyapunov, engine="apg")
 
 
 # ---------------------------------------------------------------------------
@@ -388,11 +368,9 @@ def composite_gm_solve(
     gradient is evaluated exactly once per iteration (= ``n`` times total
     unless an optional ``stop_rule(x_prev, x_next, step_gap_bound)`` fires).
     """
-    tally = tally if tally is not None else OracleTally()
-    start = time.perf_counter()
+    log = RunLog(tally)
     x = np.array(x0, dtype=float)
     avg = np.zeros_like(x)
-    history: list[HistoryRow] = []
     steps = 0
     fired = False
     for k in range(int(n)):
@@ -407,28 +385,13 @@ def composite_gm_solve(
             if obj.mu > 0
             else float("inf")
         )
-        history.append(
-            HistoryRow(
-                iteration=steps,
-                gap=obj.gap_at(avg / steps),
-                tally=tally.snapshot(),
-                wall_ms=(time.perf_counter() - start) * 1e3,
-            )
-        )
+        log.row(steps, obj.gap_at(avg / steps))
         fired = stop_rule is not None and stop_rule(x, x_next, gap_bound)
         x = x_next
         if fired:
             break
     avg = avg / max(steps, 1)
-    return SolveReport(
-        x_final=avg,
-        certified_gap=float("inf"),
-        tally=tally,
-        converged=fired or stop_rule is None,
-        history=history,
-        wall_ms=(time.perf_counter() - start) * 1e3,
-        extras={"last": x, "iterations": steps},
-    )
+    return log.report(avg, float("inf"), fired or stop_rule is None, last=x, iterations=steps)
 
 
 def catalyst_solve(
@@ -453,8 +416,7 @@ def catalyst_solve(
     obj, spec, _ = normalize_split(obj, spec)
     if reg_l <= 0 or epsilon <= 0:
         raise InvalidSpecError("reg_l and epsilon must be positive")
-    tally = tally if tally is not None else OracleTally()
-    start = time.perf_counter()
+    log = RunLog(tally)
     mu = spec.mu
     # inexact term oracles: request the same accuracy scale the scheduled
     # engine would, so accumulated oracle error stays below epsilon
@@ -466,23 +428,21 @@ def catalyst_solve(
     q = mu / (mu + reg_l)
     momentum = (1.0 - math.sqrt(q)) / (1.0 + math.sqrt(q))
     cap = max(8, int(math.ceil(20.0 / math.sqrt(q))) + 64)
+    mu_sub = mu + reg_l
+    n_cap = max(4, int(math.ceil(4.0 * spec.l_r / mu_sub)) + 8)
+    floor = 0.05 * epsilon * q
 
     x = np.array(x0, dtype=float)
     y_prev = x.copy()
-    history: list[HistoryRow] = []
     converged = False
     outer = 0
     cert = float("inf")
-    mu_sub = mu + reg_l
 
     while outer < cap:
         # certified stop on the full objective
         grad_p = obj.grad_r(x) + obj.grad_g(x)
         cert = float(grad_p @ grad_p) / (2.0 * mu)
-        history.append(
-            HistoryRow(outer, min(cert, obj.gap_at(x)) if obj.f_star is not None else cert,
-                       tally.snapshot(), (time.perf_counter() - start) * 1e3)
-        )
+        log.row(outer, min(cert, obj.gap_at(x)) if obj.f_star is not None else cert)
         if cert <= epsilon:
             converged = True
             break
@@ -491,11 +451,7 @@ def catalyst_solve(
         center = y_prev
         # subproblem accuracy: q/10 of the regularization term, seeded from
         # the running certificate so late subproblems start at the right scale
-        floor = 0.05 * epsilon * q
         current_target = [max(q / 10.0 * min(cert, 1e6), floor)]
-
-        def smooth_grad(v, _c=center):
-            return obj.grad_r(v)
 
         def prox_model(u, alpha_step, lin, _c=center):
             # model step of the composite method: the composite is
@@ -514,8 +470,7 @@ def catalyst_solve(
             # the composite method's model step is assumed exact: solve the
             # auxiliary problem far below the subproblem tolerance
             target = max(1e-4 * current_target[0], 1e-3 * epsilon * q)
-            rep = fgm.solve_to_gap(inner, u, target, tally=tally)
-            return rep.x_final
+            return fgm.solve_to_gap(inner, u, target, tally=log.tally).x_final
 
         def stop_rule(x_prev, x_next, step_gap_bound, _c=center):
             rel = q / 10.0 * 0.5 * reg_l * float(np.dot(x_next - _c, x_next - _c))
@@ -523,26 +478,17 @@ def catalyst_solve(
             return step_gap_bound <= current_target[0]
 
         sub = fgm.CompositeObjective(
-            smooth_grad=smooth_grad,
+            smooth_grad=obj.grad_r,
             l_smooth=spec.l_r,
             mu=mu_sub,
             prox_model=prox_model,
         )
-        n_cap = max(4, int(math.ceil(4.0 * spec.l_r / mu_sub)) + 8)
-        rep = composite_gm_solve(sub, x, n_cap, stop_rule=stop_rule, tally=tally)
+        rep = composite_gm_solve(sub, x, n_cap, stop_rule=stop_rule, tally=log.tally)
         x_new = rep.extras["last"]
         y_prev = x_new + momentum * (x_new - x)
         x = x_new
 
-    return SolveReport(
-        x_final=x,
-        certified_gap=cert,
-        tally=tally,
-        converged=converged,
-        history=history,
-        wall_ms=(time.perf_counter() - start) * 1e3,
-        extras={"engine": "catalyst", "outer_iterations": outer, "q": q},
-    )
+    return log.report(x, cert, converged, engine="catalyst", outer_iterations=outer, q=q)
 
 
 def sliding_solve(

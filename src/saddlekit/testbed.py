@@ -54,22 +54,16 @@ def spectral(a: np.ndarray) -> tuple[float, float, np.ndarray]:
     return lam_max, lam_min_plus, kernel
 
 
-def _quadratic_prox(weights, mu: float, domain: FeasibleSet):
-    """Oracle for  min_{v in Q} <c1, v> + q(v) + c2 ||v||^2  with diagonal q.
+def _quadratic_prox(mu: float, domain: FeasibleSet):
+    """Oracle for  min_{v in Q} <c1, v> + mu/2 ||v||^2 + c2 ||v||^2.
 
-    q(v) = mu/2 ||v||^2 + 1/2 v^T diag(weights) v; isotropic domains keep the
-    ball-constrained minimizer a projection only when the quadratic is
-    isotropic, so balls are rejected for nonzero diagonal weights.
+    The quadratic is isotropic, so over a ball the minimizer is the
+    projection of the unconstrained one.
     """
 
     def prox(c1, c2):
-        denom = mu + 2.0 * c2 + (weights if weights is not None else 0.0)
-        v = -c1 / denom
-        if isinstance(domain, EuclideanBall):
-            if weights is not None and np.ptp(weights) > 0:
-                raise InvalidSpecError("anisotropic quadratic prox over a ball is not closed form")
-            return domain.project(v)
-        return v
+        v = -c1 / (mu + 2.0 * c2)
+        return domain.project(v) if isinstance(domain, EuclideanBall) else v
 
     return prox
 
@@ -139,7 +133,7 @@ class BilinearInstance:
             grad_x_F=lambda x, y: a.T @ y,
             grad_y_F=lambda x, y: a @ x,
             prox_r=_prox_bilinear_r(mu_x, b, self.set_x),
-            prox_h=_quadratic_prox(None, mu_y, self.set_y),
+            prox_h=_quadratic_prox(mu_y, self.set_y),
             prox_friendly_r=True,
             prox_friendly_h=True,
             matvec_cost={OracleKind.GRAD_X_F: 1, OracleKind.GRAD_Y_F: 1},
@@ -300,7 +294,7 @@ class QuadraticSaddleInstance:
             grad_x_F=lambda x, y: a.T @ y + p_diag * x,
             grad_y_F=lambda x, y: a @ x - q_diag * y,
             prox_r=_prox_bilinear_r(mu_x, b, AllSpace()),
-            prox_h=_quadratic_prox(None, mu_y, AllSpace()),
+            prox_h=_quadratic_prox(mu_y, AllSpace()),
             prox_friendly_r=True,
             prox_friendly_h=True,
             matvec_cost={OracleKind.GRAD_X_F: 1, OracleKind.GRAD_Y_F: 1},
@@ -316,16 +310,15 @@ def gen_quadratic_saddle(
     seed: int,
     mu_x: float = 1.0,
     mu_y: float = 1.0,
-    curvature: float = 1.0,
 ) -> QuadraticSaddleInstance:
-    """Seeded quadratic-coupling instance; ``curvature`` scales P and Q."""
+    """Seeded quadratic-coupling instance; the diagonals of P and Q are uniform on [0, 1)."""
     if cond < 1.0:
         raise InvalidSpecError("cond must be >= 1")
     rng = np.random.default_rng(seed)
     a = _seeded_matrix(n, m, cond, rng)
     b = rng.standard_normal(n)
-    p_diag = curvature * rng.uniform(0.0, 1.0, size=n)
-    q_diag = curvature * rng.uniform(0.0, 1.0, size=m)
+    p_diag = rng.uniform(0.0, 1.0, size=n)
+    q_diag = rng.uniform(0.0, 1.0, size=m)
     lam_max, lam_min_plus, kernel = spectral(a)
     # saddle by block elimination: y = (Q + mu_y)^{-1} A x
     h_mat = np.diag(mu_x + p_diag) + a.T @ ((a.T / (q_diag + mu_y)).T)
@@ -351,32 +344,29 @@ def gen_quadratic_saddle(
     )
 
 
-def gen_smoothed_game(
-    n: int, kappa: float, seed: int, shift_scale: float = 1.0, reg_fraction: float = 0.05
-):
+def gen_smoothed_game(n: int, kappa: float, seed: int):
     """Square smoothed-game benchmark instance with conditioning ``kappa``.
 
     Singular values of A span [1/sqrt(kappa), 1].  Both regularization
     moduli are accuracy-driven and sit well below the smallest Gram
-    eigenvalue (``reg_fraction`` of 1/kappa), the regime where the partial
+    eigenvalue (0.05 / kappa against 1/kappa), the regime where the partial
     max carries its own strong convexity lambda_min+/l_y and the structured
     pipeline decouples from the tiny moduli, while the stacked operator
     keeps its L/mu handicap.  The seeded payoff shift is loaded onto the
     small-singular-value subspace, where fixed-step extragradient
     iterations genuinely contract at their worst-case rate; elsewhere the
-    saddle is trivially zero and would flatter the baseline.
+    saddle is trivially zero and would flatter the baseline.  The shift has
+    unit norm.
     """
     if kappa < 1.0:
         raise InvalidSpecError("kappa must be >= 1")
-    if not (0.0 < reg_fraction <= 1.0):
-        raise InvalidSpecError("reg_fraction must be in (0, 1]")
     rng = np.random.default_rng(seed)
     a = _seeded_matrix(n, n, kappa, rng) / math.sqrt(kappa)  # spectrum in [1/kappa, 1]
-    mu = reg_fraction / kappa
+    mu = 0.05 / kappa
     _, vecs = np.linalg.eigh(a.T @ a)  # ascending eigenvalues
     k_slow = max(2, n // 10)
     b = vecs[:, :k_slow] @ rng.standard_normal(k_slow)
-    b = shift_scale * b / max(np.linalg.norm(b), 1e-12)
+    b = b / max(np.linalg.norm(b), 1e-12)
     return bilinear_instance(a, b, mu_x=mu, mu_y=mu)
 
 

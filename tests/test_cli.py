@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import saddlekit
 from saddlekit.cli import HISTORY_HEADER, SUMMARY_HEADER, cli_main
 
 
@@ -121,3 +126,22 @@ def test_config_error_exit_code(tmp_path):
 
 def test_unknown_subcommand_exit_code():
     assert cli_main(["frobnicate"]) == 2
+
+
+def test_module_entry_point_matches_cli_main(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(
+        json.dumps({"dim_x": 2, "dim_y": 2, "mu_x": 1.0, "mu_y": 2.0, "l_xy": 3.0, "l_yy": 0.5,
+                    "l_x": 1.0, "l_y": 2.0, "prox_friendly_r": False})
+    )
+    assert cli_main(["predict", "--spec", str(spec)]) == 0
+    expected = capsys.readouterr().out
+    src = Path(saddlekit.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "saddlekit", "predict", "--spec", str(spec)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == expected
+    assert "count[grad_r]" in expected

@@ -215,3 +215,34 @@ class TestSets:
     def test_set_center(self):
         assert np.allclose(set_center(EuclideanBall(np.array([1.0, 2.0]), 1.0), 2), [1.0, 2.0])
         assert np.allclose(set_center(sk.AllSpace(), 3), np.zeros(3))
+
+
+class TestMeteredOf:
+    def test_passes_a_view_through_and_wraps_a_problem(self, b1_problem):
+        tally = OracleTally()
+        view = Metered(b1_problem, tally)
+        assert Metered.of(view) is view
+        assert Metered.of(view, tally) is view
+        wrapped = Metered.of(b1_problem, tally)
+        assert wrapped.problem is b1_problem and wrapped.tally is tally
+
+    def test_a_view_with_another_tally_raises(self, b1_problem):
+        with pytest.raises(sk.InvalidSpecError):
+            Metered.of(Metered(b1_problem), OracleTally())
+
+    def test_no_site_leaves_a_passed_tally_empty(self, b1, b1_problem):
+        # a view bills its own tally, so a different one passed with it would stay empty
+        x, y = b1.closed_form_x, b1.closed_form_y
+        calls = (
+            lambda p, t: sk.duality_gap(p, x, y, 1.0, 1.0, 1e-8, tally=t),
+            lambda p, t: sk.inexact_grad_g(p, x, 1e-8, tally=t),
+            lambda p, t: sk.assemble_saddle_operator(p, t),
+        )
+        for call in calls:
+            with pytest.raises(sk.InvalidSpecError):
+                call(Metered(b1_problem), OracleTally())
+            view = Metered(b1_problem)
+            call(view, view.tally)
+        raw_tally = OracleTally()
+        sk.duality_gap(b1_problem, x, y, 1.0, 1.0, 1e-8, tally=raw_tally)
+        assert raw_tally.count(OracleKind.GRAD_Y_F) > 0

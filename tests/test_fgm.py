@@ -109,6 +109,17 @@ class TestRunFgm:
                 assert big_a >= k**2 / (4 * l) * (1 - 1e-12)
 
 
+class TestRunFgmHistory:
+    def test_one_row_per_step_exactly_with_a_value_oracle(self):
+        obj, _ = quad_objective([1.0, 4.0], [1.0, 1.0])
+        rep = sk.run_fgm(obj, np.zeros(2), 9)
+        assert [row.iteration for row in rep.history] == list(range(1, 10))
+        obj.full_value = None
+        again = sk.run_fgm(obj, np.zeros(2), 9)
+        assert again.history == []
+        assert again.x_final.tobytes() == rep.x_final.tobytes()
+
+
 class TestRestarts:
     def test_block_size(self):
         assert sk.restart_budget(2.0, 1.0) == 6
@@ -136,6 +147,26 @@ class TestRestarts:
         assert 0.4 <= slope <= 0.6
 
 
+    def test_scheduled_run_certifies_at_the_scheduled_count(self):
+        # with the scheduled delta_j each block's bound is <= mu D_j^2 / 4, so the
+        # p scheduled blocks already certify and no extra block is ever run
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            n = int(rng.integers(1, 6))
+            diag = np.exp(rng.uniform(0.0, np.log(1e4), n))
+            diag[0] = 1.0
+            obj, x_star = quad_objective(diag, rng.standard_normal(n))
+            x0 = rng.standard_normal(n)
+            r0 = float(np.linalg.norm(x0 - x_star)) * rng.uniform(1.0, 5.0) + 1e-3
+            eps = 10.0 ** rng.uniform(-10.0, 1.0)
+            rep = sk.run_restarted_fgm(obj, x0, eps, r0=r0)
+            p = sk.restart_count(obj.mu, r0 * r0, eps)
+            assert rep.extras["scheduled_restarts"] == p
+            assert rep.extras["restarts"] == p
+            assert rep.converged and rep.certified_gap <= 0.5 * eps
+            assert len(rep.history) == p
+
+
 class TestSolveToGap:
     def test_certified(self):
         obj, x_star = quad_objective([1.0, 30.0], [2.0, 3.0])
@@ -160,6 +191,15 @@ class TestSolveToGap:
             sk.solve_to_gap(obj, np.zeros(2), 1e-6)
         assert np.array_equal(err.value.best, np.zeros(2))
         assert err.value.tally is not None
+
+    def test_zero_modulus_raises_a_typed_error_before_any_call(self):
+        calls = []
+        obj = sk.CompositeObjective(
+            smooth_grad=lambda x: calls.append(1) or x, l_smooth=1.0, mu=0.0
+        )
+        with pytest.raises(sk.InvalidSpecError):
+            sk.solve_to_gap(obj, np.zeros(2), 1e-6)
+        assert calls == []
 
     def test_composite_certificate_bounds_gap(self):
         # ball-constrained quadratic: certificate upper-bounds the true gap
