@@ -94,6 +94,11 @@ def run_fgm(
     ``certified_gap`` is inf.  When the objective has a value oracle
     (``obj.full_value``) the history logs one row per step with the
     objective gap (nan without ``obj.f_star``); without one it stays empty.
+
+    Each step forms ``big_a * x`` once and builds both convex combinations
+    ``(alpha * u + big_a * x) / a_next`` from it in place, one new array
+    each: the same floating-point operations in the same order as that
+    formula, so the iterates are bit for bit the formula's.
     """
     log = RunLog(tally)
     x = np.array(x0, dtype=float)
@@ -103,10 +108,15 @@ def run_fgm(
     for k in range(int(n)):
         alpha = next_alpha(big_a, obj.l_smooth)
         a_next = big_a + alpha
-        y = (alpha * u + big_a * x) / a_next
+        bx = big_a * x
+        y = alpha * u
+        y += bx
+        y /= a_next
         lin = obj.smooth_grad(y)
         u = obj.prox_model(u, alpha, lin)
-        x = (alpha * u + big_a * x) / a_next
+        x = alpha * u
+        x += bx
+        x /= a_next
         big_a = a_next
         if record:
             log.row(k + 1, obj.gap_at(x))
@@ -122,7 +132,7 @@ def restart_budget(l: float, mu: float) -> int:
 
 def restart_count(mu: float, r0_sq: float, epsilon: float) -> int:
     """Scheduled restarts, p = ceil(log2(mu R^2 / eps)), at least one."""
-    if mu <= 0 or epsilon <= 0 or r0_sq <= 0:
+    if not (mu > 0 and epsilon > 0 and r0_sq > 0):
         raise InvalidSpecError("restart count requires positive mu, radius, epsilon")
     ratio = mu * r0_sq / epsilon
     if ratio <= 1.0:
@@ -157,7 +167,7 @@ def run_restarted_fgm(
     """
     if obj.mu <= 0:
         raise InvalidSpecError("restarted method requires mu > 0")
-    if epsilon <= 0 or r0 <= 0:
+    if not (epsilon > 0 and r0 > 0):
         raise InvalidSpecError("epsilon and r0 must be positive")
     log = RunLog(tally)
     l, mu = obj.l_smooth, obj.mu
@@ -224,16 +234,27 @@ def solve_to_gap(
     the block cap is reached first, or a certificate is not finite (a NaN or
     inf oracle value), raises :class:`BudgetExceededError` carrying the best
     iterate.  The report keeps no per-block history: the number of blocks run
-    is in ``extras["blocks"]``.  Blocks are :func:`restart_budget` steps
-    long, so an objective without strong convexity (``mu <= 0``) raises
-    :class:`~saddlekit.core.InvalidSpecError` before any oracle call.
+    is in ``extras["blocks"]`` and, when a block ran, their
+    :func:`restart_budget` length in ``extras["block_size"]``.  An objective
+    without strong convexity (``mu <= 0``) raises
+    :class:`~saddlekit.core.InvalidSpecError` before any oracle call, and so
+    does a ``target_gap`` that is not positive (NaN included).
+
+    A start that already certifies costs one certificate and nothing else:
+    no block and no block size.  The start is copied only when the
+    certificate hands it back as its witness, so the returned iterate never
+    aliases ``x0``.
     """
-    if target_gap <= 0:
+    if not target_gap > 0:
         raise InvalidSpecError("target gap must be positive")
     log = RunLog(tally)
-    n_b = restart_budget(max(obj.l_smooth, obj.mu), obj.mu)
-    x = np.array(x0, dtype=float)
+    x = np.asarray(x0, dtype=float)
     bound, witness = certificate(obj, x)
+    if witness is x0:
+        witness = x.copy()
+    if bound <= target_gap:
+        return log.report(witness, bound, True, blocks=0)
+    n_b = restart_budget(max(obj.l_smooth, obj.mu), obj.mu)
     blocks = 0
     while not bound <= target_gap:
         if not math.isfinite(bound):

@@ -104,7 +104,7 @@ class InnerMax:
         self, x: Vector, delta: float, y0: Optional[Vector] = None, max_blocks: int = 256
     ) -> Vector:
         """Certified delta-accurate maximizer of F(x, .) - h(.); see :func:`solve_inner_max`."""
-        if delta <= 0:
+        if not delta > 0:
             raise InvalidSpecError("inner accuracy delta must be positive")
         mp = self.mp
         x = np.asarray(x, dtype=float)
@@ -135,7 +135,17 @@ class InnerMax:
 
 
 def _as_inner(problem, tally: Optional[OracleTally]) -> InnerMax:
+    """``problem`` itself when it is an :class:`InnerMax`, otherwise one built on its view.
+
+    An :class:`InnerMax` bills its view's tally, so one passed with a
+    different ``tally`` raises :class:`InvalidSpecError`, as
+    :meth:`Metered.of <saddlekit.core.Metered.of>` does for a view.
+    """
     if isinstance(problem, InnerMax):
+        if tally is not None and tally is not problem.mp.tally:
+            raise InvalidSpecError(
+                "an inner maximization bills its own tally; pass that tally or none"
+            )
         return problem
     return InnerMax(Metered.of(problem, tally))
 
@@ -218,6 +228,8 @@ class EnvelopeGradOracle:
     the next call.  The inner problem (:class:`InnerMax`) is built once, at
     construction, and reused for every x.  ``set_delta`` accepts the
     *envelope* inexactness (the inner solver is asked for half of it).
+    Every call bills the tally of the metered view; an :class:`InnerMax`
+    passed with a different ``tally`` raises :class:`InvalidSpecError`.
     """
 
     def __init__(

@@ -64,20 +64,24 @@ class ViOperator:
     """Lipschitz (possibly strongly) monotone operator on a feasible set.
 
     ``evaluate(z)`` returns a fresh array and bills one evaluation.
-    ``evaluate_into(z, out)`` computes the same values without billing,
-    writing them into ``out`` when it can, and returns the result; loops that
-    know how many evaluations they made bill them in one go with
-    :meth:`charge`, which adds ``cost`` (the counter increments of one
-    evaluation) ``k`` times to ``tally``.  An operator built from ``evaluate``
-    alone gets an ``evaluate_into`` that calls it and ignores ``out``, and an
-    empty ``cost``: whatever ``evaluate`` counts, it counts itself.
+    ``bind(z, out)`` returns a zero-argument evaluator that computes the same
+    values at whatever ``z`` holds when it is called, without billing,
+    writing them into ``out`` when it can, and returns the result; the views
+    of ``z`` and ``out`` it needs are made once, at binding, so a loop that
+    updates ``z`` in place binds once and calls the evaluator every step.
+    :meth:`evaluate_into` is one binding used once.  Loops that know how
+    many evaluations they made bill them in one go with :meth:`charge`, which
+    adds ``cost`` (the counter increments of one evaluation) ``k`` times to
+    ``tally``.  An operator built from ``evaluate`` alone gets a ``bind``
+    whose evaluator calls ``evaluate(z)`` and ignores ``out``, and an empty
+    ``cost``: whatever ``evaluate`` counts, it counts itself.
     """
 
     evaluate: Callable[[Vector], Vector]
     l: float
     mu: float
     domain: FeasibleSet = field(default_factory=AllSpace)
-    evaluate_into: Optional[Callable[[Vector, Vector], Vector]] = None
+    bind: Optional[Callable[[Vector, Vector], Callable[[], Vector]]] = None
     tally: Optional[OracleTally] = None
     cost: Mapping[OracleKind, int] = field(default_factory=dict)
 
@@ -88,9 +92,13 @@ class ViOperator:
             raise InvalidSpecError("strong-monotonicity modulus must be nonnegative")
         if self.cost and self.tally is None:
             raise InvalidSpecError("an operator with a cost needs a tally to bill")
-        if self.evaluate_into is None:
+        if self.bind is None:
             evaluate = self.evaluate
-            self.evaluate_into = lambda z, out: evaluate(z)
+            self.bind = lambda z, out: lambda: evaluate(z)
+
+    def evaluate_into(self, z: Vector, out: Vector) -> Vector:
+        """The values at ``z``, unbilled, in ``out`` when the operator can write there."""
+        return self.bind(z, out)()
 
     def charge(self, k: int) -> None:
         """Bill ``k`` evaluations: bump every counter of ``cost`` by ``k`` times its amount."""
@@ -118,9 +126,10 @@ def assemble_saddle_operator(
     cannot be driven by the extragradient baseline.  The operator bills the
     tally of :meth:`Metered.of(problem, tally) <saddlekit.core.Metered.of>`:
     one evaluation costs one call of each of the four gradient oracles plus
-    their declared matvecs.  ``evaluate`` bills as it goes; ``evaluate_into``
-    calls the raw oracles and leaves the billing to the caller's
-    :meth:`ViOperator.charge`.
+    their declared matvecs.  ``evaluate`` bills as it goes; the evaluators
+    that ``bind`` returns call the raw oracles on the x and y views of ``z``,
+    write the two blocks into the views of ``out``, and leave the billing to
+    the caller's :meth:`ViOperator.charge`.
     """
     mp = Metered.of(problem, tally)
     p = mp.problem
@@ -138,22 +147,27 @@ def assemble_saddle_operator(
         cost[OracleKind.MATVEC] = matvecs
     grad_r, grad_h, grad_x_f, grad_y_f = p.grad_r, p.grad_h, p.grad_x_F, p.grad_y_F
 
-    def evaluate_into(z: Vector, out: Vector) -> Vector:
+    def bind(z: Vector, out: Vector) -> Callable[[], Vector]:
         x, y = z[:nx], z[nx:]
-        np.add(grad_r(x), grad_x_f(x, y), out=out[:nx])
-        np.subtract(grad_h(y), grad_y_f(x, y), out=out[nx:])
-        return out
+        out_x, out_y = out[:nx], out[nx:]
+
+        def evaluate_bound() -> Vector:
+            np.add(grad_r(x), grad_x_f(x, y), out=out_x)
+            np.subtract(grad_h(y), grad_y_f(x, y), out=out_y)
+            return out
+
+        return evaluate_bound
 
     def evaluate(z: Vector) -> Vector:
         op.charge(1)
-        return evaluate_into(z, np.empty(dim))
+        return bind(z, np.empty(dim))()
 
     op = ViOperator(
         evaluate=evaluate,
         l=p.operator_l if p.operator_l is not None else _default_operator_l(spec),
         mu=min(spec.mu_x, spec.mu_y),
         domain=ProductSet(spec.set_x, spec.set_y, nx),
-        evaluate_into=evaluate_into,
+        bind=bind,
         tally=mp.tally,
         cost=cost,
     )
@@ -178,11 +192,13 @@ def run_mirror_prox(
     operator norm at the leading point otherwise.  ``record_every=0`` logs
     nothing.
 
-    The loop evaluates through ``op.evaluate_into`` into two buffers it owns
-    and bills the evaluations it made with ``op.charge`` before each history
-    row and on the way out, also when an evaluation raises (that evaluation
-    is billed too).  The report carries ``op.tally``, or a fresh tally when
-    the operator has none.
+    The loop evaluates through evaluators from ``op.bind`` into two buffers
+    it owns: on all of space z and w are updated in place, so it binds both
+    evaluations once per call; on a bounded domain the projections return
+    new points and it binds them every step.  It bills the evaluations it
+    made with ``op.charge`` before each history row and on the way out, also
+    when an evaluation raises (that evaluation is billed too).  The report
+    carries ``op.tally``, or a fresh tally when the operator has none.
     """
     log = RunLog(op.tally)
     if n <= 0:
@@ -195,11 +211,13 @@ def run_mirror_prox(
         isinstance(domain, ProductSet) and domain.is_all_space
     )
     project = domain.project
-    evaluate_into = op.evaluate_into
+    bind = op.bind
     w = np.empty_like(z)
     step = np.empty_like(z)
     g0_buf = np.empty_like(z)
     gw_buf = np.empty_like(z)
+    if free:
+        at_z, at_w = bind(z, g0_buf), bind(w, gw_buf)
     lead_sum = np.zeros_like(z)
     resid_sum = 0.0
     last_gw: Optional[Vector] = None
@@ -207,16 +225,15 @@ def run_mirror_prox(
     try:
         for k in range(1, int(n) + 1):
             unbilled += 1
-            g0 = evaluate_into(z, g0_buf)
             if free:
-                np.subtract(z, np.multiply(inv_l, g0, out=step), out=w)
-            else:
-                w = project(z - inv_l * g0)
-            unbilled += 1
-            gw = evaluate_into(w, gw_buf)
-            if free:
+                np.subtract(z, np.multiply(inv_l, at_z(), out=step), out=w)
+                unbilled += 1
+                gw = at_w()
                 np.subtract(z, np.multiply(inv_l, gw, out=step), out=z)
             else:
+                w = project(z - inv_l * bind(z, g0_buf)())
+                unbilled += 1
+                gw = bind(w, gw_buf)()
                 z = project(z - inv_l * gw)
             lead_sum += w
             last_gw = gw
@@ -258,7 +275,7 @@ def run_restarted_mp(
     """
     if op.mu <= 0:
         raise InvalidSpecError("restarted extragradient requires mu > 0")
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise InvalidSpecError("epsilon must be positive")
     log = RunLog(op.tally)
     z = np.array(z0, dtype=float)

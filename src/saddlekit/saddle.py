@@ -226,11 +226,13 @@ def solve_saddle(
     that exhausts its budget ends the loop with ``converged=False``, an
     infinite gap and the message in ``extras["error"]``.  An explicit ``case*``
     engine picks the route (r's prox or r's gradient); ``extras["engine"]``
-    names the case that ran, whose h part follows ``prox_friendly_h``.
+    names the case that ran, whose h part follows ``prox_friendly_h``.  An
+    ``epsilon`` that is not finite and positive (inf, NaN, zero) raises
+    :class:`~saddlekit.core.InvalidSpecError` before any oracle call.
     """
     problem.validate()
-    if epsilon <= 0:
-        raise InvalidSpecError("epsilon must be positive")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise InvalidSpecError("epsilon must be finite and positive")
     eng = _resolve_engine(problem, engine)
     mp = Metered(problem, tally)
     spec = problem.spec

@@ -254,3 +254,95 @@ class TestProxModels:
                 ref = opt.minimize(model, u, constraints=cons, method="SLSQP",
                                    options={"ftol": 1e-14, "maxiter": 500})
                 assert model(got) <= ref.fun + 1e-9
+
+
+def _reference_fgm(obj, x0, n):
+    """``run_fgm`` written with the step formula (alpha u + A x) / A' spelled out."""
+    x = np.array(x0, dtype=float)
+    u = x.copy()
+    big_a = 0.0
+    rows = []
+    for k in range(n):
+        alpha = sk.next_alpha(big_a, obj.l_smooth)
+        a_next = big_a + alpha
+        y = (alpha * u + big_a * x) / a_next
+        u = obj.prox_model(u, alpha, obj.smooth_grad(y))
+        x = (alpha * u + big_a * x) / a_next
+        big_a = a_next
+        if obj.full_value is not None:
+            rows.append((k + 1, obj.gap_at(x)))
+    return x, big_a, rows
+
+
+class TestRunFgmMatchesTheFormula:
+    @pytest.mark.parametrize("composite", [False, True])
+    @pytest.mark.parametrize("with_value", [False, True])
+    def test_bytewise(self, composite, with_value):
+        rng = np.random.default_rng(23)
+        ball = sk.EuclideanBall(np.full(5, 0.1), 0.7)
+        diag = rng.uniform(0.5, 40.0, 5)
+        obj, _ = quad_objective(diag, rng.standard_normal(5), domain=ball if composite else None)
+        if composite:
+            obj.prox_model = quadratic_prox_model(0.3, center=np.ones(5), domain=ball)
+            obj.plain_smooth = False
+        if not with_value:
+            obj.full_value = None
+        x0 = rng.standard_normal(5)
+        rep = sk.run_fgm(obj, x0, 41, 1e-3)
+        x, big_a, rows = _reference_fgm(obj, x0, 41)
+        assert rep.x_final.tobytes() == x.tobytes()
+        assert rep.extras["big_a"] == big_a
+        assert [(row.iteration, row.gap) for row in rep.history] == rows
+        assert len(rows) == (41 if with_value else 0)
+
+
+class TestSolveToGapStart:
+    def test_certified_start_runs_no_block(self, monkeypatch):
+        def no_block(*args, **kwargs):
+            raise AssertionError("a block ran")
+
+        monkeypatch.setattr(sk.fgm, "run_fgm", no_block)
+        for domain in (None, sk.EuclideanBall(np.zeros(2), 5.0)):
+            obj, x_star = quad_objective([1.0, 4.0], [1.0, 4.0], domain=domain)
+            rep = sk.solve_to_gap(obj, x_star, 1e-9)
+            assert rep.converged and rep.extras["blocks"] == 0
+
+    def test_plain_smooth_result_does_not_alias_the_start(self):
+        obj, x_star = quad_objective([1.0, 4.0], [1.0, 4.0])
+        x0 = x_star.copy()
+        rep = sk.solve_to_gap(obj, x0, 1e-9)
+        assert rep.extras["blocks"] == 0
+        assert rep.x_final is not x0
+        x0[:] = 7.0
+        assert rep.x_final.tobytes() == x_star.tobytes()
+
+    def test_nan_target_raises_before_any_call(self):
+        # `target <= 0` is False for NaN: the check must not let it run the blocks
+        calls = []
+        obj = sk.CompositeObjective(
+            smooth_grad=lambda x: calls.append(1) or x, l_smooth=1.0, mu=1.0
+        )
+        with pytest.raises(sk.InvalidSpecError):
+            sk.solve_to_gap(obj, np.ones(3), math.nan)
+        assert calls == []
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: sk.restart_count(1.0, 1.0, math.nan),
+        lambda: sk.restart_count(math.nan, 1.0, 1.0),
+        lambda: sk.run_restarted_fgm(quad_objective([1.0, 2.0])[0], np.zeros(2), math.nan, 1.0),
+        lambda: sk.run_restarted_fgm(quad_objective([1.0, 2.0])[0], np.zeros(2), 1e-6, math.nan),
+        lambda: sk.solve_inner_max(
+            sk.gen_bilinear(3, 3, 2.0, seed=1).problem(), np.ones(3), math.nan
+        ),
+        lambda: sk.run_restarted_mp(
+            sk.ViOperator(evaluate=lambda z: z, l=1.0, mu=1.0), np.ones(2), math.nan, r0=1.0
+        ),
+    ],
+    ids=["count-eps", "count-mu", "restarted-eps", "restarted-r0", "inner-delta", "mp-eps"],
+)
+def test_nan_accuracies_are_rejected(call):
+    with pytest.raises(sk.InvalidSpecError):
+        call()

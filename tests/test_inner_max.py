@@ -220,3 +220,30 @@ class TestSharedInnerObject:
         for x, ig in zip(xs, bundles):
             w = ig.witness_y
             assert ig.value == p.value_F(x, w) - p.value_h(w)
+
+
+class TestInnerTally:
+    """An InnerMax bills its own view's tally; another tally passed with it is refused."""
+
+    def test_foreign_tally_is_refused(self):
+        p = sk.gen_bilinear(3, 3, 2.0, seed=1).problem()
+        inner = sk.EnvelopeGradOracle(p, delta_env=1e-6).inner
+        other = OracleTally()
+        with pytest.raises(sk.InvalidSpecError):
+            sk.inexact_grad_g(inner, np.ones(3), 1e-6, tally=other)
+        with pytest.raises(sk.InvalidSpecError):
+            sk.solve_inner_max(inner, np.ones(3), 1e-6, tally=other)
+        with pytest.raises(sk.InvalidSpecError):
+            sk.inexact_grad_from_witness(inner, np.ones(3), np.zeros(3), 1e-6, tally=other)
+        assert other.snapshot() == {}
+        assert inner.mp.tally.snapshot() == {}
+
+    def test_own_tally_or_none_is_billed(self):
+        p = sk.gen_bilinear(3, 3, 2.0, seed=1).problem()
+        inner = sk.EnvelopeGradOracle(p, delta_env=1e-6).inner
+        a = sk.inexact_grad_g(inner, np.ones(3), 1e-6, tally=inner.mp.tally)
+        b = sk.inexact_grad_g(inner, np.ones(3), 1e-6)
+        assert a.grad.tobytes() == b.grad.tobytes()
+        assert inner.mp.tally.snapshot() == {
+            "gradx_F": 2, "grady_F": 2, "matvec": 4, "prox_h": 2
+        }

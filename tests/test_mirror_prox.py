@@ -227,3 +227,26 @@ class TestBlockBilling:
         assert rep.x_final.tobytes() == avg.tobytes()
         assert tally.count(OracleKind.MATVEC) == 1 + 8 + 8
         assert op.tally is None and rep.tally.snapshot() == {}
+
+
+class TestBind:
+    def test_evaluate_only_operator_binds_to_evaluate(self):
+        op = sk.ViOperator(evaluate=lambda z: 3.0 * z - 1.0, l=3.0, mu=3.0)
+        z = np.linspace(-1.0, 2.0, 5)
+        assert op.bind(z, np.empty(5))().tobytes() == op.evaluate(z).tobytes()
+        z[:] = 0.5  # the evaluator reads z when it is called
+        assert op.bind(z, np.empty(5))().tobytes() == op.evaluate(z).tobytes()
+
+    def test_saddle_evaluator_fills_out_and_sees_updates_in_place(self):
+        tally = OracleTally()
+        op = _metered_op(tally, seed=4)
+        z, out = np.linspace(-1.0, 1.0, 7), np.empty(7)
+        at_z = op.bind(z, out)
+        for shift in (0.0, 0.25):
+            z += shift
+            got = at_z()
+            assert got is out
+            assert got.tobytes() == op.evaluate(z).tobytes()
+        assert op.evaluate_into(z, np.empty(7)).tobytes() == out.tobytes()
+        # only the two evaluate calls were billed
+        assert tally.snapshot() == {kind.value: 2 * n for kind, n in op.cost.items()}

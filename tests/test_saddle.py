@@ -362,3 +362,14 @@ class TestDualView:
         pred_dual = sk.predict_complexity(dv.spec, True, True)
         # the self-curvature constants trade places in the predictions
         assert pred_dual.formulas["grad_y_coupling"] != pred_orig.formulas["grad_y_coupling"]
+
+
+@pytest.mark.parametrize("epsilon", [math.inf, math.nan, 0.0, -1.0])
+def test_non_finite_accuracy_raises_before_any_call(epsilon):
+    # an infinite accuracy must never come back converged, and NaN must not
+    # surface as a bare ValueError from the restart schedule
+    tally = sk.OracleTally()
+    p = sk.gen_bilinear(4, 4, 5.0, seed=1, mu_x=4.0, mu_y=4.0).problem()
+    with pytest.raises(sk.InvalidSpecError, match="epsilon"):
+        sk.solve_saddle(p, epsilon, r_x=10.0, r_y=10.0, tally=tally)
+    assert tally.snapshot() == {}
