@@ -61,7 +61,7 @@ class CompositeObjective:
     plain_smooth: bool = False  # no composite beyond the domain indicator
 
     def __post_init__(self):
-        if self.l_smooth <= 0:
+        if not self.l_smooth > 0:
             raise InvalidSpecError("l_smooth must be positive")
         if self.prox_model is None:
             self.plain_smooth = True
@@ -75,7 +75,7 @@ class CompositeObjective:
 
 def next_alpha(big_a: float, l: float) -> float:
     """Larger root of  l * alpha^2 = big_a + alpha."""
-    if l <= 0:
+    if not l > 0:
         raise InvalidSpecError("smoothness constant must be positive")
     return (1.0 + math.sqrt(1.0 + 4.0 * l * big_a)) / (2.0 * l)
 
@@ -125,8 +125,8 @@ def run_fgm(
 
 def restart_budget(l: float, mu: float) -> int:
     """Iterations per restart block, N = ceil(3 sqrt(2 L / mu))."""
-    if mu <= 0:
-        raise InvalidSpecError("restart budget requires mu > 0")
+    if not (l > 0 and mu > 0):
+        raise InvalidSpecError("restart budget requires positive L and mu")
     return int(math.ceil(3.0 * math.sqrt(2.0 * l / mu)))
 
 
@@ -145,7 +145,6 @@ def run_restarted_fgm(
     x0: Vector,
     epsilon: float,
     r0: float,
-    fixed_delta: Optional[float] = None,
     tally: Optional[OracleTally] = None,
 ) -> SolveReport:
     """Restarted accelerated method for ``mu``-strongly convex objectives.
@@ -153,19 +152,21 @@ def run_restarted_fgm(
     ``r0`` upper-bounds the starting distance ``||x0 - x*||``.  Each restart
     runs a block of :func:`restart_budget` iterations and halves the
     certified squared distance; :func:`restart_count` restarts are scheduled.
-    Before every block the per-call oracle inexactness is passed to
-    ``obj.set_delta`` (when provided): ``fixed_delta`` when given, otherwise
-    the schedule delta_j = L D_j^2 / (4 N^3), which keeps the accumulated
-    oracle error below L D_j^2 / (4 N^2) per block.
+    Before every block the per-call oracle inexactness of the schedule
+    delta_j = L D_j^2 / (4 N^3) is passed to ``obj.set_delta`` (when
+    provided); it keeps the accumulated oracle error below L D_j^2 / (4 N^2)
+    per block, so early blocks, whose squared distance D_j^2 is large, ask
+    for coarse oracles and later ones for fine.
 
     The wrapper restarts until the running worst-case objective bound, the
     returned ``certified_gap``, is at most ``epsilon`` (then ``converged``),
-    for at most 4 p + 64 blocks.  With the scheduled delta_j each block's
-    bound is at most mu D_j^2 / 4, since N^2 >= 18 L / mu, so the p scheduled
-    blocks bring it to mu r0^2 / 2^(p+1) <= epsilon / 2 and the run stops
-    there; only a larger ``fixed_delta`` can need more blocks.
+    for at most 4 p + 64 blocks.  Each block's bound is at most
+    mu D_j^2 / 4, since N^2 >= 18 L / mu, so the p scheduled blocks bring it
+    to mu r0^2 / 2^(p+1) <= epsilon / 2 and the run stops there.  A NaN or
+    non-positive ``mu``, ``l_smooth``, ``epsilon`` or ``r0`` raises
+    :class:`~saddlekit.core.InvalidSpecError` before any oracle call.
     """
-    if obj.mu <= 0:
+    if not obj.mu > 0:
         raise InvalidSpecError("restarted method requires mu > 0")
     if not (epsilon > 0 and r0 > 0):
         raise InvalidSpecError("epsilon and r0 must be positive")
@@ -179,7 +180,7 @@ def run_restarted_fgm(
     bound = float("inf")
     restarts = 0
     while restarts < 4 * p + 64:
-        delta_j = l * d_sq / (4.0 * n_j**3) if fixed_delta is None else fixed_delta
+        delta_j = l * d_sq / (4.0 * n_j**3)
         if obj.set_delta is not None:
             obj.set_delta(delta_j)
         x = run_fgm(obj, x, n_j, delta_j, tally=log.tally).x_final
@@ -207,7 +208,7 @@ def certificate(obj: CompositeObjective, x: Vector) -> tuple[float, Vector]:
     Costs one smooth-gradient call plus (in the composite case) one
     prox-model call; both go through the metered closures.
     """
-    if obj.mu <= 0:
+    if not obj.mu > 0:
         raise InvalidSpecError("certificate requires mu > 0")
     g = obj.smooth_grad(x)
     if obj.plain_smooth and isinstance(obj.domain, AllSpace):

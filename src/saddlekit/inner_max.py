@@ -249,7 +249,7 @@ class EnvelopeGradOracle:
         return self._inner
 
     def set_delta(self, delta_env: float) -> None:
-        if delta_env <= 0:
+        if not delta_env > 0:
             raise InvalidSpecError("envelope inexactness must be positive")
         self._delta_env = float(delta_env)
 

@@ -86,9 +86,9 @@ class ViOperator:
     cost: Mapping[OracleKind, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.l <= 0:
+        if not self.l > 0:
             raise InvalidSpecError("operator Lipschitz constant must be positive")
-        if self.mu < 0:
+        if not self.mu >= 0:
             raise InvalidSpecError("strong-monotonicity modulus must be nonnegative")
         if self.cost and self.tally is None:
             raise InvalidSpecError("an operator with a cost needs a tally to bill")

@@ -194,8 +194,8 @@ def duality_gap(
 
 def _default_radius(feasible, label: str, r: Optional[float]) -> float:
     if r is not None:
-        if r <= 0:
-            raise InvalidSpecError(f"{label} must be positive")
+        if not (math.isfinite(r) and r > 0):
+            raise InvalidSpecError(f"{label} must be finite and positive")
         return float(r)
     if isinstance(feasible, EuclideanBall):
         return 2.0 * feasible.radius
@@ -227,8 +227,9 @@ def solve_saddle(
     infinite gap and the message in ``extras["error"]``.  An explicit ``case*``
     engine picks the route (r's prox or r's gradient); ``extras["engine"]``
     names the case that ran, whose h part follows ``prox_friendly_h``.  An
-    ``epsilon`` that is not finite and positive (inf, NaN, zero) raises
-    :class:`~saddlekit.core.InvalidSpecError` before any oracle call.
+    ``epsilon``, ``r_x`` or ``r_y`` that is not finite and positive (inf, NaN,
+    zero) raises :class:`~saddlekit.core.InvalidSpecError` naming it, before
+    any oracle call.
     """
     problem.validate()
     if not (math.isfinite(epsilon) and epsilon > 0):
@@ -299,11 +300,18 @@ def _attempts_report(log, x, y, epsilon, cert, failure, reports, **extras) -> So
 
 
 def _case1_outer(mp, oracle, x0, eps_f, r0, mu_f, l_env) -> SolveReport:
-    """Restarted accelerated outer loop with composite r and inexact g-gradients."""
+    """Restarted accelerated outer loop with composite r and inexact g-gradients.
+
+    The inner maximizations follow :func:`~saddlekit.fgm.run_restarted_fgm`'s
+    schedule: before block j the oracle is asked for the envelope
+    inexactness delta_j = l_env D_j^2 / (4 N^3), where D_0 = ``r0`` and
+    D_j^2 at least halves from block to block.  Early blocks thus run cheap,
+    coarse inner solves and only the last ones pay for accuracy near
+    ``eps_f``.  When the inner max is one exact prox the accuracy is never
+    read and the counts do not depend on it.
+    """
     if mp.problem.prox_r is None:
         raise UnsupportedProblemError("this route needs the prox oracle of r")
-    n_j = fgm.restart_budget(l_env, mu_f)
-    gamma = eps_f / (8.0 * n_j)
     obj = fgm.CompositeObjective(
         smooth_grad=oracle,
         l_smooth=l_env,
@@ -312,14 +320,7 @@ def _case1_outer(mp, oracle, x0, eps_f, r0, mu_f, l_env) -> SolveReport:
         domain=mp.spec.set_x,
         set_delta=oracle.set_delta,
     )
-    return fgm.run_restarted_fgm(
-        obj,
-        x0,
-        eps_f,
-        r0=r0,
-        fixed_delta=2.0 * gamma,
-        tally=mp.tally,
-    )
+    return fgm.run_restarted_fgm(obj, x0, eps_f, r0=r0, tally=mp.tally)
 
 
 def _sliding_outer(mp, oracle, x0, eps_f, mu_from_g, l_env) -> SolveReport:

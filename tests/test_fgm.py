@@ -346,3 +346,31 @@ class TestSolveToGapStart:
 def test_nan_accuracies_are_rejected(call):
     with pytest.raises(sk.InvalidSpecError):
         call()
+
+
+def _nan_objective(l_smooth=1.0, mu=1.0):
+    return sk.CompositeObjective(smooth_grad=lambda x: x, l_smooth=l_smooth, mu=mu)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: _nan_objective(l_smooth=math.nan),
+        lambda: sk.run_restarted_fgm(_nan_objective(mu=math.nan), np.ones(2), 1e-6, 1.0),
+        lambda: sk.restart_budget(math.nan, 1.0),
+        lambda: sk.restart_budget(1.0, math.nan),
+        lambda: sk.next_alpha(0.0, math.nan),
+        lambda: sk.ViOperator(evaluate=lambda z: z, l=math.nan, mu=1.0),
+        lambda: sk.ViOperator(evaluate=lambda z: z, l=1.0, mu=math.nan),
+        lambda: sk.EnvelopeGradOracle(sk.gen_bilinear(3, 3, 2.0, seed=1).problem(), math.nan),
+    ],
+    ids=[
+        "objective-l", "restarted-mu", "budget-l", "budget-mu", "alpha-l", "operator-l",
+        "operator-mu", "envelope-delta",
+    ],
+)
+def test_nan_declared_constants_are_rejected(call):
+    # `x <= 0` is False for NaN: each guard must reject it with a typed error,
+    # not let it through to a bare ValueError from int(ceil(nan)) later
+    with pytest.raises(sk.InvalidSpecError):
+        call()

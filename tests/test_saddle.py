@@ -129,21 +129,21 @@ PINNED_TALLIES = [
     ),
     (
         "quadratic", (10, 8, 10.0), None, "case1",
-        {"grad_h": 1, "grad_r": 1, "gradx_F": 218, "grady_F": 422, "matvec": 640,
-         "prox_h": 421, "prox_r": 216},
+        {"grad_h": 1, "grad_r": 1, "gradx_F": 218, "grady_F": 236, "matvec": 454,
+         "prox_h": 235, "prox_r": 216},
     ),
     (
         "quadratic", (12, 12, 20.0), (False, True), "case2",
-        {"grad_h": 1, "grad_r": 23, "gradx_F": 154, "grady_F": 580, "matvec": 734,
-         "prox_h": 579},
+        {"grad_h": 1, "grad_r": 23, "gradx_F": 144, "grady_F": 198, "matvec": 342,
+         "prox_h": 197},
     ),
     (
         "quadratic", (12, 12, 20.0), (False, False), "case4",
-        {"grad_h": 542, "grad_r": 23, "gradx_F": 164, "grady_F": 542, "matvec": 706},
+        {"grad_h": 278, "grad_r": 23, "gradx_F": 164, "grady_F": 278, "matvec": 442},
     ),
     (
         "quadratic", (12, 12, 20.0), (True, False), "case3",
-        {"grad_h": 458, "grad_r": 1, "gradx_F": 272, "grady_F": 458, "matvec": 730,
+        {"grad_h": 434, "grad_r": 1, "gradx_F": 272, "grady_F": 434, "matvec": 706,
          "prox_r": 270},
     ),
 ]
@@ -186,6 +186,70 @@ def test_smooth_r_costs_the_order_of_prox_r(gen, seed):
         assert rep.converged
         matvecs[prox_friendly_r] = rep.tally.count(OracleKind.MATVEC)
     assert matvecs[False] <= 2 * matvecs[True], matvecs
+
+
+def test_case1_inner_accuracy_follows_the_restart_schedule(monkeypatch):
+    # each restart block asks the inner maximization for the envelope
+    # inexactness delta_j = L D_j^2 / (4 N^3), from D_0 = r_x down
+    asked = []
+    set_delta = inner_max.EnvelopeGradOracle.set_delta
+
+    def recording_set_delta(self, delta_env):
+        asked.append(delta_env)
+        set_delta(self, delta_env)
+
+    monkeypatch.setattr(inner_max.EnvelopeGradOracle, "set_delta", recording_set_delta)
+    inst = sk.gen_quadratic_saddle(10, 8, 10.0, seed=5, mu_x=4.0, mu_y=4.0)
+    r_x, r_y = _criterion11_radii(inst)
+    eps = 1e-6
+    rep = sk.solve_saddle(inst.problem(), eps, engine="case1", r_x=r_x, r_y=r_y)
+    assert rep.converged and rep.extras["attempts"] == 1
+    assert asked[0] == eps  # the oracle's construction, before any block
+    blocks = asked[1:]
+    assert len(blocks) == len(rep.history) > 1  # one history row per block
+    mu = rep.extras["outer_modulus"]
+    l_env = max(2.0 * sk.effective_smoothness(inst.problem().spec), mu)
+    n = sk.restart_budget(l_env, mu)
+    expected, d_sq = [], r_x**2
+    for _ in blocks:
+        expected.append(l_env * d_sq / (4.0 * n**3))
+        bound = 4.0 * l_env * d_sq / (n + 1) ** 2 + 2.0 * n * expected[-1]
+        d_sq = min(d_sq, 2.0 * bound / mu)
+    assert blocks == pytest.approx(expected, rel=1e-12)
+    assert all(b <= a for a, b in zip(blocks, blocks[1:]))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_splitting_route_passes_the_benchmark_gate(seed):
+    # seeded quadratic saddles on case2 (even seeds) and case4 (odd seeds):
+    # certified to 1e-6 and within 1e-3 of the closed-form saddle
+    rng = np.random.default_rng([seed, 11])
+    n = int(rng.integers(10, 31))
+    inst = sk.gen_quadratic_saddle(
+        n, n, float(rng.uniform(10.0, 50.0)), seed=100 + seed, mu_x=4.0, mu_y=4.0
+    )
+    problem = inst.problem()
+    problem.prox_friendly_r, problem.prox_friendly_h = False, seed % 2 == 0
+    r_x, r_y = _criterion11_radii(inst)
+    rep = sk.solve_saddle(problem, 1e-6, r_x=r_x, r_y=r_y)
+    assert rep.extras["engine"] == ("case2" if seed % 2 == 0 else "case4")
+    assert rep.converged and rep.certified_gap <= 1e-6
+    dist = math.hypot(
+        float(np.linalg.norm(rep.x_final - inst.closed_form_x)),
+        float(np.linalg.norm(rep.y_final - inst.closed_form_y)),
+    )
+    assert dist <= 1e-3
+
+
+@pytest.mark.parametrize("radius", [math.inf, math.nan, 0.0])
+@pytest.mark.parametrize("label", ["r_x", "r_y"])
+def test_bad_radius_is_rejected_by_name(label, radius):
+    tally = sk.OracleTally()
+    p = sk.gen_bilinear(4, 4, 5.0, seed=1, mu_x=4, mu_y=4).problem()
+    radii = {"r_x": 10.0, "r_y": 10.0, label: radius}
+    with pytest.raises(sk.InvalidSpecError, match=label):
+        sk.solve_saddle(p, 1e-6, tally=tally, **radii)
+    assert tally.snapshot() == {}
 
 
 @pytest.mark.parametrize("engine", ["case1", "case2", "case3", "case4"])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -305,6 +306,30 @@ class TestCatalyst:
         ref = sk.catalyst_solve(obj_raw, np.zeros(2), 2.0, 1e-8, spec=spec, tally=tally_raw)
         assert rep.x_final.tobytes() == ref.x_final.tobytes()
         assert tally == tally_raw
+
+    def test_term_accuracies_follow_the_certificate(self):
+        # each inexact term is asked for max(delta_req, mu cert / (16 l_t)),
+        # cert = ||grad P(x_k)||^2 / (2 mu) the outer certificate logged before
+        # the subproblem; the first certificate runs at the floor delta_req
+        rdiag, gdiag, b = [1.0, 0.7], [0.5, 30.0], [1.0, -2.0]
+        obj, tally = two_term_quadratic(rdiag, gdiag, b)
+        asked = {"r": [], "g": []}
+        obj = dataclasses.replace(
+            obj, f_star=None, set_delta_r=asked["r"].append, set_delta_g=asked["g"].append
+        )
+        spec = sk.SlidingSpec(l_r=1.0, l_g=30.0, mu_r=0.7, mu_g=0.5)
+        eps = 1e-8
+        rep = sk.catalyst_solve(obj, np.zeros(2), 1.0, eps, spec=spec, tally=tally)
+        assert rep.converged
+        certs = [row.gap for row in rep.history][:-1]  # the last one stopped the loop
+        assert len(certs) == rep.extras["outer_iterations"] >= 2
+        delta_req = eps / 12.0 * math.sqrt(spec.mu / (spec.l_r + spec.l_g))
+        for term, l_t in (("r", spec.l_r), ("g", spec.l_g)):
+            rule = [max(delta_req, spec.mu * c / (16.0 * l_t)) for c in certs]
+            assert asked[term] == pytest.approx([delta_req] + rule, rel=1e-12)
+            assert min(asked[term]) >= delta_req
+        # the rule loosens the early subproblems, and the floor binds at the end
+        assert asked["g"][1] > delta_req == asked["g"][-1]
 
     def test_gradient_split_scaling(self):
         # reg weight at l_r: g-gradient calls stay within a small factor of
