@@ -24,7 +24,6 @@ from .core import (
     effective_smoothness,
     regularize,
     regularize_problem,
-    tally_merge,
 )
 from .fgm import (
     CompositeObjective,
@@ -41,7 +40,6 @@ from .inner_max import (
     envelope_check,
     inexact_grad_from_witness,
     inexact_grad_g,
-    solve_inner_max,
 )
 from .mirror_prox import (
     ViOperator,
@@ -56,7 +54,6 @@ from .saddle import (
     dual_view,
     duality_gap,
     predict_complexity,
-    smooth_matrix_game,
     solve_saddle,
 )
 from .sliding import (
@@ -135,9 +132,7 @@ __all__ = [
     "run_restarted_fgm",
     "run_restarted_mp",
     "sliding_solve",
-    "smooth_matrix_game",
-    "solve_inner_max",
+    "solve_saddle",
     "solve_to_gap",
     "spectral",
-    "tally_merge",
 ]

@@ -137,8 +137,7 @@ _SNAPSHOT_ORDER = tuple((k, k.value) for k in sorted(OracleKind, key=lambda k: k
 class OracleTally:
     """Monotone per-kind call counters.
 
-    Counters only ever increase within a run; tallies from independent runs
-    are combined with :func:`tally_merge`.
+    Counters only ever increase within a run.
     """
 
     __slots__ = ("_counts",)
@@ -180,14 +179,6 @@ class OracleTally:
 
     def __repr__(self) -> str:
         return f"OracleTally({self.snapshot()})"
-
-
-def tally_merge(a: OracleTally, b: OracleTally) -> OracleTally:
-    """Componentwise sum of two tallies; inputs are left untouched."""
-    out = a.copy()
-    for kind in OracleKind:
-        out.bump(kind, b.count(kind))
-    return out
 
 
 def counted(fn: Callable, tally: OracleTally, kind: OracleKind, matvecs: int = 0) -> Callable:
@@ -282,7 +273,7 @@ class SaddleProblem:
 
     Oracles must be pure functions of their inputs; counting is layered on
     per run via :class:`Metered`, so independent runs may execute
-    concurrently and merge tallies afterwards.
+    concurrently, each billing its own tally.
     """
 
     spec: SaddleSpec
@@ -472,11 +463,6 @@ class HistoryRow:
     tally: dict[str, int]
     wall_ms: float
 
-    def deterministic_view(self) -> tuple:
-        # wall-clock excluded: it is the one field that legitimately varies
-        # between otherwise identical runs
-        return (self.iteration, self.gap, tuple(sorted(self.tally.items())))
-
 
 @dataclass
 class SolveReport:
@@ -488,10 +474,6 @@ class SolveReport:
     y_final: Optional[Vector] = None
     wall_ms: float = 0.0
     extras: dict = field(default_factory=dict)
-
-    def history_key(self) -> tuple:
-        """Hashable view of the history used by determinism checks."""
-        return tuple(row.deterministic_view() for row in self.history)
 
 
 class RunLog:

@@ -132,8 +132,10 @@ def restart_budget(l: float, mu: float) -> int:
 
 def restart_count(mu: float, r0_sq: float, epsilon: float) -> int:
     """Scheduled restarts, p = ceil(log2(mu R^2 / eps)), at least one."""
-    if not (mu > 0 and epsilon > 0 and r0_sq > 0):
-        raise InvalidSpecError("restart count requires positive mu, radius, epsilon")
+    if not (mu > 0 and epsilon > 0):
+        raise InvalidSpecError("restart count requires positive mu and epsilon")
+    if not (math.isfinite(r0_sq) and r0_sq > 0):
+        raise InvalidSpecError("r0 must be finite and positive")
     ratio = mu * r0_sq / epsilon
     if ratio <= 1.0:
         return 1
@@ -163,13 +165,16 @@ def run_restarted_fgm(
     for at most 4 p + 64 blocks.  Each block's bound is at most
     mu D_j^2 / 4, since N^2 >= 18 L / mu, so the p scheduled blocks bring it
     to mu r0^2 / 2^(p+1) <= epsilon / 2 and the run stops there.  A NaN or
-    non-positive ``mu``, ``l_smooth``, ``epsilon`` or ``r0`` raises
-    :class:`~saddlekit.core.InvalidSpecError` before any oracle call.
+    non-positive ``mu``, ``l_smooth``, ``epsilon`` or ``r0``, or an infinite
+    ``r0``, raises :class:`~saddlekit.core.InvalidSpecError` before any
+    oracle call.
     """
     if not obj.mu > 0:
         raise InvalidSpecError("restarted method requires mu > 0")
-    if not (epsilon > 0 and r0 > 0):
-        raise InvalidSpecError("epsilon and r0 must be positive")
+    if not epsilon > 0:
+        raise InvalidSpecError("epsilon must be positive")
+    if not (math.isfinite(r0) and r0 > 0):
+        raise InvalidSpecError("r0 must be finite and positive")
     log = RunLog(tally)
     l, mu = obj.l_smooth, obj.mu
     n_j = restart_budget(l, mu)

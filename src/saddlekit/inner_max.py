@@ -103,7 +103,17 @@ class InnerMax:
     def solve(
         self, x: Vector, delta: float, y0: Optional[Vector] = None, max_blocks: int = 256
     ) -> Vector:
-        """Certified delta-accurate maximizer of F(x, .) - h(.); see :func:`solve_inner_max`."""
+        """Return a certified delta-accurate maximizer of F(x, .) - h(.).
+
+        The stopping rule never touches g(x) itself: for an unconstrained smooth
+        inner problem the gap is bounded by ||grad||^2 / (2 mu_y); in the
+        composite or constrained case by the proximal-gradient-mapping analogue.
+        When the coupling gradient in y is constant (l_yy = 0) and h is
+        prox-friendly, a single prox call solves the subproblem exactly.
+
+        Raises :class:`~saddlekit.core.BudgetExceededError` (carrying the best
+        iterate) if the block cap is hit before certification.
+        """
         if not delta > 0:
             raise InvalidSpecError("inner accuracy delta must be positive")
         mp = self.mp
@@ -148,29 +158,6 @@ def _as_inner(problem, tally: Optional[OracleTally]) -> InnerMax:
             )
         return problem
     return InnerMax(Metered.of(problem, tally))
-
-
-def solve_inner_max(
-    problem: SaddleProblem | Metered | InnerMax,
-    x: Vector,
-    delta: float,
-    y0: Optional[Vector] = None,
-    max_blocks: int = 256,
-    tally: Optional[OracleTally] = None,
-) -> tuple[Vector, OracleTally]:
-    """Return a certified delta-accurate maximizer of F(x, .) - h(.).
-
-    The stopping rule never touches g(x) itself: for an unconstrained smooth
-    inner problem the gap is bounded by ||grad||^2 / (2 mu_y); in the
-    composite or constrained case by the proximal-gradient-mapping analogue.
-    When the coupling gradient in y is constant (l_yy = 0) and h is
-    prox-friendly, a single prox call solves the subproblem exactly.
-
-    Raises :class:`~saddlekit.core.BudgetExceededError` (carrying the best
-    iterate) if the block cap is hit before certification.
-    """
-    inner = _as_inner(problem, tally)
-    return inner.solve(x, delta, y0, max_blocks), inner.mp.tally
 
 
 def inexact_grad_g(
@@ -241,7 +228,6 @@ class EnvelopeGradOracle:
         self._inner = _as_inner(problem, tally)
         self.set_delta(delta_env)
         self._warm: Optional[Vector] = None
-        self.last_bundle: Optional[InexactGrad] = None
 
     @property
     def inner(self) -> InnerMax:
@@ -256,7 +242,6 @@ class EnvelopeGradOracle:
     def bundle(self, x: Vector) -> InexactGrad:
         ig = inexact_grad_g(self._inner, x, 0.5 * self._delta_env, y0=self._warm)
         self._warm = ig.witness_y
-        self.last_bundle = ig
         return ig
 
     def __call__(self, x: Vector) -> Vector:

@@ -63,25 +63,21 @@ class ProductSet:
 class ViOperator:
     """Lipschitz (possibly strongly) monotone operator on a feasible set.
 
-    ``evaluate(z)`` returns a fresh array and bills one evaluation.
-    ``bind(z, out)`` returns a zero-argument evaluator that computes the same
-    values at whatever ``z`` holds when it is called, without billing,
-    writing them into ``out`` when it can, and returns the result; the views
-    of ``z`` and ``out`` it needs are made once, at binding, so a loop that
-    updates ``z`` in place binds once and calls the evaluator every step.
-    :meth:`evaluate_into` is one binding used once.  Loops that know how
-    many evaluations they made bill them in one go with :meth:`charge`, which
-    adds ``cost`` (the counter increments of one evaluation) ``k`` times to
-    ``tally``.  An operator built from ``evaluate`` alone gets a ``bind``
-    whose evaluator calls ``evaluate(z)`` and ignores ``out``, and an empty
-    ``cost``: whatever ``evaluate`` counts, it counts itself.
+    ``bind(z, out)`` is the one hook: it returns a zero-argument evaluator
+    that computes the values at whatever ``z`` holds when it is called,
+    without billing, writing them into ``out`` when it can, and returns the
+    result; the views of ``z`` and ``out`` it needs are made once, at
+    binding, so a loop that updates ``z`` in place binds once and calls the
+    evaluator every step.  Loops that know how many evaluations they made
+    bill them in one go with :meth:`charge`, which adds ``cost`` (the counter
+    increments of one evaluation) ``k`` times to ``tally``.  :meth:`evaluate`
+    is one binding used once, billed as one evaluation.
     """
 
-    evaluate: Callable[[Vector], Vector]
+    bind: Callable[[Vector, Vector], Callable[[], Vector]]
     l: float
     mu: float
     domain: FeasibleSet = field(default_factory=AllSpace)
-    bind: Optional[Callable[[Vector, Vector], Callable[[], Vector]]] = None
     tally: Optional[OracleTally] = None
     cost: Mapping[OracleKind, int] = field(default_factory=dict)
 
@@ -92,13 +88,11 @@ class ViOperator:
             raise InvalidSpecError("strong-monotonicity modulus must be nonnegative")
         if self.cost and self.tally is None:
             raise InvalidSpecError("an operator with a cost needs a tally to bill")
-        if self.bind is None:
-            evaluate = self.evaluate
-            self.bind = lambda z, out: lambda: evaluate(z)
 
-    def evaluate_into(self, z: Vector, out: Vector) -> Vector:
-        """The values at ``z``, unbilled, in ``out`` when the operator can write there."""
-        return self.bind(z, out)()
+    def evaluate(self, z: Vector) -> Vector:
+        """Bill one evaluation and return the values at ``z``, computed into a new array."""
+        self.charge(1)
+        return self.bind(z, np.empty_like(z, dtype=float))()
 
     def charge(self, k: int) -> None:
         """Bill ``k`` evaluations: bump every counter of ``cost`` by ``k`` times its amount."""
@@ -126,10 +120,10 @@ def assemble_saddle_operator(
     cannot be driven by the extragradient baseline.  The operator bills the
     tally of :meth:`Metered.of(problem, tally) <saddlekit.core.Metered.of>`:
     one evaluation costs one call of each of the four gradient oracles plus
-    their declared matvecs.  ``evaluate`` bills as it goes; the evaluators
-    that ``bind`` returns call the raw oracles on the x and y views of ``z``,
-    write the two blocks into the views of ``out``, and leave the billing to
-    the caller's :meth:`ViOperator.charge`.
+    their declared matvecs.  The evaluators that ``bind`` returns call the raw
+    oracles on the x and y views of ``z``, write the two blocks into the views
+    of ``out``, and leave the billing to the caller's
+    :meth:`ViOperator.charge`.
     """
     mp = Metered.of(problem, tally)
     p = mp.problem
@@ -139,7 +133,6 @@ def assemble_saddle_operator(
         )
     spec = mp.spec
     nx = spec.dim_x
-    dim = nx + spec.dim_y
     kinds = (OracleKind.GRAD_R, OracleKind.GRAD_X_F, OracleKind.GRAD_H, OracleKind.GRAD_Y_F)
     cost = dict.fromkeys(kinds, 1)
     matvecs = sum(p.matvec_cost.get(k, 0) for k in kinds)
@@ -158,20 +151,14 @@ def assemble_saddle_operator(
 
         return evaluate_bound
 
-    def evaluate(z: Vector) -> Vector:
-        op.charge(1)
-        return bind(z, np.empty(dim))()
-
-    op = ViOperator(
-        evaluate=evaluate,
+    return ViOperator(
+        bind=bind,
         l=p.operator_l if p.operator_l is not None else _default_operator_l(spec),
         mu=min(spec.mu_x, spec.mu_y),
         domain=ProductSet(spec.set_x, spec.set_y, nx),
-        bind=bind,
         tally=mp.tally,
         cost=cost,
     )
-    return op
 
 
 def run_mirror_prox(
@@ -192,8 +179,7 @@ def run_mirror_prox(
     operator norm at the leading point otherwise.  ``record_every=0`` logs
     nothing.
 
-    The loop evaluates through evaluators from ``op.bind`` into two buffers
-    it owns: on all of space z and w are updated in place, so it binds both
+    The loop evaluates only through ``op.bind``, into two buffers it owns: on all of space z and w are updated in place, so it binds both
     evaluations once per call; on a bounded domain the projections return
     new points and it binds them every step.  It bills the evaluations it
     made with ``op.charge`` before each history row and on the way out, also
@@ -271,7 +257,9 @@ def run_restarted_mp(
     eps / mu.  A free residual check (strong monotonicity bounds the distance
     by ||G(w)|| / mu) allows early exit.  Each block bills ``op.tally`` as
     :func:`run_mirror_prox` does; the report carries that tally, or a fresh
-    one when the operator has none.
+    one when the operator has none.  An ``r0`` that is NaN, infinite or
+    negative raises :class:`~saddlekit.core.InvalidSpecError` before any
+    evaluation.
     """
     if op.mu <= 0:
         raise InvalidSpecError("restarted extragradient requires mu > 0")
@@ -284,6 +272,8 @@ def run_restarted_mp(
             r0 = 2.0 * op.domain.radius
         else:
             raise InvalidSpecError("r0 (starting distance bound) required on unbounded domains")
+    if not (math.isfinite(r0) and r0 >= 0):
+        raise InvalidSpecError("r0 must be finite and nonnegative")
     n_j = int(math.ceil(op.l / op.mu))
     ratio = op.mu * r0 * r0 / epsilon
     p = max(1, int(math.ceil(math.log2(ratio)))) if ratio > 1.0 else 1

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import enum
 import math
-import warnings
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -243,60 +242,74 @@ def solve_saddle(
     r_x = _default_radius(spec.set_x, "r_x", r_x)
     r_y = _default_radius(spec.set_y, "r_y", r_y)
 
+    extras = {"engine": eng.value, "attempts": 0}
     if eng is Engine.MIRROR_PROX:
-        return _solve_via_extragradient(mp, epsilon, x_cur, y_cur, r_x, r_y, log)
-
-    mu_f, mu_from_g = _outer_modulus(problem)
-    # a decoupled problem (zero coupling) leaves the partial max flat; any
-    # positive envelope constant is then valid
-    l_env = max(2.0 * effective_smoothness(spec), mu_f)
-    oracle = inner_max.EnvelopeGradOracle(mp, delta_env=epsilon)
-    eps_f = 0.5 * epsilon
-    gamma_w = 0.25 * epsilon  # accuracy of the witness behind the certificate
-    cert_eps = epsilon / 8.0
-    r_cur = r_x
-    cert = failure = None
-    outer_reports = []
+        route = _extragradient_attempts(mp, epsilon, x_cur, y_cur, math.hypot(r_x, r_y))
+    else:
+        mu_f, mu_from_g = _outer_modulus(problem)
+        extras["outer_modulus"] = mu_f
+        route = _splitting_attempts(mp, eng, epsilon, x_cur, y_cur, r_x, mu_f, mu_from_g)
+    cert = None
+    reports = []
     attempts = 0
     try:
         for attempts in range(1, MAX_ATTEMPTS + 1):
-            if eng in (Engine.CASE1, Engine.CASE3):  # prox-friendly r
-                rep = _case1_outer(mp, oracle, x_cur, eps_f, r_cur, mu_f, l_env)
-            else:
-                rep = _sliding_outer(mp, oracle, x_cur, eps_f, mu_from_g, l_env)
-            outer_reports.append(rep)
-            if rep.certified_gap < float("inf") and mu_f > 0:
-                r_cur = min(r_cur, math.sqrt(max(2.0 * rep.certified_gap / mu_f, 0.0)))
-            ig = inner_max.inexact_grad_g(oracle.inner, rep.x_final, gamma_w, y0=y_cur)
-            x_cur, y_cur = rep.x_final, ig.witness_y
-            cert = duality_gap(mp, x_cur, y_cur, r_x, r_y, cert_eps)
+            rep, x_cur, y_cur = next(route)  # resuming a route tightens its accuracy
+            reports.append(rep)
+            cert = duality_gap(mp, x_cur, y_cur, r_x, r_y, epsilon / 8.0)
             if cert.gap <= epsilon:
                 break
-            eps_f *= 0.125
-            gamma_w *= 0.125
     except BudgetExceededError as err:
-        failure = str(err)
-    return _attempts_report(
-        log, x_cur, y_cur, epsilon, cert, failure, outer_reports,
-        engine=eng.value, attempts=attempts, outer_modulus=mu_f,
-    )
-
-
-def _attempts_report(log, x, y, epsilon, cert, failure, reports, **extras) -> SolveReport:
-    """Report of an attempt loop, certified only by a passed, uninterrupted certificate.
-
-    A ``failure`` (the message of a :class:`BudgetExceededError` from an
-    inner or certificate solve) leaves the last completed pair unconverged,
-    with an infinite gap and the message in ``extras["error"]``.  The history
-    is the attempts' rows in order, renumbered with a global iteration index.
-    """
-    if failure is not None:
         cert = None
-        extras["error"] = failure
+        extras["error"] = str(err)
+    extras["attempts"] = attempts
+    # the attempts' rows in order, renumbered with a global iteration index
     rows = [row for rep in reports for row in rep.history]
     log.history = [replace(row, iteration=i) for i, row in enumerate(rows, 1)]
     gap = cert.gap if cert is not None else float("inf")
-    return log.report(x, gap, gap <= epsilon, y=y, certificate=cert, **extras)
+    return log.report(x_cur, gap, gap <= epsilon, y=y_cur, certificate=cert, **extras)
+
+
+def _splitting_attempts(mp, eng, epsilon, x, y, r0, mu_f, mu_from_g):
+    """Attempts of the prox-r and splitting routes, one ``(report, x, y)`` per resumption.
+
+    Each attempt runs the outer loop to ``eps_f``, then a witness inner max
+    to ``gamma_w`` gives the dual point; resuming tightens both by 8.  The
+    outer loop's certified gap shrinks the starting-distance bound ``r0``.
+    """
+    # a decoupled problem (zero coupling) leaves the partial max flat; any
+    # positive envelope constant is then valid
+    l_env = max(2.0 * effective_smoothness(mp.spec), mu_f)
+    oracle = inner_max.EnvelopeGradOracle(mp, delta_env=epsilon)
+    eps_f = 0.5 * epsilon
+    gamma_w = 0.25 * epsilon  # accuracy of the witness behind the certificate
+    while True:
+        if eng in (Engine.CASE1, Engine.CASE3):  # prox-friendly r
+            rep = _case1_outer(mp, oracle, x, eps_f, r0, mu_f, l_env)
+        else:
+            rep = _sliding_outer(mp, oracle, x, eps_f, mu_from_g, l_env)
+        if rep.certified_gap < float("inf"):
+            r0 = min(r0, math.sqrt(max(2.0 * rep.certified_gap / mu_f, 0.0)))
+        ig = inner_max.inexact_grad_g(oracle.inner, rep.x_final, gamma_w, y0=y)
+        x, y = rep.x_final, ig.witness_y
+        yield rep, x, y
+        eps_f *= 0.125
+        gamma_w *= 0.125
+
+
+def _extragradient_attempts(mp, epsilon, x, y, r0):
+    """Attempts of the restarted extragradient route; resuming divides ``eps_vi`` by 16."""
+    op = mirror_prox.assemble_saddle_operator(mp)
+    z = np.concatenate([x, y])
+    nx = mp.spec.dim_x
+    eps_vi = epsilon
+    while True:
+        rep = mirror_prox.run_restarted_mp(op, z, eps_vi, r0=r0)
+        z = rep.x_final
+        d_sq = rep.extras.get("dist_sq_bound", float("inf"))
+        r0 = math.sqrt(d_sq) if d_sq < float("inf") else r0
+        yield rep, z[:nx], z[nx:]
+        eps_vi /= 16.0
 
 
 def _case1_outer(mp, oracle, x0, eps_f, r0, mu_f, l_env) -> SolveReport:
@@ -346,35 +359,6 @@ def _sliding_outer(mp, oracle, x0, eps_f, mu_from_g, l_env) -> SolveReport:
         set_delta_g=oracle.set_delta,
     )
     return sliding.sliding_solve(out_spec, obj, x0, eps_f, engine="catalyst", tally=mp.tally)
-
-
-def _solve_via_extragradient(mp, epsilon, x0, y0, r_x, r_y, log) -> SolveReport:
-    op = mirror_prox.assemble_saddle_operator(mp)
-    z = np.concatenate([x0, y0])
-    r0 = math.hypot(r_x, r_y)
-    nx = mp.spec.dim_x
-    cert_eps = epsilon / 8.0
-    eps_vi = epsilon
-    cert = failure = None
-    attempts = 0
-    inner_reports = []
-    try:
-        for attempts in range(1, MAX_ATTEMPTS + 1):
-            rep = mirror_prox.run_restarted_mp(op, z, eps_vi, r0=r0)
-            z = rep.x_final
-            d_sq = rep.extras.get("dist_sq_bound", float("inf"))
-            r0 = math.sqrt(d_sq) if d_sq < float("inf") else r0
-            inner_reports.append(rep)
-            cert = duality_gap(mp, z[:nx], z[nx:], r_x, r_y, cert_eps)
-            if cert.gap <= epsilon:
-                break
-            eps_vi /= 16.0
-    except BudgetExceededError as err:
-        failure = str(err)
-    return _attempts_report(
-        log, z[:nx], z[nx:], epsilon, cert, failure, inner_reports,
-        engine="mirror_prox", attempts=attempts,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -454,56 +438,8 @@ def predict_complexity(
 
 
 # ---------------------------------------------------------------------------
-# dual smoothing of matrix games and the role-swapped view
+# the role-swapped view
 # ---------------------------------------------------------------------------
-
-
-def smooth_matrix_game(a: np.ndarray, epsilon: float, r_y: float) -> SaddleProblem:
-    """Bilinear problem <Ax, y> with the dual side smoothed by eps ||y||^2 / (4 r_y^2).
-
-    The primal composite is identically zero (callers regularize it before
-    solving).  The dual modulus is eps / (2 r_y^2); the coupling constant is
-    the largest singular value of A.
-    """
-    if epsilon <= 0 or r_y <= 0:
-        raise InvalidSpecError("epsilon and r_y must be positive")
-    a = np.asarray(a, dtype=float)
-    m, n = a.shape
-    gram = a.T @ a
-    lam_max = float(np.linalg.eigvalsh(gram)[-1]) if a.size else 0.0
-    if lam_max <= 0:
-        warnings.warn("zero coupling matrix: the problem decouples (l_xy = 0)")
-        lam_max = 0.0
-    mu_y = epsilon / (2.0 * r_y**2)
-    spec = SaddleSpec(
-        dim_x=n,
-        dim_y=m,
-        mu_x=0.0,
-        mu_y=mu_y,
-        l_xy=math.sqrt(lam_max),
-        l_y=mu_y,
-    )
-
-    def prox_r(c1, c2):
-        if c2 <= 0:
-            raise InvalidSpecError("prox of the zero composite needs c2 > 0")
-        return -c1 / (2.0 * c2)
-
-    return SaddleProblem(
-        spec=spec,
-        value_r=lambda x: 0.0,
-        value_h=lambda y: 0.5 * mu_y * float(y @ y),
-        value_F=lambda x, y: float(y @ (a @ x)),
-        grad_r=lambda x: np.zeros_like(x),
-        grad_h=lambda y: mu_y * y,
-        grad_x_F=lambda x, y: a.T @ y,
-        grad_y_F=lambda x, y: a @ x,
-        prox_r=prox_r,
-        prox_h=lambda c1, c2: -c1 / (mu_y + 2.0 * c2),
-        prox_friendly_r=True,
-        prox_friendly_h=True,
-        matvec_cost={OracleKind.GRAD_X_F: 1, OracleKind.GRAD_Y_F: 1},
-    )
 
 
 def dual_view(problem: SaddleProblem) -> SaddleProblem:

@@ -55,9 +55,9 @@ class SlidingSpec:
         return self.mu_r + self.mu_g
 
     def validate(self) -> None:
-        if self.l_r <= 0 or self.l_g <= 0:
-            raise InvalidSpecError("smoothness constants must be positive")
-        if self.mu_r < 0 or self.mu_g < 0 or self.mu <= 0:
+        if not (0 < self.l_r < math.inf and 0 < self.l_g < math.inf):
+            raise InvalidSpecError("smoothness constants must be finite and positive")
+        if not (self.mu_r >= 0 and self.mu_g >= 0 and self.mu > 0):
             raise InvalidSpecError("need mu_r, mu_g >= 0 with mu_r + mu_g > 0")
         if self.mu_r > self.l_r + 1e-12 or self.mu_g > self.l_g + 1e-12:
             raise InvalidSpecError("a term's modulus cannot exceed its smoothness")
@@ -203,8 +203,8 @@ def alg5_params(spec: SlidingSpec, epsilon: float, gap0: float = 1.0) -> Alg5Par
     :meth:`Alg5Params.check_ranges`.
     """
     spec.validate()
-    if epsilon <= 0 or gap0 <= 0:
-        raise InvalidSpecError("epsilon and gap0 must be positive")
+    if not (0 < epsilon < math.inf and 0 < gap0 < math.inf):
+        raise InvalidSpecError("epsilon and gap0 must be finite and positive")
     l_r, l_g, mu_g, mu = spec.l_r, spec.l_g, spec.mu_g, spec.mu
     denom = l_r + mu_g
     alpha = 0.25 * math.sqrt(mu / denom)
@@ -430,11 +430,13 @@ def catalyst_solve(
     delta_req = epsilon / 12 sqrt(mu / (l_r + l_g)), the scheduled engine's
     scale, and before each subproblem term t is asked for
     max(delta_req, :data:`CATALYST_DELTA_FRACTION` mu cert / l_t), which
-    keeps its gradient error within ||grad P(x_k)|| / 4.
+    keeps its gradient error within ||grad P(x_k)|| / 4.  A ``reg_l`` or
+    ``epsilon`` that is not finite and positive raises
+    :class:`~saddlekit.core.InvalidSpecError` before any oracle call.
     """
     obj, spec, _ = normalize_split(obj, spec)
-    if reg_l <= 0 or epsilon <= 0:
-        raise InvalidSpecError("reg_l and epsilon must be positive")
+    if not (0 < reg_l < math.inf and 0 < epsilon < math.inf):
+        raise InvalidSpecError("reg_l and epsilon must be finite and positive")
     log = RunLog(tally)
     mu = spec.mu
     delta_req = epsilon / 12.0 * math.sqrt(mu / (spec.l_r + spec.l_g))

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 import saddlekit as sk
+from saddlekit.core import Metered
 from saddlekit.fgm import certificate, quadratic_prox_model
+from saddlekit.inner_max import InnerMax
 
 
 def quad_objective(diag, b=None, domain=None):
@@ -327,24 +329,52 @@ class TestSolveToGapStart:
         assert calls == []
 
 
+def _identity_operator(l=1.0, mu=1.0):
+    return sk.ViOperator(bind=lambda z, out: lambda: z, l=l, mu=mu)
+
+
 @pytest.mark.parametrize(
-    "call",
+    "call, name",
     [
-        lambda: sk.restart_count(1.0, 1.0, math.nan),
-        lambda: sk.restart_count(math.nan, 1.0, 1.0),
-        lambda: sk.run_restarted_fgm(quad_objective([1.0, 2.0])[0], np.zeros(2), math.nan, 1.0),
-        lambda: sk.run_restarted_fgm(quad_objective([1.0, 2.0])[0], np.zeros(2), 1e-6, math.nan),
-        lambda: sk.solve_inner_max(
-            sk.gen_bilinear(3, 3, 2.0, seed=1).problem(), np.ones(3), math.nan
+        (lambda: sk.restart_count(1.0, 1.0, math.nan), "epsilon"),
+        (lambda: sk.restart_count(math.nan, 1.0, 1.0), "mu"),
+        (
+            lambda: sk.run_restarted_fgm(
+                quad_objective([1.0, 2.0])[0], np.zeros(2), math.nan, 1.0
+            ),
+            "epsilon",
         ),
-        lambda: sk.run_restarted_mp(
-            sk.ViOperator(evaluate=lambda z: z, l=1.0, mu=1.0), np.ones(2), math.nan, r0=1.0
+        (
+            lambda: sk.run_restarted_fgm(
+                quad_objective([1.0, 2.0])[0], np.zeros(2), 1e-6, math.nan
+            ),
+            "r0",
         ),
+        (
+            lambda: InnerMax(Metered(sk.gen_bilinear(3, 3, 2.0, seed=1).problem())).solve(
+                np.ones(3), math.nan
+            ),
+            "delta",
+        ),
+        (lambda: sk.run_restarted_mp(_identity_operator(), np.ones(2), math.nan, r0=1.0), "epsilon"),
+        (lambda: sk.restart_count(1.0, math.inf, 1e-6), "r0"),
+        (
+            lambda: sk.run_restarted_fgm(
+                quad_objective([1.0, 2.0])[0], np.zeros(2), 1e-6, math.inf
+            ),
+            "r0",
+        ),
+        (lambda: sk.run_restarted_mp(_identity_operator(), np.ones(2), 1e-6, r0=math.inf), "r0"),
+        (lambda: sk.run_restarted_mp(_identity_operator(), np.ones(2), 1e-6, r0=math.nan), "r0"),
     ],
-    ids=["count-eps", "count-mu", "restarted-eps", "restarted-r0", "inner-delta", "mp-eps"],
+    ids=[
+        "count-eps", "count-mu", "restarted-eps", "restarted-r0", "inner-delta", "mp-eps",
+        "count-r0-inf", "restarted-r0-inf", "mp-r0-inf", "mp-r0-nan",
+    ],
 )
-def test_nan_accuracies_are_rejected(call):
-    with pytest.raises(sk.InvalidSpecError):
+def test_nan_accuracies_are_rejected(call, name):
+    # each raises a typed error naming the bad value, before any oracle call
+    with pytest.raises(sk.InvalidSpecError, match=name):
         call()
 
 
@@ -360,8 +390,8 @@ def _nan_objective(l_smooth=1.0, mu=1.0):
         lambda: sk.restart_budget(math.nan, 1.0),
         lambda: sk.restart_budget(1.0, math.nan),
         lambda: sk.next_alpha(0.0, math.nan),
-        lambda: sk.ViOperator(evaluate=lambda z: z, l=math.nan, mu=1.0),
-        lambda: sk.ViOperator(evaluate=lambda z: z, l=1.0, mu=math.nan),
+        lambda: _identity_operator(l=math.nan),
+        lambda: _identity_operator(mu=math.nan),
         lambda: sk.EnvelopeGradOracle(sk.gen_bilinear(3, 3, 2.0, seed=1).problem(), math.nan),
     ],
     ids=[

@@ -8,6 +8,10 @@ from saddlekit.core import EuclideanBall, Metered, OracleKind, OracleTally
 from saddlekit.mirror_prox import ProductSet
 
 
+def identity_operator(mu=1.0):
+    return sk.ViOperator(bind=lambda z, out: lambda: z, l=1.0, mu=mu)
+
+
 class TestAssembly:
     def test_b1_values(self, b1, b1_problem):
         op = sk.assemble_saddle_operator(b1_problem)
@@ -55,12 +59,12 @@ class TestAssembly:
 
 class TestRunMirrorProx:
     def test_identity_first_step_exact(self):
-        op = sk.ViOperator(evaluate=lambda z: z, l=1.0, mu=1.0)
+        op = identity_operator()
         rep = sk.run_mirror_prox(op, np.array([5.0, -1.0]), 1)
         assert np.allclose(rep.x_final, 0.0)
 
     def test_identity_average_shrinks(self):
-        op = sk.ViOperator(evaluate=lambda z: z, l=1.0, mu=1.0)
+        op = identity_operator()
         rep = sk.run_mirror_prox(op, np.array([5.0, -1.0]), 50)
         assert np.linalg.norm(rep.x_final) <= 1e-10
 
@@ -87,7 +91,7 @@ class TestRunMirrorProx:
                 assert lhs <= rhs + 1e-9
 
     def test_degenerate_budget(self):
-        op = sk.ViOperator(evaluate=lambda z: z, l=1.0, mu=1.0)
+        op = identity_operator()
         rep = sk.run_mirror_prox(op, np.zeros(2), 0)
         assert rep.x_final is None
         assert not rep.converged
@@ -96,7 +100,7 @@ class TestRunMirrorProx:
 
 class TestRestartedMp:
     def test_identity_quick(self):
-        op = sk.ViOperator(evaluate=lambda z: z, l=1.0, mu=1.0)
+        op = identity_operator()
         rep = sk.run_restarted_mp(op, np.array([2.0, 2.0]), 1e-10, r0=4.0)
         assert rep.extras["restarts"] <= 2
         assert np.linalg.norm(rep.x_final) ** 2 <= 1e-10
@@ -108,7 +112,7 @@ class TestRestartedMp:
         assert np.linalg.norm(rep.x_final - z_star) <= 1e-4
 
     def test_requires_strong_monotonicity(self):
-        op = sk.ViOperator(evaluate=lambda z: z, l=1.0, mu=0.0)
+        op = identity_operator(mu=0.0)
         with pytest.raises(sk.InvalidSpecError):
             sk.run_restarted_mp(op, np.zeros(2), 1e-6, r0=1.0)
 
@@ -212,15 +216,17 @@ class TestBlockBilling:
         assert tally == ref_tally
 
     def test_evaluate_only_operator_runs(self):
+        # an operator bound straight to an evaluate function that counts its
+        # own calls, returns a fresh array and ignores ``out``; it has no cost
         tally = OracleTally()
 
         def evaluate(z):
             tally.bump(OracleKind.MATVEC)
             return 2.0 * z
 
-        op = sk.ViOperator(evaluate=evaluate, l=2.0, mu=2.0)
+        op = sk.ViOperator(bind=lambda z, out: lambda: evaluate(z), l=2.0, mu=2.0)
         out = np.empty(2)
-        assert op.evaluate_into(np.ones(2), out) is not out
+        assert op.bind(np.ones(2), out)() is not out
         z0 = np.array([3.0, -1.0])
         rep = sk.run_mirror_prox(op, z0, 4)
         avg, _ = _reference_run(op, z0, 4)
@@ -231,11 +237,17 @@ class TestBlockBilling:
 
 class TestBind:
     def test_evaluate_only_operator_binds_to_evaluate(self):
-        op = sk.ViOperator(evaluate=lambda z: 3.0 * z - 1.0, l=3.0, mu=3.0)
+        # ``evaluate`` is one binding used once, billed as one evaluation
+        tally = OracleTally()
+        op = sk.ViOperator(
+            bind=lambda z, out: lambda: 3.0 * z - 1.0,
+            l=3.0, mu=3.0, tally=tally, cost={OracleKind.MATVEC: 2},
+        )
         z = np.linspace(-1.0, 2.0, 5)
         assert op.bind(z, np.empty(5))().tobytes() == op.evaluate(z).tobytes()
         z[:] = 0.5  # the evaluator reads z when it is called
         assert op.bind(z, np.empty(5))().tobytes() == op.evaluate(z).tobytes()
+        assert tally.snapshot() == {"matvec": 2 * 2}
 
     def test_saddle_evaluator_fills_out_and_sees_updates_in_place(self):
         tally = OracleTally()
@@ -247,6 +259,6 @@ class TestBind:
             got = at_z()
             assert got is out
             assert got.tobytes() == op.evaluate(z).tobytes()
-        assert op.evaluate_into(z, np.empty(7)).tobytes() == out.tobytes()
+        assert op.bind(z, np.empty(7))().tobytes() == out.tobytes()
         # only the two evaluate calls were billed
         assert tally.snapshot() == {kind.value: 2 * n for kind, n in op.cost.items()}

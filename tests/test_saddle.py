@@ -171,6 +171,45 @@ def _criterion11_radii(inst) -> tuple[float, float]:
     )
 
 
+# Full tallies, and history lengths, of solves whose first attempt fails its
+# certificate, at epsilon 1e-6 with mu_x = mu_y = 1 and the criterion-11
+# radii: they pin the accuracy each route tightens to on its second attempt
+# (eps_vi / 16 on mirror_prox, eps_f and gamma_w / 8 on the splitting route).
+PINNED_TWO_ATTEMPT_TALLIES = [
+    (
+        "bilinear", 1, None, "mirror_prox", "mirror_prox", 11,
+        {"grad_h": 96, "grad_r": 102, "gradx_F": 102, "grady_F": 96, "matvec": 198},
+    ),
+    (
+        "quadratic", 0, None, "mirror_prox", "mirror_prox", 10,
+        {"grad_h": 89, "grad_r": 89, "gradx_F": 89, "grady_F": 89, "matvec": 178},
+    ),
+    (
+        "bilinear", 4, False, "auto", "case2", 8,
+        {"grad_h": 2, "grad_r": 34, "gradx_F": 376, "grady_F": 364, "matvec": 740,
+         "prox_h": 362},
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "family, seed, prox_friendly_r, engine, ran, rows, tally", PINNED_TWO_ATTEMPT_TALLIES
+)
+def test_pinned_two_attempt_counts(family, seed, prox_friendly_r, engine, ran, rows, tally):
+    gen = sk.gen_bilinear if family == "bilinear" else sk.gen_quadratic_saddle
+    inst = gen(6, 6, 10.0, seed=seed)
+    problem = inst.problem()
+    if prox_friendly_r is not None:
+        problem.prox_friendly_r = prox_friendly_r
+    r_x, r_y = _criterion11_radii(inst)
+    rep = sk.solve_saddle(problem, 1e-6, engine=engine, r_x=r_x, r_y=r_y)
+    assert rep.converged and rep.certified_gap <= 1e-6
+    assert (rep.extras["engine"], rep.extras["attempts"]) == (ran, 2)
+    assert rep.tally.snapshot() == tally
+    # both attempts' rows, numbered on from one to the next
+    assert [row.iteration for row in rep.history] == list(range(1, rows + 1))
+
+
 @pytest.mark.parametrize("seed", [1, 2])
 @pytest.mark.parametrize("gen", [sk.gen_bilinear, sk.gen_quadratic_saddle])
 def test_smooth_r_costs_the_order_of_prox_r(gen, seed):
@@ -366,31 +405,6 @@ class TestPredict:
         pred = sk.predict_complexity(spec, True, True)
         assert pred.counts[OracleKind.PROX_R][1] == "general_pf"
         assert pred.formulas["general_pf"] == pytest.approx(3.0 / 0.5)
-
-
-class TestMatrixGame:
-    def test_identity_smoothing(self):
-        p = sk.smooth_matrix_game(np.eye(2), 0.04, 1.0)
-        assert p.spec.mu_y == pytest.approx(0.02)
-        assert p.spec.l_xy == pytest.approx(1.0)
-        # h(y) = eps ||y||^2 / (4 r^2)
-        y = np.array([2.0, -1.0])
-        assert p.value_h(y) == pytest.approx(0.04 * 5.0 / 4.0)
-
-    def test_singular_value_coupling(self):
-        p = sk.smooth_matrix_game(np.diag([1.0, 2.0]), 0.04, 1.0)
-        assert p.spec.l_xy == pytest.approx(2.0)
-
-    def test_zero_matrix_warns(self):
-        with pytest.warns(UserWarning):
-            p = sk.smooth_matrix_game(np.zeros((2, 2)), 0.04, 1.0)
-        assert p.spec.l_xy == 0.0
-
-    def test_prox_oracles_solve_their_subproblems(self):
-        p = sk.smooth_matrix_game(np.diag([1.0, 2.0]), 0.04, 1.0)
-        c1, c2 = np.array([0.3, -0.2]), 0.5
-        y = p.prox_h(c1, c2)
-        assert np.allclose(c1 + p.grad_h(y) + 2 * c2 * y, 0.0, atol=1e-12)
 
 
 class TestDualView:

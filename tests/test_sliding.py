@@ -346,3 +346,37 @@ class TestCatalyst:
         n_g = tally.count(OracleKind.GRAD_X_F)
         assert n_g <= 10 * math.sqrt(100.0 / 0.01) * math.log(1e6) ** 2
         assert n_r < n_g
+
+
+def _sliding_case():
+    spec = sk.SlidingSpec(l_r=1.0, l_g=10.0, mu_r=0.5, mu_g=0.5)
+    obj, tally = two_term_quadratic([1.0, 0.5], [10.0, 0.5], [1.0, -1.0])
+    return spec, obj, tally
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda spec, obj: dataclasses.replace(spec, l_r=math.nan).validate(),
+        lambda spec, obj: dataclasses.replace(spec, l_g=math.nan).validate(),
+        lambda spec, obj: dataclasses.replace(spec, mu_r=math.nan).validate(),
+        lambda spec, obj: dataclasses.replace(spec, mu_g=math.nan).validate(),
+        lambda spec, obj: sk.alg5_params(spec, math.nan),
+        lambda spec, obj: sk.alg5_params(spec, 1e-6, gap0=math.nan),
+        lambda spec, obj: sk.catalyst_solve(obj, np.zeros(2), math.nan, 1e-6, spec),
+        lambda spec, obj: sk.catalyst_solve(obj, np.zeros(2), 1.0, math.nan, spec),
+        lambda spec, obj: sk.sliding_solve(spec, obj, np.zeros(2), math.inf, engine="catalyst"),
+        lambda spec, obj: sk.sliding_solve(spec, obj, np.zeros(2), math.inf, engine="apg"),
+    ],
+    ids=[
+        "spec-l_r", "spec-l_g", "spec-mu_r", "spec-mu_g", "alg5-eps", "alg5-gap0",
+        "catalyst-reg_l", "catalyst-eps", "solve-inf-catalyst", "solve-inf-apg",
+    ],
+)
+def test_non_finite_constants_and_targets_are_rejected(call):
+    # `x <= 0` is False for NaN and an infinite target is met at once: each
+    # must raise a typed error before any oracle call, not run or converge
+    spec, obj, tally = _sliding_case()
+    with pytest.raises(sk.InvalidSpecError):
+        call(spec, obj)
+    assert tally.snapshot() == {}
