@@ -311,6 +311,10 @@ class Metered:
     pass through unmetered: they feed certificates and the values of
     inexact-gradient bundles, which are computed only when first read, not
     the complexity accounting.
+
+    Every entry point that takes a problem or a view bills the view's tally,
+    and a raw problem gets a fresh view (:meth:`of`); a caller who wants the
+    count passes ``Metered(problem, tally)``.
     """
 
     def __init__(self, problem: SaddleProblem, tally: Optional[OracleTally] = None):
@@ -319,18 +323,13 @@ class Metered:
         self._matvecs = {k: problem.matvec_cost.get(k, 0) for k in OracleKind}
 
     @classmethod
-    def of(cls, problem, tally: Optional[OracleTally] = None) -> "Metered":
-        """``problem`` itself when it is already a view, otherwise a view billing ``tally``.
+    def of(cls, problem) -> "Metered":
+        """``problem`` itself when it is already a view, otherwise a fresh view of it.
 
-        A view bills its own tally, so a view passed with a different
-        ``tally`` raises :class:`InvalidSpecError` instead of leaving that
-        tally silently empty.
+        The result bills the view's own tally, so all calls made through it
+        are counted in one place: the given view's tally, or the new one.
         """
-        if not isinstance(problem, Metered):
-            return cls(problem, tally)
-        if tally is not None and tally is not problem.tally:
-            raise InvalidSpecError("a metered view bills its own tally; pass that tally or none")
-        return problem
+        return problem if isinstance(problem, Metered) else cls(problem)
 
     @property
     def spec(self) -> SaddleSpec:

@@ -61,8 +61,8 @@ class CompositeObjective:
     plain_smooth: bool = False  # no composite beyond the domain indicator
 
     def __post_init__(self):
-        if not self.l_smooth > 0:
-            raise InvalidSpecError("l_smooth must be positive")
+        if not 0 < self.l_smooth < math.inf:
+            raise InvalidSpecError(f"l_smooth must be finite and positive, got {self.l_smooth}")
         if self.prox_model is None:
             self.plain_smooth = True
             self.prox_model = lambda u, alpha, lin: self.domain.project(u - alpha * lin)
@@ -75,8 +75,8 @@ class CompositeObjective:
 
 def next_alpha(big_a: float, l: float) -> float:
     """Larger root of  l * alpha^2 = big_a + alpha."""
-    if not l > 0:
-        raise InvalidSpecError("smoothness constant must be positive")
+    if not 0 < l < math.inf:
+        raise InvalidSpecError(f"smoothness constant l must be finite and positive, got {l}")
     return (1.0 + math.sqrt(1.0 + 4.0 * l * big_a)) / (2.0 * l)
 
 
@@ -125,18 +125,20 @@ def run_fgm(
 
 def restart_budget(l: float, mu: float) -> int:
     """Iterations per restart block, N = ceil(3 sqrt(2 L / mu))."""
-    if not (l > 0 and mu > 0):
-        raise InvalidSpecError("restart budget requires positive L and mu")
+    if not (0 < l < math.inf and 0 < mu < math.inf and 2.0 * l / mu < math.inf):
+        raise InvalidSpecError(f"restart budget needs finite positive L={l}, mu={mu} and 2 L / mu")
     return int(math.ceil(3.0 * math.sqrt(2.0 * l / mu)))
 
 
 def restart_count(mu: float, r0_sq: float, epsilon: float) -> int:
     """Scheduled restarts, p = ceil(log2(mu R^2 / eps)), at least one."""
-    if not (mu > 0 and epsilon > 0):
-        raise InvalidSpecError("restart count requires positive mu and epsilon")
+    if not (0 < mu < math.inf and 0 < epsilon < math.inf):
+        raise InvalidSpecError(f"restart count needs finite positive mu={mu} and epsilon={epsilon}")
     if not (math.isfinite(r0_sq) and r0_sq > 0):
         raise InvalidSpecError("r0 must be finite and positive")
     ratio = mu * r0_sq / epsilon
+    if not ratio < math.inf:
+        raise InvalidSpecError(f"mu r0^2 / epsilon = {mu} * {r0_sq} / {epsilon} is not finite")
     if ratio <= 1.0:
         return 1
     return max(1, int(math.ceil(math.log2(ratio))))
@@ -164,15 +166,11 @@ def run_restarted_fgm(
     returned ``certified_gap``, is at most ``epsilon`` (then ``converged``),
     for at most 4 p + 64 blocks.  Each block's bound is at most
     mu D_j^2 / 4, since N^2 >= 18 L / mu, so the p scheduled blocks bring it
-    to mu r0^2 / 2^(p+1) <= epsilon / 2 and the run stops there.  A NaN or
-    non-positive ``mu``, ``l_smooth``, ``epsilon`` or ``r0``, or an infinite
-    ``r0``, raises :class:`~saddlekit.core.InvalidSpecError` before any
-    oracle call.
+    to mu r0^2 / 2^(p+1) <= epsilon / 2 and the run stops there.  A
+    ``mu``, ``l_smooth``, ``epsilon`` or ``r0`` that is not finite and
+    positive raises :class:`~saddlekit.core.InvalidSpecError` naming it,
+    before any oracle call.
     """
-    if not obj.mu > 0:
-        raise InvalidSpecError("restarted method requires mu > 0")
-    if not epsilon > 0:
-        raise InvalidSpecError("epsilon must be positive")
     if not (math.isfinite(r0) and r0 > 0):
         raise InvalidSpecError("r0 must be finite and positive")
     log = RunLog(tally)

@@ -31,7 +31,6 @@ from . import fgm
 from .core import (
     InvalidSpecError,
     Metered,
-    OracleTally,
     SaddleProblem,
     Vector,
     effective_smoothness,
@@ -144,20 +143,13 @@ class InnerMax:
         )
 
 
-def _as_inner(problem, tally: Optional[OracleTally]) -> InnerMax:
+def _as_inner(problem) -> InnerMax:
     """``problem`` itself when it is an :class:`InnerMax`, otherwise one built on its view.
 
-    An :class:`InnerMax` bills its view's tally, so one passed with a
-    different ``tally`` raises :class:`InvalidSpecError`, as
-    :meth:`Metered.of <saddlekit.core.Metered.of>` does for a view.
+    The result bills the tally of its view: the given one, or the fresh view
+    that :meth:`Metered.of <saddlekit.core.Metered.of>` makes of a raw problem.
     """
-    if isinstance(problem, InnerMax):
-        if tally is not None and tally is not problem.mp.tally:
-            raise InvalidSpecError(
-                "an inner maximization bills its own tally; pass that tally or none"
-            )
-        return problem
-    return InnerMax(Metered.of(problem, tally))
+    return problem if isinstance(problem, InnerMax) else InnerMax(Metered.of(problem))
 
 
 def inexact_grad_g(
@@ -165,10 +157,13 @@ def inexact_grad_g(
     x: Vector,
     delta: float,
     y0: Optional[Vector] = None,
-    tally: Optional[OracleTally] = None,
 ) -> InexactGrad:
-    """Inexact-gradient bundle of g at x from a certified inner solve."""
-    inner = _as_inner(problem, tally)
+    """Inexact-gradient bundle of g at x from a certified inner solve.
+
+    Bills the tally of the given view or :class:`InnerMax`; a raw problem
+    gets a fresh view.
+    """
+    inner = _as_inner(problem)
     return inner.bundle(x, inner.solve(x, delta, y0), delta)
 
 
@@ -177,14 +172,13 @@ def inexact_grad_from_witness(
     x: Vector,
     witness: Vector,
     delta: float,
-    tally: Optional[OracleTally] = None,
 ) -> InexactGrad:
     """Package a given delta-accurate inner point as an inexact gradient of g.
 
-    Costs one ``grad_x_F`` call; the value oracles run only if ``.value`` is
-    read.
+    Costs one ``grad_x_F`` call, billed as :func:`inexact_grad_g` bills; the
+    value oracles run only if ``.value`` is read.
     """
-    return _as_inner(problem, tally).bundle(x, witness, delta)
+    return _as_inner(problem).bundle(x, witness, delta)
 
 
 def envelope_check(
@@ -212,27 +206,17 @@ class EnvelopeGradOracle:
 
     Each call runs one certified inner maximization at the currently
     requested accuracy and returns the resulting bundle; the witness seeds
-    the next call.  The inner problem (:class:`InnerMax`) is built once, at
-    construction, and reused for every x.  ``set_delta`` accepts the
-    *envelope* inexactness (the inner solver is asked for half of it).
-    Every call bills the tally of the metered view; an :class:`InnerMax`
-    passed with a different ``tally`` raises :class:`InvalidSpecError`.
+    the next call.  The inner problem, ``inner`` (:class:`InnerMax`), is
+    built once, at construction, and reused for every x and by other solves
+    on the same view.  ``set_delta`` accepts the *envelope* inexactness (the
+    inner solver is asked for half of it).  Every call bills the given view's
+    tally, as :func:`inexact_grad_g` does (``inner.mp.tally`` for a raw problem).
     """
 
-    def __init__(
-        self,
-        problem: SaddleProblem | Metered,
-        delta_env: float,
-        tally: Optional[OracleTally] = None,
-    ):
-        self._inner = _as_inner(problem, tally)
+    def __init__(self, problem: SaddleProblem | Metered | InnerMax, delta_env: float):
+        self.inner = _as_inner(problem)
         self.set_delta(delta_env)
         self._warm: Optional[Vector] = None
-
-    @property
-    def inner(self) -> InnerMax:
-        """The shared inner problem, for other solves on the same metered view."""
-        return self._inner
 
     def set_delta(self, delta_env: float) -> None:
         if not delta_env > 0:
@@ -240,7 +224,7 @@ class EnvelopeGradOracle:
         self._delta_env = float(delta_env)
 
     def bundle(self, x: Vector) -> InexactGrad:
-        ig = inexact_grad_g(self._inner, x, 0.5 * self._delta_env, y0=self._warm)
+        ig = inexact_grad_g(self.inner, x, 0.5 * self._delta_env, y0=self._warm)
         self._warm = ig.witness_y
         return ig
 

@@ -23,6 +23,7 @@ from typing import Callable, Mapping, Optional
 
 import numpy as np
 
+from . import fgm
 from .core import (
     AllSpace,
     EuclideanBall,
@@ -82,10 +83,10 @@ class ViOperator:
     cost: Mapping[OracleKind, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        if not self.l > 0:
-            raise InvalidSpecError("operator Lipschitz constant must be positive")
-        if not self.mu >= 0:
-            raise InvalidSpecError("strong-monotonicity modulus must be nonnegative")
+        if not 0 < self.l < math.inf:
+            raise InvalidSpecError(f"operator l must be finite and positive, got {self.l}")
+        if not 0 <= self.mu < math.inf:
+            raise InvalidSpecError(f"operator mu must be finite and nonnegative, got {self.mu}")
         if self.cost and self.tally is None:
             raise InvalidSpecError("an operator with a cost needs a tally to bill")
 
@@ -111,21 +112,19 @@ def _default_operator_l(spec) -> float:
     return math.hypot(row_x, row_y)
 
 
-def assemble_saddle_operator(
-    problem: SaddleProblem | Metered, tally: Optional[OracleTally] = None
-) -> ViOperator:
+def assemble_saddle_operator(problem: SaddleProblem | Metered) -> ViOperator:
     """Stack the saddle instance's gradients into a monotone operator.
 
     Requires gradient oracles for both composites; a prox-only composite
     cannot be driven by the extragradient baseline.  The operator bills the
-    tally of :meth:`Metered.of(problem, tally) <saddlekit.core.Metered.of>`:
-    one evaluation costs one call of each of the four gradient oracles plus
-    their declared matvecs.  The evaluators that ``bind`` returns call the raw
-    oracles on the x and y views of ``z``, write the two blocks into the views
-    of ``out``, and leave the billing to the caller's
-    :meth:`ViOperator.charge`.
+    tally of the given view, or of a fresh view of a raw problem (read back
+    as ``op.tally``): one evaluation costs one call of each of the four
+    gradient oracles plus their declared matvecs.  The evaluators that
+    ``bind`` returns call the raw oracles on the x and y views of ``z``,
+    write the two blocks into the views of ``out``, and leave the billing to
+    the caller's :meth:`ViOperator.charge`.
     """
-    mp = Metered.of(problem, tally)
+    mp = Metered.of(problem)
     p = mp.problem
     if p.grad_r is None or p.grad_h is None or p.grad_x_F is None or p.grad_y_F is None:
         raise UnsupportedProblemError(
@@ -257,14 +256,15 @@ def run_restarted_mp(
     eps / mu.  A free residual check (strong monotonicity bounds the distance
     by ||G(w)|| / mu) allows early exit.  Each block bills ``op.tally`` as
     :func:`run_mirror_prox` does; the report carries that tally, or a fresh
-    one when the operator has none.  An ``r0`` that is NaN, infinite or
-    negative raises :class:`~saddlekit.core.InvalidSpecError` before any
-    evaluation.
+    one when the operator has none.  An ``epsilon`` that is not finite and
+    positive, an ``r0`` that is NaN, infinite or negative, or a block length
+    L / mu that is not finite raises :class:`~saddlekit.core.InvalidSpecError`
+    naming it, before any evaluation.
     """
     if op.mu <= 0:
         raise InvalidSpecError("restarted extragradient requires mu > 0")
-    if not epsilon > 0:
-        raise InvalidSpecError("epsilon must be positive")
+    if not 0 < epsilon < math.inf:
+        raise InvalidSpecError(f"epsilon must be finite and positive, got {epsilon}")
     log = RunLog(op.tally)
     z = np.array(z0, dtype=float)
     if r0 is None:
@@ -274,10 +274,11 @@ def run_restarted_mp(
             raise InvalidSpecError("r0 (starting distance bound) required on unbounded domains")
     if not (math.isfinite(r0) and r0 >= 0):
         raise InvalidSpecError("r0 must be finite and nonnegative")
+    if not op.l / op.mu < math.inf:
+        raise InvalidSpecError(f"block length L / mu = {op.l} / {op.mu} is not finite")
     n_j = int(math.ceil(op.l / op.mu))
-    ratio = op.mu * r0 * r0 / epsilon
-    p = max(1, int(math.ceil(math.log2(ratio)))) if ratio > 1.0 else 1
     d_sq = r0 * r0
+    p = fgm.restart_count(op.mu, d_sq, epsilon) if d_sq > 0 else 1
     restarts = 0
     for j in range(p):
         rep = run_mirror_prox(op, z, n_j, record_every=0)

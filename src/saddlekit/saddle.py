@@ -134,7 +134,6 @@ def duality_gap(
     r_x: float,
     r_y: float,
     inner_eps: float,
-    tally: Optional[OracleTally] = None,
 ) -> GapCertificate:
     """Certify a candidate pair by two restricted auxiliary solves.
 
@@ -142,12 +141,12 @@ def duality_gap(
     radius 2 r_y around Q_y's center; the dual side minimizes S(., y)
     symmetrically.  Both use gradient oracles of the composites (a prox-only
     composite would need its feasible set unchanged by the restriction), and
-    a missing one raises before either side spends a call.  ``tally`` is
-    billed when ``problem`` is a raw problem; a metered view bills its own.
+    a missing one raises before either side spends a call.  Both sides bill
+    the tally of the given view; a raw problem is billed to a fresh view.
     """
     if inner_eps <= 0 or r_x <= 0 or r_y <= 0:
         raise InvalidSpecError("duality_gap needs positive radii and accuracy")
-    mp = Metered.of(problem, tally)
+    mp = Metered.of(problem)
     if mp.problem.grad_h is None:
         raise UnsupportedProblemError("duality_gap needs grad_h for the primal side")
     if mp.problem.grad_r is None:

@@ -297,10 +297,10 @@ def apg_inexact_solve(
     closed-form ``prox_g``; a split that :func:`normalize_split` swaps has
     no such prox, and ``exact_inner`` then raises.  When ``obj.x_star`` is
     known the report's ``extras["lyapunov"]`` logs the contraction quantity
-    after every step.
-    The report echoes ``epsilon`` as its certified gap when the final iterate
-    is finite; a NaN or inf iterate returns ``converged=False`` with an
-    infinite gap.
+    after every step, and ``extras["swapped"]`` records whether the split
+    was swapped.  The report echoes ``epsilon`` as its certified gap when
+    the final iterate is finite; a NaN or inf iterate returns
+    ``converged=False`` with an infinite gap.
     """
     obj, spec, swapped = normalize_split(obj, spec)
     log = RunLog(tally)
@@ -346,7 +346,9 @@ def apg_inexact_solve(
     # constant can blow the loop up): fail closed without spending an oracle call
     finite = bool(np.isfinite(y).all())
     gap = epsilon if finite else float("inf")
-    return log.report(y, gap, finite, params=params, lyapunov=lyapunov, engine="apg")
+    return log.report(
+        y, gap, finite, params=params, lyapunov=lyapunov, engine="apg", swapped=swapped
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -367,12 +369,15 @@ def composite_gm_solve(
     the model subproblem with the composite kept exact, so the smooth-part
     gradient is evaluated exactly once per iteration (= ``n`` times total
     unless an optional ``stop_rule(x_prev, x_next, step_gap_bound)`` fires).
+    Like :func:`~saddlekit.fgm.run_fgm`, it logs one history row per step (the
+    running average's gap) exactly when the objective has ``full_value``.
     """
     log = RunLog(tally)
     x = np.array(x0, dtype=float)
     avg = np.zeros_like(x)
     steps = 0
     fired = False
+    record = obj.full_value is not None
     for k in range(int(n)):
         lin = obj.smooth_grad(x)
         x_next = obj.prox_model(x, 1.0 / obj.l_smooth, lin)
@@ -385,7 +390,8 @@ def composite_gm_solve(
             if obj.mu > 0
             else float("inf")
         )
-        log.row(steps, obj.gap_at(avg / steps))
+        if record:
+            log.row(steps, obj.gap_at(avg / steps))
         fired = stop_rule is not None and stop_rule(x, x_next, gap_bound)
         x = x_next
         if fired:
@@ -408,7 +414,7 @@ CATALYST_DELTA_FRACTION = 1.0 / 16.0
 def catalyst_solve(
     obj: TwoTermObjective,
     x0: Vector,
-    reg_l: float,
+    reg_l: Optional[float],
     epsilon: float,
     spec: SlidingSpec,
     tally: Optional[OracleTally] = None,
@@ -423,7 +429,9 @@ def catalyst_solve(
     stop when the certified gap falls below q/10 of the regularization term.
     Outer iterations stop on a gradient-norm certificate for P,
     cert = ||grad P(x_k)||^2 / (2 mu).  ``spec`` holds the constants of
-    ``obj``; both are oriented by :func:`normalize_split`.
+    ``obj``; both are oriented by :func:`normalize_split`, and
+    ``extras["swapped"]`` records whether the split was swapped.
+    ``reg_l=None`` takes the oriented split's l_r.
 
     Inexact term oracles (``set_delta_r`` / ``set_delta_g``) are asked for a
     relative accuracy: the first certificate uses the floor
@@ -434,7 +442,8 @@ def catalyst_solve(
     ``epsilon`` that is not finite and positive raises
     :class:`~saddlekit.core.InvalidSpecError` before any oracle call.
     """
-    obj, spec, _ = normalize_split(obj, spec)
+    obj, spec, swapped = normalize_split(obj, spec)
+    reg_l = spec.l_r if reg_l is None else reg_l
     if not (0 < reg_l < math.inf and 0 < epsilon < math.inf):
         raise InvalidSpecError("reg_l and epsilon must be finite and positive")
     log = RunLog(tally)
@@ -509,7 +518,9 @@ def catalyst_solve(
         y_prev = x_new + momentum * (x_new - x)
         x = x_new
 
-    return log.report(x, cert, converged, engine="catalyst", outer_iterations=outer, q=q)
+    return log.report(
+        x, cert, converged, engine="catalyst", outer_iterations=outer, q=q, swapped=swapped
+    )
 
 
 def sliding_solve(
@@ -525,15 +536,12 @@ def sliding_solve(
 
     ``engine="apg"`` (default) runs the fully scheduled accelerated proximal
     loop; ``engine="catalyst"`` the proximal-point wrapper with
-    regularization weight l_r (the cheaper term's constant, which minimizes
-    the total g-gradient count).
+    regularization weight l_r of the oriented split (the cheaper term's
+    constant, which minimizes the total g-gradient count).  Each engine
+    orients the split itself and reports it in ``extras["swapped"]``.
     """
-    obj_n, spec_n, swapped = normalize_split(obj, spec)
     if engine == "apg":
-        rep = apg_inexact_solve(spec_n, obj_n, x0, epsilon, gap0=gap0, tally=tally)
-    elif engine == "catalyst":
-        rep = catalyst_solve(obj_n, x0, spec_n.l_r, epsilon, spec=spec_n, tally=tally)
-    else:
-        raise InvalidSpecError(f"unknown sliding engine {engine!r}")
-    rep.extras["swapped"] = swapped
-    return rep
+        return apg_inexact_solve(spec, obj, x0, epsilon, gap0=gap0, tally=tally)
+    if engine == "catalyst":
+        return catalyst_solve(obj, x0, None, epsilon, spec=spec, tally=tally)
+    raise InvalidSpecError(f"unknown sliding engine {engine!r}")

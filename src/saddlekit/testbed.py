@@ -54,6 +54,17 @@ def spectral(a: np.ndarray) -> tuple[float, float, np.ndarray]:
     return lam_max, lam_min_plus, kernel
 
 
+def _check_moduli(mu_x: float, mu_y: float) -> None:
+    for name, mu in (("mu_x", mu_x), ("mu_y", mu_y)):
+        if not 0 < mu < math.inf:
+            raise InvalidSpecError(f"modulus {name} must be finite and positive, got {mu}")
+
+
+def _check_conditioning(name: str, value: float) -> None:
+    if not 1.0 <= value < math.inf:
+        raise InvalidSpecError(f"{name} must be finite and >= 1, got {value}")
+
+
 def _quadratic_prox(mu: float, domain: FeasibleSet):
     """Oracle for  min_{v in Q} <c1, v> + mu/2 ||v||^2 + c2 ||v||^2.
 
@@ -162,8 +173,7 @@ def bilinear_instance(
     """Wrap explicit data (A, b, moduli) with its closed-form saddle."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if mu_x <= 0 or mu_y <= 0:
-        raise InvalidSpecError("moduli must be positive")
+    _check_moduli(mu_x, mu_y)
     m, n = a.shape
     if np.all(a == 0.0):
         # decoupled limit: the partial max is constant in x
@@ -220,8 +230,7 @@ def gen_bilinear(
     mu_y: float = 1.0,
 ) -> BilinearInstance:
     """Seeded bilinear instance with conditioning lambda_max/lambda_min+ = cond."""
-    if cond < 1.0:
-        raise InvalidSpecError("cond must be >= 1")
+    _check_conditioning("cond", cond)
     rng = np.random.default_rng(seed)
     a = _seeded_matrix(n, m, cond, rng)
     b = rng.standard_normal(n)
@@ -312,8 +321,8 @@ def gen_quadratic_saddle(
     mu_y: float = 1.0,
 ) -> QuadraticSaddleInstance:
     """Seeded quadratic-coupling instance; the diagonals of P and Q are uniform on [0, 1)."""
-    if cond < 1.0:
-        raise InvalidSpecError("cond must be >= 1")
+    _check_conditioning("cond", cond)
+    _check_moduli(mu_x, mu_y)
     rng = np.random.default_rng(seed)
     a = _seeded_matrix(n, m, cond, rng)
     b = rng.standard_normal(n)
@@ -358,8 +367,7 @@ def gen_smoothed_game(n: int, kappa: float, seed: int):
     saddle is trivially zero and would flatter the baseline.  The shift has
     unit norm.
     """
-    if kappa < 1.0:
-        raise InvalidSpecError("kappa must be >= 1")
+    _check_conditioning("kappa", kappa)
     rng = np.random.default_rng(seed)
     a = _seeded_matrix(n, n, kappa, rng) / math.sqrt(kappa)  # spectrum in [1/kappa, 1]
     mu = 0.05 / kappa

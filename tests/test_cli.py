@@ -124,6 +124,15 @@ def test_config_error_exit_code(tmp_path):
     assert cli_main(["predict", "--spec", str(bad)]) == 2
 
 
+def test_non_finite_instance_value_is_named(tmp_path, capsys):
+    # JSON allows NaN: the generator must name it, not fail inside the linear algebra
+    instance = tmp_path / "nan.json"
+    instance.write_text('{"family": "quadratic", "n": 4, "m": 3, "cond": NaN, "seed": 0}')
+    assert cli_main(["solve", "--instance", str(instance), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "cond" in err
+
+
 def test_unknown_subcommand_exit_code():
     assert cli_main(["frobnicate"]) == 2
 

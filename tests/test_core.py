@@ -1,3 +1,4 @@
+import inspect
 import types
 
 import numpy as np
@@ -126,31 +127,48 @@ class TestTally:
         assert t.count(OracleKind.MATVEC) == 10
 
 
+METERED_ORACLES = {
+    OracleKind.GRAD_R: "grad_r",
+    OracleKind.GRAD_H: "grad_h",
+    OracleKind.GRAD_X_F: "grad_x_F",
+    OracleKind.GRAD_Y_F: "grad_y_F",
+    OracleKind.PROX_R: "prox_r",
+    OracleKind.PROX_H: "prox_h",
+}
+# the entry points that take a problem or a view, each driven once on a view
+ENTRY_POINTS = {
+    "assemble_saddle_operator": lambda view, x, y: sk.assemble_saddle_operator(view).evaluate(
+        np.concatenate([x, y])
+    ),
+    "duality_gap": lambda view, x, y: sk.duality_gap(view, x, y, 1.0, 1.0, 1e-8),
+    "inexact_grad_g": lambda view, x, y: sk.inexact_grad_g(view, x, 1e-6),
+    "inexact_grad_from_witness": lambda view, x, y: sk.inexact_grad_from_witness(view, x, y, 1e-6),
+    "EnvelopeGradOracle": lambda view, x, y: sk.EnvelopeGradOracle(view, 1e-6)(x),
+}
+
+
 class TestMetering:
-    def test_tally_matches_independent_counter(self, b1):
-        """Solver tallies equal the invocation counts of the raw closures."""
+    @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+    def test_tally_matches_independent_counter(self, b1, entry):
+        """Each entry point bills the raw closure calls to the tally of the view it is given."""
         problem = b1.problem()
-        raw_counts = {"grady_F": 0, "prox_h": 0, "gradx_F": 0}
-        base_gyf, base_ph, base_gxf = problem.grad_y_F, problem.prox_h, problem.grad_x_F
+        raw_counts = dict.fromkeys(METERED_ORACLES, 0)
 
-        def gyf(x, y):
-            raw_counts["grady_F"] += 1
-            return base_gyf(x, y)
+        def raw(kind, fn):
+            def call(*args):
+                raw_counts[kind] += 1
+                return fn(*args)
 
-        def ph(c1, c2):
-            raw_counts["prox_h"] += 1
-            return base_ph(c1, c2)
+            return call
 
-        def gxf(x, y):
-            raw_counts["gradx_F"] += 1
-            return base_gxf(x, y)
-
-        problem.grad_y_F, problem.prox_h, problem.grad_x_F = gyf, ph, gxf
+        for kind, attr in METERED_ORACLES.items():
+            setattr(problem, attr, raw(kind, getattr(problem, attr)))
         tally = OracleTally()
-        sk.inexact_grad_g(problem, np.array([1.0, 1.0]), 1e-6, tally=tally)
-        assert tally.count(OracleKind.GRAD_Y_F) == raw_counts["grady_F"]
-        assert tally.count(OracleKind.PROX_H) == raw_counts["prox_h"]
-        assert tally.count(OracleKind.GRAD_X_F) == raw_counts["gradx_F"]
+        ENTRY_POINTS[entry](Metered(problem, tally), np.array([1.0, 1.0]), np.array([0.5, -0.5]))
+        assert sum(raw_counts.values()) > 0
+        assert {k: tally.count(k) for k in METERED_ORACLES} == raw_counts
+        coupling = raw_counts[OracleKind.GRAD_X_F] + raw_counts[OracleKind.GRAD_Y_F]
+        assert tally.count(OracleKind.MATVEC) == coupling
 
     def test_missing_oracle_raises(self, b1):
         problem = b1.problem()
@@ -193,6 +211,22 @@ def test_exports_resolve_without_duplicates():
     assert set(sk.__all__) == public
 
 
+def test_only_a_view_or_solve_saddle_pairs_a_problem_with_a_tally():
+    # every other entry point bills the view it is given, so none may take both
+    both = []
+    for name in sk.__all__:
+        value = getattr(sk, name)
+        if not callable(value) or name in ("Metered", "solve_saddle"):
+            continue
+        try:
+            params = inspect.signature(value).parameters
+        except (TypeError, ValueError):  # no introspectable signature
+            continue
+        if {"problem", "tally"} <= set(params):
+            both.append(name)
+    assert both == []
+
+
 class TestSets:
     def test_ball_projection(self):
         ball = EuclideanBall(np.zeros(2), 1.0)
@@ -214,31 +248,15 @@ class TestSets:
 
 
 class TestMeteredOf:
-    def test_passes_a_view_through_and_wraps_a_problem(self, b1_problem):
+    def test_passes_a_view_through_and_wraps_a_problem(self, b1, b1_problem):
         tally = OracleTally()
         view = Metered(b1_problem, tally)
         assert Metered.of(view) is view
-        assert Metered.of(view, tally) is view
-        wrapped = Metered.of(b1_problem, tally)
-        assert wrapped.problem is b1_problem and wrapped.tally is tally
-
-    def test_a_view_with_another_tally_raises(self, b1_problem):
-        with pytest.raises(sk.InvalidSpecError):
-            Metered.of(Metered(b1_problem), OracleTally())
-
-    def test_no_site_leaves_a_passed_tally_empty(self, b1, b1_problem):
-        # a view bills its own tally, so a different one passed with it would stay empty
-        x, y = b1.closed_form_x, b1.closed_form_y
-        calls = (
-            lambda p, t: sk.duality_gap(p, x, y, 1.0, 1.0, 1e-8, tally=t),
-            lambda p, t: sk.inexact_grad_g(p, x, 1e-8, tally=t),
-            lambda p, t: sk.assemble_saddle_operator(p, t),
-        )
-        for call in calls:
-            with pytest.raises(sk.InvalidSpecError):
-                call(Metered(b1_problem), OracleTally())
-            view = Metered(b1_problem)
-            call(view, view.tally)
+        wrapped = Metered.of(b1_problem)
+        assert wrapped.problem is b1_problem and wrapped.tally is not tally
+        assert wrapped.tally.snapshot() == {}
+        # a raw problem's calls are billed to a view of it, built by the caller
         raw_tally = OracleTally()
-        sk.duality_gap(b1_problem, x, y, 1.0, 1.0, 1e-8, tally=raw_tally)
+        x, y = b1.closed_form_x, b1.closed_form_y
+        sk.duality_gap(Metered(b1_problem, raw_tally), x, y, 1.0, 1.0, 1e-8)
         assert raw_tally.count(OracleKind.GRAD_Y_F) > 0

@@ -366,10 +366,25 @@ def _identity_operator(l=1.0, mu=1.0):
         ),
         (lambda: sk.run_restarted_mp(_identity_operator(), np.ones(2), 1e-6, r0=math.inf), "r0"),
         (lambda: sk.run_restarted_mp(_identity_operator(), np.ones(2), 1e-6, r0=math.nan), "r0"),
+        (lambda: sk.restart_count(math.inf, 1.0, 1e-6), "mu"),
+        (lambda: sk.restart_count(1.0, 1.0, math.inf), "epsilon"),
+        (lambda: sk.restart_count(1.0, 1e300, 1e-300), "epsilon"),
+        (
+            lambda: sk.run_restarted_fgm(
+                quad_objective([1.0, 2.0])[0], np.zeros(2), math.inf, 1.0
+            ),
+            "epsilon",
+        ),
+        (lambda: sk.run_restarted_mp(_identity_operator(), np.ones(2), math.inf, r0=1.0), "epsilon"),
+        (
+            lambda: sk.run_restarted_mp(_identity_operator(mu=1e-320), np.ones(2), 1e-6, r0=1.0),
+            "mu",
+        ),
     ],
     ids=[
         "count-eps", "count-mu", "restarted-eps", "restarted-r0", "inner-delta", "mp-eps",
-        "count-r0-inf", "restarted-r0-inf", "mp-r0-inf", "mp-r0-nan",
+        "count-r0-inf", "restarted-r0-inf", "mp-r0-inf", "mp-r0-nan", "count-mu-inf",
+        "count-eps-inf", "count-ratio-inf", "restarted-eps-inf", "mp-eps-inf", "mp-ratio-inf",
     ],
 )
 def test_nan_accuracies_are_rejected(call, name):
@@ -393,14 +408,23 @@ def _nan_objective(l_smooth=1.0, mu=1.0):
         lambda: _identity_operator(l=math.nan),
         lambda: _identity_operator(mu=math.nan),
         lambda: sk.EnvelopeGradOracle(sk.gen_bilinear(3, 3, 2.0, seed=1).problem(), math.nan),
+        lambda: _nan_objective(l_smooth=math.inf),
+        lambda: sk.run_restarted_fgm(_nan_objective(mu=math.inf), np.ones(2), 1e-6, 1.0),
+        lambda: sk.restart_budget(math.inf, 1.0),
+        lambda: sk.restart_budget(1.0, 1e-320),
+        lambda: sk.next_alpha(0.0, math.inf),
+        lambda: _identity_operator(l=math.inf),
+        lambda: _identity_operator(mu=math.inf),
     ],
     ids=[
         "objective-l", "restarted-mu", "budget-l", "budget-mu", "alpha-l", "operator-l",
-        "operator-mu", "envelope-delta",
+        "operator-mu", "envelope-delta", "objective-l-inf", "restarted-mu-inf", "budget-l-inf",
+        "budget-ratio-inf", "alpha-l-inf", "operator-l-inf", "operator-mu-inf",
     ],
 )
 def test_nan_declared_constants_are_rejected(call):
-    # `x <= 0` is False for NaN: each guard must reject it with a typed error,
-    # not let it through to a bare ValueError from int(ceil(nan)) later
+    # `x <= 0` is False for NaN and an infinite constant passes it: each guard
+    # must reject both with a typed error, not let them through to a bare
+    # ValueError or OverflowError from int(ceil(...)) later, or to a NaN step
     with pytest.raises(sk.InvalidSpecError):
         call()

@@ -163,7 +163,7 @@ class TestEnvelopeCheck:
 class TestEnvelopeOracle:
     def test_warm_start_and_delta_update(self, b1_problem):
         tally = OracleTally()
-        oracle = sk.EnvelopeGradOracle(b1_problem, delta_env=1e-2, tally=tally)
+        oracle = sk.EnvelopeGradOracle(Metered(b1_problem, tally), delta_env=1e-2)
         g1 = oracle(np.array([1.0, 1.0]))
         oracle.set_delta(1e-6)
         ig = oracle.bundle(np.array([1.0, 1.0]))
@@ -199,13 +199,13 @@ class TestSharedInnerObject:
     def test_bundles_equal_one_shot_calls(self, mode):
         p = inner_mode_problem(mode)
         shared_tally, fresh_tally = OracleTally(), OracleTally()
-        oracle = sk.EnvelopeGradOracle(p, delta_env=1e-3, tally=shared_tally)
+        oracle = sk.EnvelopeGradOracle(Metered(p, shared_tally), delta_env=1e-3)
         warm = None
         for k, x in enumerate(self.points()):
             delta_env = 1e-3 * 0.1**k
             oracle.set_delta(delta_env)
             ig = oracle.bundle(x)
-            ref = sk.inexact_grad_g(p, x, 0.5 * delta_env, y0=warm, tally=fresh_tally)
+            ref = sk.inexact_grad_g(Metered(p, fresh_tally), x, 0.5 * delta_env, y0=warm)
             warm = ref.witness_y
             assert ig.grad.tobytes() == ref.grad.tobytes()
             assert ig.witness_y.tobytes() == ref.witness_y.tobytes()
@@ -228,23 +228,12 @@ class TestSharedInnerObject:
 
 
 class TestInnerTally:
-    """An InnerMax bills its own view's tally; another tally passed with it is refused."""
-
-    def test_foreign_tally_is_refused(self):
-        p = sk.gen_bilinear(3, 3, 2.0, seed=1).problem()
-        inner = sk.EnvelopeGradOracle(p, delta_env=1e-6).inner
-        other = OracleTally()
-        with pytest.raises(sk.InvalidSpecError):
-            sk.inexact_grad_g(inner, np.ones(3), 1e-6, tally=other)
-        with pytest.raises(sk.InvalidSpecError):
-            sk.inexact_grad_from_witness(inner, np.ones(3), np.zeros(3), 1e-6, tally=other)
-        assert other.snapshot() == {}
-        assert inner.mp.tally.snapshot() == {}
+    """An InnerMax bills its own view's tally."""
 
     def test_own_tally_or_none_is_billed(self):
         p = sk.gen_bilinear(3, 3, 2.0, seed=1).problem()
         inner = sk.EnvelopeGradOracle(p, delta_env=1e-6).inner
-        a = sk.inexact_grad_g(inner, np.ones(3), 1e-6, tally=inner.mp.tally)
+        a = sk.inexact_grad_g(inner, np.ones(3), 1e-6)
         b = sk.inexact_grad_g(inner, np.ones(3), 1e-6)
         assert a.grad.tobytes() == b.grad.tobytes()
         assert inner.mp.tally.snapshot() == {

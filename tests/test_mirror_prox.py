@@ -31,7 +31,7 @@ class TestAssembly:
     def test_fresh_output_and_counts_per_evaluation(self):
         inst = sk.gen_bilinear(3, 4, 10.0, seed=0)
         tally = OracleTally()
-        op = sk.assemble_saddle_operator(inst.problem(), tally)
+        op = sk.assemble_saddle_operator(Metered(inst.problem(), tally))
         z = np.linspace(-1.0, 1.0, 7)
         a = op.evaluate(z)
         b = op.evaluate(z)

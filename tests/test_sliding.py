@@ -97,7 +97,7 @@ class TestNormalization:
         ],
     )
     def test_idempotent(self, rdiag, gdiag, l_r, l_g, mu_r, mu_g):
-        # both engines normalize again what sliding_solve already normalized
+        # a split that is already oriented comes back unchanged
         obj, _ = two_term_quadratic(rdiag, gdiag, [1.0, -1.0])
         spec = sk.SlidingSpec(l_r=l_r, l_g=l_g, mu_r=mu_r, mu_g=mu_g)
         obj_n, spec_n, _ = normalize_split(obj, spec)
@@ -173,6 +173,13 @@ class TestCompositeGm:
         obj2, _ = self.make_objective(tally2)
         sk.composite_gm_solve(obj2, np.zeros(2), 37, tally=tally2)
         assert tally2.count(OracleKind.GRAD_R) == 37
+
+    def test_history_rows_only_with_a_value_oracle(self):
+        # one row per step with a value oracle, as run_fgm logs; none without
+        obj, _ = self.make_objective(OracleTally())
+        assert len(sk.composite_gm_solve(obj, np.zeros(2), 5).history) == 5
+        obj.full_value = None
+        assert sk.composite_gm_solve(obj, np.zeros(2), 5).history == []
 
 
 class TestApg:
@@ -294,8 +301,8 @@ class TestCatalyst:
         assert rep.extras["outer_iterations"] <= 3
 
     def test_sliding_solve_swaps_a_heavier_r(self):
-        # sliding_solve normalizes before the engine does; the result must be
-        # that of the engine on the raw objective
+        # the engine orients the split and reports the swap; sliding_solve
+        # hands back the engine's report on the raw objective
         rdiag, gdiag, b = [40.0, 3.0], [2.0, 0.5], [1.0, -2.0]
         spec = sk.SlidingSpec(l_r=40.0, l_g=2.0, mu_r=3.0, mu_g=0.5)
         obj, tally = two_term_quadratic(rdiag, gdiag, b)
@@ -306,6 +313,7 @@ class TestCatalyst:
         ref = sk.catalyst_solve(obj_raw, np.zeros(2), 2.0, 1e-8, spec=spec, tally=tally_raw)
         assert rep.x_final.tobytes() == ref.x_final.tobytes()
         assert tally == tally_raw
+        assert ref.extras["swapped"] is True
 
     def test_term_accuracies_follow_the_certificate(self):
         # each inexact term is asked for max(delta_req, mu cert / (16 l_t)),

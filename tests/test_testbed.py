@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,28 @@ class TestGenerators:
         c = sk.gen_quadratic_saddle(6, 5, 30.0, seed=3)
         d = sk.gen_quadratic_saddle(6, 5, 30.0, seed=3)
         assert c.a.tobytes() == d.a.tobytes() and c.p_diag.tobytes() == d.p_diag.tobytes()
+
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            (lambda: sk.gen_bilinear(3, 3, math.nan, seed=0), "cond"),
+            (lambda: sk.gen_bilinear(3, 3, math.inf, seed=0), "cond"),
+            (lambda: sk.gen_quadratic_saddle(3, 3, math.nan, seed=0), "cond"),
+            (lambda: sk.gen_quadratic_saddle(3, 3, 4.0, seed=0, mu_y=math.nan), "mu_y"),
+            (lambda: sk.gen_smoothed_game(4, math.nan, seed=0), "kappa"),
+            (lambda: sk.gen_smoothed_game(4, math.inf, seed=0), "kappa"),
+            (lambda: sk.bilinear_instance(np.eye(2), np.ones(2), math.nan, 1.0), "mu_x"),
+            (lambda: sk.bilinear_instance(np.eye(2), np.ones(2), 1.0, math.inf), "mu_y"),
+        ],
+        ids=[
+            "bilinear-cond-nan", "bilinear-cond-inf", "quadratic-cond-nan", "quadratic-mu-nan",
+            "game-kappa-nan", "game-kappa-inf", "instance-mu-nan", "instance-mu-inf",
+        ],
+    )
+    def test_non_finite_inputs_are_rejected_by_name(self, call, name):
+        # `cond < 1` is False for NaN: without a check the linear algebra fails unnamed
+        with pytest.raises(sk.InvalidSpecError, match=name):
+            call()
 
     def test_closed_form_zeroes_operator(self):
         for seed in range(6):
