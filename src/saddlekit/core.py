@@ -389,12 +389,13 @@ def regularize(epsilon: float, r_x: float, r_y: float) -> tuple[float, float]:
     """Quadratic moduli making the problem strongly convex-concave.
 
     Returns ``(epsilon / (2 r_x^2), epsilon / (2 r_y^2))``, to be added as
-    ``mu/2 ||.||^2`` regularizers on the primal and dual composites.  The
-    caller owns the accuracy bookkeeping: we budget an epsilon/4 bias per
-    regularized side.
+    ``mu/2 ||.||^2`` regularizers on the primal and dual composites; an input
+    that is not finite and positive raises naming it.  The caller owns the
+    accuracy bookkeeping: we budget an epsilon/4 bias per regularized side.
     """
-    if not (epsilon > 0 and r_x > 0 and r_y > 0):
-        raise InvalidSpecError("regularize requires positive epsilon and radii")
+    for name, v in (("epsilon", epsilon), ("r_x", r_x), ("r_y", r_y)):
+        if not 0 < v < math.inf:
+            raise InvalidSpecError(f"regularize needs a finite positive {name}, got {v}")
     return epsilon / (2.0 * r_x**2), epsilon / (2.0 * r_y**2)
 
 
@@ -465,14 +466,22 @@ class HistoryRow:
 
 @dataclass
 class SolveReport:
+    """A run's result: ``certified_gap`` bounds a gap of the returned point (the
+    driver says which) or is ``inf``; ``target`` is the finite gap asked for, or None."""
+
     x_final: Optional[Vector]
     certified_gap: float
     tally: OracleTally
-    converged: bool
+    target: Optional[float]
     history: list[HistoryRow] = field(default_factory=list)
     y_final: Optional[Vector] = None
     wall_ms: float = 0.0
     extras: dict = field(default_factory=dict)
+
+    @property
+    def converged(self) -> bool:
+        """The one convergence rule: a target that the gap meets (a NaN or inf gap never does)."""
+        return self.target is not None and self.certified_gap <= self.target
 
 
 class RunLog:
@@ -497,7 +506,7 @@ class RunLog:
         wall_ms = (perf_counter() - self._start) * 1e3
         self.history.append(HistoryRow(iteration, gap, snapshot, wall_ms))
 
-    def report(self, x, gap: float, converged: bool, y=None, **extras) -> SolveReport:
-        """The run's report: the logged history, the tally and the total wall time."""
+    def report(self, x, gap: float, target: Optional[float] = None, y=None, **extras) -> SolveReport:
+        """The :class:`SolveReport` for certified ``gap`` and ``target``, with the run's rows."""
         wall_ms = (perf_counter() - self._start) * 1e3
-        return SolveReport(x, gap, self.tally, converged, self.history, y, wall_ms, extras)
+        return SolveReport(x, gap, self.tally, target, self.history, y, wall_ms, extras)

@@ -91,9 +91,9 @@ def run_fgm(
 
     ``delta`` is the per-call oracle inexactness the caller asked for; it
     changes no step and is only echoed in ``extras["delta"]``, and
-    ``certified_gap`` is inf.  When the objective has a value oracle
-    (``obj.full_value``) the history logs one row per step with the
-    objective gap (nan without ``obj.f_star``); without one it stays empty.
+    ``certified_gap`` is inf, with no target.  When the objective has a
+    value oracle (``obj.full_value``) the history logs one row per step with
+    the objective gap (nan without ``obj.f_star``); without one it stays empty.
 
     Each step forms ``big_a * x`` once and builds both convex combinations
     ``(alpha * u + big_a * x) / a_next`` from it in place, one new array
@@ -120,7 +120,7 @@ def run_fgm(
         big_a = a_next
         if record:
             log.row(k + 1, obj.gap_at(x))
-    return log.report(x, float("inf"), False, big_a=big_a, delta=delta, iterations=int(n))
+    return log.report(x, float("inf"), big_a=big_a, delta=delta, iterations=int(n))
 
 
 def restart_budget(l: float, mu: float) -> int:
@@ -162,14 +162,14 @@ def run_restarted_fgm(
     per block, so early blocks, whose squared distance D_j^2 is large, ask
     for coarse oracles and later ones for fine.
 
-    The wrapper restarts until the running worst-case objective bound, the
-    returned ``certified_gap``, is at most ``epsilon`` (then ``converged``),
-    for at most 4 p + 64 blocks.  Each block's bound is at most
-    mu D_j^2 / 4, since N^2 >= 18 L / mu, so the p scheduled blocks bring it
-    to mu r0^2 / 2^(p+1) <= epsilon / 2 and the run stops there.  A
-    ``mu``, ``l_smooth``, ``epsilon`` or ``r0`` that is not finite and
-    positive raises :class:`~saddlekit.core.InvalidSpecError` naming it,
-    before any oracle call.
+    The wrapper restarts until the running worst-case bound on the objective
+    gap of the returned point, its ``certified_gap`` under the declared L
+    and mu, is at most the target ``epsilon``, for at most 4 p + 64 blocks.
+    Each block's bound is at most mu D_j^2 / 4, since N^2 >= 18 L / mu, so
+    the p scheduled blocks bring it to mu r0^2 / 2^(p+1) <= epsilon / 2 and
+    the run stops there.  A ``mu``, ``l_smooth``, ``epsilon`` or ``r0`` that
+    is not finite and positive raises :class:`~saddlekit.core.InvalidSpecError`
+    naming it, before any oracle call.
     """
     if not (math.isfinite(r0) and r0 > 0):
         raise InvalidSpecError("r0 must be finite and positive")
@@ -180,21 +180,18 @@ def run_restarted_fgm(
 
     x = np.array(x0, dtype=float)
     d_sq = r0 * r0
-    bound = float("inf")
-    restarts = 0
-    while restarts < 4 * p + 64:
+    for restarts in range(1, 4 * p + 65):
         delta_j = l * d_sq / (4.0 * n_j**3)
         if obj.set_delta is not None:
             obj.set_delta(delta_j)
         x = run_fgm(obj, x, n_j, delta_j, tally=log.tally).x_final
-        restarts += 1
         bound = 4.0 * l * d_sq / (n_j + 1) ** 2 + 2.0 * n_j * delta_j
         d_sq = min(d_sq, 2.0 * bound / mu)
         log.row(restarts, obj.gap_at(x) if obj.full_value is not None else bound)
         if restarts >= p and bound <= epsilon:
             break
     return log.report(
-        x, bound, bool(bound <= epsilon),
+        x, bound, epsilon,
         restarts=restarts, block_size=n_j, scheduled_restarts=p, smooth_calls=restarts * n_j,
     )
 
@@ -237,9 +234,10 @@ def solve_to_gap(
     after each block; the certificate's witness becomes the next start.  When
     the block cap is reached first, or a certificate is not finite (a NaN or
     inf oracle value), raises :class:`BudgetExceededError` carrying the best
-    iterate.  The report keeps no per-block history: the number of blocks run
-    is in ``extras["blocks"]`` and, when a block ran, their
-    :func:`restart_budget` length in ``extras["block_size"]``.  An objective
+    iterate.  Its ``certified_gap`` is the certificate of the returned
+    witness, with target ``target_gap``.  It keeps no per-block history: the
+    number of blocks run is in ``extras["blocks"]`` and, when a block ran,
+    their :func:`restart_budget` length in ``extras["block_size"]``.  An objective
     without strong convexity (``mu <= 0``) raises
     :class:`~saddlekit.core.InvalidSpecError` before any oracle call, and so
     does a ``target_gap`` that is not positive (NaN included).
@@ -257,7 +255,7 @@ def solve_to_gap(
     if witness is x0:
         witness = x.copy()
     if bound <= target_gap:
-        return log.report(witness, bound, True, blocks=0)
+        return log.report(witness, bound, target_gap, blocks=0)
     n_b = restart_budget(max(obj.l_smooth, obj.mu), obj.mu)
     blocks = 0
     while not bound <= target_gap:
@@ -276,7 +274,7 @@ def solve_to_gap(
         x = run_fgm(obj, witness, n_b, 0.0, tally=log.tally).x_final
         bound, witness = certificate(obj, x)
         blocks += 1
-    return log.report(witness, bound, True, blocks=blocks, block_size=n_b)
+    return log.report(witness, bound, target_gap, blocks=blocks, block_size=n_b)
 
 
 # ---------------------------------------------------------------------------

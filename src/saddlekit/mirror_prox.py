@@ -176,9 +176,10 @@ def run_mirror_prox(
     (1/k) sum <G(w^j), w^j - z_star> when ``z_star`` is supplied, which the
     averaged bound above upper-bounds by L ||z_star - z0||^2 / (2k), and the
     operator norm at the leading point otherwise.  ``record_every=0`` logs
-    nothing.
+    nothing.  ``certified_gap`` is inf, with no target: nothing is certified.
 
-    The loop evaluates only through ``op.bind``, into two buffers it owns: on all of space z and w are updated in place, so it binds both
+    The loop evaluates only through ``op.bind``, into two buffers it owns:
+    on all of space z and w are updated in place, so it binds both
     evaluations once per call; on a bounded domain the projections return
     new points and it binds them every step.  It bills the evaluations it
     made with ``op.charge`` before each history row and on the way out, also
@@ -186,8 +187,8 @@ def run_mirror_prox(
     carries ``op.tally``, or a fresh tally when the operator has none.
     """
     log = RunLog(op.tally)
-    if n <= 0:
-        return log.report(None, float("inf"), False, error="degenerate budget n=0", iterations=0)
+    if n < 1:  # from here on the loop runs at least once
+        return log.report(None, float("inf"), error=f"degenerate budget n={n}", iterations=0)
     z = np.array(z0, dtype=float)
     inv_l = 1.0 / op.l
     domain = op.domain
@@ -205,7 +206,6 @@ def run_mirror_prox(
         at_z, at_w = bind(z, g0_buf), bind(w, gw_buf)
     lead_sum = np.zeros_like(z)
     resid_sum = 0.0
-    last_gw: Optional[Vector] = None
     unbilled = 0  # evaluations made but not yet charged
     try:
         for k in range(1, int(n) + 1):
@@ -221,7 +221,6 @@ def run_mirror_prox(
                 gw = bind(w, gw_buf)()
                 z = project(z - inv_l * gw)
             lead_sum += w
-            last_gw = gw
             if z_star is not None:
                 resid_sum += float(gw @ (w - z_star))
             if record_every and (k % record_every == 0 or k == n):
@@ -230,15 +229,11 @@ def run_mirror_prox(
                 log.row(k, resid_sum / k if z_star is not None else float(np.linalg.norm(gw)))
     finally:
         op.charge(unbilled)
-    avg = lead_sum / float(n)
-    bound = op.l * float(np.dot(np.asarray(z0) - z_star, np.asarray(z0) - z_star)) / (
-        2.0 * n
-    ) if z_star is not None else float("inf")
     return log.report(
-        avg, bound, True, iterations=int(n),
+        lead_sum / float(n), float("inf"), iterations=int(n),
         avg_residual=(resid_sum / n) if z_star is not None else None,
         last_point=z,
-        last_operator_norm=float(np.linalg.norm(last_gw)) if last_gw is not None else None,
+        last_operator_norm=float(np.linalg.norm(gw)),
     )
 
 
@@ -251,15 +246,16 @@ def run_restarted_mp(
     """Restarted extragradient under strong monotonicity.
 
     After N = ceil(L/mu) iterations the averaged point satisfies
-    mu ||avg - z*||^2 <= L R^2 / (2N) <= mu R^2 / 2, halving the certified
-    squared distance; p = ceil(log2(mu R0^2 / eps)) restarts bring it to
-    eps / mu.  A free residual check (strong monotonicity bounds the distance
-    by ||G(w)|| / mu) allows early exit.  Each block bills ``op.tally`` as
-    :func:`run_mirror_prox` does; the report carries that tally, or a fresh
-    one when the operator has none.  An ``epsilon`` that is not finite and
-    positive, an ``r0`` that is NaN, infinite or negative, or a block length
-    L / mu that is not finite raises :class:`~saddlekit.core.InvalidSpecError`
-    naming it, before any evaluation.
+    mu ||avg - z*||^2 <= L R^2 / (2N) <= mu R^2 / 2, halving the squared
+    distance bound ``extras["dist_sq_bound"]``; p = ceil(log2(mu R0^2 / eps))
+    restarts bring it to eps / mu.  A residual check ||G(w)||^2 <= eps mu at
+    the last leading point w may end the restarts early; it bounds w's
+    distance, not the average's, so ``certified_gap`` is inf, with no target.
+    Each block bills ``op.tally`` as :func:`run_mirror_prox` does; the
+    report carries that tally, or a fresh one when the operator has none.
+    An ``epsilon`` that is not finite and positive, an ``r0`` that is NaN,
+    infinite or negative, or a block length L / mu that is not finite raises
+    :class:`~saddlekit.core.InvalidSpecError` naming it, before any evaluation.
     """
     if op.mu <= 0:
         raise InvalidSpecError("restarted extragradient requires mu > 0")
@@ -279,18 +275,14 @@ def run_restarted_mp(
     n_j = int(math.ceil(op.l / op.mu))
     d_sq = r0 * r0
     p = fgm.restart_count(op.mu, d_sq, epsilon) if d_sq > 0 else 1
-    restarts = 0
-    for j in range(p):
+    for restarts in range(1, p + 1):
         rep = run_mirror_prox(op, z, n_j, record_every=0)
         z = rep.x_final
-        restarts += 1
         d_sq = min(d_sq, op.l * d_sq / (2.0 * op.mu * n_j))
         log.row(restarts, d_sq)
-        op_norm = rep.extras.get("last_operator_norm")
-        if op_norm is not None and op_norm**2 <= epsilon * op.mu:
-            d_sq = min(d_sq, op_norm**2 / op.mu**2)
+        if rep.extras["last_operator_norm"] ** 2 <= epsilon * op.mu:
             break
     return log.report(
-        z, op.mu * d_sq, bool(d_sq <= epsilon / op.mu),  # mu * dist^2 <= epsilon certifies
+        z, float("inf"),
         restarts=restarts, block_size=n_j, scheduled_restarts=p, dist_sq_bound=d_sq,
     )

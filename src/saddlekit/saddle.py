@@ -140,12 +140,14 @@ def duality_gap(
     The primal side maximizes S(x, .) over Q_y intersected with the ball of
     radius 2 r_y around Q_y's center; the dual side minimizes S(., y)
     symmetrically.  Both use gradient oracles of the composites (a prox-only
-    composite would need its feasible set unchanged by the restriction), and
-    a missing one raises before either side spends a call.  Both sides bill
-    the tally of the given view; a raw problem is billed to a fresh view.
+    composite would need its feasible set unchanged by the restriction); a
+    missing one, or an ``r_x``, ``r_y`` or ``inner_eps`` that is not finite and
+    positive, raises before either side spends a call.  Both sides bill the
+    tally of the given view; a raw problem is billed to a fresh view.
     """
-    if inner_eps <= 0 or r_x <= 0 or r_y <= 0:
-        raise InvalidSpecError("duality_gap needs positive radii and accuracy")
+    for name, v in (("r_x", r_x), ("r_y", r_y), ("inner_eps", inner_eps)):
+        if not 0 < v < math.inf:
+            raise InvalidSpecError(f"duality_gap needs a finite positive {name}, got {v}")
     mp = Metered.of(problem)
     if mp.problem.grad_h is None:
         raise UnsupportedProblemError("duality_gap needs grad_h for the primal side")
@@ -216,18 +218,19 @@ def solve_saddle(
 
     ``r_x`` / ``r_y`` bound the starting distances ``||x0 - x*||`` and
     ``||y0 - y*||`` (defaulting to twice the ball radius on bounded sets) and
-    fix the certificate's restriction balls.  The returned report carries the
-    pair, the gap certificate, and the full oracle tally including the
-    certification cost.  Internal accuracy targets start at the scheduled
-    O(epsilon) values and tighten geometrically until the certificate passes,
-    for at most :data:`MAX_ATTEMPTS` attempts.  An inner or certificate solve
-    that exhausts its budget ends the loop with ``converged=False``, an
-    infinite gap and the message in ``extras["error"]``.  An explicit ``case*``
-    engine picks the route (r's prox or r's gradient); ``extras["engine"]``
-    names the case that ran, whose h part follows ``prox_friendly_h``.  An
-    ``epsilon``, ``r_x`` or ``r_y`` that is not finite and positive (inf, NaN,
-    zero) raises :class:`~saddlekit.core.InvalidSpecError` naming it, before
-    any oracle call.
+    fix the certificate's restriction balls.  The report carries the pair,
+    the last :func:`duality_gap` certificate (its gap is ``certified_gap``,
+    target ``epsilon``) and the full oracle tally with the certification
+    cost.  Internal accuracy targets start at the scheduled O(epsilon) values
+    and tighten geometrically until the certificate passes, for at most
+    :data:`MAX_ATTEMPTS` attempts.  An inner or certificate solve that
+    exhausts its budget ends the loop with an infinite gap and the message in
+    ``extras["error"]``.  An explicit ``case*`` engine picks the route (r's
+    prox or r's gradient); ``extras["engine"]`` names the case that ran, whose
+    h part follows ``prox_friendly_h``.  An ``epsilon``, ``r_x`` or ``r_y``
+    that is not finite and positive (inf, NaN, zero) raises
+    :class:`~saddlekit.core.InvalidSpecError` naming it, before any oracle
+    call.
     """
     problem.validate()
     if not (math.isfinite(epsilon) and epsilon > 0):
@@ -266,7 +269,7 @@ def solve_saddle(
     rows = [row for rep in reports for row in rep.history]
     log.history = [replace(row, iteration=i) for i, row in enumerate(rows, 1)]
     gap = cert.gap if cert is not None else float("inf")
-    return log.report(x_cur, gap, gap <= epsilon, y=y_cur, certificate=cert, **extras)
+    return log.report(x_cur, gap, epsilon, y=y_cur, certificate=cert, **extras)
 
 
 def _splitting_attempts(mp, eng, epsilon, x, y, r0, mu_f, mu_from_g):
@@ -305,8 +308,7 @@ def _extragradient_attempts(mp, epsilon, x, y, r0):
     while True:
         rep = mirror_prox.run_restarted_mp(op, z, eps_vi, r0=r0)
         z = rep.x_final
-        d_sq = rep.extras.get("dist_sq_bound", float("inf"))
-        r0 = math.sqrt(d_sq) if d_sq < float("inf") else r0
+        r0 = math.sqrt(rep.extras["dist_sq_bound"])
         yield rep, z[:nx], z[nx:]
         eps_vi /= 16.0
 

@@ -298,9 +298,10 @@ def apg_inexact_solve(
     no such prox, and ``exact_inner`` then raises.  When ``obj.x_star`` is
     known the report's ``extras["lyapunov"]`` logs the contraction quantity
     after every step, and ``extras["swapped"]`` records whether the split
-    was swapped.  The report echoes ``epsilon`` as its certified gap when
-    the final iterate is finite; a NaN or inf iterate returns
-    ``converged=False`` with an infinite gap.
+    was swapped.  The target is ``epsilon``, and ``certified_gap`` is the
+    schedule's a-priori bound on the final iterate's objective gap under the
+    declared constants: ``epsilon`` itself, or ``inf`` when that iterate is
+    NaN or infinite.
     """
     obj, spec, swapped = normalize_split(obj, spec)
     log = RunLog(tally)
@@ -344,10 +345,9 @@ def apg_inexact_solve(
         log.row(k + 1, obj.gap_at(y))
     # the schedule certifies nothing about a NaN or inf iterate (an understated
     # constant can blow the loop up): fail closed without spending an oracle call
-    finite = bool(np.isfinite(y).all())
-    gap = epsilon if finite else float("inf")
+    gap = epsilon if np.isfinite(y).all() else float("inf")
     return log.report(
-        y, gap, finite, params=params, lyapunov=lyapunov, engine="apg", swapped=swapped
+        y, gap, epsilon, params=params, lyapunov=lyapunov, engine="apg", swapped=swapped
     )
 
 
@@ -371,12 +371,13 @@ def composite_gm_solve(
     unless an optional ``stop_rule(x_prev, x_next, step_gap_bound)`` fires).
     Like :func:`~saddlekit.fgm.run_fgm`, it logs one history row per step (the
     running average's gap) exactly when the objective has ``full_value``.
+    ``certified_gap`` is inf, with no target: ``stop_rule``'s step bound is
+    about the last iterate ``extras["last"]``, not the average.
     """
     log = RunLog(tally)
     x = np.array(x0, dtype=float)
     avg = np.zeros_like(x)
     steps = 0
-    fired = False
     record = obj.full_value is not None
     for k in range(int(n)):
         lin = obj.smooth_grad(x)
@@ -397,7 +398,7 @@ def composite_gm_solve(
         if fired:
             break
     avg = avg / max(steps, 1)
-    return log.report(avg, float("inf"), fired or stop_rule is None, last=x, iterations=steps)
+    return log.report(avg, float("inf"), last=x, iterations=steps)
 
 
 # Relative accuracy of Catalyst's inexact term oracles.  A (delta, L) inexact
@@ -428,10 +429,11 @@ def catalyst_solve(
     beta = (1 - sqrt(q)) / (1 + sqrt(q)), q = mu / (mu + reg_l).  Subproblems
     stop when the certified gap falls below q/10 of the regularization term.
     Outer iterations stop on a gradient-norm certificate for P,
-    cert = ||grad P(x_k)||^2 / (2 mu).  ``spec`` holds the constants of
-    ``obj``; both are oriented by :func:`normalize_split`, and
-    ``extras["swapped"]`` records whether the split was swapped.
-    ``reg_l=None`` takes the oriented split's l_r.
+    cert = ||grad P(x_k)||^2 / (2 mu) >= P(x_k) - P*, logged at every outer
+    step; ``certified_gap`` is its value at the returned point, with target
+    ``epsilon``.  ``spec`` holds the constants of ``obj``; both are oriented
+    by :func:`normalize_split`, and ``extras["swapped"]`` records whether the
+    split was swapped.  ``reg_l=None`` takes the oriented split's l_r.
 
     Inexact term oracles (``set_delta_r`` / ``set_delta_g``) are asked for a
     relative accuracy: the first certificate uses the floor
@@ -462,17 +464,14 @@ def catalyst_solve(
 
     x = np.array(x0, dtype=float)
     y_prev = x.copy()
-    converged = False
     outer = 0
-    cert = float("inf")
 
-    while outer < cap:
-        # certified stop on the full objective
+    while True:
+        # certified stop on the full objective; the cap exits after a check too
         grad_p = obj.grad_r(x) + obj.grad_g(x)
         cert = float(grad_p @ grad_p) / (2.0 * mu)
-        log.row(outer, min(cert, obj.gap_at(x)) if obj.f_star is not None else cert)
-        if cert <= epsilon:
-            converged = True
+        log.row(outer, cert)
+        if cert <= epsilon or outer >= cap:
             break
         outer += 1
         for set_delta, l_t in inexact:
@@ -519,7 +518,7 @@ def catalyst_solve(
         x = x_new
 
     return log.report(
-        x, cert, converged, engine="catalyst", outer_iterations=outer, q=q, swapped=swapped
+        x, cert, epsilon, engine="catalyst", outer_iterations=outer, q=q, swapped=swapped
     )
 
 
@@ -537,8 +536,8 @@ def sliding_solve(
     ``engine="apg"`` (default) runs the fully scheduled accelerated proximal
     loop; ``engine="catalyst"`` the proximal-point wrapper with
     regularization weight l_r of the oriented split (the cheaper term's
-    constant, which minimizes the total g-gradient count).  Each engine
-    orients the split itself and reports it in ``extras["swapped"]``.
+    constant, which minimizes the total g-gradient count).  Each engine orients
+    the split (``extras["swapped"]``) and documents its report's ``certified_gap``.
     """
     if engine == "apg":
         return apg_inexact_solve(spec, obj, x0, epsilon, gap0=gap0, tally=tally)

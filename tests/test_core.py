@@ -1,4 +1,5 @@
 import inspect
+import math
 import types
 
 import numpy as np
@@ -56,6 +57,17 @@ class TestRegularize:
     def test_nonpositive_rejected(self, args):
         with pytest.raises(sk.InvalidSpecError):
             sk.regularize(*args)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    @pytest.mark.parametrize("name", ["epsilon", "r_x", "r_y"])
+    def test_non_finite_rejected_by_name(self, b1_problem, name, value):
+        # epsilon=inf would give infinite moduli, and r_x=inf a zero x-modulus
+        # that regularize_problem reads as nothing to add
+        args = {"epsilon": 1e-3, "r_x": 1.0, "r_y": 1.0, name: value}
+        with pytest.raises(sk.InvalidSpecError, match=name):
+            sk.regularize(**args)
+        with pytest.raises(sk.InvalidSpecError, match=name):
+            sk.regularize_problem(b1_problem, **args)
 
     def test_noop_when_already_strongly_convex(self, b1_problem):
         # mu = 1 >= eps / (2 r^2) = 0.005: moduli unchanged, same object
@@ -260,3 +272,96 @@ class TestMeteredOf:
         x, y = b1.closed_form_x, b1.closed_form_y
         sk.duality_gap(Metered(b1_problem, raw_tally), x, y, 1.0, 1.0, 1e-8)
         assert raw_tally.count(OracleKind.GRAD_Y_F) > 0
+
+
+# ---------------------------------------------------------------------------
+# the report contract: converged is derived from the certified gap and target
+# ---------------------------------------------------------------------------
+
+
+def _quadratic_objective():
+    d, b = np.array([1.0, 4.0, 20.0]), np.array([1.0, -2.0, 0.5])
+    return sk.CompositeObjective(
+        smooth_grad=lambda x: d * x - b,
+        l_smooth=20.0,
+        mu=1.0,
+        full_value=lambda x: 0.5 * float(x @ (d * x)) - float(b @ x),
+        f_star=-0.5 * float(b @ (b / d)),
+    )
+
+
+def _two_term(g_true):
+    """P = 1/2 x'Rx + 1/2 x'Gx - <b,x> with l_r = 1 and a declared l_g = 30."""
+    r, g, b = np.array([1.0, 0.7]), np.array([0.5, g_true]), np.array([1.0, -2.0])
+    obj = sk.TwoTermObjective(
+        value_r=lambda x: 0.5 * float(x @ (r * x)),
+        grad_r=lambda x: r * x,
+        value_g=lambda x: 0.5 * float(x @ (g * x)) - float(b @ x),
+        grad_g=lambda x: g * x - b,
+    )
+    return obj, sk.SlidingSpec(l_r=1.0, l_g=30.0, mu_r=0.7, mu_g=0.5)
+
+
+def _mirror_prox(n, with_z_star=False):
+    inst = sk.gen_bilinear(5, 4, 10.0, seed=0, mu_x=2.0, mu_y=2.0)
+    op = sk.assemble_saddle_operator(inst.problem())
+    if n is None:
+        return sk.run_restarted_mp(op, np.zeros(9), 1e-4, r0=4.0)
+    z_star = np.concatenate([inst.closed_form_x, inst.closed_form_y])
+    return sk.run_mirror_prox(op, np.zeros(9), n, z_star=z_star if with_z_star else None)
+
+
+def _sliding(solve, epsilon, g_true=30.0):
+    obj, spec = _two_term(g_true)
+    with np.errstate(all="ignore"):  # an understated l_g overflows the APG loop
+        if solve == "catalyst_solve":
+            return sk.catalyst_solve(obj, np.zeros(2), None, epsilon, spec=spec)
+        if solve == "apg_inexact_solve":
+            return sk.apg_inexact_solve(spec, obj, np.zeros(2), epsilon)
+        return sk.sliding_solve(spec, obj, np.zeros(2), epsilon, engine=solve)
+
+
+def _saddle(engine):
+    inst = sk.gen_bilinear(4, 4, 5.0, seed=1, mu_x=4.0, mu_y=4.0)
+    return sk.solve_saddle(inst.problem(), 1e-6, engine=engine, r_x=10.0, r_y=10.0)
+
+
+def _composite(n, stop_rule=None):
+    return sk.composite_gm_solve(_quadratic_objective(), np.zeros(3), n, stop_rule=stop_rule)
+
+
+# driver -> (its report, the target it must pass: None when it bounds no gap)
+REPORTS = {
+    "run_fgm": (lambda: sk.run_fgm(_quadratic_objective(), np.zeros(3), 20), None),
+    "run_restarted_fgm": (
+        lambda: sk.run_restarted_fgm(_quadratic_objective(), np.zeros(3), 1e-8, r0=5.0), 1e-8
+    ),
+    "solve_to_gap": (lambda: sk.solve_to_gap(_quadratic_objective(), np.zeros(3), 1e-9), 1e-9),
+    "apg_inexact_solve": (lambda: _sliding("apg_inexact_solve", 1e-4), 1e-4),
+    # l_g declared 30, true 1e6: the iterate blows up and the report fails closed
+    "apg_inexact_solve-blown-up": (lambda: _sliding("apg_inexact_solve", 1e-6, 1e6), 1e-6),
+    "composite_gm_solve": (lambda: _composite(30), None),
+    "composite_gm_solve-stop-rule": (
+        lambda: _composite(500, stop_rule=lambda x, x_next, gap: gap <= 1e-6), None
+    ),
+    "catalyst_solve": (lambda: _sliding("catalyst_solve", 1e-8), 1e-8),
+    "sliding_solve-apg": (lambda: _sliding("apg", 1e-4), 1e-4),
+    "sliding_solve-catalyst": (lambda: _sliding("catalyst", 1e-8), 1e-8),
+    "run_mirror_prox": (lambda: _mirror_prox(50), None),
+    "run_mirror_prox-z_star": (lambda: _mirror_prox(50, with_z_star=True), None),
+    "run_mirror_prox-no-budget": (lambda: _mirror_prox(0), None),
+    "run_restarted_mp": (lambda: _mirror_prox(None), None),
+    "solve_saddle-auto": (lambda: _saddle("auto"), 1e-6),
+    "solve_saddle-case2": (lambda: _saddle("case2"), 1e-6),
+    "solve_saddle-mirror_prox": (lambda: _saddle("mirror_prox"), 1e-6),
+}
+
+
+@pytest.mark.parametrize("driver", list(REPORTS))
+def test_converged_is_derived_from_a_bounded_gap(driver):
+    make, target = REPORTS[driver]
+    rep = make()
+    assert rep.target == target
+    assert rep.converged == (rep.target is not None and rep.certified_gap <= rep.target)
+    # no report claims convergence on a gap it did not bound
+    assert not (rep.converged and not math.isfinite(rep.certified_gap))

@@ -1,4 +1,6 @@
 import dataclasses
+import itertools
+import math
 
 import numpy as np
 import pytest
@@ -115,6 +117,33 @@ class TestRestartedMp:
         op = identity_operator(mu=0.0)
         with pytest.raises(sk.InvalidSpecError):
             sk.run_restarted_mp(op, np.zeros(2), 1e-6, r0=1.0)
+
+    @staticmethod
+    def _distance_run(cond, seed, mu, eps):
+        inst = sk.gen_bilinear(5, 4, cond, seed=seed, mu_x=mu, mu_y=mu)
+        z_star = np.concatenate([inst.closed_form_x, inst.closed_form_y])
+        op = sk.assemble_saddle_operator(inst.problem())
+        r0 = 1.5 * float(np.linalg.norm(z_star)) + 1.0
+        rep = sk.run_restarted_mp(op, np.zeros(9), eps, r0=r0)
+        return rep, float(np.sum((rep.x_final - z_star) ** 2))
+
+    def test_distance_bound_covers_the_returned_average(self):
+        # the residual early exit measures the last leading point, not the
+        # average it returns, so it must not tighten the reported bound
+        grid = itertools.product((2.0, 10.0, 50.0), range(5), (0.5, 2.0, 5.0), (1e-2, 1e-4, 1e-6))
+        for cond, seed, mu, eps in grid:
+            rep, dist_sq = self._distance_run(cond, seed, mu, eps)
+            assert dist_sq <= rep.extras["dist_sq_bound"], (cond, seed, mu, eps)
+            assert rep.certified_gap == math.inf and not rep.converged
+
+    def test_pinned_early_exit(self):
+        # here the last leading point's residual bound, 4.71e-05, undercuts the
+        # returned average's true squared distance: the exit must not use it
+        rep, dist_sq = self._distance_run(10.0, 0, 2.0, 1e-4)
+        assert rep.extras["restarts"] < rep.extras["scheduled_restarts"]  # the early exit fired
+        assert dist_sq == pytest.approx(6.22e-05, rel=1e-3)
+        assert rep.extras["dist_sq_bound"] >= dist_sq
+        assert not rep.converged
 
     def test_operator_call_scaling(self):
         # evaluations grow roughly linearly in l/mu on scaled instances

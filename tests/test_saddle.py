@@ -5,7 +5,7 @@ import pytest
 
 import saddlekit as sk
 from saddlekit import inner_max
-from saddlekit.core import OracleKind, SpectralInfo
+from saddlekit.core import Metered, OracleKind, SpectralInfo
 
 
 class TestSolveSaddle:
@@ -361,6 +361,16 @@ class TestDualityGap:
             b1_problem, np.array([2.0, -1.0]), np.array([-1.0, 2.0]), 10.0, 10.0, 1e-6
         )
         assert cert.gap > 0.1
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    @pytest.mark.parametrize("name", ["r_x", "r_y", "inner_eps"])
+    def test_non_finite_input_rejected_by_name(self, b1, b1_problem, name, value):
+        # an infinite radius would certify a gap over an unbounded "restricted" set
+        tally = sk.OracleTally()
+        args = {"r_x": 1.0, "r_y": 1.0, "inner_eps": 1e-8, name: value}
+        with pytest.raises(sk.InvalidSpecError, match=name):
+            sk.duality_gap(Metered(b1_problem, tally), b1.closed_form_x, b1.closed_form_y, **args)
+        assert tally.snapshot() == {}
 
 
 class TestPredict:

@@ -1,10 +1,12 @@
 import dataclasses
 import math
+import types
 
 import numpy as np
 import pytest
 
 import saddlekit as sk
+from saddlekit import sliding
 from saddlekit.core import OracleKind, OracleTally, counted
 from saddlekit.fgm import quadratic_prox_model
 from saddlekit.sliding import normalize_split
@@ -288,6 +290,33 @@ class TestCatalyst:
         rep = sk.catalyst_solve(obj, obj.x_star, 1.0, 1e-6, spec=spec, tally=tally)
         assert rep.converged
         assert rep.extras["outer_iterations"] == 0
+
+    def test_history_logs_the_certificate(self):
+        # the rows log the certificate the loop stops on, not the true gap,
+        # also when f_star is known
+        obj, tally = two_term_quadratic([1.0, 0.7], [0.5, 30.0], [1.0, -2.0])
+        spec = sk.SlidingSpec(l_r=1.0, l_g=30.0, mu_r=0.7, mu_g=0.5)
+        rep = sk.catalyst_solve(obj, np.zeros(2), 1.0, 1e-8, spec=spec, tally=tally)
+        assert obj.f_star is not None and rep.converged
+        assert rep.history[-1].gap == rep.certified_gap > obj.gap_at(rep.x_final)
+
+    def test_cap_exit_certifies_the_returned_point(self, monkeypatch):
+        # subproblems that make no progress run the outer loop to its cap; the
+        # reported certificate is still the one of the point returned
+        obj, tally = two_term_quadratic([1.0, 0.7], [0.5, 30.0], [1.0, -2.0])
+        spec = sk.SlidingSpec(l_r=1.0, l_g=30.0, mu_r=0.7, mu_g=0.5)
+
+        def stalled(sub, x, n, stop_rule=None, tally=None):
+            return types.SimpleNamespace(extras={"last": x})
+
+        monkeypatch.setattr(sliding, "composite_gm_solve", stalled)
+        x0 = np.array([0.3, -0.2])
+        rep = sk.catalyst_solve(obj, x0, 1.0, 1e-8, spec=spec, tally=tally)
+        assert not rep.converged and rep.extras["outer_iterations"] > 0
+        assert rep.history[-1].iteration == rep.extras["outer_iterations"]
+        grad_p = obj.grad_r(rep.x_final) + obj.grad_g(rep.x_final)
+        assert rep.certified_gap == rep.history[-1].gap
+        assert rep.certified_gap == pytest.approx(float(grad_p @ grad_p) / (2.0 * spec.mu))
 
     def test_well_conditioned_few_outer_steps(self):
         # mu = l_r = l_g with a modest starting offset: three proximal steps
