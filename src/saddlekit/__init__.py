@@ -67,8 +67,7 @@ from .sliding import (
     sliding_solve,
 )
 from .testbed import (
-    BilinearInstance,
-    QuadraticSaddleInstance,
+    SaddleInstance,
     bilinear_instance,
     gen_bilinear,
     gen_quadratic_saddle,
@@ -82,7 +81,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AllSpace",
     "Alg5Params",
-    "BilinearInstance",
     "BudgetExceededError",
     "ComplexityPrediction",
     "CompositeObjective",
@@ -96,7 +94,7 @@ __all__ = [
     "Metered",
     "OracleKind",
     "OracleTally",
-    "QuadraticSaddleInstance",
+    "SaddleInstance",
     "SaddleProblem",
     "SaddleSpec",
     "SlidingSpec",

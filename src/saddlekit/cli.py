@@ -78,12 +78,10 @@ def _load_instance(desc: dict):
         _check_caps(int(desc["n"]), int(desc.get("m", desc["n"])), float(desc.get("cond", 1.0)))
     if family == "bilinear":
         if "a" in desc:
-            return bilinear_instance(
-                np.asarray(desc["a"], dtype=float),
-                np.asarray(desc["b"], dtype=float),
-                mu_x,
-                mu_y,
-            )
+            a = np.asarray(desc["a"], dtype=float)
+            m, n = a.shape
+            _check_caps(n, m, 1.0)
+            return bilinear_instance(a, np.asarray(desc["b"], dtype=float), mu_x, mu_y)
         return gen_bilinear(
             int(desc["n"]), int(desc["m"]), float(desc.get("cond", 10.0)),
             int(desc.get("seed", 0)), mu_x, mu_y,

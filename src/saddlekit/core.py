@@ -456,7 +456,8 @@ def regularize_problem(problem: SaddleProblem, epsilon: float, r_x: float, r_y: 
 
 @dataclass
 class HistoryRow:
-    """One logged step: the gap column is nan when no exact value oracle exists."""
+    """One logged step.  ``gap`` is what the logging driver documents: a true gap,
+    a bound, a certificate, a residual or a squared distance (nan for none)."""
 
     iteration: int
     gap: float

@@ -167,9 +167,11 @@ def run_restarted_fgm(
     and mu, is at most the target ``epsilon``, for at most 4 p + 64 blocks.
     Each block's bound is at most mu D_j^2 / 4, since N^2 >= 18 L / mu, so
     the p scheduled blocks bring it to mu r0^2 / 2^(p+1) <= epsilon / 2 and
-    the run stops there.  A ``mu``, ``l_smooth``, ``epsilon`` or ``r0`` that
-    is not finite and positive raises :class:`~saddlekit.core.InvalidSpecError`
-    naming it, before any oracle call.
+    the run stops there.  The history logs one row per block: the objective
+    gap with ``obj.full_value`` (nan without ``obj.f_star``), else the bound.
+    A ``mu``, ``l_smooth``, ``epsilon`` or ``r0`` that is not finite and
+    positive raises :class:`~saddlekit.core.InvalidSpecError` naming it,
+    before any oracle call.
     """
     if not (math.isfinite(r0) and r0 > 0):
         raise InvalidSpecError("r0 must be finite and positive")
@@ -240,15 +242,15 @@ def solve_to_gap(
     their :func:`restart_budget` length in ``extras["block_size"]``.  An objective
     without strong convexity (``mu <= 0``) raises
     :class:`~saddlekit.core.InvalidSpecError` before any oracle call, and so
-    does a ``target_gap`` that is not positive (NaN included).
+    does a ``target_gap`` that is not finite and positive.
 
     A start that already certifies costs one certificate and nothing else:
     no block and no block size.  The start is copied only when the
     certificate hands it back as its witness, so the returned iterate never
     aliases ``x0``.
     """
-    if not target_gap > 0:
-        raise InvalidSpecError("target gap must be positive")
+    if not (math.isfinite(target_gap) and target_gap > 0):
+        raise InvalidSpecError(f"target gap must be finite and positive, got {target_gap}")
     log = RunLog(tally)
     x = np.asarray(x0, dtype=float)
     bound, witness = certificate(obj, x)

@@ -21,6 +21,7 @@ once per metered view, with the set center and the envelope constant, and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional
@@ -111,10 +112,12 @@ class InnerMax:
         prox-friendly, a single prox call solves the subproblem exactly.
 
         Raises :class:`~saddlekit.core.BudgetExceededError` (carrying the best
-        iterate) if the block cap is hit before certification.
+        iterate) if the block cap is hit before certification, and
+        :class:`~saddlekit.core.InvalidSpecError` before any oracle call if
+        ``delta`` is not finite and positive.
         """
-        if not delta > 0:
-            raise InvalidSpecError("inner accuracy delta must be positive")
+        if not (math.isfinite(delta) and delta > 0):
+            raise InvalidSpecError(f"inner accuracy delta must be finite and positive, got {delta}")
         mp = self.mp
         x = np.asarray(x, dtype=float)
         if self.exact_prox:
@@ -219,8 +222,8 @@ class EnvelopeGradOracle:
         self._warm: Optional[Vector] = None
 
     def set_delta(self, delta_env: float) -> None:
-        if not delta_env > 0:
-            raise InvalidSpecError("envelope inexactness must be positive")
+        if not (math.isfinite(delta_env) and delta_env > 0):
+            raise InvalidSpecError(f"envelope accuracy must be finite and positive, got {delta_env}")
         self._delta_env = float(delta_env)
 
     def bundle(self, x: Vector) -> InexactGrad:

@@ -251,8 +251,9 @@ def run_restarted_mp(
     restarts bring it to eps / mu.  A residual check ||G(w)||^2 <= eps mu at
     the last leading point w may end the restarts early; it bounds w's
     distance, not the average's, so ``certified_gap`` is inf, with no target.
-    Each block bills ``op.tally`` as :func:`run_mirror_prox` does; the
-    report carries that tally, or a fresh one when the operator has none.
+    The history logs ``dist_sq_bound`` after every restart.  Each block
+    bills ``op.tally`` as :func:`run_mirror_prox` does; the report carries
+    that tally, or a fresh one when the operator has none.
     An ``epsilon`` that is not finite and positive, an ``r0`` that is NaN,
     infinite or negative, or a block length L / mu that is not finite raises
     :class:`~saddlekit.core.InvalidSpecError` naming it, before any evaluation.

@@ -15,7 +15,7 @@ import numpy as np
 from . import inner_max
 from .core import Metered, OracleTally
 from .mirror_prox import assemble_saddle_operator, run_mirror_prox
-from .testbed import BilinearInstance, gen_bilinear, gen_quadratic_saddle, lemma1_check
+from .testbed import gen_bilinear, gen_quadratic_saddle, lemma1_check
 
 
 @dataclass
@@ -51,10 +51,7 @@ def _witness_with_gap(inst, x, direction, gap):
     1/2 e' H e with H the (diagonal plus modulus) dual curvature.
     """
     y_star = inst.y_star_of(x)
-    if isinstance(inst, BilinearInstance):
-        h_diag = np.full(y_star.shape, inst.mu_y)
-    else:
-        h_diag = inst.q_diag + inst.mu_y
+    h_diag = inst.q_diag + inst.mu_y
     quad = 0.5 * float(direction @ (h_diag * direction))
     if quad <= 0 or gap <= 0:
         return y_star, 0.0

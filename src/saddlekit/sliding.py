@@ -301,7 +301,8 @@ def apg_inexact_solve(
     was swapped.  The target is ``epsilon``, and ``certified_gap`` is the
     schedule's a-priori bound on the final iterate's objective gap under the
     declared constants: ``epsilon`` itself, or ``inf`` when that iterate is
-    NaN or infinite.
+    NaN or infinite.  The history logs y's objective gap after every step
+    (nan without ``obj.f_star``).
     """
     obj, spec, swapped = normalize_split(obj, spec)
     log = RunLog(tally)
@@ -440,9 +441,13 @@ def catalyst_solve(
     delta_req = epsilon / 12 sqrt(mu / (l_r + l_g)), the scheduled engine's
     scale, and before each subproblem term t is asked for
     max(delta_req, :data:`CATALYST_DELTA_FRACTION` mu cert / l_t), which
-    keeps its gradient error within ||grad P(x_k)|| / 4.  A ``reg_l`` or
-    ``epsilon`` that is not finite and positive raises
-    :class:`~saddlekit.core.InvalidSpecError` before any oracle call.
+    keeps its gradient error within ||grad P(x_k)|| / 4.  A certificate that
+    is not finite (an overflowing or NaN gradient) ends the outer loop and is
+    reported, unconverged; a step whose regularization term is not finite
+    keeps the last finite subproblem target.  So no term or model step is
+    asked for a non-finite accuracy.  A ``reg_l`` or ``epsilon`` that is not
+    finite and positive raises :class:`~saddlekit.core.InvalidSpecError`
+    before any oracle call.
     """
     obj, spec, swapped = normalize_split(obj, spec)
     reg_l = spec.l_r if reg_l is None else reg_l
@@ -471,7 +476,7 @@ def catalyst_solve(
         grad_p = obj.grad_r(x) + obj.grad_g(x)
         cert = float(grad_p @ grad_p) / (2.0 * mu)
         log.row(outer, cert)
-        if cert <= epsilon or outer >= cap:
+        if cert <= epsilon or outer >= cap or not math.isfinite(cert):
             break
         outer += 1
         for set_delta, l_t in inexact:
@@ -503,7 +508,8 @@ def catalyst_solve(
 
         def stop_rule(x_prev, x_next, step_gap_bound, _c=center):
             rel = q / 10.0 * 0.5 * reg_l * float(np.dot(x_next - _c, x_next - _c))
-            current_target[0] = max(rel, floor)
+            if math.isfinite(rel):  # a diverged step keeps the last finite target
+                current_target[0] = max(rel, floor)
             return step_gap_bound <= current_target[0]
 
         sub = fgm.CompositeObjective(

@@ -1,14 +1,15 @@
 """Seeded test instances with closed-form saddle points, plus spectral checks.
 
-Two families:
+One family, :class:`SaddleInstance`:
 
-* bilinear  S(x,y) = mu_x/2 ||x||^2 - <b,x> + <Ax,y> - mu_y/2 ||y||^2, whose
-  saddle solves  (mu_x I + A^T A / mu_y) x = b,  y = A x / mu_y;
-* quadratic  F(x,y) = <Ax,y> + 1/2 x^T P x - 1/2 y^T Q y (P, Q diagonal PSD),
-  exercising nonzero self-curvature constants while keeping a block linear
-  solve for the exact saddle.
+    S(x,y) = mu_x/2 ||x||^2 - <b,x> + <Ax,y> + 1/2 x'Px - 1/2 y'Qy - mu_y/2 ||y||^2
 
-Every instance carries its spectral data and enough oracles for all engines.
+with P, Q diagonal PSD, whose saddle solves the block system
+(mu_x I + P + A' (mu_y I + Q)^{-1} A) x = b, y = (mu_y I + Q)^{-1} A x.
+The bilinear instances (:func:`bilinear_instance`, :func:`gen_bilinear`,
+:func:`gen_smoothed_game`) are its P = Q = 0 member; :func:`gen_quadratic_saddle`
+draws nonzero self-curvature.  Every instance carries its spectral data and
+enough oracles for all engines.
 """
 
 from __future__ import annotations
@@ -65,62 +66,100 @@ def _check_conditioning(name: str, value: float) -> None:
         raise InvalidSpecError(f"{name} must be finite and >= 1, got {value}")
 
 
-def _quadratic_prox(mu: float, domain: FeasibleSet):
-    """Oracle for  min_{v in Q} <c1, v> + mu/2 ||v||^2 + c2 ||v||^2.
+def _prox(mu: float, domain: FeasibleSet, b: Optional[np.ndarray] = None):
+    """Oracle for  min_{v in Q} <c1 - b, v> + mu/2 ||v||^2 + c2 ||v||^2  (b = 0 when None).
 
-    The quadratic is isotropic, so over a ball the minimizer is the
-    projection of the unconstrained one.
+    Serves r (with b) and h (without).  The quadratic is isotropic, so over a
+    ball the minimizer is the projection of the unconstrained one.
     """
 
     def prox(c1, c2):
-        v = -c1 / (mu + 2.0 * c2)
+        v = (-c1 if b is None else b - c1) / (mu + 2.0 * c2)
         return domain.project(v) if isinstance(domain, EuclideanBall) else v
 
     return prox
 
 
 @dataclass
-class BilinearInstance:
-    """Bilinear family member with its closed-form saddle attached."""
+class SaddleInstance:
+    """Seeded instance with its closed-form saddle attached.
+
+    S(x,y) = r(x) + <Ax,y> + x'Px/2 - y'Qy/2 - h(y) with r(x) = mu_x/2 ||x||^2
+    - <b,x>, h(y) = mu_y/2 ||y||^2 and diagonal P, Q >= 0 (``p_diag``,
+    ``q_diag``).  Construction attaches the spectral data, the closed-form
+    saddle and ``operator_l``.  The bilinear family is the P = Q = 0 member;
+    its oracles and closed forms leave the curvature terms out rather than
+    adding zeros.
+    """
 
     a: np.ndarray
     b: np.ndarray
     mu_x: float
     mu_y: float
-    closed_form_x: np.ndarray
-    closed_form_y: np.ndarray
-    spectral: SpectralInfo
-    operator_l: float
+    p_diag: np.ndarray
+    q_diag: np.ndarray
     set_x: FeasibleSet = field(default_factory=AllSpace)
     set_y: FeasibleSet = field(default_factory=AllSpace)
+    closed_form_x: np.ndarray = field(init=False)
+    closed_form_y: np.ndarray = field(init=False)
+    spectral: SpectralInfo = field(init=False)
+    operator_l: float = field(init=False)
+
+    def __post_init__(self):
+        _check_moduli(self.mu_x, self.mu_y)
+        mu_x, mu_y = float(self.mu_x), float(self.mu_y)
+        self.mu_x, self.mu_y = mu_x, mu_y
+        a, p_diag, q_diag = self.a, self.p_diag, self.q_diag
+        n = a.shape[1]
+        if np.all(a == 0.0):
+            # decoupled limit: the coupling has no spectrum
+            self.spectral = SpectralInfo(0.0, 0.0, np.eye(n))
+        else:
+            self.spectral = SpectralInfo(*spectral(a))
+        # saddle by block elimination: y = (Q + mu_y)^{-1} A x
+        if self.bilinear:
+            h_mat = mu_x * np.eye(n) + a.T @ a / mu_y
+        else:
+            h_mat = np.diag(mu_x + p_diag) + a.T @ ((a.T / (q_diag + mu_y)).T)
+        self.closed_form_x = np.linalg.solve(h_mat, self.b)
+        self.closed_form_y = self.y_star_of(self.closed_form_x)
+        # Lipschitz constant of the stacked gradient field, the spectral norm of
+        # the Jacobian [[mu_x I + P, A^T], [-A, mu_y I + Q]]; for P = Q = 0 and
+        # mu_x = mu_y its squared singular values are mu^2 + sigma_i(A)^2
+        if self.bilinear and abs(mu_x - mu_y) < 1e-15:
+            self.operator_l = math.sqrt(mu_x**2 + self.spectral.lambda_max)
+        else:
+            jac = np.block([[np.diag(mu_x + p_diag), a.T], [-a, np.diag(mu_y + q_diag)]])
+            self.operator_l = float(np.linalg.norm(jac, 2))
 
     @property
     def dims(self) -> tuple[int, int]:
         m, n = self.a.shape
         return n, m
 
-    def f_value(self, x: Vector) -> float:
-        """Primal objective f(x) = r(x) + g(x) in closed form."""
-        ax = self.a @ x
-        return 0.5 * self.mu_x * float(x @ x) - float(self.b @ x) + float(ax @ ax) / (
-            2.0 * self.mu_y
-        )
+    @property
+    def bilinear(self) -> bool:
+        """True for the P = Q = 0 member."""
+        return not (self.p_diag.any() or self.q_diag.any())
 
-    def f_star(self) -> float:
-        return self.f_value(self.closed_form_x)
+    def y_star_of(self, x: Vector) -> Vector:
+        return (self.a @ x) / (self.q_diag + self.mu_y)
 
     def g_value(self, x: Vector) -> float:
         ax = self.a @ x
-        return float(ax @ ax) / (2.0 * self.mu_y)
+        if self.bilinear:
+            return float(ax @ ax) / (2.0 * self.mu_y)
+        y = ax / (self.q_diag + self.mu_y)
+        return 0.5 * float(x @ (self.p_diag * x)) + 0.5 * float(ax @ y)
 
     def g_grad(self, x: Vector) -> Vector:
-        return self.a.T @ (self.a @ x) / self.mu_y
-
-    def y_star_of(self, x: Vector) -> Vector:
-        return self.a @ x / self.mu_y
+        if self.bilinear:
+            return self.a.T @ (self.a @ x) / self.mu_y
+        return self.p_diag * x + self.a.T @ self.y_star_of(x)
 
     def problem(self) -> SaddleProblem:
         a, b = self.a, self.b
+        p_diag, q_diag = self.p_diag, self.q_diag
         mu_x, mu_y = self.mu_x, self.mu_y
         n, m = self.dims
         spec = SaddleSpec(
@@ -128,38 +167,45 @@ class BilinearInstance:
             dim_y=m,
             mu_x=mu_x,
             mu_y=mu_y,
+            l_xx=float(p_diag.max(initial=0.0)),
+            l_yy=float(q_diag.max(initial=0.0)),
             l_xy=math.sqrt(self.spectral.lambda_max),
             l_x=mu_x,
             l_y=mu_y,
             set_x=self.set_x,
             set_y=self.set_y,
         )
+        if self.bilinear:
+            value_f, grad_x_f, grad_y_f = (
+                lambda x, y: float(y @ (a @ x)),
+                lambda x, y: a.T @ y,
+                lambda x, y: a @ x,
+            )
+        else:
+            value_f, grad_x_f, grad_y_f = (
+                lambda x, y: float(y @ (a @ x))
+                + 0.5 * float(x @ (p_diag * x))
+                - 0.5 * float(y @ (q_diag * y)),
+                lambda x, y: a.T @ y + p_diag * x,
+                lambda x, y: a @ x - q_diag * y,
+            )
         return SaddleProblem(
             spec=spec,
             value_r=lambda x: 0.5 * mu_x * float(x @ x) - float(b @ x),
             value_h=lambda y: 0.5 * mu_y * float(y @ y),
-            value_F=lambda x, y: float(y @ (a @ x)),
+            value_F=value_f,
             grad_r=lambda x: mu_x * x - b,
             grad_h=lambda y: mu_y * y,
-            grad_x_F=lambda x, y: a.T @ y,
-            grad_y_F=lambda x, y: a @ x,
-            prox_r=_prox_bilinear_r(mu_x, b, self.set_x),
-            prox_h=_quadratic_prox(mu_y, self.set_y),
+            grad_x_F=grad_x_f,
+            grad_y_F=grad_y_f,
+            prox_r=_prox(mu_x, self.set_x, b),
+            prox_h=_prox(mu_y, self.set_y),
             prox_friendly_r=True,
             prox_friendly_h=True,
             matvec_cost={OracleKind.GRAD_X_F: 1, OracleKind.GRAD_Y_F: 1},
             operator_l=self.operator_l,
             spectral=self.spectral,
         )
-
-
-def _prox_bilinear_r(mu_x: float, b: np.ndarray, domain: FeasibleSet):
-    # r(x) = mu_x/2 ||x||^2 - <b, x>
-    def prox(c1, c2):
-        v = (b - c1) / (mu_x + 2.0 * c2)
-        return domain.project(v) if isinstance(domain, EuclideanBall) else v
-
-    return prox
 
 
 def bilinear_instance(
@@ -169,44 +215,13 @@ def bilinear_instance(
     mu_y: float = 1.0,
     set_x: Optional[FeasibleSet] = None,
     set_y: Optional[FeasibleSet] = None,
-) -> BilinearInstance:
-    """Wrap explicit data (A, b, moduli) with its closed-form saddle."""
+) -> SaddleInstance:
+    """Wrap explicit data (A, b, moduli) with its closed-form saddle (P = Q = 0)."""
     a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    _check_moduli(mu_x, mu_y)
     m, n = a.shape
-    if np.all(a == 0.0):
-        # decoupled limit: the partial max is constant in x
-        lam_max, lam_min_plus, kernel = 0.0, 0.0, np.eye(n)
-    else:
-        lam_max, lam_min_plus, kernel = spectral(a)
-    x_star = np.linalg.solve(mu_x * np.eye(n) + a.T @ a / mu_y, b)
-    y_star = a @ x_star / mu_y
-    # Lipschitz constant of the stacked gradient field: the Jacobian is
-    # [[mu_x I, A^T], [-A, mu_y I]] with squared singular values
-    # mu^2 + sigma_i(A)^2 when mu_x = mu_y
-    if abs(mu_x - mu_y) < 1e-15:
-        op_l = math.sqrt(mu_x**2 + lam_max)
-    else:
-        jac = np.block(
-            [
-                [mu_x * np.eye(n), a.T],
-                [-a, mu_y * np.eye(m)],
-            ]
-        )
-        op_l = float(np.linalg.norm(jac, 2))
-    return BilinearInstance(
-        a=a,
-        b=b,
-        mu_x=float(mu_x),
-        mu_y=float(mu_y),
-        closed_form_x=x_star,
-        closed_form_y=y_star,
-        spectral=SpectralInfo(lam_max, lam_min_plus, kernel),
-        operator_l=op_l,
-        set_x=set_x if set_x is not None else AllSpace(),
-        set_y=set_y if set_y is not None else AllSpace(),
-    )
+    b = np.asarray(b, dtype=float)
+    set_x, set_y = set_x or AllSpace(), set_y or AllSpace()
+    return SaddleInstance(a, b, mu_x, mu_y, np.zeros(n), np.zeros(m), set_x, set_y)
 
 
 def _seeded_matrix(n: int, m: int, cond: float, rng: np.random.Generator) -> np.ndarray:
@@ -228,88 +243,13 @@ def gen_bilinear(
     seed: int,
     mu_x: float = 1.0,
     mu_y: float = 1.0,
-) -> BilinearInstance:
+) -> SaddleInstance:
     """Seeded bilinear instance with conditioning lambda_max/lambda_min+ = cond."""
     _check_conditioning("cond", cond)
     rng = np.random.default_rng(seed)
     a = _seeded_matrix(n, m, cond, rng)
     b = rng.standard_normal(n)
     return bilinear_instance(a, b, mu_x, mu_y)
-
-
-@dataclass
-class QuadraticSaddleInstance:
-    """Coupling with diagonal self-curvature: F = <Ax,y> + x'Px/2 - y'Qy/2."""
-
-    a: np.ndarray
-    p_diag: np.ndarray
-    q_diag: np.ndarray
-    b: np.ndarray
-    mu_x: float
-    mu_y: float
-    closed_form_x: np.ndarray
-    closed_form_y: np.ndarray
-    spectral: SpectralInfo
-    operator_l: float
-
-    @property
-    def dims(self) -> tuple[int, int]:
-        m, n = self.a.shape
-        return n, m
-
-    def y_star_of(self, x: Vector) -> Vector:
-        return (self.a @ x) / (self.q_diag + self.mu_y)
-
-    def g_value(self, x: Vector) -> float:
-        ax = self.a @ x
-        return 0.5 * float(x @ (self.p_diag * x)) + 0.5 * float(
-            ax @ (ax / (self.q_diag + self.mu_y))
-        )
-
-    def g_grad(self, x: Vector) -> Vector:
-        return self.p_diag * x + self.a.T @ ((self.a @ x) / (self.q_diag + self.mu_y))
-
-    def f_value(self, x: Vector) -> float:
-        return 0.5 * self.mu_x * float(x @ x) - float(self.b @ x) + self.g_value(x)
-
-    def f_star(self) -> float:
-        return self.f_value(self.closed_form_x)
-
-    def problem(self) -> SaddleProblem:
-        a, b = self.a, self.b
-        p_diag, q_diag = self.p_diag, self.q_diag
-        mu_x, mu_y = self.mu_x, self.mu_y
-        n, m = self.dims
-        spec = SaddleSpec(
-            dim_x=n,
-            dim_y=m,
-            mu_x=mu_x,
-            mu_y=mu_y,
-            l_xx=float(p_diag.max(initial=0.0)),
-            l_yy=float(q_diag.max(initial=0.0)),
-            l_xy=math.sqrt(self.spectral.lambda_max),
-            l_x=mu_x,
-            l_y=mu_y,
-        )
-        return SaddleProblem(
-            spec=spec,
-            value_r=lambda x: 0.5 * mu_x * float(x @ x) - float(b @ x),
-            value_h=lambda y: 0.5 * mu_y * float(y @ y),
-            value_F=lambda x, y: float(y @ (a @ x))
-            + 0.5 * float(x @ (p_diag * x))
-            - 0.5 * float(y @ (q_diag * y)),
-            grad_r=lambda x: mu_x * x - b,
-            grad_h=lambda y: mu_y * y,
-            grad_x_F=lambda x, y: a.T @ y + p_diag * x,
-            grad_y_F=lambda x, y: a @ x - q_diag * y,
-            prox_r=_prox_bilinear_r(mu_x, b, AllSpace()),
-            prox_h=_quadratic_prox(mu_y, AllSpace()),
-            prox_friendly_r=True,
-            prox_friendly_h=True,
-            matvec_cost={OracleKind.GRAD_X_F: 1, OracleKind.GRAD_Y_F: 1},
-            operator_l=self.operator_l,
-            spectral=self.spectral,
-        )
 
 
 def gen_quadratic_saddle(
@@ -319,41 +259,18 @@ def gen_quadratic_saddle(
     seed: int,
     mu_x: float = 1.0,
     mu_y: float = 1.0,
-) -> QuadraticSaddleInstance:
+) -> SaddleInstance:
     """Seeded quadratic-coupling instance; the diagonals of P and Q are uniform on [0, 1)."""
     _check_conditioning("cond", cond)
-    _check_moduli(mu_x, mu_y)
     rng = np.random.default_rng(seed)
     a = _seeded_matrix(n, m, cond, rng)
     b = rng.standard_normal(n)
     p_diag = rng.uniform(0.0, 1.0, size=n)
     q_diag = rng.uniform(0.0, 1.0, size=m)
-    lam_max, lam_min_plus, kernel = spectral(a)
-    # saddle by block elimination: y = (Q + mu_y)^{-1} A x
-    h_mat = np.diag(mu_x + p_diag) + a.T @ ((a.T / (q_diag + mu_y)).T)
-    x_star = np.linalg.solve(h_mat, b)
-    y_star = (a @ x_star) / (q_diag + mu_y)
-    jac = np.block(
-        [
-            [np.diag(mu_x + p_diag), a.T],
-            [-a, np.diag(mu_y + q_diag)],
-        ]
-    )
-    return QuadraticSaddleInstance(
-        a=a,
-        p_diag=p_diag,
-        q_diag=q_diag,
-        b=b,
-        mu_x=float(mu_x),
-        mu_y=float(mu_y),
-        closed_form_x=x_star,
-        closed_form_y=y_star,
-        spectral=SpectralInfo(lam_max, lam_min_plus, kernel),
-        operator_l=float(np.linalg.norm(jac, 2)),
-    )
+    return SaddleInstance(a, b, mu_x, mu_y, p_diag, q_diag)
 
 
-def gen_smoothed_game(n: int, kappa: float, seed: int):
+def gen_smoothed_game(n: int, kappa: float, seed: int) -> SaddleInstance:
     """Square smoothed-game benchmark instance with conditioning ``kappa``.
 
     Singular values of A span [1/sqrt(kappa), 1].  Both regularization
@@ -403,7 +320,7 @@ class Lemma1Report:
 
 
 def lemma1_check(
-    inst: BilinearInstance, l_y: float, samples: int, seed: int = 0
+    inst: SaddleInstance, l_y: float, samples: int, seed: int = 0
 ) -> Lemma1Report:
     """Estimate the Lipschitz/strong-convexity constants of the partial max.
 
@@ -412,8 +329,11 @@ def lemma1_check(
     form.  Over random pairs the gradient's difference quotient must stay
     below lambda_max / mu_y; over pairs projected onto the row space the
     curvature quotient must stay above lambda_min+ / l_y; and every gradient
-    must be orthogonal to the kernel of A.
+    must be orthogonal to the kernel of A.  Only the bilinear member fits
+    this model: an instance with nonzero ``p_diag`` or ``q_diag`` raises.
     """
+    if not inst.bilinear:
+        raise InvalidSpecError("lemma1_check needs p_diag = 0 and q_diag = 0 (bilinear coupling)")
     if l_y < inst.mu_y:
         raise InvalidSpecError("l_y must be at least mu_y")
     rng = np.random.default_rng(seed)

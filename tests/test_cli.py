@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import saddlekit
@@ -131,6 +132,15 @@ def test_non_finite_instance_value_is_named(tmp_path, capsys):
     assert cli_main(["solve", "--instance", str(instance), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "cond" in err
+
+
+def test_explicit_matrix_is_capped(tmp_path, capsys):
+    # the dimension cap holds for explicit data as for generated instances
+    instance = tmp_path / "big.json"
+    desc = {"family": "bilinear", "a": np.eye(201, 2).tolist(), "b": [1.0, 1.0]}
+    instance.write_text(json.dumps(desc))
+    assert cli_main(["solve", "--instance", str(instance), "--out", str(tmp_path)]) == 2
+    assert "dimensions capped" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_exit_code():

@@ -328,6 +328,20 @@ class TestSolveToGapStart:
             sk.solve_to_gap(obj, np.ones(3), math.nan)
         assert calls == []
 
+    def test_infinite_target_raises_before_any_call(self):
+        # with an infinite target an overflowing start would "converge" with an
+        # infinite certificate; the target is refused before the first gradient
+        calls = []
+
+        def overflowing(x):
+            calls.append(1)
+            return np.full_like(x, math.inf)
+
+        obj = sk.CompositeObjective(smooth_grad=overflowing, l_smooth=1.0, mu=1.0)
+        with pytest.raises(sk.InvalidSpecError, match="finite and positive"):
+            sk.solve_to_gap(obj, np.ones(2), math.inf)
+        assert calls == []
+
 
 def _identity_operator(l=1.0, mu=1.0):
     return sk.ViOperator(bind=lambda z, out: lambda: z, l=l, mu=mu)

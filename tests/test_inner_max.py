@@ -239,3 +239,22 @@ class TestInnerTally:
         assert inner.mp.tally.snapshot() == {
             "gradx_F": 2, "grady_F": 2, "matvec": 4, "prox_h": 2
         }
+
+
+@pytest.mark.parametrize("mode", INNER_MODES)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda mp: InnerMax(mp).solve(np.ones(6), math.inf),
+        lambda mp: sk.inexact_grad_g(mp, np.ones(6), math.inf),
+        lambda mp: sk.EnvelopeGradOracle(mp, delta_env=1e-6).set_delta(math.inf),
+    ],
+    ids=["solve", "inexact-grad", "set-delta"],
+)
+def test_infinite_accuracy_raises_before_any_call(call, mode):
+    # an infinite accuracy certifies nothing: every route must refuse it,
+    # also the exact-prox one that never reaches a certificate
+    mp = Metered(inner_mode_problem(mode))
+    with pytest.raises(sk.InvalidSpecError, match="finite and positive"):
+        call(mp)
+    assert mp.tally.snapshot() == {}

@@ -318,6 +318,49 @@ class TestCatalyst:
         assert rep.certified_gap == rep.history[-1].gap
         assert rep.certified_gap == pytest.approx(float(grad_p @ grad_p) / (2.0 * spec.mu))
 
+    def test_non_finite_certificate_ends_the_run(self, monkeypatch):
+        # a subproblem that lands where grad g overflows: the run stops on the
+        # infinite certificate and reports it, and no term is asked for an
+        # infinite accuracy (an envelope oracle would refuse one)
+        obj, tally = two_term_quadratic([1.0, 0.7], [0.5, 30.0], [1.0, -2.0])
+        asked = []
+        obj = dataclasses.replace(obj, set_delta_g=asked.append)
+        spec = sk.SlidingSpec(l_r=1.0, l_g=30.0, mu_r=0.7, mu_g=0.5)
+
+        def overflowing(sub, x, n, stop_rule=None, tally=None):
+            return types.SimpleNamespace(extras={"last": np.full_like(x, 1e308)})
+
+        monkeypatch.setattr(sliding, "composite_gm_solve", overflowing)
+        with np.errstate(over="ignore"):
+            rep = sk.catalyst_solve(obj, np.zeros(2), 1.0, 1e-8, spec=spec, tally=tally)
+        assert [math.isfinite(row.gap) for row in rep.history] == [True, False]
+        assert rep.certified_gap == math.inf and not rep.converged
+        assert rep.extras["outer_iterations"] == 1
+        assert len(asked) == 2 and all(math.isfinite(d) for d in asked)
+
+    def test_diverged_step_keeps_a_finite_subproblem_target(self, monkeypatch):
+        # a step so far off that the stop rule's regularization term overflows
+        # must not hand the model step's certified solve an infinite target
+        obj, tally = two_term_quadratic([1.0, 0.7], [0.5, 30.0], [1.0, -2.0])
+        spec = sk.SlidingSpec(l_r=1.0, l_g=30.0, mu_r=0.7, mu_g=0.5)
+        targets = []
+        solve_to_gap = sk.fgm.solve_to_gap
+
+        def spy(inner, x0, target_gap, **kwargs):
+            targets.append(target_gap)
+            return solve_to_gap(inner, x0, target_gap, **kwargs)
+
+        def one_far_step(sub, x, n, stop_rule=None, tally=None):
+            stop_rule(x, np.full_like(x, 1e200), math.inf)
+            x_next = sub.prox_model(x, 1.0, sub.smooth_grad(x))
+            return types.SimpleNamespace(extras={"last": x_next})
+
+        monkeypatch.setattr(sk.fgm, "solve_to_gap", spy)
+        monkeypatch.setattr(sliding, "composite_gm_solve", one_far_step)
+        with np.errstate(over="ignore"):
+            sk.catalyst_solve(obj, np.zeros(2), 1.0, 1e-8, spec=spec, tally=tally)
+        assert targets and all(math.isfinite(t) for t in targets)
+
     def test_well_conditioned_few_outer_steps(self):
         # mu = l_r = l_g with a modest starting offset: three proximal steps
         # with momentum reach 1e-6

@@ -131,6 +131,35 @@ class TestGenerators:
         assert inst.spectral.lambda_min_plus == pytest.approx(0.01, rel=1e-6)
 
 
+@pytest.mark.parametrize(
+    "make, curved",
+    [
+        (
+            lambda: sk.bilinear_instance(np.arange(6.0).reshape(2, 3), [1.0, -1.0, 2.0], 0.5, 2.0),
+            False,
+        ),
+        (lambda: sk.gen_bilinear(5, 4, 20.0, seed=3, mu_x=0.7, mu_y=1.4), False),
+        (lambda: sk.gen_smoothed_game(8, 50.0, seed=2), False),
+        (lambda: sk.gen_quadratic_saddle(5, 4, 20.0, seed=3, mu_x=0.7, mu_y=1.4), True),
+    ],
+    ids=["bilinear_instance", "gen_bilinear", "gen_smoothed_game", "gen_quadratic_saddle"],
+)
+def test_one_family(make, curved):
+    # every generator builds the one instance type: its closed forms solve the
+    # saddle equations with its own P and Q, the declared self-curvature
+    # constants are their largest entries, and the bilinear ones have P = Q = 0
+    inst = make()
+    assert type(inst) is sk.SaddleInstance
+    a, x, y = inst.a, inst.closed_form_x, inst.closed_form_y
+    p, q = inst.p_diag, inst.q_diag
+    assert np.allclose((inst.mu_x + p) * x + a.T @ y, inst.b, rtol=0, atol=1e-10)
+    assert np.allclose(a @ x, (inst.mu_y + q) * y, rtol=0, atol=1e-10)
+    spec = inst.problem().spec
+    assert spec.l_xx == p.max() and spec.l_yy == q.max()
+    assert p.shape == (inst.dims[0],) and q.shape == (inst.dims[1],)
+    assert inst.bilinear is not curved and bool(p.any() and q.any()) is curved
+
+
 class TestLemma1Check:
     def test_diagonal_instance(self, b1):
         rep = sk.lemma1_check(b1, l_y=1.0, samples=500, seed=0)
@@ -152,6 +181,13 @@ class TestLemma1Check:
         rep = sk.lemma1_check(inst, l_y=1.0, samples=100, seed=2)
         assert rep.lipschitz_empirical == 0.0
         assert rep.grad_kernel_overlap <= 1e-12
+
+    def test_curved_instance_is_refused(self):
+        # g is modelled for the bilinear coupling only; on P or Q != 0 the
+        # report would describe another function
+        inst = sk.gen_quadratic_saddle(4, 3, 10.0, seed=0)
+        with pytest.raises(sk.InvalidSpecError, match="p_diag.*q_diag"):
+            sk.lemma1_check(inst, l_y=2.0, samples=10)
 
     def test_spread_dual_curvature(self):
         inst = sk.gen_bilinear(5, 6, 50.0, seed=9, mu_y=0.5)
