@@ -9,7 +9,9 @@ Instance descriptors are JSON.  Either explicit data::
 
     {"family": "bilinear", "a": [[1,0],[0,2]], "b": [1,1], "mu_x": 1, "mu_y": 1}
 
-or generator parameters::
+(the quadratic family also needs the diagonals of P and Q, ``"p_diag"`` and
+``"q_diag"``, which default to zeros for the bilinear one) or generator
+parameters::
 
     {"family": "quadratic", "n": 20, "m": 20, "cond": 100, "seed": 7}
 
@@ -32,7 +34,7 @@ import numpy as np
 from . import properties
 from .core import OracleKind, SaddleSpec, SpectralInfo
 from .saddle import Engine, predict_complexity, solve_saddle
-from .testbed import bilinear_instance, gen_bilinear, gen_quadratic_saddle
+from .testbed import SaddleInstance, gen_bilinear, gen_quadratic_saddle
 
 SUMMARY_HEADER = (
     "run_id,engine,n,m,cond,mu_x,mu_y,eps,gap,calls_grad_r,calls_grad_h,"
@@ -70,28 +72,29 @@ def _check_caps(n: int, m: int, cond: float) -> None:
         raise ConfigError(f"conditioning capped at {MAX_COND:g} for CLI runs")
 
 
-def _load_instance(desc: dict):
+def _load_instance(desc: dict) -> SaddleInstance:
     family = desc.get("family", "bilinear")
-    mu_x = float(desc.get("mu_x", 1.0))
-    mu_y = float(desc.get("mu_y", 1.0))
-    if "n" in desc:
-        _check_caps(int(desc["n"]), int(desc.get("m", desc["n"])), float(desc.get("cond", 1.0)))
-    if family == "bilinear":
-        if "a" in desc:
-            a = np.asarray(desc["a"], dtype=float)
-            m, n = a.shape
-            _check_caps(n, m, 1.0)
-            return bilinear_instance(a, np.asarray(desc["b"], dtype=float), mu_x, mu_y)
-        return gen_bilinear(
-            int(desc["n"]), int(desc["m"]), float(desc.get("cond", 10.0)),
-            int(desc.get("seed", 0)), mu_x, mu_y,
-        )
-    if family == "quadratic":
-        return gen_quadratic_saddle(
-            int(desc["n"]), int(desc["m"]), float(desc.get("cond", 10.0)),
-            int(desc.get("seed", 0)), mu_x, mu_y,
-        )
-    raise ConfigError(f"unknown instance family {family!r}")
+    if family not in ("bilinear", "quadratic"):
+        raise ConfigError(f"unknown instance family {family!r}")
+    mu_x, mu_y = float(desc.get("mu_x", 1.0)), float(desc.get("mu_y", 1.0))
+    if "a" not in desc:
+        n, m, cond = int(desc["n"]), int(desc["m"]), float(desc.get("cond", 10.0))
+        _check_caps(n, m, cond)
+        gen = gen_bilinear if family == "bilinear" else gen_quadratic_saddle
+        return gen(n, m, cond, int(desc.get("seed", 0)), mu_x, mu_y)
+    a = np.asarray(desc["a"], dtype=float)
+    m, n = a.shape
+    _check_caps(n, m, 1.0)
+    if family == "quadratic" and not ("p_diag" in desc and "q_diag" in desc):
+        raise ConfigError("explicit quadratic data needs both p_diag and q_diag")
+    p_diag = np.asarray(desc.get("p_diag", np.zeros(n)), dtype=float)
+    q_diag = np.asarray(desc.get("q_diag", np.zeros(m)), dtype=float)
+    if p_diag.shape != (n,) or q_diag.shape != (m,) or not np.all(np.r_[p_diag, q_diag] >= 0.0):
+        raise ConfigError(f"p_diag and q_diag must be nonnegative, of lengths {n} and {m}")
+    inst = SaddleInstance(a, np.asarray(desc["b"], dtype=float), mu_x, mu_y, p_diag, q_diag)
+    if inst.spectral.lambda_max > 0.0:  # a zero matrix has no conditioning to cap
+        _check_caps(n, m, inst.spectral.lambda_max / inst.spectral.lambda_min_plus)
+    return inst
 
 
 def _default_radii(inst) -> tuple[float, float]:

@@ -223,20 +223,22 @@ def certificate(obj: CompositeObjective, x: Vector) -> tuple[float, Vector]:
     return bound, x_plus
 
 
+MAX_BLOCKS = 256  # restart blocks solve_to_gap runs before it gives up
+
+
 def solve_to_gap(
     obj: CompositeObjective,
     x0: Vector,
     target_gap: float,
-    max_blocks: int = 256,
     tally: Optional[OracleTally] = None,
 ) -> SolveReport:
     """Drive the objective gap below ``target_gap`` with certified stops.
 
     Runs restart blocks of the accelerated method, checking the certificate
     after each block; the certificate's witness becomes the next start.  When
-    the block cap is reached first, or a certificate is not finite (a NaN or
-    inf oracle value), raises :class:`BudgetExceededError` carrying the best
-    iterate.  Its ``certified_gap`` is the certificate of the returned
+    :data:`MAX_BLOCKS` blocks have run first, or a certificate is not finite
+    (a NaN or inf oracle value), raises :class:`BudgetExceededError` carrying
+    the best iterate.  Its ``certified_gap`` is the certificate of the returned
     witness, with target ``target_gap``.  It keeps no per-block history: the
     number of blocks run is in ``extras["blocks"]`` and, when a block ran,
     their :func:`restart_budget` length in ``extras["block_size"]``.  An objective
@@ -267,7 +269,7 @@ def solve_to_gap(
                 best=witness,
                 tally=log.tally,
             )
-        if blocks >= max_blocks:
+        if blocks >= MAX_BLOCKS:
             raise BudgetExceededError(
                 f"certificate still {bound:.3e} > {target_gap:.3e} after {blocks} blocks",
                 best=witness,

@@ -100,9 +100,7 @@ class InnerMax:
                 domain=spec.set_y,
             )
 
-    def solve(
-        self, x: Vector, delta: float, y0: Optional[Vector] = None, max_blocks: int = 256
-    ) -> Vector:
+    def solve(self, x: Vector, delta: float, y0: Optional[Vector] = None) -> Vector:
         """Return a certified delta-accurate maximizer of F(x, .) - h(.).
 
         The stopping rule never touches g(x) itself: for an unconstrained smooth
@@ -112,9 +110,9 @@ class InnerMax:
         prox-friendly, a single prox call solves the subproblem exactly.
 
         Raises :class:`~saddlekit.core.BudgetExceededError` (carrying the best
-        iterate) if the block cap is hit before certification, and
-        :class:`~saddlekit.core.InvalidSpecError` before any oracle call if
-        ``delta`` is not finite and positive.
+        iterate) if :data:`~saddlekit.fgm.MAX_BLOCKS` blocks run without
+        certifying, and :class:`~saddlekit.core.InvalidSpecError` before any
+        oracle call if ``delta`` is not finite and positive.
         """
         if not (math.isfinite(delta) and delta > 0):
             raise InvalidSpecError(f"inner accuracy delta must be finite and positive, got {delta}")
@@ -128,7 +126,7 @@ class InnerMax:
             )
         self.x = x
         start = self.center if y0 is None else y0  # solve_to_gap copies its start
-        rep = fgm.solve_to_gap(self.objective, start, delta, max_blocks=max_blocks, tally=mp.tally)
+        rep = fgm.solve_to_gap(self.objective, start, delta, tally=mp.tally)
         return rep.x_final
 
     def bundle(self, x: Vector, witness: Vector, delta: float) -> InexactGrad:

@@ -26,7 +26,6 @@ import numpy as np
 from . import fgm
 from .core import (
     AllSpace,
-    EuclideanBall,
     FeasibleSet,
     InvalidSpecError,
     Metered,
@@ -178,13 +177,12 @@ def run_mirror_prox(
     operator norm at the leading point otherwise.  ``record_every=0`` logs
     nothing.  ``certified_gap`` is inf, with no target: nothing is certified.
 
-    The loop evaluates only through ``op.bind``, into two buffers it owns:
-    on all of space z and w are updated in place, so it binds both
-    evaluations once per call; on a bounded domain the projections return
-    new points and it binds them every step.  It bills the evaluations it
-    made with ``op.charge`` before each history row and on the way out, also
-    when an evaluation raises (that evaluation is billed too).  The report
-    carries ``op.tally``, or a fresh tally when the operator has none.
+    The loop evaluates only through ``op.bind``, into buffers it owns: z and
+    w are updated in place (a bounded domain projects into them), so it binds
+    both evaluations once per call.  It bills the evaluations it made with
+    ``op.charge`` before each history row and on the way out, also when an
+    evaluation raises (that evaluation is billed too).  The report carries
+    ``op.tally``, or a fresh tally when the operator has none.
     """
     log = RunLog(op.tally)
     if n < 1:  # from here on the loop runs at least once
@@ -192,34 +190,27 @@ def run_mirror_prox(
     z = np.array(z0, dtype=float)
     inv_l = 1.0 / op.l
     domain = op.domain
-    # on all of space the steps run in place: z, w and step are owned here
     free = isinstance(domain, AllSpace) or (
         isinstance(domain, ProductSet) and domain.is_all_space
     )
-    project = domain.project
-    bind = op.bind
+    project = None if free else domain.project
     w = np.empty_like(z)
     step = np.empty_like(z)
-    g0_buf = np.empty_like(z)
-    gw_buf = np.empty_like(z)
-    if free:
-        at_z, at_w = bind(z, g0_buf), bind(w, gw_buf)
+    at_z, at_w = op.bind(z, np.empty_like(z)), op.bind(w, np.empty_like(z))
     lead_sum = np.zeros_like(z)
     resid_sum = 0.0
     unbilled = 0  # evaluations made but not yet charged
     try:
         for k in range(1, int(n) + 1):
             unbilled += 1
-            if free:
-                np.subtract(z, np.multiply(inv_l, at_z(), out=step), out=w)
-                unbilled += 1
-                gw = at_w()
-                np.subtract(z, np.multiply(inv_l, gw, out=step), out=z)
-            else:
-                w = project(z - inv_l * bind(z, g0_buf)())
-                unbilled += 1
-                gw = bind(w, gw_buf)()
-                z = project(z - inv_l * gw)
+            np.subtract(z, np.multiply(inv_l, at_z(), out=step), out=w)
+            if project is not None:
+                w[...] = project(w)
+            unbilled += 1
+            gw = at_w()
+            np.subtract(z, np.multiply(inv_l, gw, out=step), out=z)
+            if project is not None:
+                z[...] = project(z)
             lead_sum += w
             if z_star is not None:
                 resid_sum += float(gw @ (w - z_star))
@@ -237,15 +228,11 @@ def run_mirror_prox(
     )
 
 
-def run_restarted_mp(
-    op: ViOperator,
-    z0: Vector,
-    epsilon: float,
-    r0: Optional[float] = None,
-) -> SolveReport:
+def run_restarted_mp(op: ViOperator, z0: Vector, epsilon: float, r0: float) -> SolveReport:
     """Restarted extragradient under strong monotonicity.
 
-    After N = ceil(L/mu) iterations the averaged point satisfies
+    ``r0`` bounds the starting distance ``||z0 - z*||``.  After
+    N = ceil(L/mu) iterations the averaged point satisfies
     mu ||avg - z*||^2 <= L R^2 / (2N) <= mu R^2 / 2, halving the squared
     distance bound ``extras["dist_sq_bound"]``; p = ceil(log2(mu R0^2 / eps))
     restarts bring it to eps / mu.  A residual check ||G(w)||^2 <= eps mu at
@@ -264,11 +251,6 @@ def run_restarted_mp(
         raise InvalidSpecError(f"epsilon must be finite and positive, got {epsilon}")
     log = RunLog(op.tally)
     z = np.array(z0, dtype=float)
-    if r0 is None:
-        if isinstance(op.domain, EuclideanBall):
-            r0 = 2.0 * op.domain.radius
-        else:
-            raise InvalidSpecError("r0 (starting distance bound) required on unbounded domains")
     if not (math.isfinite(r0) and r0 >= 0):
         raise InvalidSpecError("r0 must be finite and nonnegative")
     if not op.l / op.mu < math.inf:

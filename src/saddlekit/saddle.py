@@ -11,9 +11,10 @@ when prox-friendly, its gradient otherwise), so the outer loop follows r:
   engine;
 * ``mirror_prox``                        -> restarted extragradient baseline.
 
-Solutions are certified by a restricted primal-dual gap over balls around
-the starting points, computed by two independent auxiliary solves.  An inner
-or certificate solve that exhausts its budget ends the solve unconverged.
+Solves start at the set centers and are certified by a restricted
+primal-dual gap over balls around them, computed by two independent
+auxiliary solves.  An inner or certificate solve that exhausts its budget,
+or a certificate below zero, ends the solve unconverged.
 """
 
 from __future__ import annotations
@@ -144,6 +145,11 @@ def duality_gap(
     missing one, or an ``r_x``, ``r_y`` or ``inner_eps`` that is not finite and
     positive, raises before either side spends a call.  Both sides bill the
     tally of the given view; a raw problem is billed to a fresh view.
+
+    ``r_x`` and ``r_y`` bound the saddle's distances from the set centers.
+    Then the gap is at least S(x, y*) - S(x*, y) >= 0 (each side is solved to
+    ``inner_eps``, and ``2 inner_eps`` is added back), so a negative gap
+    proves ``r_x`` or ``r_y`` understated.
     """
     for name, v in (("r_x", r_x), ("r_y", r_y), ("inner_eps", inner_eps)):
         if not 0 < v < math.inf:
@@ -208,29 +214,30 @@ def solve_saddle(
     problem: SaddleProblem,
     epsilon: float,
     engine: Engine | str = Engine.AUTO,
-    x0: Optional[Vector] = None,
-    y0: Optional[Vector] = None,
     r_x: Optional[float] = None,
     r_y: Optional[float] = None,
     tally: Optional[OracleTally] = None,
 ) -> SolveReport:
     """Solve to a certified restricted duality gap of at most ``epsilon``.
 
-    ``r_x`` / ``r_y`` bound the starting distances ``||x0 - x*||`` and
-    ``||y0 - y*||`` (defaulting to twice the ball radius on bounded sets) and
-    fix the certificate's restriction balls.  The report carries the pair,
-    the last :func:`duality_gap` certificate (its gap is ``certified_gap``,
-    target ``epsilon``) and the full oracle tally with the certification
-    cost.  Internal accuracy targets start at the scheduled O(epsilon) values
-    and tighten geometrically until the certificate passes, for at most
-    :data:`MAX_ATTEMPTS` attempts.  An inner or certificate solve that
-    exhausts its budget ends the loop with an infinite gap and the message in
-    ``extras["error"]``.  An explicit ``case*`` engine picks the route (r's
-    prox or r's gradient); ``extras["engine"]`` names the case that ran, whose
-    h part follows ``prox_friendly_h``.  An ``epsilon``, ``r_x`` or ``r_y``
-    that is not finite and positive (inf, NaN, zero) raises
-    :class:`~saddlekit.core.InvalidSpecError` naming it, before any oracle
-    call.
+    The solve starts at the centers of the feasible sets.  ``r_x`` / ``r_y``
+    bound the saddle's distances ``||x* - center||`` and ``||y* - center||``
+    (defaulting to twice the ball radius on bounded sets): they are the
+    starting-distance bounds and fix the certificate's restriction balls.
+    The report carries the pair, the last :func:`duality_gap` certificate
+    (its gap is ``certified_gap``, target ``epsilon``) and the full oracle
+    tally with the certification cost.  Internal accuracy targets start at
+    the scheduled O(epsilon) values and tighten geometrically until the
+    certificate passes, for at most :data:`MAX_ATTEMPTS` attempts.  An inner
+    or certificate solve that exhausts its budget, or a certificate below
+    zero (which proves ``r_x`` or ``r_y`` understated), ends the loop with an
+    infinite gap and the message in ``extras["error"]``; a negative
+    certificate stays in ``extras["certificate"]``.  An explicit ``case*``
+    engine picks the route (r's prox or r's gradient); ``extras["engine"]``
+    names the case that ran, whose h part follows ``prox_friendly_h``.  An
+    ``epsilon``, ``r_x`` or ``r_y`` that is not finite and positive (inf,
+    NaN, zero) raises :class:`~saddlekit.core.InvalidSpecError` naming it,
+    before any oracle call.
     """
     problem.validate()
     if not (math.isfinite(epsilon) and epsilon > 0):
@@ -239,8 +246,8 @@ def solve_saddle(
     mp = Metered(problem, tally)
     spec = problem.spec
     log = RunLog(mp.tally)
-    x_cur = np.array(x0, dtype=float) if x0 is not None else set_center(spec.set_x, spec.dim_x)
-    y_cur = np.array(y0, dtype=float) if y0 is not None else set_center(spec.set_y, spec.dim_y)
+    x_cur = set_center(spec.set_x, spec.dim_x)
+    y_cur = set_center(spec.set_y, spec.dim_y)
     r_x = _default_radius(spec.set_x, "r_x", r_x)
     r_y = _default_radius(spec.set_y, "r_y", r_y)
 
@@ -259,6 +266,9 @@ def solve_saddle(
             rep, x_cur, y_cur = next(route)  # resuming a route tightens its accuracy
             reports.append(rep)
             cert = duality_gap(mp, x_cur, y_cur, r_x, r_y, epsilon / 8.0)
+            if cert.gap < 0.0:  # the saddle lies outside the restriction balls
+                extras["error"] = f"certified gap {cert.gap:.3e} < 0: r_x or r_y is understated"
+                break
             if cert.gap <= epsilon:
                 break
     except BudgetExceededError as err:
@@ -268,7 +278,7 @@ def solve_saddle(
     # the attempts' rows in order, renumbered with a global iteration index
     rows = [row for rep in reports for row in rep.history]
     log.history = [replace(row, iteration=i) for i, row in enumerate(rows, 1)]
-    gap = cert.gap if cert is not None else float("inf")
+    gap = float("inf") if "error" in extras else cert.gap
     return log.report(x_cur, gap, epsilon, y=y_cur, certificate=cert, **extras)
 
 

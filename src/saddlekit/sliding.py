@@ -416,7 +416,6 @@ CATALYST_DELTA_FRACTION = 1.0 / 16.0
 def catalyst_solve(
     obj: TwoTermObjective,
     x0: Vector,
-    reg_l: Optional[float],
     epsilon: float,
     spec: SlidingSpec,
     tally: Optional[OracleTally] = None,
@@ -434,7 +433,7 @@ def catalyst_solve(
     step; ``certified_gap`` is its value at the returned point, with target
     ``epsilon``.  ``spec`` holds the constants of ``obj``; both are oriented
     by :func:`normalize_split`, and ``extras["swapped"]`` records whether the
-    split was swapped.  ``reg_l=None`` takes the oriented split's l_r.
+    split was swapped.  reg_l is the oriented split's l_r.
 
     Inexact term oracles (``set_delta_r`` / ``set_delta_g``) are asked for a
     relative accuracy: the first certificate uses the floor
@@ -445,14 +444,14 @@ def catalyst_solve(
     is not finite (an overflowing or NaN gradient) ends the outer loop and is
     reported, unconverged; a step whose regularization term is not finite
     keeps the last finite subproblem target.  So no term or model step is
-    asked for a non-finite accuracy.  A ``reg_l`` or ``epsilon`` that is not
-    finite and positive raises :class:`~saddlekit.core.InvalidSpecError`
-    before any oracle call.
+    asked for a non-finite accuracy.  An ``epsilon`` that is not finite and
+    positive raises :class:`~saddlekit.core.InvalidSpecError` before any
+    oracle call.
     """
     obj, spec, swapped = normalize_split(obj, spec)
-    reg_l = spec.l_r if reg_l is None else reg_l
-    if not (0 < reg_l < math.inf and 0 < epsilon < math.inf):
-        raise InvalidSpecError("reg_l and epsilon must be finite and positive")
+    reg_l = spec.l_r
+    if not 0 < epsilon < math.inf:
+        raise InvalidSpecError(f"epsilon must be finite and positive, got {epsilon}")
     log = RunLog(tally)
     mu = spec.mu
     delta_req = epsilon / 12.0 * math.sqrt(mu / (spec.l_r + spec.l_g))
@@ -548,5 +547,5 @@ def sliding_solve(
     if engine == "apg":
         return apg_inexact_solve(spec, obj, x0, epsilon, gap0=gap0, tally=tally)
     if engine == "catalyst":
-        return catalyst_solve(obj, x0, None, epsilon, spec=spec, tally=tally)
+        return catalyst_solve(obj, x0, epsilon, spec=spec, tally=tally)
     raise InvalidSpecError(f"unknown sliding engine {engine!r}")

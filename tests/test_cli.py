@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import saddlekit
-from saddlekit.cli import HISTORY_HEADER, SUMMARY_HEADER, cli_main
+from saddlekit.cli import HISTORY_HEADER, SUMMARY_HEADER, _load_instance, cli_main
 
 
 @pytest.fixture
@@ -141,6 +141,35 @@ def test_explicit_matrix_is_capped(tmp_path, capsys):
     instance.write_text(json.dumps(desc))
     assert cli_main(["solve", "--instance", str(instance), "--out", str(tmp_path)]) == 2
     assert "dimensions capped" in capsys.readouterr().err
+
+
+def test_explicit_quadratic_data_is_loaded(tmp_path, capsys):
+    # a quadratic descriptor with explicit data gets that data, not a seeded instance
+    desc = {
+        "family": "quadratic", "n": 2, "m": 2, "a": [[5.0, 0.0], [0.0, 7.0]], "b": [1.0, 1.0],
+        "p_diag": [0.5, 0.0], "q_diag": [0.0, 2.0],
+    }
+    inst = _load_instance(desc)
+    assert inst.a.tolist() == desc["a"] and inst.b.tolist() == desc["b"]
+    assert inst.p_diag.tolist() == desc["p_diag"] and inst.q_diag.tolist() == desc["q_diag"]
+    instance = tmp_path / "quad.json"
+    instance.write_text(json.dumps(desc))
+    assert cli_main(["solve", "--instance", str(instance), "--out", str(tmp_path)]) == 0
+    # without both diagonals the curvature is unknown: refused, not guessed
+    del desc["q_diag"]
+    instance.write_text(json.dumps(desc))
+    assert cli_main(["solve", "--instance", str(instance), "--out", str(tmp_path)]) == 2
+    assert "q_diag" in capsys.readouterr().err
+
+
+def test_explicit_matrix_conditioning_is_capped(tmp_path, capsys):
+    # lambda_max / lambda_min+ = 1e8 exceeds the cap a generated instance is held to
+    instance = tmp_path / "ill.json"
+    instance.write_text(json.dumps({"family": "bilinear", "a": [[1.0, 0.0], [0.0, 1e-4]], "b": [1.0, 1.0]}))
+    assert cli_main(["solve", "--instance", str(instance), "--out", str(tmp_path)]) == 2
+    assert "conditioning capped" in capsys.readouterr().err
+    # a zero matrix has no conditioning and still loads
+    assert _load_instance({"a": [[0.0, 0.0], [0.0, 0.0]], "b": [1.0, 1.0]}).spectral.lambda_max == 0.0
 
 
 def test_unknown_subcommand_exit_code():

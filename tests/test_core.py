@@ -91,6 +91,26 @@ class TestRegularize:
         # optimality of min <c1,.> + r(.) + d/2||.||^2 + c2||.||^2
         assert np.allclose(c1 + out.grad_r(v) + 2 * c2 * v, 0.0, atol=1e-12)
 
+    def test_tightens_dual_side_only(self, b1):
+        problem = b1.problem()
+        problem.spec.mu_y = 1e-4
+        out = sk.regularize_problem(problem, 0.01, 1.0, 1.0)
+        d = 0.005 - 1e-4
+        assert out.spec.mu_y == pytest.approx(0.005)
+        assert out.spec.l_y == pytest.approx(problem.spec.l_y + d)
+        assert (out.spec.mu_x, out.spec.l_x) == (problem.spec.mu_x, problem.spec.l_x)
+        assert out.notes["regularization_bias"] == pytest.approx(0.0025)
+        assert out.notes["regularization_added"] == (0.0, pytest.approx(d))
+        assert out.value_r is problem.value_r and out.grad_r is problem.grad_r
+        # folded quadratic is consistent between value, gradient and prox
+        y = np.array([0.3, -0.7])
+        assert out.value_h(y) == pytest.approx(problem.value_h(y) + 0.5 * d * float(y @ y))
+        assert np.allclose(out.grad_h(y), problem.grad_h(y) + d * y)
+        c1, c2 = np.array([0.2, 0.1]), 0.7
+        v = out.prox_h(c1, c2)
+        # optimality of min <c1,.> + h(.) + d/2||.||^2 + c2||.||^2
+        assert np.allclose(c1 + out.grad_h(v) + 2 * c2 * v, 0.0, atol=1e-12)
+
 
 class TestTally:
     def test_snapshot_keys_in_value_order(self):
@@ -315,7 +335,7 @@ def _sliding(solve, epsilon, g_true=30.0):
     obj, spec = _two_term(g_true)
     with np.errstate(all="ignore"):  # an understated l_g overflows the APG loop
         if solve == "catalyst_solve":
-            return sk.catalyst_solve(obj, np.zeros(2), None, epsilon, spec=spec)
+            return sk.catalyst_solve(obj, np.zeros(2), epsilon, spec=spec)
         if solve == "apg_inexact_solve":
             return sk.apg_inexact_solve(spec, obj, np.zeros(2), epsilon)
         return sk.sliding_solve(spec, obj, np.zeros(2), epsilon, engine=solve)

@@ -14,8 +14,8 @@ def zero_coupling_problem(dim=2, mu_y=1.0):
     return inst.problem()
 
 
-def solve_inner(problem, x, delta, max_blocks=256):
-    return InnerMax(Metered(problem)).solve(x, delta, max_blocks=max_blocks)
+def solve_inner(problem, x, delta):
+    return InnerMax(Metered(problem)).solve(x, delta)
 
 
 class TestSolveInnerMax:
@@ -49,11 +49,12 @@ class TestSolveInnerMax:
             achieved = p.value_F(x, w) - p.value_h(w)
             assert exact - achieved <= delta * (1 + 1e-9)
 
-    def test_budget_exceeded(self):
+    def test_budget_exceeded(self, monkeypatch):
         inst = sk.gen_quadratic_saddle(4, 5, 20.0, seed=2)
         p = inst.problem()
+        monkeypatch.setattr(sk.fgm, "MAX_BLOCKS", 0)
         with pytest.raises(sk.BudgetExceededError) as err:
-            solve_inner(p, np.full(4, 50.0), 1e-14, max_blocks=0)
+            solve_inner(p, np.full(4, 50.0), 1e-14)
         assert err.value.best is not None
 
 

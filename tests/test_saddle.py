@@ -344,6 +344,21 @@ def test_exhausted_inner_budget_fails_closed(engine):
     assert rep.x_final.shape == (4,) and rep.y_final.shape == (4,)
 
 
+@pytest.mark.parametrize("engine", ["auto", "mirror_prox"])
+def test_understated_radius_fails_closed(engine):
+    # radii a tenth of the saddle's distance from the centers put the saddle
+    # outside the restriction balls; the certificate then goes negative, which
+    # no valid radius allows, and must not pass as converged
+    base = sk.gen_bilinear(6, 5, 10.0, seed=3)
+    inst = sk.bilinear_instance(base.a, 50.0 * base.b)
+    r = 0.1 * math.hypot(np.linalg.norm(inst.closed_form_x), np.linalg.norm(inst.closed_form_y))
+    rep = sk.solve_saddle(inst.problem(), 1e-6, engine=engine, r_x=r, r_y=r)
+    assert not rep.converged
+    assert rep.certified_gap == math.inf
+    assert rep.extras["certificate"].gap < 0.0
+    assert "r_x or r_y" in rep.extras["error"]
+
+
 class TestDualityGap:
     def test_at_saddle(self, b1, b1_problem):
         cert = sk.duality_gap(b1_problem, b1.closed_form_x, b1.closed_form_y, 10.0, 10.0, 1e-5)

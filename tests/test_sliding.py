@@ -273,13 +273,35 @@ class TestApg:
             sk.apg_inexact_solve(spec, obj, np.zeros(2), 1e-6, exact_inner=True, tally=tally)
         assert tally.total() == 0
 
+    @pytest.mark.parametrize("swapped", [False, True])
+    def test_accuracy_requests_precede_every_call(self, swapped):
+        # each hook is asked once, for the schedule's accuracy of the term it
+        # serves after orientation, before any oracle call
+        rdiag, gdiag, b = [1.0, 0.7], [10.0, 0.5], [1.0, -2.0]
+        if swapped:
+            rdiag, gdiag = gdiag, rdiag
+        obj, tally = two_term_quadratic(rdiag, gdiag, b)
+        asked = {"r": [], "g": []}
+
+        def hook(term):
+            return lambda delta: asked[term].append((delta, tally.total()))
+
+        obj = dataclasses.replace(obj, set_delta_r=hook("r"), set_delta_g=hook("g"))
+        spec = sk.SlidingSpec(l_r=max(rdiag), l_g=max(gdiag), mu_r=min(rdiag), mu_g=min(gdiag))
+        rep = sk.apg_inexact_solve(spec, obj, np.zeros(2), 1e-6, tally=tally)
+        assert rep.extras["swapped"] is swapped
+        params = rep.extras["params"]
+        want = (params.delta_g, params.delta_r) if swapped else (params.delta_r, params.delta_g)
+        assert asked == {"r": [(want[0], 0)], "g": [(want[1], 0)]}
+        assert params.delta_r != params.delta_g and tally.total() > 0
+
 
 class TestCatalyst:
     def test_converges_with_certificate(self):
         tally = OracleTally()
         obj, _ = two_term_quadratic([1.0, 0.7], np.linspace(0.5, 30, 2), [1.0, -2.0], tally)
         spec = sk.SlidingSpec(l_r=1.0, l_g=30.0, mu_r=0.7, mu_g=0.5)
-        rep = sk.catalyst_solve(obj, np.zeros(2), 1.0, 1e-8, spec=spec, tally=tally)
+        rep = sk.catalyst_solve(obj, np.zeros(2), 1e-8, spec=spec, tally=tally)
         assert rep.converged
         assert obj.value(rep.x_final) - obj.f_star <= 1e-8
 
@@ -287,7 +309,7 @@ class TestCatalyst:
         tally = OracleTally()
         obj, _ = two_term_quadratic([1.0, 1.0], [1.0, 1.0], [1.0, 1.0], tally)
         spec = sk.SlidingSpec(l_r=1.0, l_g=1.0, mu_r=1.0, mu_g=1.0)
-        rep = sk.catalyst_solve(obj, obj.x_star, 1.0, 1e-6, spec=spec, tally=tally)
+        rep = sk.catalyst_solve(obj, obj.x_star, 1e-6, spec=spec, tally=tally)
         assert rep.converged
         assert rep.extras["outer_iterations"] == 0
 
@@ -296,7 +318,7 @@ class TestCatalyst:
         # also when f_star is known
         obj, tally = two_term_quadratic([1.0, 0.7], [0.5, 30.0], [1.0, -2.0])
         spec = sk.SlidingSpec(l_r=1.0, l_g=30.0, mu_r=0.7, mu_g=0.5)
-        rep = sk.catalyst_solve(obj, np.zeros(2), 1.0, 1e-8, spec=spec, tally=tally)
+        rep = sk.catalyst_solve(obj, np.zeros(2), 1e-8, spec=spec, tally=tally)
         assert obj.f_star is not None and rep.converged
         assert rep.history[-1].gap == rep.certified_gap > obj.gap_at(rep.x_final)
 
@@ -311,7 +333,7 @@ class TestCatalyst:
 
         monkeypatch.setattr(sliding, "composite_gm_solve", stalled)
         x0 = np.array([0.3, -0.2])
-        rep = sk.catalyst_solve(obj, x0, 1.0, 1e-8, spec=spec, tally=tally)
+        rep = sk.catalyst_solve(obj, x0, 1e-8, spec=spec, tally=tally)
         assert not rep.converged and rep.extras["outer_iterations"] > 0
         assert rep.history[-1].iteration == rep.extras["outer_iterations"]
         grad_p = obj.grad_r(rep.x_final) + obj.grad_g(rep.x_final)
@@ -332,7 +354,7 @@ class TestCatalyst:
 
         monkeypatch.setattr(sliding, "composite_gm_solve", overflowing)
         with np.errstate(over="ignore"):
-            rep = sk.catalyst_solve(obj, np.zeros(2), 1.0, 1e-8, spec=spec, tally=tally)
+            rep = sk.catalyst_solve(obj, np.zeros(2), 1e-8, spec=spec, tally=tally)
         assert [math.isfinite(row.gap) for row in rep.history] == [True, False]
         assert rep.certified_gap == math.inf and not rep.converged
         assert rep.extras["outer_iterations"] == 1
@@ -358,7 +380,7 @@ class TestCatalyst:
         monkeypatch.setattr(sk.fgm, "solve_to_gap", spy)
         monkeypatch.setattr(sliding, "composite_gm_solve", one_far_step)
         with np.errstate(over="ignore"):
-            sk.catalyst_solve(obj, np.zeros(2), 1.0, 1e-8, spec=spec, tally=tally)
+            sk.catalyst_solve(obj, np.zeros(2), 1e-8, spec=spec, tally=tally)
         assert targets and all(math.isfinite(t) for t in targets)
 
     def test_well_conditioned_few_outer_steps(self):
@@ -368,7 +390,7 @@ class TestCatalyst:
         obj, _ = two_term_quadratic([1.0, 1.0], [1.0, 1.0], [0.0, 0.0], tally)
         spec = sk.SlidingSpec(l_r=1.0, l_g=1.0, mu_r=1.0, mu_g=1.0)
         x0 = obj.x_star + np.array([0.01, -0.01])
-        rep = sk.catalyst_solve(obj, x0, 1.0, 1e-6, spec=spec, tally=tally)
+        rep = sk.catalyst_solve(obj, x0, 1e-6, spec=spec, tally=tally)
         assert rep.converged
         assert rep.extras["outer_iterations"] <= 3
 
@@ -382,7 +404,7 @@ class TestCatalyst:
         assert rep.converged
         assert rep.extras["swapped"] is True
         obj_raw, tally_raw = two_term_quadratic(rdiag, gdiag, b)
-        ref = sk.catalyst_solve(obj_raw, np.zeros(2), 2.0, 1e-8, spec=spec, tally=tally_raw)
+        ref = sk.catalyst_solve(obj_raw, np.zeros(2), 1e-8, spec=spec, tally=tally_raw)
         assert rep.x_final.tobytes() == ref.x_final.tobytes()
         assert tally == tally_raw
         assert ref.extras["swapped"] is True
@@ -399,7 +421,7 @@ class TestCatalyst:
         )
         spec = sk.SlidingSpec(l_r=1.0, l_g=30.0, mu_r=0.7, mu_g=0.5)
         eps = 1e-8
-        rep = sk.catalyst_solve(obj, np.zeros(2), 1.0, eps, spec=spec, tally=tally)
+        rep = sk.catalyst_solve(obj, np.zeros(2), eps, spec=spec, tally=tally)
         assert rep.converged
         certs = [row.gap for row in rep.history][:-1]  # the last one stopped the loop
         assert len(certs) == rep.extras["outer_iterations"] >= 2
@@ -420,7 +442,7 @@ class TestCatalyst:
         b = np.array([1.0, -1.0, 0.5, 0.25])
         obj, _ = two_term_quadratic(rdiag, gdiag, b, tally)
         spec = sk.SlidingSpec(l_r=1.0, l_g=100.0, mu_r=0.01, mu_g=0.0)
-        rep = sk.catalyst_solve(obj, np.zeros(4), 1.0, 1e-6, spec=spec, tally=tally)
+        rep = sk.catalyst_solve(obj, np.zeros(4), 1e-6, spec=spec, tally=tally)
         assert rep.converged
         n_r = tally.count(OracleKind.GRAD_R)
         n_g = tally.count(OracleKind.GRAD_X_F)
@@ -443,14 +465,13 @@ def _sliding_case():
         lambda spec, obj: dataclasses.replace(spec, mu_g=math.nan).validate(),
         lambda spec, obj: sk.alg5_params(spec, math.nan),
         lambda spec, obj: sk.alg5_params(spec, 1e-6, gap0=math.nan),
-        lambda spec, obj: sk.catalyst_solve(obj, np.zeros(2), math.nan, 1e-6, spec),
-        lambda spec, obj: sk.catalyst_solve(obj, np.zeros(2), 1.0, math.nan, spec),
+        lambda spec, obj: sk.catalyst_solve(obj, np.zeros(2), math.nan, spec),
         lambda spec, obj: sk.sliding_solve(spec, obj, np.zeros(2), math.inf, engine="catalyst"),
         lambda spec, obj: sk.sliding_solve(spec, obj, np.zeros(2), math.inf, engine="apg"),
     ],
     ids=[
         "spec-l_r", "spec-l_g", "spec-mu_r", "spec-mu_g", "alg5-eps", "alg5-gap0",
-        "catalyst-reg_l", "catalyst-eps", "solve-inf-catalyst", "solve-inf-apg",
+        "catalyst-eps", "solve-inf-catalyst", "solve-inf-apg",
     ],
 )
 def test_non_finite_constants_and_targets_are_rejected(call):
