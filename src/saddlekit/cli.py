@@ -273,7 +273,7 @@ def _cmd_predict(args) -> int:
     for kind, (base, formula) in sorted(pred.counts.items(), key=lambda kv: kv[0].value):
         print(f"count[{kind.value}] {_fmt(base)} ({formula})")
     if pred.mu_x_substituted:
-        print("mu_x substituted by lambda_min_plus / l_y")
+        print("mu_x substituted by lambda_min_plus / (l_y + l_yy)")
     return 0
 
 

@@ -14,9 +14,10 @@ The bundle's value F(x, w) - h(w) is computed when it is first read, not
 when the bundle is built: the solvers only use the gradient, and the value
 costs a ``value_F`` evaluation (a matvec on bilinear instances).
 
-The inner objective does not depend on x, so :class:`InnerMax` builds it
-once per metered view, with the set center and the envelope constant, and
-:class:`EnvelopeGradOracle` reuses one such object for every outer gradient.
+The inner objective does not depend on x, so :class:`EnvelopeGradOracle`
+builds it once per metered view, with the set center and the envelope
+constant, and reuses it for every outer gradient and for every other solve on
+the same view.  The oracle's accuracy comes only from its ``set_delta``.
 """
 
 from __future__ import annotations
@@ -60,21 +61,31 @@ class InexactGrad:
         return float(self.value_fn())
 
 
-class InnerMax:
-    """The inner maximization of one metered view, built once and reused for every x.
+class EnvelopeGradOracle:
+    """The inner maximization of one metered view, and the inexact gradients of g it yields.
 
     Holds the minimization form of the inner problem, phi(y) = h(y) - F(x, y),
     as one :class:`~saddlekit.fgm.CompositeObjective` whose smooth gradient
     reads the base point from ``self.x`` (set by :meth:`solve` before each
     inner solve), together with the x-independent pieces every solve and
-    bundle need: the set center, the envelope constant and the exact-prox flag.
+    bundle need: the set center, the envelope constant ``l_env`` and the
+    exact-prox flag.  It is built once per view and reused for every x.
 
     With a prox-friendly h the coupling part is the smooth term and h stays
     composite; otherwise h must be smooth (constant l_y) and the whole
     objective is handled as one smooth term over the feasible set.
+
+    Each call runs one certified inner maximization at the accuracy last
+    given to :meth:`set_delta`, the *envelope* inexactness (the inner solver
+    is asked for half of it), and returns the bundle's gradient; the witness
+    seeds the next call.  The accuracy comes only from ``set_delta``: a call
+    before the first one raises :class:`~saddlekit.core.InvalidSpecError`.
+    Every call bills the given view's tally, as :func:`inexact_grad_g` does
+    (``mp.tally`` for a raw problem).
     """
 
-    def __init__(self, mp: Metered):
+    def __init__(self, problem: SaddleProblem | Metered):
+        mp = Metered.of(problem)
         spec = mp.spec
         self.mp = mp
         self.x: Optional[Vector] = None
@@ -99,6 +110,8 @@ class InnerMax:
                 mu=spec.mu_y,
                 domain=spec.set_y,
             )
+        self._delta_env: Optional[float] = None
+        self._warm: Optional[Vector] = None
 
     def solve(self, x: Vector, delta: float, y0: Optional[Vector] = None) -> Vector:
         """Return a certified delta-accurate maximizer of F(x, .) - h(.).
@@ -129,47 +142,39 @@ class InnerMax:
         rep = fgm.solve_to_gap(self.objective, start, delta, tally=mp.tally)
         return rep.x_final
 
-    def bundle(self, x: Vector, witness: Vector, delta: float) -> InexactGrad:
-        """Inexact-gradient bundle of g at x; see :func:`inexact_grad_from_witness`."""
-        mp = self.mp
-        grad = mp.grad_x_F(x, witness)
-        x = np.array(x, dtype=float)  # the caller may reuse its buffer before .value is read
-        witness = np.asarray(witness, dtype=float)
-        return InexactGrad(
-            grad=np.asarray(grad, dtype=float),
-            delta=2.0 * float(delta),
-            l_env=self.l_env,
-            witness_y=witness,
-            value_fn=lambda: mp.value_S_hat(x, witness),
-        )
+    def set_delta(self, delta_env: float) -> None:
+        if not (math.isfinite(delta_env) and delta_env > 0):
+            raise InvalidSpecError(f"envelope accuracy must be finite and positive, got {delta_env}")
+        self._delta_env = float(delta_env)
 
+    def bundle(self, x: Vector) -> InexactGrad:
+        if self._delta_env is None:
+            raise InvalidSpecError("envelope accuracy was never set: call set_delta first")
+        ig = inexact_grad_g(self, x, 0.5 * self._delta_env, y0=self._warm)
+        self._warm = ig.witness_y
+        return ig
 
-def _as_inner(problem) -> InnerMax:
-    """``problem`` itself when it is an :class:`InnerMax`, otherwise one built on its view.
-
-    The result bills the tally of its view: the given one, or the fresh view
-    that :meth:`Metered.of <saddlekit.core.Metered.of>` makes of a raw problem.
-    """
-    return problem if isinstance(problem, InnerMax) else InnerMax(Metered.of(problem))
+    def __call__(self, x: Vector) -> Vector:
+        return self.bundle(x).grad
 
 
 def inexact_grad_g(
-    problem: SaddleProblem | Metered | InnerMax,
+    problem: SaddleProblem | Metered | EnvelopeGradOracle,
     x: Vector,
     delta: float,
     y0: Optional[Vector] = None,
 ) -> InexactGrad:
     """Inexact-gradient bundle of g at x from a certified inner solve.
 
-    Bills the tally of the given view or :class:`InnerMax`; a raw problem
-    gets a fresh view.
+    Bills the tally of the given view or oracle; a raw problem gets a fresh
+    view.  An oracle's own accuracy and warm start are neither read nor set.
     """
-    inner = _as_inner(problem)
-    return inner.bundle(x, inner.solve(x, delta, y0), delta)
+    oracle = problem if isinstance(problem, EnvelopeGradOracle) else EnvelopeGradOracle(problem)
+    return inexact_grad_from_witness(oracle, x, oracle.solve(x, delta, y0), delta)
 
 
 def inexact_grad_from_witness(
-    problem: SaddleProblem | Metered | InnerMax,
+    problem: SaddleProblem | Metered | EnvelopeGradOracle,
     x: Vector,
     witness: Vector,
     delta: float,
@@ -179,7 +184,18 @@ def inexact_grad_from_witness(
     Costs one ``grad_x_F`` call, billed as :func:`inexact_grad_g` bills; the
     value oracles run only if ``.value`` is read.
     """
-    return _as_inner(problem).bundle(x, witness, delta)
+    oracle = problem if isinstance(problem, EnvelopeGradOracle) else EnvelopeGradOracle(problem)
+    mp = oracle.mp
+    grad = mp.grad_x_F(x, witness)
+    x = np.array(x, dtype=float)  # the caller may reuse its buffer before .value is read
+    witness = np.asarray(witness, dtype=float)
+    return InexactGrad(
+        grad=np.asarray(grad, dtype=float),
+        delta=2.0 * float(delta),
+        l_env=oracle.l_env,
+        witness_y=witness,
+        value_fn=lambda: mp.value_S_hat(x, witness),
+    )
 
 
 def envelope_check(
@@ -200,34 +216,3 @@ def envelope_check(
     d = np.asarray(z, dtype=float) - np.asarray(x, dtype=float)
     rhs = 0.5 * ig.l_env * float(d @ d) + ig.delta + 1e-9 * (1.0 + abs(gz))
     return (lhs >= -abs(lower_slack)) and (lhs <= rhs)
-
-
-class EnvelopeGradOracle:
-    """Stateful producer of inexact gradients of g with warm-started inner solves.
-
-    Each call runs one certified inner maximization at the currently
-    requested accuracy and returns the resulting bundle; the witness seeds
-    the next call.  The inner problem, ``inner`` (:class:`InnerMax`), is
-    built once, at construction, and reused for every x and by other solves
-    on the same view.  ``set_delta`` accepts the *envelope* inexactness (the
-    inner solver is asked for half of it).  Every call bills the given view's
-    tally, as :func:`inexact_grad_g` does (``inner.mp.tally`` for a raw problem).
-    """
-
-    def __init__(self, problem: SaddleProblem | Metered | InnerMax, delta_env: float):
-        self.inner = _as_inner(problem)
-        self.set_delta(delta_env)
-        self._warm: Optional[Vector] = None
-
-    def set_delta(self, delta_env: float) -> None:
-        if not (math.isfinite(delta_env) and delta_env > 0):
-            raise InvalidSpecError(f"envelope accuracy must be finite and positive, got {delta_env}")
-        self._delta_env = float(delta_env)
-
-    def bundle(self, x: Vector) -> InexactGrad:
-        ig = inexact_grad_g(self.inner, x, 0.5 * self._delta_env, y0=self._warm)
-        self._warm = ig.witness_y
-        return ig
-
-    def __call__(self, x: Vector) -> Vector:
-        return self.bundle(x).grad

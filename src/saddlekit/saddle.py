@@ -34,7 +34,6 @@ from .core import (
     InvalidSpecError,
     Metered,
     OracleKind,
-    OracleTally,
     RunLog,
     SaddleProblem,
     SaddleSpec,
@@ -42,7 +41,6 @@ from .core import (
     SpectralInfo,
     UnsupportedProblemError,
     Vector,
-    effective_smoothness,
     restrict_to_ball,
     set_center,
 )
@@ -105,27 +103,26 @@ def _resolve_engine(problem: SaddleProblem, engine: Engine | str) -> Engine:
     return Engine.CASE2 if problem.prox_friendly_h else Engine.CASE4
 
 
-def _outer_modulus(problem: SaddleProblem) -> tuple[float, float]:
-    """Strong convexity of f, with the structured lower bound when sound.
+def _structured_modulus(spec: SaddleSpec, spectral: Optional[SpectralInfo]) -> float:
+    """Strong convexity of the partial max from a bilinear coupling, or 0 when not sound.
 
-    For bilinear couplings with a trivial kernel and a smooth dual composite
-    the partial max is itself strongly convex with modulus
-    lambda_min+ / l_y; when that exceeds mu_x the outer loop may use it.
-    Returns (modulus of f, modulus contributed by g alone).
+    When the coupling is <Ax, y> plus curvature terms, A has a trivial kernel,
+    the dual set is all of space and the dual composite is smooth, g is
+    lambda_min+ / (l_y + l_yy) strongly convex (the conjugate of the
+    (l_y + l_yy)-smooth dual part, composed with A).  Returns that modulus
+    when it exceeds mu_x, otherwise 0; the solve and the prediction both use
+    it in place of mu_x.
     """
-    spec = problem.spec
-    mu_g = 0.0
     if (
-        problem.spectral is not None
-        and spec.l_y is not None
-        and spec.l_y > 0
-        and problem.spectral.kernel_trivial
-        and isinstance(spec.set_y, AllSpace)
+        spectral is None
+        or spec.l_y is None
+        or spec.l_y + spec.l_yy <= 0
+        or not spectral.kernel_trivial
+        or not isinstance(spec.set_y, AllSpace)
     ):
-        cand = problem.spectral.lambda_min_plus / spec.l_y
-        if cand > spec.mu_x:
-            mu_g = cand
-    return max(spec.mu_x, mu_g), mu_g
+        return 0.0
+    modulus = spectral.lambda_min_plus / (spec.l_y + spec.l_yy)
+    return modulus if modulus > spec.mu_x else 0.0
 
 
 def duality_gap(
@@ -211,22 +208,22 @@ def _default_radius(feasible, label: str, r: Optional[float]) -> float:
 
 
 def solve_saddle(
-    problem: SaddleProblem,
+    problem: SaddleProblem | Metered,
     epsilon: float,
     engine: Engine | str = Engine.AUTO,
     r_x: Optional[float] = None,
     r_y: Optional[float] = None,
-    tally: Optional[OracleTally] = None,
 ) -> SolveReport:
     """Solve to a certified restricted duality gap of at most ``epsilon``.
 
-    The solve starts at the centers of the feasible sets.  ``r_x`` / ``r_y``
-    bound the saddle's distances ``||x* - center||`` and ``||y* - center||``
-    (defaulting to twice the ball radius on bounded sets): they are the
-    starting-distance bounds and fix the certificate's restriction balls.
-    The report carries the pair, the last :func:`duality_gap` certificate
-    (its gap is ``certified_gap``, target ``epsilon``) and the full oracle
-    tally with the certification cost.  Internal accuracy targets start at
+    Every call, certificates included, bills the tally of the given view; a
+    raw problem is billed to a fresh view.  The solve starts at the centers
+    of the feasible sets.  ``r_x`` / ``r_y`` bound the saddle's distances
+    ``||x* - center||`` and ``||y* - center||`` (defaulting to twice the ball
+    radius on bounded sets): they are the starting-distance bounds and fix
+    the certificate's restriction balls.  The report carries the pair, the
+    last :func:`duality_gap` certificate (its gap is ``certified_gap``,
+    target ``epsilon``) and that tally.  Internal accuracy targets start at
     the scheduled O(epsilon) values and tighten geometrically until the
     certificate passes, for at most :data:`MAX_ATTEMPTS` attempts.  An inner
     or certificate solve that exhausts its budget, or a certificate below
@@ -239,11 +236,12 @@ def solve_saddle(
     NaN, zero) raises :class:`~saddlekit.core.InvalidSpecError` naming it,
     before any oracle call.
     """
+    mp = Metered.of(problem)
+    problem = mp.problem
     problem.validate()
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise InvalidSpecError("epsilon must be finite and positive")
     eng = _resolve_engine(problem, engine)
-    mp = Metered(problem, tally)
     spec = problem.spec
     log = RunLog(mp.tally)
     x_cur = set_center(spec.set_x, spec.dim_x)
@@ -255,7 +253,8 @@ def solve_saddle(
     if eng is Engine.MIRROR_PROX:
         route = _extragradient_attempts(mp, epsilon, x_cur, y_cur, math.hypot(r_x, r_y))
     else:
-        mu_f, mu_from_g = _outer_modulus(problem)
+        mu_from_g = _structured_modulus(spec, problem.spectral)
+        mu_f = max(spec.mu_x, mu_from_g)
         extras["outer_modulus"] = mu_f
         route = _splitting_attempts(mp, eng, epsilon, x_cur, y_cur, r_x, mu_f, mu_from_g)
     cert = None
@@ -289,10 +288,10 @@ def _splitting_attempts(mp, eng, epsilon, x, y, r0, mu_f, mu_from_g):
     to ``gamma_w`` gives the dual point; resuming tightens both by 8.  The
     outer loop's certified gap shrinks the starting-distance bound ``r0``.
     """
+    oracle = inner_max.EnvelopeGradOracle(mp)
     # a decoupled problem (zero coupling) leaves the partial max flat; any
     # positive envelope constant is then valid
-    l_env = max(2.0 * effective_smoothness(mp.spec), mu_f)
-    oracle = inner_max.EnvelopeGradOracle(mp, delta_env=epsilon)
+    l_env = max(oracle.l_env, mu_f)
     eps_f = 0.5 * epsilon
     gamma_w = 0.25 * epsilon  # accuracy of the witness behind the certificate
     while True:
@@ -302,7 +301,7 @@ def _splitting_attempts(mp, eng, epsilon, x, y, r0, mu_f, mu_from_g):
             rep = _sliding_outer(mp, oracle, x, eps_f, mu_from_g, l_env)
         if rep.certified_gap < float("inf"):
             r0 = min(r0, math.sqrt(max(2.0 * rep.certified_gap / mu_f, 0.0)))
-        ig = inner_max.inexact_grad_g(oracle.inner, rep.x_final, gamma_w, y0=y)
+        ig = inner_max.inexact_grad_g(oracle, rep.x_final, gamma_w, y0=y)
         x, y = rep.x_final, ig.witness_y
         yield rep, x, y
         eps_f *= 0.125
@@ -385,17 +384,13 @@ def predict_complexity(
 ) -> ComplexityPrediction:
     """Evaluate the closed-form oracle-count estimates (no log factors).
 
-    With spectral data of a bilinear coupling, mu_x is replaced by
-    lambda_min+ / l_y whenever that exceeds it, and the kernel-restricted
-    product formula is also evaluated.
+    With spectral data of a bilinear coupling, mu_x is replaced by the
+    structured modulus lambda_min+ / (l_y + l_yy) under the conditions the
+    solve uses it (trivial kernel, unconstrained dual set) whenever that
+    exceeds it, and the kernel-restricted product formula is also evaluated.
     """
-    mu_x, mu_y = spec.mu_x, spec.mu_y
-    substituted = False
-    if spectral is not None and spec.l_y is not None and spec.l_y > 0:
-        cand = spectral.lambda_min_plus / spec.l_y
-        if cand > mu_x:
-            mu_x = cand
-            substituted = True
+    mu_g = _structured_modulus(spec, spectral)
+    mu_x, mu_y = max(spec.mu_x, mu_g), spec.mu_y
 
     formulas: dict[str, float] = {}
     formulas["bilinear_pf"] = spec.l_xy / math.sqrt(mu_x * mu_y)
@@ -445,7 +440,7 @@ def predict_complexity(
     for name, value in formulas.items():
         if not (math.isfinite(value) and value > 0):
             raise InvalidSpecError(f"prediction {name} is not positive and finite")
-    return ComplexityPrediction(counts=counts, formulas=formulas, mu_x_substituted=substituted)
+    return ComplexityPrediction(counts=counts, formulas=formulas, mu_x_substituted=mu_g > 0)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,8 @@ hashes the exception type and message instead.  Cases:
 * all six engines on a seeded bilinear and a seeded quadratic instance;
 * the criterion-8 smoothed games (kappa 1e2, 1e3, 1e4; ``case1`` and
   ``mirror_prox``);
+* the curved probes: quadratic instances whose structured modulus
+  lambda_min+ / (l_y + l_yy) exceeds mu_x (``case1`` and ``case2``);
 * every workload case of ``perfbench/workloads.py`` at seeds 1 and 7;
 * direct calls of each driver, including ``run_mirror_prox`` on all of space
   and on a product of balls.
@@ -105,6 +107,17 @@ def game_cases() -> None:
         for engine in ("case1", "mirror_prox"):
             fingerprint(
                 f"game/kappa{kappa:g}/{engine}",
+                lambda: sk.solve_saddle(inst.problem(), 1e-6, engine=engine, r_x=r_x, r_y=r_y),
+            )
+
+
+def curved_probe_cases() -> None:
+    for seed in (0, 1, 2):
+        inst = sk.gen_quadratic_saddle(6, 8, 10.0, seed=seed, mu_x=0.01, mu_y=0.1)
+        r_x, r_y = _radii(inst)
+        for engine in ("case1", "case2"):
+            fingerprint(
+                f"curved/seed{seed}/{engine}",
                 lambda: sk.solve_saddle(inst.problem(), 1e-6, engine=engine, r_x=r_x, r_y=r_y),
             )
 
@@ -244,6 +257,7 @@ def main() -> None:
     driver_cases()
     engine_cases()
     game_cases()
+    curved_probe_cases()
     workload_cases()
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -115,6 +116,24 @@ def test_predict_output(tmp_path, capsys):
     assert float(lines["grad_x_coupling"]) == pytest.approx(2.0)
     assert float(lines["bilinear_pf"]) == pytest.approx(2.0)
     assert float(lines["kernel_restricted"]) == pytest.approx(2.0)
+
+
+def test_predict_names_the_substituted_modulus(tmp_path, capsys):
+    # lambda_min_plus / (l_y + l_yy) = 9 / 3 exceeds mu_x = 1
+    spec = tmp_path / "spec.json"
+    spec.write_text(
+        json.dumps(
+            {
+                "dim_x": 2, "dim_y": 2, "mu_x": 1.0, "mu_y": 1.0, "l_xy": 3.0, "l_yy": 2.0,
+                "l_x": 1.0, "l_y": 1.0, "lambda_max": 9.0, "lambda_min_plus": 9.0,
+            }
+        )
+    )
+    assert cli_main(["predict", "--spec", str(spec)]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[-1] == "mu_x substituted by lambda_min_plus / (l_y + l_yy)"
+    lines = dict(line.split(" ", 1) for line in out.splitlines() if "count[" not in line)
+    assert float(lines["grad_x_coupling"]) == pytest.approx(math.sqrt((0.0 + 9.0) / 3.0))
 
 
 def test_config_error_exit_code(tmp_path):

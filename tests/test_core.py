@@ -167,6 +167,12 @@ METERED_ORACLES = {
     OracleKind.PROX_R: "prox_r",
     OracleKind.PROX_H: "prox_h",
 }
+def _oracle_gradient(view, x):
+    oracle = sk.EnvelopeGradOracle(view)
+    oracle.set_delta(1e-6)
+    return oracle(x)
+
+
 # the entry points that take a problem or a view, each driven once on a view
 ENTRY_POINTS = {
     "assemble_saddle_operator": lambda view, x, y: sk.assemble_saddle_operator(view).evaluate(
@@ -175,7 +181,8 @@ ENTRY_POINTS = {
     "duality_gap": lambda view, x, y: sk.duality_gap(view, x, y, 1.0, 1.0, 1e-8),
     "inexact_grad_g": lambda view, x, y: sk.inexact_grad_g(view, x, 1e-6),
     "inexact_grad_from_witness": lambda view, x, y: sk.inexact_grad_from_witness(view, x, y, 1e-6),
-    "EnvelopeGradOracle": lambda view, x, y: sk.EnvelopeGradOracle(view, 1e-6)(x),
+    "EnvelopeGradOracle": lambda view, x, y: _oracle_gradient(view, x),
+    "solve_saddle": lambda view, x, y: sk.solve_saddle(view, 1e-6, r_x=3.0, r_y=3.0),
 }
 
 
@@ -243,12 +250,12 @@ def test_exports_resolve_without_duplicates():
     assert set(sk.__all__) == public
 
 
-def test_only_a_view_or_solve_saddle_pairs_a_problem_with_a_tally():
+def test_only_a_view_pairs_a_problem_with_a_tally():
     # every other entry point bills the view it is given, so none may take both
     both = []
     for name in sk.__all__:
         value = getattr(sk, name)
-        if not callable(value) or name in ("Metered", "solve_saddle"):
+        if not callable(value) or name == "Metered":
             continue
         try:
             params = inspect.signature(value).parameters
@@ -277,6 +284,53 @@ class TestSets:
     def test_set_center(self):
         assert np.allclose(set_center(EuclideanBall(np.array([1.0, 2.0]), 1.0), 2), [1.0, 2.0])
         assert np.allclose(set_center(sk.AllSpace(), 3), np.zeros(3))
+
+    @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan])
+    def test_ball_needs_a_positive_radius(self, radius):
+        with pytest.raises(sk.InvalidSpecError, match="radius"):
+            EuclideanBall(np.zeros(2), radius)
+
+
+@pytest.mark.parametrize(
+    "name, value, match",
+    [
+        ("dim_x", 0, "dimensions"),
+        ("dim_y", -1, "dimensions"),
+        ("l_xx", -1.0, "l_xx"),
+        ("l_xy", math.nan, "l_xy"),
+        ("l_yy", math.inf, "l_yy"),
+        ("l_x", -1.0, "l_x"),
+        ("l_y", math.nan, "l_y"),
+        ("mu_x", 0.0, "mu_x"),
+        ("mu_x", math.inf, "mu_x"),
+        ("mu_y", -1.0, "mu_y"),
+        ("mu_y", math.nan, "mu_y"),
+    ],
+)
+def test_spec_validate_names_the_bad_constant(b1, name, value, match):
+    # the spec check runs first in solve_saddle, before any oracle call
+    problem = b1.problem()
+    problem.spec.validate()
+    setattr(problem.spec, name, value)
+    with pytest.raises(sk.InvalidSpecError, match=match):
+        problem.spec.validate()
+    tally = OracleTally()
+    with pytest.raises(sk.InvalidSpecError, match=match):
+        sk.solve_saddle(Metered(problem, tally), 1e-6, r_x=3.0, r_y=3.0)
+    assert tally.snapshot() == {}
+
+
+@pytest.mark.parametrize("side", ["r", "h"])
+def test_problem_validate_needs_the_declared_prox(b1, side):
+    problem = b1.problem()
+    problem.validate()
+    setattr(problem, f"prox_{side}", None)
+    with pytest.raises(sk.InvalidSpecError, match=f"prox_friendly_{side} set but prox_{side}"):
+        problem.validate()
+    tally = OracleTally()
+    with pytest.raises(sk.InvalidSpecError, match=f"prox_{side} oracle missing"):
+        sk.solve_saddle(Metered(problem, tally), 1e-6, r_x=3.0, r_y=3.0)
+    assert tally.snapshot() == {}
 
 
 class TestMeteredOf:

@@ -7,7 +7,6 @@ import pytest
 import saddlekit as sk
 from saddlekit.core import Metered
 from saddlekit.fgm import certificate, quadratic_prox_model
-from saddlekit.inner_max import InnerMax
 
 
 def quad_objective(diag, b=None, domain=None):
@@ -366,7 +365,7 @@ def _identity_operator(l=1.0, mu=1.0):
             "r0",
         ),
         (
-            lambda: InnerMax(Metered(sk.gen_bilinear(3, 3, 2.0, seed=1).problem())).solve(
+            lambda: sk.EnvelopeGradOracle(Metered(sk.gen_bilinear(3, 3, 2.0, seed=1).problem())).solve(
                 np.ones(3), math.nan
             ),
             "delta",
@@ -422,7 +421,7 @@ def _nan_objective(l_smooth=1.0, mu=1.0):
         lambda: sk.next_alpha(0.0, math.nan),
         lambda: _identity_operator(l=math.nan),
         lambda: _identity_operator(mu=math.nan),
-        lambda: sk.EnvelopeGradOracle(sk.gen_bilinear(3, 3, 2.0, seed=1).problem(), math.nan),
+        lambda: sk.EnvelopeGradOracle(sk.gen_bilinear(3, 3, 2.0, seed=1).problem()).set_delta(math.nan),
         lambda: _nan_objective(l_smooth=math.inf),
         lambda: sk.run_restarted_fgm(_nan_objective(mu=math.inf), np.ones(2), 1e-6, 1.0),
         lambda: sk.restart_budget(math.inf, 1.0),

@@ -5,7 +5,6 @@ import pytest
 
 import saddlekit as sk
 from saddlekit.core import Metered, OracleTally
-from saddlekit.inner_max import InnerMax
 
 
 def zero_coupling_problem(dim=2, mu_y=1.0):
@@ -15,7 +14,7 @@ def zero_coupling_problem(dim=2, mu_y=1.0):
 
 
 def solve_inner(problem, x, delta):
-    return InnerMax(Metered(problem)).solve(x, delta)
+    return sk.EnvelopeGradOracle(Metered(problem)).solve(x, delta)
 
 
 class TestSolveInnerMax:
@@ -164,7 +163,8 @@ class TestEnvelopeCheck:
 class TestEnvelopeOracle:
     def test_warm_start_and_delta_update(self, b1_problem):
         tally = OracleTally()
-        oracle = sk.EnvelopeGradOracle(Metered(b1_problem, tally), delta_env=1e-2)
+        oracle = sk.EnvelopeGradOracle(Metered(b1_problem, tally))
+        oracle.set_delta(1e-2)
         g1 = oracle(np.array([1.0, 1.0]))
         oracle.set_delta(1e-6)
         ig = oracle.bundle(np.array([1.0, 1.0]))
@@ -200,7 +200,7 @@ class TestSharedInnerObject:
     def test_bundles_equal_one_shot_calls(self, mode):
         p = inner_mode_problem(mode)
         shared_tally, fresh_tally = OracleTally(), OracleTally()
-        oracle = sk.EnvelopeGradOracle(Metered(p, shared_tally), delta_env=1e-3)
+        oracle = sk.EnvelopeGradOracle(Metered(p, shared_tally))
         warm = None
         for k, x in enumerate(self.points()):
             delta_env = 1e-3 * 0.1**k
@@ -216,7 +216,8 @@ class TestSharedInnerObject:
     @pytest.mark.parametrize("mode", INNER_MODES)
     def test_early_value_keeps_its_own_point(self, mode):
         p = inner_mode_problem(mode)
-        oracle = sk.EnvelopeGradOracle(p, delta_env=1e-6)
+        oracle = sk.EnvelopeGradOracle(p)
+        oracle.set_delta(1e-6)
         x_buf = np.empty(6)  # one buffer, overwritten before every call
         xs, bundles = [], []
         for x in self.points():
@@ -229,15 +230,15 @@ class TestSharedInnerObject:
 
 
 class TestInnerTally:
-    """An InnerMax bills its own view's tally."""
+    """An oracle bills its own view's tally."""
 
     def test_own_tally_or_none_is_billed(self):
         p = sk.gen_bilinear(3, 3, 2.0, seed=1).problem()
-        inner = sk.EnvelopeGradOracle(p, delta_env=1e-6).inner
-        a = sk.inexact_grad_g(inner, np.ones(3), 1e-6)
-        b = sk.inexact_grad_g(inner, np.ones(3), 1e-6)
+        oracle = sk.EnvelopeGradOracle(p)
+        a = sk.inexact_grad_g(oracle, np.ones(3), 1e-6)
+        b = sk.inexact_grad_g(oracle, np.ones(3), 1e-6)
         assert a.grad.tobytes() == b.grad.tobytes()
-        assert inner.mp.tally.snapshot() == {
+        assert oracle.mp.tally.snapshot() == {
             "gradx_F": 2, "grady_F": 2, "matvec": 4, "prox_h": 2
         }
 
@@ -246,9 +247,9 @@ class TestInnerTally:
 @pytest.mark.parametrize(
     "call",
     [
-        lambda mp: InnerMax(mp).solve(np.ones(6), math.inf),
+        lambda mp: sk.EnvelopeGradOracle(mp).solve(np.ones(6), math.inf),
         lambda mp: sk.inexact_grad_g(mp, np.ones(6), math.inf),
-        lambda mp: sk.EnvelopeGradOracle(mp, delta_env=1e-6).set_delta(math.inf),
+        lambda mp: sk.EnvelopeGradOracle(mp).set_delta(math.inf),
     ],
     ids=["solve", "inexact-grad", "set-delta"],
 )
@@ -259,3 +260,17 @@ def test_infinite_accuracy_raises_before_any_call(call, mode):
     with pytest.raises(sk.InvalidSpecError, match="finite and positive"):
         call(mp)
     assert mp.tally.snapshot() == {}
+
+
+@pytest.mark.parametrize("mode", INNER_MODES)
+def test_call_before_set_delta_raises_before_any_call(mode):
+    # the oracle has no accuracy of its own: it answers only what set_delta asked for
+    mp = Metered(inner_mode_problem(mode))
+    oracle = sk.EnvelopeGradOracle(mp)
+    with pytest.raises(sk.InvalidSpecError, match="set_delta"):
+        oracle(np.ones(6))
+    with pytest.raises(sk.InvalidSpecError, match="set_delta"):
+        oracle.bundle(np.ones(6))
+    assert mp.tally.snapshot() == {}
+    oracle.set_delta(1e-6)
+    assert oracle(np.ones(6)).shape == (6,)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import saddlekit as sk
+from saddlekit import mirror_prox
 from saddlekit.core import EuclideanBall, Metered, OracleKind, OracleTally
 from saddlekit.mirror_prox import ProductSet
 
@@ -117,6 +118,31 @@ class TestRestartedMp:
         op = identity_operator(mu=0.0)
         with pytest.raises(sk.InvalidSpecError):
             sk.run_restarted_mp(op, np.zeros(2), 1e-6, r0=1.0)
+
+    @pytest.mark.parametrize(
+        "inst",
+        [
+            sk.gen_quadratic_saddle(6, 5, 10.0, seed=2),
+            sk.gen_bilinear(6, 5, 10.0, seed=2, mu_x=1.0, mu_y=2.0),
+        ],
+        ids=["quadratic", "bilinear"],
+    )
+    def test_default_operator_l_bounds_the_jacobian(self, inst):
+        # without a declared operator_l the operator falls back to the bound
+        # from the blockwise constants; it must cover the true Jacobian norm
+        problem = inst.problem()
+        problem.operator_l = None
+        op = sk.assemble_saddle_operator(problem)
+        assert op.l == mirror_prox._default_operator_l(problem.spec)
+        a = inst.a
+        jac = np.block(
+            [[np.diag(inst.mu_x + inst.p_diag), a.T], [-a, np.diag(inst.mu_y + inst.q_diag)]]
+        )
+        assert op.l >= float(np.linalg.norm(jac, 2))
+        z_star = np.concatenate([inst.closed_form_x, inst.closed_form_y])
+        rep = sk.run_restarted_mp(op, np.zeros(11), 1e-8, r0=float(np.linalg.norm(z_star)))
+        dist_sq = float(np.sum((rep.x_final - z_star) ** 2))
+        assert dist_sq <= rep.extras["dist_sq_bound"] < 1e-4 * float(z_star @ z_star)
 
     @staticmethod
     def _distance_run(cond, seed, mu, eps):

@@ -243,8 +243,7 @@ def test_case1_inner_accuracy_follows_the_restart_schedule(monkeypatch):
     eps = 1e-6
     rep = sk.solve_saddle(inst.problem(), eps, engine="case1", r_x=r_x, r_y=r_y)
     assert rep.converged and rep.extras["attempts"] == 1
-    assert asked[0] == eps  # the oracle's construction, before any block
-    blocks = asked[1:]
+    blocks = asked  # the oracle has no accuracy until the first block asks
     assert len(blocks) == len(rep.history) > 1  # one history row per block
     mu = rep.extras["outer_modulus"]
     l_env = max(2.0 * sk.effective_smoothness(inst.problem().spec), mu)
@@ -287,21 +286,21 @@ def test_bad_radius_is_rejected_by_name(label, radius):
     p = sk.gen_bilinear(4, 4, 5.0, seed=1, mu_x=4, mu_y=4).problem()
     radii = {"r_x": 10.0, "r_y": 10.0, label: radius}
     with pytest.raises(sk.InvalidSpecError, match=label):
-        sk.solve_saddle(p, 1e-6, tally=tally, **radii)
+        sk.solve_saddle(Metered(p, tally), 1e-6, **radii)
     assert tally.snapshot() == {}
 
 
 @pytest.mark.parametrize("engine", ["case1", "case2", "case3", "case4"])
 def test_one_inner_max_per_solve(engine, monkeypatch):
-    # the witness solve reuses the outer oracle's inner problem
+    # the witness solve reuses the outer oracle and its inner problem
     built = []
-    init = inner_max.InnerMax.__init__
+    init = inner_max.EnvelopeGradOracle.__init__
 
     def counting_init(self, mp):
         built.append(mp)
         init(self, mp)
 
-    monkeypatch.setattr(inner_max.InnerMax, "__init__", counting_init)
+    monkeypatch.setattr(inner_max.EnvelopeGradOracle, "__init__", counting_init)
     inst = sk.gen_quadratic_saddle(6, 6, 10.0, seed=3, mu_x=4.0, mu_y=4.0)
     r_x, r_y = _criterion11_radii(inst)
     rep = sk.solve_saddle(inst.problem(), 1e-8, engine=engine, r_x=r_x, r_y=r_y)
@@ -425,6 +424,29 @@ class TestPredict:
         assert big.mu_x_substituted
         assert big.formulas["grad_x_coupling"] == pytest.approx(math.sqrt(4.0 / 9.0))
 
+    def test_substitution_needs_the_solve_conditions(self):
+        # a nontrivial kernel or a constrained dual set leaves mu_x alone
+        spec = sk.SaddleSpec(dim_x=2, dim_y=2, mu_x=1.0, mu_y=1.0, l_xy=2.0, l_x=1.0, l_y=1.0)
+        big = SpectralInfo(4.0, 9.0, np.zeros((2, 0)))
+        assert sk.predict_complexity(spec, True, True, spectral=big).mu_x_substituted
+        kernel = SpectralInfo(4.0, 9.0, np.ones((2, 1)))
+        assert not sk.predict_complexity(spec, True, True, spectral=kernel).mu_x_substituted
+        spec.set_y = sk.EuclideanBall(np.zeros(2), 1.0)
+        assert not sk.predict_complexity(spec, True, True, spectral=big).mu_x_substituted
+
+    def test_prox_r_with_smooth_h(self):
+        spec = sk.SaddleSpec(dim_x=2, dim_y=2, mu_x=1.0, mu_y=1.0, l_xy=2.0, l_y=4.0)
+        pred = sk.predict_complexity(spec, True, False)
+        est1 = pred.formulas["grad_x_coupling"]
+        assert pred.counts[OracleKind.PROX_R] == (est1, "grad_x_coupling")
+        assert pred.counts[OracleKind.GRAD_H] == (pytest.approx(2.0 * est1), "grad_h_smooth")
+        assert OracleKind.PROX_H not in pred.counts and OracleKind.GRAD_R not in pred.counts
+
+    def test_smooth_h_needs_l_y(self):
+        spec = sk.SaddleSpec(dim_x=2, dim_y=2, mu_x=1.0, mu_y=1.0, l_xy=2.0)
+        with pytest.raises(sk.InvalidSpecError, match="h needs l_y"):
+            sk.predict_complexity(spec, True, False)
+
     def test_general_vs_bilinear_selection(self):
         spec = sk.SaddleSpec(dim_x=2, dim_y=2, mu_x=0.5, mu_y=1.0, l_xx=3.0, l_xy=2.0, l_yy=1.0)
         pred = sk.predict_complexity(spec, True, True)
@@ -474,5 +496,26 @@ def test_non_finite_accuracy_raises_before_any_call(epsilon):
     tally = sk.OracleTally()
     p = sk.gen_bilinear(4, 4, 5.0, seed=1, mu_x=4.0, mu_y=4.0).problem()
     with pytest.raises(sk.InvalidSpecError, match="epsilon"):
-        sk.solve_saddle(p, epsilon, r_x=10.0, r_y=10.0, tally=tally)
+        sk.solve_saddle(Metered(p, tally), epsilon, r_x=10.0, r_y=10.0)
     assert tally.snapshot() == {}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_structured_modulus_is_a_lower_bound(seed):
+    # with curvature Q the dual part is (l_y + l_yy)-smooth, so the partial max
+    # is lambda_min+ / (l_y + l_yy) strongly convex, not lambda_min+ / l_y
+    inst = sk.gen_quadratic_saddle(6, 8, 10.0, seed=seed, mu_x=0.01, mu_y=0.1)
+    a = inst.a
+    hessian = np.diag(inst.mu_x + inst.p_diag) + a.T @ (a.T / (inst.q_diag + inst.mu_y)).T
+    true_modulus = float(np.linalg.eigvalsh(hessian)[0])
+    r_x, r_y = _criterion11_radii(inst)
+    rep = sk.solve_saddle(inst.problem(), 1e-6, engine="case1", r_x=r_x, r_y=r_y)
+    assert rep.converged
+    mu = rep.extras["outer_modulus"]
+    assert inst.mu_x < mu <= true_modulus
+    # the prediction substitutes the same modulus
+    spec = inst.problem().spec
+    pred = sk.predict_complexity(spec, True, True, spectral=inst.spectral)
+    assert pred.mu_x_substituted
+    est1 = pred.formulas["grad_x_coupling"]
+    assert (spec.l_xx + spec.l_xy**2 / spec.mu_y) / est1**2 == pytest.approx(mu, rel=1e-12)
