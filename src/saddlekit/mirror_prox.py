@@ -12,7 +12,9 @@ with step 1/L satisfies the averaged bound
 and under strong monotonicity (modulus min(mu_x, mu_y) for saddle-derived
 operators) restarting from the averaged point converges linearly at the
 O((L/mu) log(1/eps)) operator-evaluation cost this package benchmarks
-against.
+against.  The restarts end at the first leading point w whose residual
+||G(w)||^2 is at most eps mu, and return that point: strong monotonicity
+bounds its distance to the solution by ||G(w)|| / mu.
 """
 
 from __future__ import annotations
@@ -37,6 +39,8 @@ from .core import (
     UnsupportedProblemError,
     Vector,
 )
+
+RESIDUAL_CHECK_EVERY = 32  # steps between run_mirror_prox's residual-stop checks
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,6 +169,7 @@ def run_mirror_prox(
     n: int,
     z_star: Optional[Vector] = None,
     record_every: int = 1,
+    residual_sq: Optional[float] = None,
 ) -> SolveReport:
     """Fixed-step extragradient with leading-point averaging.
 
@@ -176,6 +181,14 @@ def run_mirror_prox(
     averaged bound above upper-bounds by L ||z_star - z0||^2 / (2k), and the
     operator norm at the leading point otherwise.  ``record_every=0`` logs
     nothing.  ``certified_gap`` is inf, with no target: nothing is certified.
+
+    With a threshold ``residual_sq`` the loop tests ||G(w^k)||^2, from the
+    evaluation it already made, every :data:`RESIDUAL_CHECK_EVERY` iterations
+    and at the last one.  At the first pass it stops, logs a history row when
+    it logs any, and returns a copy of that leading point w^k instead of the
+    average, with ``iterations`` k and its squared residual in
+    ``extras["residual_stop"]`` (None when no check passed).  Without a
+    threshold that key is absent and the run is as above.
 
     The loop evaluates only through ``op.bind``, into buffers it owns: z and
     w are updated in place (a bounded domain projects into them), so it binds
@@ -199,6 +212,8 @@ def run_mirror_prox(
     at_z, at_w = op.bind(z, np.empty_like(z)), op.bind(w, np.empty_like(z))
     lead_sum = np.zeros_like(z)
     resid_sum = 0.0
+    check_every = RESIDUAL_CHECK_EVERY if residual_sq is not None else 0
+    stop = None  # the leading point whose residual passed, copied out of w
     unbilled = 0  # evaluations made but not yet charged
     try:
         for k in range(1, int(n) + 1):
@@ -214,17 +229,27 @@ def run_mirror_prox(
             lead_sum += w
             if z_star is not None:
                 resid_sum += float(gw @ (w - z_star))
-            if record_every and (k % record_every == 0 or k == n):
+            if check_every and (k % check_every == 0 or k == n):
+                w_resid_sq = float(gw @ gw)
+                if w_resid_sq <= residual_sq:
+                    stop = w.copy()
+            if record_every and (k % record_every == 0 or k == n or stop is not None):
                 op.charge(unbilled)
                 unbilled = 0
                 log.row(k, resid_sum / k if z_star is not None else float(np.linalg.norm(gw)))
+            if stop is not None:
+                break
     finally:
         op.charge(unbilled)
+    extras = {}
+    if residual_sq is not None:
+        extras["residual_stop"] = w_resid_sq if stop is not None else None
     return log.report(
-        lead_sum / float(n), float("inf"), iterations=int(n),
-        avg_residual=(resid_sum / n) if z_star is not None else None,
+        lead_sum / float(k) if stop is None else stop, float("inf"), iterations=k,
+        avg_residual=(resid_sum / k) if z_star is not None else None,
         last_point=z,
         last_operator_norm=float(np.linalg.norm(gw)),
+        **extras,
     )
 
 
@@ -235,9 +260,14 @@ def run_restarted_mp(op: ViOperator, z0: Vector, epsilon: float, r0: float) -> S
     N = ceil(L/mu) iterations the averaged point satisfies
     mu ||avg - z*||^2 <= L R^2 / (2N) <= mu R^2 / 2, halving the squared
     distance bound ``extras["dist_sq_bound"]``; p = ceil(log2(mu R0^2 / eps))
-    restarts bring it to eps / mu.  A residual check ||G(w)||^2 <= eps mu at
-    the last leading point w may end the restarts early; it bounds w's
-    distance, not the average's, so ``certified_gap`` is inf, with no target.
+    restarts bring it to eps / mu.  Each block runs :func:`run_mirror_prox`
+    with the residual threshold eps mu, and the first leading point w that
+    meets it ends the restarts and is returned.  Since z* solves the
+    variational inequality and w lies in the domain,
+    mu ||w - z*||^2 <= <G(w), w - z*> <= ||G(w)|| ||w - z*||, so
+    ``dist_sq_bound`` is then ||G(w)||^2 / mu^2, w's own bound alone (the
+    a-priori bound belongs to the block's start, not to w).  No duality gap
+    is computed, so ``certified_gap`` is inf, with no target.
     The history logs ``dist_sq_bound`` after every restart.  Each block
     bills ``op.tally`` as :func:`run_mirror_prox` does; the report carries
     that tally, or a fresh one when the operator has none.
@@ -259,12 +289,15 @@ def run_restarted_mp(op: ViOperator, z0: Vector, epsilon: float, r0: float) -> S
     d_sq = r0 * r0
     p = fgm.restart_count(op.mu, d_sq, epsilon) if d_sq > 0 else 1
     for restarts in range(1, p + 1):
-        rep = run_mirror_prox(op, z, n_j, record_every=0)
+        rep = run_mirror_prox(op, z, n_j, record_every=0, residual_sq=epsilon * op.mu)
         z = rep.x_final
+        w_resid_sq = rep.extras["residual_stop"]
+        if w_resid_sq is not None:  # z is the leading point that met the threshold
+            d_sq = w_resid_sq / (op.mu * op.mu)
+            log.row(restarts, d_sq)
+            break
         d_sq = min(d_sq, op.l * d_sq / (2.0 * op.mu * n_j))
         log.row(restarts, d_sq)
-        if rep.extras["last_operator_norm"] ** 2 <= epsilon * op.mu:
-            break
     return log.report(
         z, float("inf"),
         restarts=restarts, block_size=n_j, scheduled_restarts=p, dist_sq_bound=d_sq,

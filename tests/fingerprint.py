@@ -12,8 +12,8 @@ hashes the exception type and message instead.  Cases:
 * the curved probes: quadratic instances whose structured modulus
   lambda_min+ / (l_y + l_yy) exceeds mu_x (``case1`` and ``case2``);
 * every workload case of ``perfbench/workloads.py`` at seeds 1 and 7;
-* direct calls of each driver, including ``run_mirror_prox`` on all of space
-  and on a product of balls.
+* direct calls of each driver, including ``run_mirror_prox`` and
+  ``run_restarted_mp`` on all of space and on a product of balls.
 
 Pytest does not collect this file (its name does not start with ``test_``).
 """
@@ -220,9 +220,23 @@ def driver_cases() -> None:
         op = mirror_prox.assemble_saddle_operator(Metered(game.problem()))
         return mirror_prox.run_restarted_mp(op, z0, 1e-10, r0=8.0)
 
+    def mp_restarted_balls():
+        # balls that hold the saddle, entered from the far side: the steps
+        # project, and the residual stop still fires
+        op = mirror_prox.assemble_saddle_operator(Metered(game.problem()))
+        balls = mirror_prox.ProductSet(
+            EuclideanBall(np.zeros(20), 1.2 * float(np.linalg.norm(game.closed_form_x))),
+            EuclideanBall(np.zeros(20), 1.2 * float(np.linalg.norm(game.closed_form_y))),
+            20,
+        )
+        op = dataclasses.replace(op, domain=balls)
+        start = balls.project(-10.0 * z_star)
+        return mirror_prox.run_restarted_mp(op, start, 1e-10, r0=float(np.linalg.norm(start - z_star)))
+
     fingerprint("mirror_prox/run_mirror_prox/free", mp_free)
     fingerprint("mirror_prox/run_mirror_prox/balls", mp_balls)
     fingerprint("mirror_prox/run_restarted_mp", mp_restarted)
+    fingerprint("mirror_prox/run_restarted_mp/balls", mp_restarted_balls)
 
     for engine in ("apg", "catalyst"):
         for l_g in (40.0, 0.5):  # 0.5 < l_r swaps the split

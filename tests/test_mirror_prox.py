@@ -93,6 +93,37 @@ class TestRunMirrorProx:
                 rhs = op.l * float((z0 - z_star) @ (z0 - z_star)) / (2 * op.mu * n)
                 assert lhs <= rhs + 1e-9
 
+    def test_residual_stop_returns_the_checked_leading_point(self):
+        # on a criterion-8 game the residual of w^k meets the threshold inside
+        # the block; the run stops there and returns that leading point
+        inst = sk.gen_smoothed_game(50, 1e2, seed=808)
+        tally = OracleTally()
+        op = sk.assemble_saddle_operator(Metered(inst.problem(), tally))
+        n = math.ceil(op.l / op.mu)
+        rep = sk.run_mirror_prox(op, np.zeros(100), n, record_every=0, residual_sq=1e-6 * op.mu)
+        k = rep.extras["iterations"]
+        assert k < n and k % mirror_prox.RESIDUAL_CHECK_EVERY == 0
+        assert tally.count(OracleKind.GRAD_X_F) == 2 * k  # billed what it made
+        g = op.evaluate(rep.x_final)
+        assert rep.extras["residual_stop"] == float(g @ g) <= 1e-6 * op.mu
+        # w^k is the extrapolation step from z^(k-1), the last point of k - 1 steps
+        ref_op = sk.assemble_saddle_operator(inst.problem())
+        z = sk.run_mirror_prox(ref_op, np.zeros(100), k - 1, record_every=0).extras["last_point"]
+        w = z - (1.0 / ref_op.l) * ref_op.evaluate(z)
+        assert rep.x_final.tobytes() == w.tobytes()
+        # the restarted driver returns the same point from its first block
+        restarted = sk.run_restarted_mp(ref_op, np.zeros(100), 1e-6, r0=8.0)
+        assert restarted.extras["restarts"] == 1
+        assert restarted.x_final.tobytes() == w.tobytes()
+        assert restarted.extras["dist_sq_bound"] == rep.extras["residual_stop"] / op.mu**2
+
+    def test_no_threshold_no_stop(self):
+        op = identity_operator()
+        rep = sk.run_mirror_prox(op, np.array([5.0, -1.0]), 40)
+        assert "residual_stop" not in rep.extras and rep.extras["iterations"] == 40
+        rep = sk.run_mirror_prox(op, np.array([5.0, -1.0]), 40, residual_sq=-1.0)
+        assert rep.extras["residual_stop"] is None and rep.extras["iterations"] == 40
+
     def test_degenerate_budget(self):
         op = identity_operator()
         rep = sk.run_mirror_prox(op, np.zeros(2), 0)
@@ -151,23 +182,50 @@ class TestRestartedMp:
         op = sk.assemble_saddle_operator(inst.problem())
         r0 = 1.5 * float(np.linalg.norm(z_star)) + 1.0
         rep = sk.run_restarted_mp(op, np.zeros(9), eps, r0=r0)
-        return rep, float(np.sum((rep.x_final - z_star) ** 2))
+        return rep, float(np.sum((rep.x_final - z_star) ** 2)), op
+
+    @staticmethod
+    def _assert_leading_point_bound(op, rep, dist_sq, eps):
+        # the returned point is a leading point w with ||G(w)||^2 <= eps mu,
+        # and the bound is its own ||G(w)||^2 / mu^2, which covers its distance
+        g = op.evaluate(rep.x_final)
+        assert float(g @ g) <= eps * op.mu
+        assert rep.extras["dist_sq_bound"] == float(g @ g) / op.mu**2
+        assert dist_sq <= rep.extras["dist_sq_bound"]
 
     def test_distance_bound_covers_the_returned_average(self):
-        # the residual early exit measures the last leading point, not the
-        # average it returns, so it must not tighten the reported bound
+        # the reported bound is that of the point returned: on this grid
+        # every run ends at a leading point whose residual met eps mu
         grid = itertools.product((2.0, 10.0, 50.0), range(5), (0.5, 2.0, 5.0), (1e-2, 1e-4, 1e-6))
         for cond, seed, mu, eps in grid:
-            rep, dist_sq = self._distance_run(cond, seed, mu, eps)
-            assert dist_sq <= rep.extras["dist_sq_bound"], (cond, seed, mu, eps)
+            rep, dist_sq, op = self._distance_run(cond, seed, mu, eps)
+            self._assert_leading_point_bound(op, rep, dist_sq, eps)
             assert rep.certified_gap == math.inf and not rep.converged
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_distance_bound_on_a_product_of_balls(self, seed):
+        # balls that hold the saddle, so it still solves the variational
+        # inequality, started from the far side where the steps project
+        inst = sk.gen_smoothed_game(12, 50.0, seed=seed)
+        x_star, y_star = inst.closed_form_x, inst.closed_form_y
+        balls = ProductSet(
+            EuclideanBall(np.zeros(12), 1.2 * float(np.linalg.norm(x_star))),
+            EuclideanBall(np.zeros(12), 1.2 * float(np.linalg.norm(y_star))),
+            12,
+        )
+        op = dataclasses.replace(sk.assemble_saddle_operator(inst.problem()), domain=balls)
+        z_star = np.concatenate([x_star, y_star])
+        z0 = balls.project(-10.0 * z_star)
+        rep = sk.run_restarted_mp(op, z0, 1e-8, r0=float(np.linalg.norm(z0 - z_star)))
+        self._assert_leading_point_bound(op, rep, float(np.sum((rep.x_final - z_star) ** 2)), 1e-8)
+
     def test_pinned_early_exit(self):
-        # here the last leading point's residual bound, 4.71e-05, undercuts the
-        # returned average's true squared distance: the exit must not use it
-        rep, dist_sq = self._distance_run(10.0, 0, 2.0, 1e-4)
+        # the exit returns the leading point whose residual met eps mu, with
+        # that point's bound ||G(w)||^2 / mu^2 = 4.71e-05
+        rep, dist_sq, _ = self._distance_run(10.0, 0, 2.0, 1e-4)
         assert rep.extras["restarts"] < rep.extras["scheduled_restarts"]  # the early exit fired
-        assert dist_sq == pytest.approx(6.22e-05, rel=1e-3)
+        assert dist_sq == pytest.approx(2.213e-05, rel=1e-3)
+        assert rep.extras["dist_sq_bound"] == pytest.approx(4.714e-05, rel=1e-3)
         assert rep.extras["dist_sq_bound"] >= dist_sq
         assert not rep.converged
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import saddlekit as sk
-from saddlekit import inner_max
+from saddlekit import inner_max, mirror_prox, saddle
 from saddlekit.core import Metered, OracleKind, SpectralInfo
 
 
@@ -171,21 +171,24 @@ def _criterion11_radii(inst) -> tuple[float, float]:
     )
 
 
-# Full tallies, and history lengths, of solves whose first attempt fails its
-# certificate, at epsilon 1e-6 with mu_x = mu_y = 1 and the criterion-11
-# radii: they pin the accuracy each route tightens to on its second attempt
-# (eps_vi / 16 on mirror_prox, eps_f and gamma_w / 8 on the splitting route).
-PINNED_TWO_ATTEMPT_TALLIES = [
+# Full tallies, attempt counts and history lengths of solves at epsilon 1e-6
+# with mu_x = mu_y = 1 and the criterion-11 radii.  The extragradient rows
+# certify on their first attempt: the restarts return the leading point whose
+# residual met eps mu.  The case2 row's first attempt fails its certificate,
+# so it pins the accuracy the splitting route tightens to on its second
+# (eps_f and gamma_w / 8); test_extragradient_resumption_divides_eps_vi_by_16
+# pins mirror_prox's.
+PINNED_ATTEMPT_TALLIES = [
     (
-        "bilinear", 1, None, "mirror_prox", "mirror_prox", 11,
-        {"grad_h": 96, "grad_r": 102, "gradx_F": 102, "grady_F": 96, "matvec": 198},
+        "bilinear", 1, None, "mirror_prox", "mirror_prox", 1, 9,
+        {"grad_h": 79, "grad_r": 79, "gradx_F": 79, "grady_F": 79, "matvec": 158},
     ),
     (
-        "quadratic", 0, None, "mirror_prox", "mirror_prox", 10,
-        {"grad_h": 89, "grad_r": 89, "gradx_F": 89, "grady_F": 89, "matvec": 178},
+        "quadratic", 0, None, "mirror_prox", "mirror_prox", 1, 8,
+        {"grad_h": 72, "grad_r": 72, "gradx_F": 72, "grady_F": 72, "matvec": 144},
     ),
     (
-        "bilinear", 4, False, "auto", "case2", 8,
+        "bilinear", 4, False, "auto", "case2", 2, 8,
         {"grad_h": 2, "grad_r": 34, "gradx_F": 376, "grady_F": 364, "matvec": 740,
          "prox_h": 362},
     ),
@@ -193,9 +196,9 @@ PINNED_TWO_ATTEMPT_TALLIES = [
 
 
 @pytest.mark.parametrize(
-    "family, seed, prox_friendly_r, engine, ran, rows, tally", PINNED_TWO_ATTEMPT_TALLIES
+    "family, seed, prox_friendly_r, engine, ran, attempts, rows, tally", PINNED_ATTEMPT_TALLIES
 )
-def test_pinned_two_attempt_counts(family, seed, prox_friendly_r, engine, ran, rows, tally):
+def test_pinned_attempt_counts(family, seed, prox_friendly_r, engine, ran, attempts, rows, tally):
     gen = sk.gen_bilinear if family == "bilinear" else sk.gen_quadratic_saddle
     inst = gen(6, 6, 10.0, seed=seed)
     problem = inst.problem()
@@ -204,10 +207,47 @@ def test_pinned_two_attempt_counts(family, seed, prox_friendly_r, engine, ran, r
     r_x, r_y = _criterion11_radii(inst)
     rep = sk.solve_saddle(problem, 1e-6, engine=engine, r_x=r_x, r_y=r_y)
     assert rep.converged and rep.certified_gap <= 1e-6
-    assert (rep.extras["engine"], rep.extras["attempts"]) == (ran, 2)
+    assert (rep.extras["engine"], rep.extras["attempts"]) == (ran, attempts)
     assert rep.tally.snapshot() == tally
-    # both attempts' rows, numbered on from one to the next
+    # every attempt's rows, numbered on from one to the next
     assert [row.iteration for row in rep.history] == list(range(1, rows + 1))
+
+
+def test_extragradient_resumption_divides_eps_vi_by_16(monkeypatch):
+    # resuming the extragradient route runs the restarts again from the
+    # returned point, at eps_vi / 16 and with the returned distance bound
+    calls = []
+    run_restarted_mp = mirror_prox.run_restarted_mp
+
+    def recording(op, z0, epsilon, r0):
+        rep = run_restarted_mp(op, z0, epsilon, r0=r0)
+        calls.append((z0.copy(), epsilon, r0, rep))
+        return rep
+
+    monkeypatch.setattr(mirror_prox, "run_restarted_mp", recording)
+    inst = sk.gen_bilinear(6, 6, 10.0, seed=1)
+    r_x, r_y = _criterion11_radii(inst)
+    route = saddle._extragradient_attempts(
+        Metered(inst.problem()), 1e-6, np.zeros(6), np.zeros(6), math.hypot(r_x, r_y)
+    )
+    first, _, _ = next(route)
+    _, x, y = next(route)
+    assert [epsilon for _, epsilon, _, _ in calls] == [1e-6, 1e-6 / 16.0]
+    z0, _, r0, second = calls[1]
+    assert z0.tobytes() == first.x_final.tobytes()
+    assert r0 == math.sqrt(first.extras["dist_sq_bound"])
+    assert np.concatenate([x, y]).tobytes() == second.x_final.tobytes()
+
+
+@pytest.mark.parametrize("kappa", [1e2, 1e3, 1e4])
+def test_extragradient_certifies_criterion8_games_on_the_first_attempt(kappa):
+    # on all of space gap(w) <= ||G(w)||^2 / (2 mu) <= eps / 2 at the returned
+    # leading point, and the certificate's inner solves add at most 2 eps / 8
+    inst = sk.gen_smoothed_game(50, kappa, seed=808)
+    r_x, r_y = _criterion11_radii(inst)
+    rep = sk.solve_saddle(inst.problem(), 1e-6, engine="mirror_prox", r_x=r_x, r_y=r_y)
+    assert rep.converged and rep.extras["attempts"] == 1
+    assert rep.certified_gap <= 0.75e-6
 
 
 @pytest.mark.parametrize("seed", [1, 2])
