@@ -14,7 +14,10 @@ operators) restarting from the averaged point converges linearly at the
 O((L/mu) log(1/eps)) operator-evaluation cost this package benchmarks
 against.  The restarts end at the first leading point w whose residual
 ||G(w)||^2 is at most eps mu, and return that point: strong monotonicity
-bounds its distance to the solution by ||G(w)|| / mu.
+bounds its distance to the solution by ||G(w)|| / mu.  A block that ends
+above the threshold hands the next block its last iterate instead of its
+average when that bound is the smaller one, so the restarts then follow one
+extragradient trajectory.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from .core import (
 )
 
 RESIDUAL_CHECK_EVERY = 32  # steps between run_mirror_prox's residual-stop checks
+_EPS_MACH = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,6 +257,19 @@ def run_mirror_prox(
     )
 
 
+def _residual_dist_sq(op: ViOperator, w: Vector, resid_sq: float) -> float:
+    """Squared distance bound (||G(w)|| + e)^2 / mu^2 of a point w of the domain.
+
+    Strong monotonicity gives ||w - z*|| <= ||G(w)|| / mu.  ``resid_sq`` is
+    the computed ||G(w)||^2; near the solution G(w) is a small difference of
+    terms of size about L ||w||, so its rounding error is allowed for by
+    e = dim eps_mach L ||w||, without which the bound can fall below the
+    distance in the last digits when it is tight.
+    """
+    e = w.size * _EPS_MACH * op.l * float(np.linalg.norm(w))
+    return (math.sqrt(resid_sq) + e) ** 2 / (op.mu * op.mu)
+
+
 def run_restarted_mp(op: ViOperator, z0: Vector, epsilon: float, r0: float) -> SolveReport:
     """Restarted extragradient under strong monotonicity.
 
@@ -262,12 +279,17 @@ def run_restarted_mp(op: ViOperator, z0: Vector, epsilon: float, r0: float) -> S
     distance bound ``extras["dist_sq_bound"]``; p = ceil(log2(mu R0^2 / eps))
     restarts bring it to eps / mu.  Each block runs :func:`run_mirror_prox`
     with the residual threshold eps mu, and the first leading point w that
-    meets it ends the restarts and is returned.  Since z* solves the
-    variational inequality and w lies in the domain,
-    mu ||w - z*||^2 <= <G(w), w - z*> <= ||G(w)|| ||w - z*||, so
-    ``dist_sq_bound`` is then ||G(w)||^2 / mu^2, w's own bound alone (the
-    a-priori bound belongs to the block's start, not to w).  No duality gap
-    is computed, so ``certified_gap`` is inf, with no target.
+    meets it ends the restarts and is returned.  A block that ends without
+    a stop pays one more evaluation, at its last iterate z; when z's own
+    bound is below the average's, the next block starts from z, which
+    continues the extragradient trajectory instead of resetting it, and
+    when z meets the threshold it ends the restarts and is returned.  Since
+    z* solves the variational inequality and w lies in the domain,
+    mu ||w - z*||^2 <= <G(w), w - z*> <= ||G(w)|| ||w - z*||, so the bound
+    of a residual-checked point is :func:`_residual_dist_sq`, about
+    ||G(w)||^2 / mu^2; ``dist_sq_bound`` is the returned point's own bound
+    alone (the a-priori bound belongs to the block's start, not to w).  No
+    duality gap is computed, so ``certified_gap`` is inf, with no target.
     The history logs ``dist_sq_bound`` after every restart.  Each block
     bills ``op.tally`` as :func:`run_mirror_prox` does; the report carries
     that tally, or a fresh one when the operator has none.
@@ -290,14 +312,21 @@ def run_restarted_mp(op: ViOperator, z0: Vector, epsilon: float, r0: float) -> S
     p = fgm.restart_count(op.mu, d_sq, epsilon) if d_sq > 0 else 1
     for restarts in range(1, p + 1):
         rep = run_mirror_prox(op, z, n_j, record_every=0, residual_sq=epsilon * op.mu)
-        z = rep.x_final
         w_resid_sq = rep.extras["residual_stop"]
-        if w_resid_sq is not None:  # z is the leading point that met the threshold
-            d_sq = w_resid_sq / (op.mu * op.mu)
+        if w_resid_sq is not None:  # the leading point that met the threshold
+            z, d_sq = rep.x_final, _residual_dist_sq(op, rep.x_final, w_resid_sq)
             log.row(restarts, d_sq)
             break
-        d_sq = min(d_sq, op.l * d_sq / (2.0 * op.mu * n_j))
+        last = rep.extras["last_point"]
+        g = op.evaluate(last)
+        last_resid_sq = float(g @ g)
+        last_sq = _residual_dist_sq(op, last, last_resid_sq)
+        avg_sq = min(d_sq, op.l * d_sq / (2.0 * op.mu * n_j))
+        met = last_resid_sq <= epsilon * op.mu
+        z, d_sq = (last, last_sq) if met or last_sq < avg_sq else (rep.x_final, avg_sq)
         log.row(restarts, d_sq)
+        if met:  # the last iterate met the threshold
+            break
     return log.report(
         z, float("inf"),
         restarts=restarts, block_size=n_j, scheduled_restarts=p, dist_sq_bound=d_sq,

@@ -311,8 +311,8 @@ def _splitting_attempts(mp, eng, epsilon, x, y, r0, mu_f, mu_from_g):
 def _extragradient_attempts(mp, epsilon, x, y, r0):
     """Attempts of the restarted extragradient route; resuming divides ``eps_vi`` by 16.
 
-    An attempt whose residual check fires returns the leading point w with
-    ||G(w)||^2 <= ``eps_vi`` mu; on all of space gap(w) <= ``eps_vi`` / 2,
+    An attempt whose residual check fires returns a point w (a leading point,
+    or a block's last iterate) with ||G(w)||^2 <= ``eps_vi`` mu; on all of space gap(w) <= ``eps_vi`` / 2,
     so the first certificate passes there.  A resumption restarts from the
     returned point, with its ``dist_sq_bound`` as the next ``r0``.
     """

@@ -11,6 +11,14 @@ from saddlekit.core import EuclideanBall, Metered, OracleKind, OracleTally
 from saddlekit.mirror_prox import ProductSet
 
 
+def _residual_bound(op, w, resid_sq):
+    """(||G(w)|| + dim eps_mach L ||w||)^2 / mu^2, within 1e-6 of ||G(w)||^2 / mu^2 here."""
+    e = w.size * np.finfo(float).eps * op.l * float(np.linalg.norm(w))
+    bound = (math.sqrt(resid_sq) + e) ** 2 / op.mu**2
+    assert bound == pytest.approx(resid_sq / op.mu**2, rel=1e-6)
+    return bound
+
+
 def identity_operator(mu=1.0):
     return sk.ViOperator(bind=lambda z, out: lambda: z, l=1.0, mu=mu)
 
@@ -115,7 +123,62 @@ class TestRunMirrorProx:
         restarted = sk.run_restarted_mp(ref_op, np.zeros(100), 1e-6, r0=8.0)
         assert restarted.extras["restarts"] == 1
         assert restarted.x_final.tobytes() == w.tobytes()
-        assert restarted.extras["dist_sq_bound"] == rep.extras["residual_stop"] / op.mu**2
+        assert restarted.extras["dist_sq_bound"] == _residual_bound(op, w, rep.extras["residual_stop"])
+
+    def test_a_block_without_a_stop_continues_from_its_last_iterate(self, monkeypatch):
+        # block 1 ends above the threshold; its last iterate's bound is far
+        # below the average's a-priori one, so block 2 starts there and the
+        # restarts trace one extragradient trajectory, whose leading point at
+        # the stop is returned
+        inst = sk.gen_smoothed_game(50, 1e2, seed=808)
+        tally = OracleTally()
+        op = sk.assemble_saddle_operator(Metered(inst.problem(), tally))
+        blocks = []
+        run_mirror_prox = mirror_prox.run_mirror_prox
+
+        def recording(op, z0, n, **kwargs):
+            rep = run_mirror_prox(op, z0, n, **kwargs)
+            blocks.append((z0.copy(), rep))
+            return rep
+
+        monkeypatch.setattr(mirror_prox, "run_mirror_prox", recording)
+        rep = sk.run_restarted_mp(op, np.zeros(100), 1e-9, r0=8.0)
+        n = rep.extras["block_size"]
+        (_, first), (z1, second) = blocks
+        assert first.extras["iterations"] == n and first.extras["residual_stop"] is None
+        assert z1.tobytes() == first.extras["last_point"].tobytes()
+        assert rep.extras["restarts"] == 2
+        k = n + second.extras["iterations"]
+        assert tally.count(OracleKind.GRAD_X_F) == 2 * k + 1  # one more at block 1's end
+        ref_op = sk.assemble_saddle_operator(inst.problem())
+        z = run_mirror_prox(ref_op, np.zeros(100), k - 1, record_every=0).extras["last_point"]
+        w = z - (1.0 / ref_op.l) * ref_op.evaluate(z)
+        assert rep.x_final.tobytes() == w.tobytes()
+
+    def test_a_block_keeps_its_average_when_the_last_iterate_bound_is_worse(self, monkeypatch):
+        # balls that cut the unconstrained saddle off: ||G|| stays large at
+        # the constrained solution, so every block restarts from its average
+        # with the a-priori bound, halved or better
+        inst = sk.gen_smoothed_game(20, 50.0, seed=4)
+        balls = ProductSet(EuclideanBall(np.zeros(20), 0.3), EuclideanBall(np.full(20, 0.1), 0.2), 20)
+        op = dataclasses.replace(sk.assemble_saddle_operator(inst.problem()), domain=balls)
+        blocks = []
+        run_mirror_prox = mirror_prox.run_mirror_prox
+
+        def recording(op, z0, n, **kwargs):
+            rep = run_mirror_prox(op, z0, n, **kwargs)
+            blocks.append((z0.copy(), rep))
+            return rep
+
+        monkeypatch.setattr(mirror_prox, "run_mirror_prox", recording)
+        r0 = math.hypot(0.6, 0.4)  # the diameter of the product
+        rep = sk.run_restarted_mp(op, np.zeros(40), 1e-4, r0=r0)
+        assert rep.extras["restarts"] == rep.extras["scheduled_restarts"] == len(blocks) > 1
+        for (_, before), (start, _) in zip(blocks, blocks[1:]):
+            assert start.tobytes() == before.x_final.tobytes()
+        assert rep.x_final.tobytes() == blocks[-1][1].x_final.tobytes()
+        bounds = [row.gap for row in rep.history]
+        assert all(b <= a / 2.0 for a, b in zip([r0 * r0] + bounds, bounds))
 
     def test_no_threshold_no_stop(self):
         op = identity_operator()
@@ -186,16 +249,17 @@ class TestRestartedMp:
 
     @staticmethod
     def _assert_leading_point_bound(op, rep, dist_sq, eps):
-        # the returned point is a leading point w with ||G(w)||^2 <= eps mu,
-        # and the bound is its own ||G(w)||^2 / mu^2, which covers its distance
+        # the returned point w has ||G(w)||^2 <= eps mu, and the bound is its
+        # own ||G(w)||^2 / mu^2 with the rounding allowance, which covers its
+        # distance
         g = op.evaluate(rep.x_final)
         assert float(g @ g) <= eps * op.mu
-        assert rep.extras["dist_sq_bound"] == float(g @ g) / op.mu**2
+        assert rep.extras["dist_sq_bound"] == _residual_bound(op, rep.x_final, float(g @ g))
         assert dist_sq <= rep.extras["dist_sq_bound"]
 
     def test_distance_bound_covers_the_returned_average(self):
         # the reported bound is that of the point returned: on this grid
-        # every run ends at a leading point whose residual met eps mu
+        # every run ends at a point whose residual met eps mu
         grid = itertools.product((2.0, 10.0, 50.0), range(5), (0.5, 2.0, 5.0), (1e-2, 1e-4, 1e-6))
         for cond, seed, mu, eps in grid:
             rep, dist_sq, op = self._distance_run(cond, seed, mu, eps)
@@ -220,12 +284,12 @@ class TestRestartedMp:
         self._assert_leading_point_bound(op, rep, float(np.sum((rep.x_final - z_star) ** 2)), 1e-8)
 
     def test_pinned_early_exit(self):
-        # the exit returns the leading point whose residual met eps mu, with
-        # that point's bound ||G(w)||^2 / mu^2 = 4.71e-05
+        # the exit returns the point whose residual met eps mu, with that
+        # point's own bound, about ||G(w)||^2 / mu^2 = 2.88e-05
         rep, dist_sq, _ = self._distance_run(10.0, 0, 2.0, 1e-4)
         assert rep.extras["restarts"] < rep.extras["scheduled_restarts"]  # the early exit fired
-        assert dist_sq == pytest.approx(2.213e-05, rel=1e-3)
-        assert rep.extras["dist_sq_bound"] == pytest.approx(4.714e-05, rel=1e-3)
+        assert dist_sq == pytest.approx(2.801e-05, rel=1e-3)
+        assert rep.extras["dist_sq_bound"] == pytest.approx(2.880e-05, rel=1e-3)
         assert rep.extras["dist_sq_bound"] >= dist_sq
         assert not rep.converged
 

@@ -173,19 +173,19 @@ def _criterion11_radii(inst) -> tuple[float, float]:
 
 # Full tallies, attempt counts and history lengths of solves at epsilon 1e-6
 # with mu_x = mu_y = 1 and the criterion-11 radii.  The extragradient rows
-# certify on their first attempt: the restarts return the leading point whose
+# certify on their first attempt: the restarts return the point whose
 # residual met eps mu.  The case2 row's first attempt fails its certificate,
 # so it pins the accuracy the splitting route tightens to on its second
 # (eps_f and gamma_w / 8); test_extragradient_resumption_divides_eps_vi_by_16
 # pins mirror_prox's.
 PINNED_ATTEMPT_TALLIES = [
     (
-        "bilinear", 1, None, "mirror_prox", "mirror_prox", 1, 9,
-        {"grad_h": 79, "grad_r": 79, "gradx_F": 79, "grady_F": 79, "matvec": 158},
+        "bilinear", 1, None, "mirror_prox", "mirror_prox", 1, 5,
+        {"grad_h": 51, "grad_r": 51, "gradx_F": 51, "grady_F": 51, "matvec": 102},
     ),
     (
-        "quadratic", 0, None, "mirror_prox", "mirror_prox", 1, 8,
-        {"grad_h": 72, "grad_r": 72, "gradx_F": 72, "grady_F": 72, "matvec": 144},
+        "quadratic", 0, None, "mirror_prox", "mirror_prox", 1, 6,
+        {"grad_h": 54, "grad_r": 54, "gradx_F": 54, "grady_F": 54, "matvec": 108},
     ),
     (
         "bilinear", 4, False, "auto", "case2", 2, 8,
@@ -242,7 +242,7 @@ def test_extragradient_resumption_divides_eps_vi_by_16(monkeypatch):
 @pytest.mark.parametrize("kappa", [1e2, 1e3, 1e4])
 def test_extragradient_certifies_criterion8_games_on_the_first_attempt(kappa):
     # on all of space gap(w) <= ||G(w)||^2 / (2 mu) <= eps / 2 at the returned
-    # leading point, and the certificate's inner solves add at most 2 eps / 8
+    # point, and the certificate's inner solves add at most 2 eps / 8
     inst = sk.gen_smoothed_game(50, kappa, seed=808)
     r_x, r_y = _criterion11_radii(inst)
     rep = sk.solve_saddle(inst.problem(), 1e-6, engine="mirror_prox", r_x=r_x, r_y=r_y)
