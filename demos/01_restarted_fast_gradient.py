@@ -45,17 +45,18 @@ def main():
     r0 = float(np.linalg.norm(x0 - x_star)) * 1.1
     rep = sk.run_restarted_fgm(obj, x0, 1e-10, r0=r0)
     print(
-        f"restarts: {rep.extras['restarts']}, block size: {rep.extras['block_size']}, "
+        f"restarts: {rep.extras['restarts']} of {rep.extras['scheduled_restarts']} scheduled, "
+        f"block size: {rep.extras['block_size']}, "
         f"certified gap: {rep.certified_gap:.2e}, true gap: {obj.gap_at(rep.x_final):.2e}"
     )
 
     print("\n== gradient budget vs condition number ==")
-    print(f"{'kappa':>8} {'smooth calls':>13}")
+    print(f"{'kappa':>8} {'smooth calls':>13}")  # block steps plus step-bound checks
     for kappa in (1e2, 1e3, 1e4, 1e5):
         o, _ = quadratic([1.0, kappa], [0.7, 0.3 * kappa])
         rep = sk.run_restarted_fgm(o, np.zeros(2), 1e-6, r0=1.5)
         print(f"{kappa:>8.0e} {rep.extras['smooth_calls']:>13}")
-    print("(doubling the exponent of kappa multiplies the budget by ~sqrt(10))")
+    print("(each factor of 10 in kappa multiplies the budget by about sqrt(10))")
 
 
 if __name__ == "__main__":

@@ -13,7 +13,8 @@ Three drivers are provided:
 
 * :func:`run_fgm` - a fixed number of accelerated steps;
 * :func:`run_restarted_fgm` - the linearly convergent restart wrapper for
-  strongly convex objectives, with a per-restart inexactness schedule;
+  strongly convex objectives, with a per-restart inexactness schedule and an
+  early stop on a computed bound of one gradient-mapping step's gap;
 * :func:`solve_to_gap` - restart blocks driven by a computable optimality
   certificate instead of a known distance bound (used by inner solvers).
 """
@@ -162,13 +163,25 @@ def run_restarted_fgm(
     per block, so early blocks, whose squared distance D_j^2 is large, ask
     for coarse oracles and later ones for fine.
 
-    The wrapper restarts until the running worst-case bound on the objective
-    gap of the returned point, its ``certified_gap`` under the declared L
-    and mu, is at most the target ``epsilon``, for at most 4 p + 64 blocks.
-    Each block's bound is at most mu D_j^2 / 4, since N^2 >= 18 L / mu, so
-    the p scheduled blocks bring it to mu r0^2 / 2^(p+1) <= epsilon / 2 and
-    the run stops there.  The history logs one row per block: the objective
-    gap with ``obj.full_value`` (nan without ``obj.f_star``), else the bound.
+    After a block whose delta_j is at most ``epsilon`` and that does not end
+    the schedule, one gradient-mapping step x+ is taken at that block's
+    accuracy (no new ``set_delta``) and its gap bounded by
+    :func:`_step_bound`, f(x+) - f* <= t^2 with t^2 >= delta_j; a block with
+    delta_j > ``epsilon`` therefore cannot pass and is not checked.  The first
+    t^2 <= ``epsilon`` stops the run, which returns x+ with
+    ``certified_gap`` t^2.  Each check costs one smooth-gradient call (an
+    inner max on the saddle route) and one prox-model call, and
+    ``extras["smooth_calls"]`` counts the checks' calls with the blocks'.
+
+    Without such a stop the wrapper restarts until the running worst-case
+    bound on the objective gap of the returned point, its ``certified_gap``
+    under the declared L and mu, is at most ``epsilon``, for at most
+    4 p + 64 blocks.  Each block's bound is at most mu D_j^2 / 4, since
+    N^2 >= 18 L / mu, so the p scheduled blocks bring it to
+    mu r0^2 / 2^(p+1) <= epsilon / 2 and the run stops there.  The history
+    logs one row per block, for the returned point on the last: the
+    objective gap with ``obj.full_value`` (nan without ``obj.f_star``),
+    else the bound.
     A ``mu``, ``l_smooth``, ``epsilon`` or ``r0`` that is not finite and
     positive raises :class:`~saddlekit.core.InvalidSpecError` naming it,
     before any oracle call.
@@ -182,6 +195,7 @@ def run_restarted_fgm(
 
     x = np.array(x0, dtype=float)
     d_sq = r0 * r0
+    checks = 0
     for restarts in range(1, 4 * p + 65):
         delta_j = l * d_sq / (4.0 * n_j**3)
         if obj.set_delta is not None:
@@ -189,13 +203,49 @@ def run_restarted_fgm(
         x = run_fgm(obj, x, n_j, delta_j, tally=log.tally).x_final
         bound = 4.0 * l * d_sq / (n_j + 1) ** 2 + 2.0 * n_j * delta_j
         d_sq = min(d_sq, 2.0 * bound / mu)
+        stop = restarts >= p and bound <= epsilon
+        if not stop and delta_j <= epsilon:  # the step bound is >= delta_j
+            checks += 1
+            x_plus, step_bound = _step_bound(obj, x, delta_j)
+            stop = step_bound <= epsilon
+            if stop:
+                x, bound = x_plus, step_bound
         log.row(restarts, obj.gap_at(x) if obj.full_value is not None else bound)
-        if restarts >= p and bound <= epsilon:
+        if stop:
             break
     return log.report(
         x, bound, epsilon,
-        restarts=restarts, block_size=n_j, scheduled_restarts=p, smooth_calls=restarts * n_j,
+        restarts=restarts, block_size=n_j, scheduled_restarts=p,
+        smooth_calls=restarts * n_j + checks,
     )
+
+
+def _step_bound(obj: CompositeObjective, x: Vector, delta: float) -> tuple[Vector, float]:
+    """One gradient-mapping step from ``x`` and a bound on the gap of its result.
+
+    Under a (delta, L) inexact oracle with L <= l_c = max(l, mu), the step
+    x+ = prox_model(x, 1 / l_c, g(x)) has, with s = ||x+ - x|| and
+    D = ||x+ - x*||,
+
+        f(x+) - f* <= delta + l_c s D + l_c s^2 / 2,
+
+    from the upper envelope at x+ and the lower envelope at x* together with
+    the model's l_c-strong convexity.  Strong convexity bounds D by
+    sqrt(2 (f(x+) - f*) / mu), and solving for the gap gives
+    f(x+) - f* <= t^2 with t = (a + sqrt(a^2 + 4 c)) / 2, a = l_c s sqrt(2 / mu)
+    and c = delta + l_c s^2 / 2.  Returns ``(x+, t^2)``; a non-finite
+    oracle value gives a non-finite bound.  Costs one smooth-gradient call at
+    the accuracy the oracle was last given and one prox-model call.
+    """
+    l_c = max(obj.l_smooth, obj.mu)
+    g = obj.smooth_grad(x)
+    x_plus = obj.prox_model(x, 1.0 / l_c, g)
+    step = x_plus - x
+    s = math.sqrt(float(np.dot(step, step)))
+    a = l_c * s * math.sqrt(2.0 / obj.mu)
+    c = delta + 0.5 * l_c * s * s
+    t = 0.5 * (a + math.sqrt(a * a + 4.0 * c))
+    return x_plus, t * t
 
 
 def certificate(obj: CompositeObjective, x: Vector) -> tuple[float, Vector]:

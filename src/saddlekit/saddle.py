@@ -336,8 +336,12 @@ def _case1_outer(mp, oracle, x0, eps_f, r0, mu_f, l_env) -> SolveReport:
     inexactness delta_j = l_env D_j^2 / (4 N^3), where D_0 = ``r0`` and
     D_j^2 at least halves from block to block.  Early blocks thus run cheap,
     coarse inner solves and only the last ones pay for accuracy near
-    ``eps_f``.  When the inner max is one exact prox the accuracy is never
-    read and the counts do not depend on it.
+    ``eps_f``.  Once delta_j is at most ``eps_f`` each block ends with one
+    more inner max at that accuracy, for a gradient-mapping step whose
+    computed gap bound stops the loop at the first pass, usually well before
+    the schedule's last block; the returned report carries that bound.
+    When the inner max is one exact prox the accuracy is never read and the
+    counts do not depend on it.
     """
     if mp.problem.prox_r is None:
         raise UnsupportedProblemError("this route needs the prox oracle of r")

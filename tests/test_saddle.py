@@ -124,13 +124,13 @@ class TestSolveSaddle:
 PINNED_TALLIES = [
     (
         "bilinear", (10, 8, 10.0), None, "case1",
-        {"grad_h": 1, "grad_r": 1, "gradx_F": 191, "grady_F": 191, "matvec": 382,
-         "prox_h": 190, "prox_r": 189},
+        {"grad_h": 1, "grad_r": 1, "gradx_F": 94, "grady_F": 94, "matvec": 188,
+         "prox_h": 93, "prox_r": 92},
     ),
     (
         "quadratic", (10, 8, 10.0), None, "case1",
-        {"grad_h": 1, "grad_r": 1, "gradx_F": 218, "grady_F": 236, "matvec": 454,
-         "prox_h": 235, "prox_r": 216},
+        {"grad_h": 1, "grad_r": 1, "gradx_F": 99, "grady_F": 117, "matvec": 216,
+         "prox_h": 116, "prox_r": 97},
     ),
     (
         "quadratic", (12, 12, 20.0), (False, True), "case2",
@@ -143,8 +143,8 @@ PINNED_TALLIES = [
     ),
     (
         "quadratic", (12, 12, 20.0), (True, False), "case3",
-        {"grad_h": 434, "grad_r": 1, "gradx_F": 272, "grady_F": 434, "matvec": 706,
-         "prox_r": 270},
+        {"grad_h": 243, "grad_r": 1, "gradx_F": 153, "grady_F": 243, "matvec": 396,
+         "prox_r": 151},
     ),
 ]
 
@@ -295,6 +295,82 @@ def test_case1_inner_accuracy_follows_the_restart_schedule(monkeypatch):
         d_sq = min(d_sq, 2.0 * bound / mu)
     assert blocks == pytest.approx(expected, rel=1e-12)
     assert all(b <= a for a, b in zip(blocks, blocks[1:]))
+
+
+def _case1_setup(inst):
+    """The view, oracle, modulus and envelope constant the case1 route builds."""
+    mp = Metered(inst.problem())
+    oracle = inner_max.EnvelopeGradOracle(mp)
+    mu_f = max(mp.spec.mu_x, saddle._structured_modulus(mp.spec, inst.spectral))
+    return mp, oracle, mu_f, max(oracle.l_env, mu_f)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("gen", [sk.gen_bilinear, sk.gen_quadratic_saddle])
+def test_case1_step_bound_holds_at_the_returned_point(gen, seed):
+    # the restarts stop before the scheduled count on the step bound t^2 of
+    # the point they return, and t^2 bounds that point's true objective gap,
+    # 1/2 (x - x*)' H (x - x*) with H the Hessian of f = r + g
+    inst = gen(10, 8, 10.0, seed=seed, mu_x=1.0 + seed, mu_y=4.0)
+    mp, oracle, mu_f, l_env = _case1_setup(inst)
+    a = inst.a
+    hessian = np.diag(inst.mu_x + inst.p_diag) + a.T @ (a.T / (inst.q_diag + inst.mu_y)).T
+    r_x, _ = _criterion11_radii(inst)
+    for eps_f in (1e-3, 1e-6, 1e-9):
+        rep = saddle._case1_outer(mp, oracle, np.zeros(10), eps_f, r_x, mu_f, l_env)
+        assert rep.extras["restarts"] < rep.extras["scheduled_restarts"]
+        err = rep.x_final - inst.closed_form_x
+        true_gap = 0.5 * float(err @ (hessian @ err))
+        assert true_gap <= rep.certified_gap <= eps_f
+
+
+def test_case1_checks_only_blocks_that_can_pass(monkeypatch):
+    # the step bound is >= delta_j, so only blocks with delta_j <= eps_f are
+    # checked; each check costs one outer gradient at the block's accuracy,
+    # with no set_delta of its own, and smooth_calls counts it
+    asked, grads = [], []
+    set_delta, call = inner_max.EnvelopeGradOracle.set_delta, inner_max.EnvelopeGradOracle.__call__
+
+    def recording_set_delta(self, delta_env):
+        asked.append(delta_env)
+        set_delta(self, delta_env)
+
+    def counting_call(self, x):
+        grads.append(x)
+        return call(self, x)
+
+    monkeypatch.setattr(inner_max.EnvelopeGradOracle, "set_delta", recording_set_delta)
+    monkeypatch.setattr(inner_max.EnvelopeGradOracle, "__call__", counting_call)
+    inst = sk.gen_quadratic_saddle(10, 8, 10.0, seed=5, mu_x=4.0, mu_y=4.0)
+    mp, oracle, mu_f, l_env = _case1_setup(inst)
+    r_x, _ = _criterion11_radii(inst)
+    eps_f = 1e-6
+    rep = saddle._case1_outer(mp, oracle, np.zeros(10), eps_f, r_x, mu_f, l_env)
+    restarts, n = rep.extras["restarts"], rep.extras["block_size"]
+    assert restarts < rep.extras["scheduled_restarts"]
+    assert len(asked) == len(rep.history) == restarts
+    checks = len(grads) - restarts * n
+    assert checks == sum(delta <= eps_f for delta in asked) >= 1
+    assert rep.extras["smooth_calls"] == len(grads)
+
+
+def test_case1_criterion8_game_stops_early_and_certifies_once(monkeypatch):
+    # the outer loop stops on the step bound before its scheduled count, and
+    # the point it returns passes the first duality-gap certificate
+    reports = []
+    run_restarted_fgm = sk.fgm.run_restarted_fgm
+
+    def recording(*args, **kwargs):
+        reports.append(run_restarted_fgm(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(sk.fgm, "run_restarted_fgm", recording)
+    inst = sk.gen_smoothed_game(50, 1e3, seed=808)
+    r_x, r_y = _criterion11_radii(inst)
+    rep = sk.solve_saddle(inst.problem(), 1e-6, engine="case1", r_x=r_x, r_y=r_y)
+    assert rep.converged and rep.extras["attempts"] == 1
+    (outer,) = reports
+    assert outer.extras["restarts"] < outer.extras["scheduled_restarts"]
 
 
 @pytest.mark.parametrize("seed", range(6))
