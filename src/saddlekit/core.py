@@ -49,6 +49,18 @@ class BudgetExceededError(RuntimeError):
         self.tally = tally
 
 
+def require(name: str, value: float, low: float = 0.0, strict: bool = True) -> float:
+    """The one input rule: ``value`` must be finite and ``> low`` (``>= low`` unless strict).
+
+    Returns ``value``; otherwise raises :class:`InvalidSpecError` naming
+    ``name`` and the offending value.  NaN and infinities always fail.
+    """
+    if (low < value < math.inf) if strict else (low <= value < math.inf):
+        return value
+    rule = f"{'>' if strict else '>='} {low}" if low else "positive" if strict else "nonnegative"
+    raise InvalidSpecError(f"{name} must be finite and {rule}, got {value}")
+
+
 # ---------------------------------------------------------------------------
 # feasible sets
 # ---------------------------------------------------------------------------
@@ -70,8 +82,7 @@ class EuclideanBall:
     radius: float
 
     def __post_init__(self):
-        if not self.radius > 0:
-            raise InvalidSpecError("ball radius must be positive")
+        require("radius", self.radius)
 
     def project(self, v: Vector) -> Vector:
         d = v - self.center
@@ -225,17 +236,15 @@ class SaddleSpec:
         if self.dim_x <= 0 or self.dim_y <= 0:
             raise InvalidSpecError("dimensions must be positive")
         for name in ("l_xx", "l_xy", "l_yy"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v >= 0):
-                raise InvalidSpecError(f"{name} must be finite and nonnegative")
+            require(name, getattr(self, name), strict=False)
         for name in ("l_x", "l_y"):
-            v = getattr(self, name)
-            if v is not None and not (math.isfinite(v) and v >= 0):
-                raise InvalidSpecError(f"{name} must be finite and nonnegative")
-        if not (math.isfinite(self.mu_x) and self.mu_x > 0):
-            raise InvalidSpecError("mu_x must be positive (regularize first)")
-        if not (math.isfinite(self.mu_y) and self.mu_y > 0):
-            raise InvalidSpecError("mu_y must be positive (regularize first)")
+            if getattr(self, name) is not None:
+                require(name, getattr(self, name), strict=False)
+        for name in ("mu_x", "mu_y"):
+            try:
+                require(name, getattr(self, name))
+            except InvalidSpecError as err:
+                raise InvalidSpecError(f"{err} (regularize first)") from None
 
 
 def effective_smoothness(spec: SaddleSpec) -> float:
@@ -243,9 +252,7 @@ def effective_smoothness(spec: SaddleSpec) -> float:
 
     Equals ``l_xx + 2 l_xy^2 / mu_y``; finite whenever ``mu_y > 0``.
     """
-    if not (math.isfinite(spec.mu_y) and spec.mu_y > 0):
-        raise InvalidSpecError("effective smoothness requires mu_y > 0")
-    return spec.l_xx + 2.0 * spec.l_xy**2 / spec.mu_y
+    return spec.l_xx + 2.0 * spec.l_xy**2 / require("mu_y", spec.mu_y)
 
 
 @dataclass
@@ -394,8 +401,7 @@ def regularize(epsilon: float, r_x: float, r_y: float) -> tuple[float, float]:
     accuracy bookkeeping: we budget an epsilon/4 bias per regularized side.
     """
     for name, v in (("epsilon", epsilon), ("r_x", r_x), ("r_y", r_y)):
-        if not 0 < v < math.inf:
-            raise InvalidSpecError(f"regularize needs a finite positive {name}, got {v}")
+        require(name, v)
     return epsilon / (2.0 * r_x**2), epsilon / (2.0 * r_y**2)
 
 

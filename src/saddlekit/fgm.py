@@ -31,11 +31,11 @@ from .core import (
     AllSpace,
     BudgetExceededError,
     FeasibleSet,
-    InvalidSpecError,
     OracleTally,
     RunLog,
     SolveReport,
     Vector,
+    require,
 )
 
 
@@ -59,14 +59,19 @@ class CompositeObjective:
     full_value: Optional[Callable[[Vector], float]] = None
     f_star: Optional[float] = None
     set_delta: Optional[Callable[[float], None]] = None
-    plain_smooth: bool = False  # no composite beyond the domain indicator
 
     def __post_init__(self):
-        if not 0 < self.l_smooth < math.inf:
-            raise InvalidSpecError(f"l_smooth must be finite and positive, got {self.l_smooth}")
+        require("l_smooth", self.l_smooth)
         if self.prox_model is None:
-            self.plain_smooth = True
-            self.prox_model = lambda u, alpha, lin: self.domain.project(u - alpha * lin)
+            self.prox_model = self._projected_step
+
+    def _projected_step(self, u: Vector, alpha: float, lin: Vector) -> Vector:
+        return self.domain.project(u - alpha * lin)  # the default model step
+
+    @property
+    def plain_smooth(self) -> bool:
+        """No composite beyond the domain: ``prox_model`` is the default projected step."""
+        return self.prox_model == self._projected_step
 
     def gap_at(self, x: Vector) -> float:
         if self.full_value is None or self.f_star is None:
@@ -76,8 +81,7 @@ class CompositeObjective:
 
 def next_alpha(big_a: float, l: float) -> float:
     """Larger root of  l * alpha^2 = big_a + alpha."""
-    if not 0 < l < math.inf:
-        raise InvalidSpecError(f"smoothness constant l must be finite and positive, got {l}")
+    require("l", l)
     return (1.0 + math.sqrt(1.0 + 4.0 * l * big_a)) / (2.0 * l)
 
 
@@ -126,20 +130,16 @@ def run_fgm(
 
 def restart_budget(l: float, mu: float) -> int:
     """Iterations per restart block, N = ceil(3 sqrt(2 L / mu))."""
-    if not (0 < l < math.inf and 0 < mu < math.inf and 2.0 * l / mu < math.inf):
-        raise InvalidSpecError(f"restart budget needs finite positive L={l}, mu={mu} and 2 L / mu")
-    return int(math.ceil(3.0 * math.sqrt(2.0 * l / mu)))
+    require("l", l)
+    require("mu", mu)
+    return int(math.ceil(3.0 * math.sqrt(require("2 l / mu", 2.0 * l / mu))))
 
 
 def restart_count(mu: float, r0_sq: float, epsilon: float) -> int:
     """Scheduled restarts, p = ceil(log2(mu R^2 / eps)), at least one."""
-    if not (0 < mu < math.inf and 0 < epsilon < math.inf):
-        raise InvalidSpecError(f"restart count needs finite positive mu={mu} and epsilon={epsilon}")
-    if not (math.isfinite(r0_sq) and r0_sq > 0):
-        raise InvalidSpecError("r0 must be finite and positive")
-    ratio = mu * r0_sq / epsilon
-    if not ratio < math.inf:
-        raise InvalidSpecError(f"mu r0^2 / epsilon = {mu} * {r0_sq} / {epsilon} is not finite")
+    for name, v in (("mu", mu), ("epsilon", epsilon), ("r0_sq", r0_sq)):
+        require(name, v)
+    ratio = require("mu r0_sq / epsilon", mu * r0_sq / epsilon, strict=False)
     if ratio <= 1.0:
         return 1
     return max(1, int(math.ceil(math.log2(ratio))))
@@ -181,13 +181,10 @@ def run_restarted_fgm(
     mu r0^2 / 2^(p+1) <= epsilon / 2 and the run stops there.  The history
     logs one row per block, for the returned point on the last: the
     objective gap with ``obj.full_value`` (nan without ``obj.f_star``),
-    else the bound.
-    A ``mu``, ``l_smooth``, ``epsilon`` or ``r0`` that is not finite and
-    positive raises :class:`~saddlekit.core.InvalidSpecError` naming it,
-    before any oracle call.
+    else the bound.  ``mu``, ``l_smooth``, ``epsilon`` and ``r0`` are checked
+    by :func:`~saddlekit.core.require` before any oracle call.
     """
-    if not (math.isfinite(r0) and r0 > 0):
-        raise InvalidSpecError("r0 must be finite and positive")
+    require("r0", r0)
     log = RunLog(tally)
     l, mu = obj.l_smooth, obj.mu
     n_j = restart_budget(l, mu)
@@ -260,8 +257,7 @@ def certificate(obj: CompositeObjective, x: Vector) -> tuple[float, Vector]:
     Costs one smooth-gradient call plus (in the composite case) one
     prox-model call; both go through the metered closures.
     """
-    if not obj.mu > 0:
-        raise InvalidSpecError("certificate requires mu > 0")
+    require("mu", obj.mu)
     g = obj.smooth_grad(x)
     if obj.plain_smooth and isinstance(obj.domain, AllSpace):
         return float(g @ g) / (2.0 * obj.mu), x
@@ -301,8 +297,7 @@ def solve_to_gap(
     certificate hands it back as its witness, so the returned iterate never
     aliases ``x0``.
     """
-    if not (math.isfinite(target_gap) and target_gap > 0):
-        raise InvalidSpecError(f"target gap must be finite and positive, got {target_gap}")
+    require("target_gap", target_gap)
     log = RunLog(tally)
     x = np.asarray(x0, dtype=float)
     bound, witness = certificate(obj, x)

@@ -22,7 +22,6 @@ the same view.  The oracle's accuracy comes only from its ``set_delta``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional
@@ -36,6 +35,7 @@ from .core import (
     SaddleProblem,
     Vector,
     effective_smoothness,
+    require,
     set_center,
 )
 
@@ -127,8 +127,7 @@ class EnvelopeGradOracle:
         certifying, and :class:`~saddlekit.core.InvalidSpecError` before any
         oracle call if ``delta`` is not finite and positive.
         """
-        if not (math.isfinite(delta) and delta > 0):
-            raise InvalidSpecError(f"inner accuracy delta must be finite and positive, got {delta}")
+        require("delta", delta)
         mp = self.mp
         x = np.asarray(x, dtype=float)
         if self.exact_prox:
@@ -143,9 +142,7 @@ class EnvelopeGradOracle:
         return rep.x_final
 
     def set_delta(self, delta_env: float) -> None:
-        if not (math.isfinite(delta_env) and delta_env > 0):
-            raise InvalidSpecError(f"envelope accuracy must be finite and positive, got {delta_env}")
-        self._delta_env = float(delta_env)
+        self._delta_env = float(require("delta_env", delta_env))
 
     def bundle(self, x: Vector) -> InexactGrad:
         if self._delta_env is None:

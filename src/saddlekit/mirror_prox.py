@@ -41,6 +41,7 @@ from .core import (
     SolveReport,
     UnsupportedProblemError,
     Vector,
+    require,
 )
 
 RESIDUAL_CHECK_EVERY = 32  # steps between run_mirror_prox's residual-stop checks
@@ -90,10 +91,8 @@ class ViOperator:
     cost: Mapping[OracleKind, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        if not 0 < self.l < math.inf:
-            raise InvalidSpecError(f"operator l must be finite and positive, got {self.l}")
-        if not 0 <= self.mu < math.inf:
-            raise InvalidSpecError(f"operator mu must be finite and nonnegative, got {self.mu}")
+        require("l", self.l)
+        require("mu", self.mu, strict=False)
         if self.cost and self.tally is None:
             raise InvalidSpecError("an operator with a cost needs a tally to bill")
 
@@ -293,21 +292,15 @@ def run_restarted_mp(op: ViOperator, z0: Vector, epsilon: float, r0: float) -> S
     The history logs ``dist_sq_bound`` after every restart.  Each block
     bills ``op.tally`` as :func:`run_mirror_prox` does; the report carries
     that tally, or a fresh one when the operator has none.
-    An ``epsilon`` that is not finite and positive, an ``r0`` that is NaN,
-    infinite or negative, or a block length L / mu that is not finite raises
-    :class:`~saddlekit.core.InvalidSpecError` naming it, before any evaluation.
+    ``epsilon``, ``r0`` (which may be 0) and the block length L / mu are
+    checked by :func:`~saddlekit.core.require` before any evaluation.
     """
-    if op.mu <= 0:
-        raise InvalidSpecError("restarted extragradient requires mu > 0")
-    if not 0 < epsilon < math.inf:
-        raise InvalidSpecError(f"epsilon must be finite and positive, got {epsilon}")
+    require("mu", op.mu)
+    require("epsilon", epsilon)
     log = RunLog(op.tally)
     z = np.array(z0, dtype=float)
-    if not (math.isfinite(r0) and r0 >= 0):
-        raise InvalidSpecError("r0 must be finite and nonnegative")
-    if not op.l / op.mu < math.inf:
-        raise InvalidSpecError(f"block length L / mu = {op.l} / {op.mu} is not finite")
-    n_j = int(math.ceil(op.l / op.mu))
+    require("r0", r0, strict=False)
+    n_j = int(math.ceil(require("L / mu", op.l / op.mu)))
     d_sq = r0 * r0
     p = fgm.restart_count(op.mu, d_sq, epsilon) if d_sq > 0 else 1
     for restarts in range(1, p + 1):

@@ -41,6 +41,7 @@ from .core import (
     SpectralInfo,
     UnsupportedProblemError,
     Vector,
+    require,
     restrict_to_ball,
     set_center,
 )
@@ -149,8 +150,7 @@ def duality_gap(
     proves ``r_x`` or ``r_y`` understated.
     """
     for name, v in (("r_x", r_x), ("r_y", r_y), ("inner_eps", inner_eps)):
-        if not 0 < v < math.inf:
-            raise InvalidSpecError(f"duality_gap needs a finite positive {name}, got {v}")
+        require(name, v)
     mp = Metered.of(problem)
     if mp.problem.grad_h is None:
         raise UnsupportedProblemError("duality_gap needs grad_h for the primal side")
@@ -197,9 +197,7 @@ def duality_gap(
 
 def _default_radius(feasible, label: str, r: Optional[float]) -> float:
     if r is not None:
-        if not (math.isfinite(r) and r > 0):
-            raise InvalidSpecError(f"{label} must be finite and positive")
-        return float(r)
+        return float(require(label, r))
     if isinstance(feasible, EuclideanBall):
         return 2.0 * feasible.radius
     raise InvalidSpecError(
@@ -231,16 +229,14 @@ def solve_saddle(
     infinite gap and the message in ``extras["error"]``; a negative
     certificate stays in ``extras["certificate"]``.  An explicit ``case*``
     engine picks the route (r's prox or r's gradient); ``extras["engine"]``
-    names the case that ran, whose h part follows ``prox_friendly_h``.  An
-    ``epsilon``, ``r_x`` or ``r_y`` that is not finite and positive (inf,
-    NaN, zero) raises :class:`~saddlekit.core.InvalidSpecError` naming it,
-    before any oracle call.
+    names the case that ran, whose h part follows ``prox_friendly_h``.
+    ``epsilon``, ``r_x`` and ``r_y`` are checked by
+    :func:`~saddlekit.core.require` before any oracle call.
     """
     mp = Metered.of(problem)
     problem = mp.problem
     problem.validate()
-    if not (math.isfinite(epsilon) and epsilon > 0):
-        raise InvalidSpecError("epsilon must be finite and positive")
+    require("epsilon", epsilon)
     eng = _resolve_engine(problem, engine)
     spec = problem.spec
     log = RunLog(mp.tally)
@@ -448,8 +444,7 @@ def predict_complexity(
         counts[OracleKind.MATVEC] = (formulas["kernel_restricted"], "kernel_restricted")
 
     for name, value in formulas.items():
-        if not (math.isfinite(value) and value > 0):
-            raise InvalidSpecError(f"prediction {name} is not positive and finite")
+        require(f"prediction {name}", value)
     return ComplexityPrediction(counts=counts, formulas=formulas, mu_x_substituted=mu_g > 0)
 
 

@@ -34,6 +34,7 @@ from .core import (
     RunLog,
     SolveReport,
     Vector,
+    require,
 )
 
 
@@ -55,8 +56,8 @@ class SlidingSpec:
         return self.mu_r + self.mu_g
 
     def validate(self) -> None:
-        if not (0 < self.l_r < math.inf and 0 < self.l_g < math.inf):
-            raise InvalidSpecError("smoothness constants must be finite and positive")
+        require("l_r", self.l_r)
+        require("l_g", self.l_g)
         if not (self.mu_r >= 0 and self.mu_g >= 0 and self.mu > 0):
             raise InvalidSpecError("need mu_r, mu_g >= 0 with mu_r + mu_g > 0")
         if self.mu_r > self.l_r + 1e-12 or self.mu_g > self.l_g + 1e-12:
@@ -203,8 +204,8 @@ def alg5_params(spec: SlidingSpec, epsilon: float, gap0: float = 1.0) -> Alg5Par
     :meth:`Alg5Params.check_ranges`.
     """
     spec.validate()
-    if not (0 < epsilon < math.inf and 0 < gap0 < math.inf):
-        raise InvalidSpecError("epsilon and gap0 must be finite and positive")
+    require("epsilon", epsilon)
+    require("gap0", gap0)
     l_r, l_g, mu_g, mu = spec.l_r, spec.l_g, spec.mu_g, spec.mu
     denom = l_r + mu_g
     alpha = 0.25 * math.sqrt(mu / denom)
@@ -450,8 +451,7 @@ def catalyst_solve(
     """
     obj, spec, swapped = normalize_split(obj, spec)
     reg_l = spec.l_r
-    if not 0 < epsilon < math.inf:
-        raise InvalidSpecError(f"epsilon must be finite and positive, got {epsilon}")
+    require("epsilon", epsilon)
     log = RunLog(tally)
     mu = spec.mu
     delta_req = epsilon / 12.0 * math.sqrt(mu / (spec.l_r + spec.l_g))

@@ -30,6 +30,7 @@ from .core import (
     SaddleSpec,
     SpectralInfo,
     Vector,
+    require,
 )
 
 KERNEL_TOL = 1e-10
@@ -53,17 +54,6 @@ def spectral(a: np.ndarray) -> tuple[float, float, np.ndarray]:
     lam_min_plus = float(positive[0])
     kernel = vecs[:, vals <= cut]
     return lam_max, lam_min_plus, kernel
-
-
-def _check_moduli(mu_x: float, mu_y: float) -> None:
-    for name, mu in (("mu_x", mu_x), ("mu_y", mu_y)):
-        if not 0 < mu < math.inf:
-            raise InvalidSpecError(f"modulus {name} must be finite and positive, got {mu}")
-
-
-def _check_conditioning(name: str, value: float) -> None:
-    if not 1.0 <= value < math.inf:
-        raise InvalidSpecError(f"{name} must be finite and >= 1, got {value}")
 
 
 def _prox(mu: float, domain: FeasibleSet, b: Optional[np.ndarray] = None):
@@ -106,8 +96,7 @@ class SaddleInstance:
     operator_l: float = field(init=False)
 
     def __post_init__(self):
-        _check_moduli(self.mu_x, self.mu_y)
-        mu_x, mu_y = float(self.mu_x), float(self.mu_y)
+        mu_x, mu_y = float(require("mu_x", self.mu_x)), float(require("mu_y", self.mu_y))
         self.mu_x, self.mu_y = mu_x, mu_y
         a, p_diag, q_diag = self.a, self.p_diag, self.q_diag
         n = a.shape[1]
@@ -245,7 +234,7 @@ def gen_bilinear(
     mu_y: float = 1.0,
 ) -> SaddleInstance:
     """Seeded bilinear instance with conditioning lambda_max/lambda_min+ = cond."""
-    _check_conditioning("cond", cond)
+    require("cond", cond, low=1.0, strict=False)
     rng = np.random.default_rng(seed)
     a = _seeded_matrix(n, m, cond, rng)
     b = rng.standard_normal(n)
@@ -261,7 +250,7 @@ def gen_quadratic_saddle(
     mu_y: float = 1.0,
 ) -> SaddleInstance:
     """Seeded quadratic-coupling instance; the diagonals of P and Q are uniform on [0, 1)."""
-    _check_conditioning("cond", cond)
+    require("cond", cond, low=1.0, strict=False)
     rng = np.random.default_rng(seed)
     a = _seeded_matrix(n, m, cond, rng)
     b = rng.standard_normal(n)
@@ -284,7 +273,7 @@ def gen_smoothed_game(n: int, kappa: float, seed: int) -> SaddleInstance:
     saddle is trivially zero and would flatter the baseline.  The shift has
     unit norm.
     """
-    _check_conditioning("kappa", kappa)
+    require("kappa", kappa, low=1.0, strict=False)
     rng = np.random.default_rng(seed)
     a = _seeded_matrix(n, n, kappa, rng) / math.sqrt(kappa)  # spectrum in [1/kappa, 1]
     mu = 0.05 / kappa
@@ -334,8 +323,7 @@ def lemma1_check(
     """
     if not inst.bilinear:
         raise InvalidSpecError("lemma1_check needs p_diag = 0 and q_diag = 0 (bilinear coupling)")
-    if l_y < inst.mu_y:
-        raise InvalidSpecError("l_y must be at least mu_y")
+    require("l_y", l_y, low=inst.mu_y, strict=False)
     rng = np.random.default_rng(seed)
     a = inst.a
     m, n = a.shape

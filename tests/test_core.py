@@ -285,7 +285,7 @@ class TestSets:
         assert np.allclose(set_center(EuclideanBall(np.array([1.0, 2.0]), 1.0), 2), [1.0, 2.0])
         assert np.allclose(set_center(sk.AllSpace(), 3), np.zeros(3))
 
-    @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf])
     def test_ball_needs_a_positive_radius(self, radius):
         with pytest.raises(sk.InvalidSpecError, match="radius"):
             EuclideanBall(np.zeros(2), radius)
@@ -439,3 +439,87 @@ def test_converged_is_derived_from_a_bounded_gap(driver):
     assert rep.converged == (rep.target is not None and rep.certified_gap <= rep.target)
     # no report claims convergence on a gap it did not bound
     assert not (rep.converged and not math.isfinite(rep.certified_gap))
+
+
+def _quadratic_two_term():
+    def half_sq(x):
+        return 0.5 * float(x @ x)
+
+    return sk.TwoTermObjective(half_sq, lambda x: x, half_sq, lambda x: x)
+
+
+def _small_game():
+    return sk.gen_bilinear(4, 4, 5.0, seed=1, mu_x=4, mu_y=4).problem()
+
+
+def _plain_objective(mu=1.0):
+    return sk.CompositeObjective(smooth_grad=lambda x: x, l_smooth=1.0, mu=mu)
+
+
+def _operator(mu=1.0):
+    return sk.ViOperator(bind=lambda z, out: lambda: z, l=1.0, mu=mu)
+
+
+# one row per guard: the call, the argument the message names, and the value it shows
+INPUT_RULE = {
+    "ball-radius": (lambda: EuclideanBall(np.zeros(2), math.inf), "radius", math.inf),
+    "spec-mu_x": (lambda: spec_with(mu_x=0.0).validate(), "mu_x", 0.0),
+    "spec-l_xy": (lambda: spec_with(l_xy=-1.0).validate(), "l_xy", -1.0),
+    "effective-mu_y": (lambda: sk.effective_smoothness(spec_with(mu_y=math.nan)), "mu_y", math.nan),
+    "regularize-r_y": (lambda: sk.regularize(1e-3, 1.0, -2.0), "r_y", -2.0),
+    "objective-l_smooth": (
+        lambda: sk.CompositeObjective(smooth_grad=lambda x: x, l_smooth=math.inf), "l_smooth", math.inf
+    ),
+    "next_alpha-l": (lambda: sk.next_alpha(0.0, -1.0), "l", -1.0),
+    "restart_budget-ratio": (lambda: sk.restart_budget(1.0, 1e-320), "2 l / mu", math.inf),
+    "restart_count-r0_sq": (lambda: sk.restart_count(1.0, math.inf, 1e-6), "r0_sq", math.inf),
+    "run_restarted_fgm-r0": (
+        lambda: sk.run_restarted_fgm(_plain_objective(), np.ones(2), 1e-6, math.nan), "r0", math.nan
+    ),
+    "certificate-mu": (lambda: sk.fgm.certificate(_plain_objective(mu=0.0), np.ones(2)), "mu", 0.0),
+    "solve_to_gap-target": (lambda: sk.solve_to_gap(_plain_objective(), np.ones(2), 0.0), "target_gap", 0.0),
+    "inner-delta": (
+        lambda: sk.EnvelopeGradOracle(Metered(_small_game())).solve(np.ones(4), math.nan), "delta", math.nan
+    ),
+    "inner-delta_env": (
+        lambda: sk.EnvelopeGradOracle(Metered(_small_game())).set_delta(-1.0), "delta_env", -1.0
+    ),
+    "operator-l": (lambda: sk.ViOperator(bind=None, l=math.nan, mu=0.0), "l", math.nan),
+    "restarted_mp-r0": (lambda: sk.run_restarted_mp(_operator(), np.ones(2), 1e-6, r0=-1.0), "r0", -1.0),
+    "restarted_mp-ratio": (
+        lambda: sk.run_restarted_mp(_operator(mu=1e-320), np.ones(2), 1e-6, r0=1.0), "L / mu", math.inf
+    ),
+    "duality_gap-inner_eps": (
+        lambda: sk.duality_gap(_small_game(), np.zeros(4), np.zeros(4), 1.0, 1.0, 0.0), "inner_eps", 0.0
+    ),
+    "solve_saddle-epsilon": (lambda: sk.solve_saddle(_small_game(), math.nan), "epsilon", math.nan),
+    "solve_saddle-r_x": (
+        lambda: sk.solve_saddle(_small_game(), 1e-6, r_x=math.inf, r_y=1.0), "r_x", math.inf
+    ),
+    "sliding-l_r": (lambda: sk.SlidingSpec(l_r=math.nan, l_g=1.0, mu_r=0.5).validate(), "l_r", math.nan),
+    "alg5-gap0": (
+        lambda: sk.alg5_params(sk.SlidingSpec(1.0, 10.0, 0.5), 1e-6, gap0=math.inf), "gap0", math.inf
+    ),
+    "catalyst-epsilon": (
+        lambda: sk.catalyst_solve(
+            _quadratic_two_term(), np.zeros(2), math.nan, sk.SlidingSpec(1.0, 1.0, 0.5)
+        ),
+        "epsilon",
+        math.nan,
+    ),
+    "gen_bilinear-cond": (lambda: sk.gen_bilinear(3, 3, 0.5, seed=0), "cond", 0.5),
+    "lemma1-l_y": (
+        lambda: sk.lemma1_check(sk.gen_bilinear(3, 3, 4.0, seed=0), math.nan, 10), "l_y", math.nan
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(INPUT_RULE))
+def test_input_rule_message_names_the_argument_and_its_value(case):
+    # every finite-and-positive guard is core.require: one message shape
+    call, name, value = INPUT_RULE[case]
+    with pytest.raises(sk.InvalidSpecError) as err:
+        call()
+    message = str(err.value)
+    assert message.startswith(f"{name} must be finite and "), message
+    assert f", got {value}" in message, message

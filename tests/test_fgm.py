@@ -296,7 +296,6 @@ class TestRunFgmMatchesTheFormula:
         obj, _ = quad_objective(diag, rng.standard_normal(5), domain=ball if composite else None)
         if composite:
             obj.prox_model = quadratic_prox_model(0.3, center=np.ones(5), domain=ball)
-            obj.plain_smooth = False
         if not with_value:
             obj.full_value = None
         x0 = rng.standard_normal(5)
@@ -318,6 +317,26 @@ class TestSolveToGapStart:
             obj, x_star = quad_objective([1.0, 4.0], [1.0, 4.0], domain=domain)
             rep = sk.solve_to_gap(obj, x_star, 1e-9)
             assert rep.converged and rep.extras["blocks"] == 0
+
+    def test_plain_smooth_follows_the_model_step(self):
+        # f(x) = 1/2 ||x||^2 + 3/2 ||x - c||^2: a gradient-norm certificate read
+        # from the smooth part alone certified x = 0, gap 5.625, as optimal
+        c = np.array([1.0, -2.0])
+        model = quadratic_prox_model(3.0, center=c)
+        composite = sk.CompositeObjective(smooth_grad=lambda x: x, l_smooth=1.0, mu=4.0, prox_model=model)
+        swapped = sk.CompositeObjective(smooth_grad=lambda x: x, l_smooth=1.0, mu=4.0)
+        assert swapped.plain_smooth
+        swapped.prox_model = model
+        for obj in (composite, swapped):
+            assert not obj.plain_smooth
+            rep = sk.solve_to_gap(obj, np.zeros(2), 1e-9)
+            x = rep.x_final
+            gap = 0.5 * float(x @ x) + 1.5 * float((x - c) @ (x - c)) - 1.875
+            assert rep.converged and gap <= rep.certified_gap <= 1e-9
+        with pytest.raises(AttributeError):
+            swapped.plain_smooth = True
+        with pytest.raises(TypeError):
+            sk.CompositeObjective(smooth_grad=lambda x: x, l_smooth=1.0, plain_smooth=True)
 
     def test_plain_smooth_result_does_not_alias_the_start(self):
         obj, x_star = quad_objective([1.0, 4.0], [1.0, 4.0])

@@ -150,7 +150,6 @@ class TestCompositeGm:
             return (u - alpha * (lin - b)) / (1.0 + alpha * gdiag)
 
         obj.prox_model = prox_model
-        obj.plain_smooth = False
         return obj, x_star
 
     def test_average_gap_monotone(self):

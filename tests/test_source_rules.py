@@ -1,0 +1,90 @@
+"""Source rules over ``src/saddlekit/*.py``, checked with the standard-library ``ast``.
+
+* Input rule: finite-and-positive guards go through :func:`saddlekit.core.require`;
+  no ``raise InvalidSpecError`` sits under a hand-written ``isfinite`` or
+  ``inf`` test anywhere else.
+* No top-level import is unused (``__init__`` re-exports count through ``__all__``).
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "saddlekit").glob("*.py"))
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _tests_finiteness(node: ast.expr) -> bool:
+    """Whether an expression calls ``isfinite`` or reads ``inf``."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Call):
+            fn = sub.func
+            name = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)
+            if name == "isfinite":
+                return True
+        if isinstance(sub, ast.Attribute) and sub.attr == "inf":
+            return True
+        if isinstance(sub, ast.Name) and sub.id == "inf":
+            return True
+    return False
+
+
+def _raises_invalid_spec(body: list[ast.stmt]) -> bool:
+    for stmt in body:
+        for sub in ast.walk(stmt):
+            if isinstance(sub, ast.Raise) and sub.exc is not None:
+                exc = sub.exc.func if isinstance(sub.exc, ast.Call) else sub.exc
+                if getattr(exc, "id", None) == "InvalidSpecError":
+                    return True
+    return False
+
+
+def _hand_written_guards(path: Path) -> list[int]:
+    tree = _tree(path)
+    exempt: set[int] = set()
+    if path.name == "core.py":
+        for fn in tree.body:
+            if isinstance(fn, ast.FunctionDef) and fn.name == "require":
+                exempt = {id(n) for n in ast.walk(fn)}
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.If)
+        and id(node) not in exempt
+        and _tests_finiteness(node.test)
+        and _raises_invalid_spec(node.body)
+    ]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_finiteness_guards_go_through_the_core_rule(path):
+    assert _hand_written_guards(path) == [], f"{path.name}: route these guards through core.require"
+
+
+def _unused_imports(path: Path) -> list[str]:
+    tree = _tree(path)
+    imported: dict[str, int] = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in tree.body:  # re-exports listed in __all__
+        targets = [getattr(t, "id", None) for t in getattr(node, "targets", ())]
+        if "__all__" in targets:
+            used |= {elt.value for elt in node.value.elts if isinstance(elt, ast.Constant)}
+    return sorted(name for name in imported if name not in used)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_unused_top_level_import(path):
+    assert _unused_imports(path) == []

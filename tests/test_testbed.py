@@ -62,10 +62,13 @@ class TestGenerators:
             (lambda: sk.gen_smoothed_game(4, math.inf, seed=0), "kappa"),
             (lambda: sk.bilinear_instance(np.eye(2), np.ones(2), math.nan, 1.0), "mu_x"),
             (lambda: sk.bilinear_instance(np.eye(2), np.ones(2), 1.0, math.inf), "mu_y"),
+            (lambda: sk.lemma1_check(sk.gen_bilinear(3, 3, 4.0, seed=0), math.nan, 10), "l_y"),
+            (lambda: sk.lemma1_check(sk.gen_bilinear(3, 3, 4.0, seed=0), math.inf, 10), "l_y"),
         ],
         ids=[
             "bilinear-cond-nan", "bilinear-cond-inf", "quadratic-cond-nan", "quadratic-mu-nan",
             "game-kappa-nan", "game-kappa-inf", "instance-mu-nan", "instance-mu-inf",
+            "lemma1-l_y-nan", "lemma1-l_y-inf",
         ],
     )
     def test_non_finite_inputs_are_rejected_by_name(self, call, name):
