@@ -53,10 +53,14 @@ def require(name: str, value: float, low: float = 0.0, strict: bool = True) -> f
     """The one input rule: ``value`` must be finite and ``> low`` (``>= low`` unless strict).
 
     Returns ``value``; otherwise raises :class:`InvalidSpecError` naming
-    ``name`` and the offending value.  NaN and infinities always fail.
+    ``name`` and the offending value.  NaN, infinities, ``None`` and other
+    non-numbers always fail.
     """
-    if (low < value < math.inf) if strict else (low <= value < math.inf):
-        return value
+    try:
+        if (low < value < math.inf) if strict else (low <= value < math.inf):
+            return value
+    except TypeError:  # None or a non-number: not comparable with a float
+        pass
     rule = f"{'>' if strict else '>='} {low}" if low else "positive" if strict else "nonnegative"
     raise InvalidSpecError(f"{name} must be finite and {rule}, got {value}")
 
@@ -309,15 +313,26 @@ class SaddleProblem:
             raise InvalidSpecError("prox_friendly_h set but prox_h oracle missing")
 
 
+GRADIENTS = ("grad_r", "grad_h", "grad_x_F", "grad_y_F")  # what certificates and the VI operator need
+
+
+def require_oracles(problem: SaddleProblem, *names: str, use: str) -> None:
+    """The one oracle rule: ``problem`` must provide every oracle in ``names``;
+    otherwise :class:`UnsupportedProblemError("<use> needs the <name> oracle")`."""
+    for name in names:
+        if getattr(problem, name) is None:
+            raise UnsupportedProblemError(f"{use} needs the {name} oracle")
+
+
 class Metered:
     """Counting view of a :class:`SaddleProblem` bound to one run's tally.
 
     Gradient and prox calls bump the corresponding counter (plus the declared
     matvec cost, read from the problem once, at construction); a call to an
-    oracle the problem lacks raises and counts nothing.  Value oracles
-    pass through unmetered: they feed certificates and the values of
-    inexact-gradient bundles, which are computed only when first read, not
-    the complexity accounting.
+    oracle the problem lacks raises (:func:`require_oracles`) and counts
+    nothing.  Value oracles pass through unmetered: they feed certificates
+    and the values of inexact-gradient bundles, which are computed only when
+    first read, not the complexity accounting.
 
     Every entry point that takes a problem or a view bills the view's tally,
     and a raw problem gets a fresh view (:meth:`of`); a caller who wants the
@@ -345,7 +360,7 @@ class Metered:
     def _metered(self, kind: OracleKind, fn, name: str):
         """Return oracle ``fn`` after counting one call; a missing oracle counts nothing."""
         if fn is None:
-            raise UnsupportedProblemError(f"problem does not provide the {name} oracle")
+            require_oracles(self.problem, name, use="a metered call")
         tally = self.tally
         tally.bump(kind)
         mv = self._matvecs[kind]

@@ -73,7 +73,9 @@ class EnvelopeGradOracle:
 
     With a prox-friendly h the coupling part is the smooth term and h stays
     composite; otherwise h must be smooth (constant l_y) and the whole
-    objective is handled as one smooth term over the feasible set.
+    objective is handled as one smooth term over the feasible set.  Its
+    gradient calls ``grad_h`` first, so without that oracle the first inner
+    solve raises (:func:`~saddlekit.core.require_oracles`) before any call is billed.
 
     Each call runs one certified inner maximization at the accuracy last
     given to :meth:`set_delta`, the *envelope* inexactness (the inner solver
@@ -93,7 +95,6 @@ class EnvelopeGradOracle:
         self.l_env = 2.0 * effective_smoothness(spec)
         # constant smooth gradient: the model subproblem IS the inner problem
         self.exact_prox = bool(mp.problem.prox_friendly_h and spec.l_yy == 0.0)
-        self.objective: Optional[fgm.CompositeObjective] = None
         if mp.problem.prox_friendly_h:
             self.objective = fgm.CompositeObjective(
                 smooth_grad=lambda y: -mp.grad_y_F(self.x, y),
@@ -102,7 +103,7 @@ class EnvelopeGradOracle:
                 prox_model=fgm.prox_model_from_friendly(mp.prox_h),
                 domain=spec.set_y,
             )
-        elif mp.problem.grad_h is not None:
+        else:
             l_y = spec.l_y if spec.l_y is not None else spec.mu_y
             self.objective = fgm.CompositeObjective(
                 smooth_grad=lambda y: mp.grad_h(y) - mp.grad_y_F(self.x, y),
@@ -132,10 +133,6 @@ class EnvelopeGradOracle:
         x = np.asarray(x, dtype=float)
         if self.exact_prox:
             return mp.prox_h(-mp.grad_y_F(x, self.center), 0.0)
-        if self.objective is None:
-            raise InvalidSpecError(
-                "inner solve needs either a prox-friendly h or a grad_h oracle"
-            )
         self.x = x
         start = self.center if y0 is None else y0  # solve_to_gap copies its start
         rep = fgm.solve_to_gap(self.objective, start, delta, tally=mp.tally)

@@ -30,6 +30,7 @@ import numpy as np
 
 from . import fgm
 from .core import (
+    GRADIENTS,
     AllSpace,
     FeasibleSet,
     InvalidSpecError,
@@ -39,9 +40,9 @@ from .core import (
     RunLog,
     SaddleProblem,
     SolveReport,
-    UnsupportedProblemError,
     Vector,
     require,
+    require_oracles,
 )
 
 RESIDUAL_CHECK_EVERY = 32  # steps between run_mirror_prox's residual-stop checks
@@ -121,21 +122,20 @@ def _default_operator_l(spec) -> float:
 def assemble_saddle_operator(problem: SaddleProblem | Metered) -> ViOperator:
     """Stack the saddle instance's gradients into a monotone operator.
 
-    Requires gradient oracles for both composites; a prox-only composite
-    cannot be driven by the extragradient baseline.  The operator bills the
-    tally of the given view, or of a fresh view of a raw problem (read back
-    as ``op.tally``): one evaluation costs one call of each of the four
-    gradient oracles plus their declared matvecs.  The evaluators that
-    ``bind`` returns call the raw oracles on the x and y views of ``z``,
-    write the two blocks into the views of ``out``, and leave the billing to
-    the caller's :meth:`ViOperator.charge`.
+    Requires the gradient oracles of both composites and of the coupling (a
+    prox-only composite cannot be driven by the extragradient baseline); a
+    missing one raises :class:`~saddlekit.core.UnsupportedProblemError`
+    naming it, through :func:`~saddlekit.core.require_oracles`, before any
+    call.  The operator bills the tally of the given view, or of a fresh view
+    of a raw problem (read back as ``op.tally``): one evaluation costs one
+    call of each of the four gradient oracles plus their declared matvecs.
+    The evaluators that ``bind`` returns call the raw oracles on the x and y
+    views of ``z``, write the two blocks into the views of ``out``, and leave
+    the billing to the caller's :meth:`ViOperator.charge`.
     """
     mp = Metered.of(problem)
     p = mp.problem
-    if p.grad_r is None or p.grad_h is None or p.grad_x_F is None or p.grad_y_F is None:
-        raise UnsupportedProblemError(
-            "extragradient needs grad_r, grad_h and both coupling gradients"
-        )
+    require_oracles(p, *GRADIENTS, use="the extragradient operator")
     spec = mp.spec
     nx = spec.dim_x
     kinds = (OracleKind.GRAD_R, OracleKind.GRAD_X_F, OracleKind.GRAD_H, OracleKind.GRAD_Y_F)
@@ -184,6 +184,7 @@ def run_mirror_prox(
     averaged bound above upper-bounds by L ||z_star - z0||^2 / (2k), and the
     operator norm at the leading point otherwise.  ``record_every=0`` logs
     nothing.  ``certified_gap`` is inf, with no target: nothing is certified.
+    ``extras["last_point"]`` is the last iterate z.
 
     With a threshold ``residual_sq`` the loop tests ||G(w^k)||^2, from the
     evaluation it already made, every :data:`RESIDUAL_CHECK_EVERY` iterations
@@ -248,10 +249,7 @@ def run_mirror_prox(
     if residual_sq is not None:
         extras["residual_stop"] = w_resid_sq if stop is not None else None
     return log.report(
-        lead_sum / float(k) if stop is None else stop, float("inf"), iterations=k,
-        avg_residual=(resid_sum / k) if z_star is not None else None,
-        last_point=z,
-        last_operator_norm=float(np.linalg.norm(gw)),
+        lead_sum / float(k) if stop is None else stop, float("inf"), iterations=k, last_point=z,
         **extras,
     )
 

@@ -28,6 +28,7 @@ import numpy as np
 
 from . import fgm, inner_max, mirror_prox, sliding
 from .core import (
+    GRADIENTS,
     AllSpace,
     BudgetExceededError,
     EuclideanBall,
@@ -42,6 +43,7 @@ from .core import (
     UnsupportedProblemError,
     Vector,
     require,
+    require_oracles,
     restrict_to_ball,
     set_center,
 )
@@ -138,11 +140,12 @@ def duality_gap(
 
     The primal side maximizes S(x, .) over Q_y intersected with the ball of
     radius 2 r_y around Q_y's center; the dual side minimizes S(., y)
-    symmetrically.  Both use gradient oracles of the composites (a prox-only
-    composite would need its feasible set unchanged by the restriction); a
-    missing one, or an ``r_x``, ``r_y`` or ``inner_eps`` that is not finite and
-    positive, raises before either side spends a call.  Both sides bill the
-    tally of the given view; a raw problem is billed to a fresh view.
+    symmetrically.  Both use the gradients of the composites (a prox-only
+    composite would need its feasible set unchanged by the restriction) and
+    of the coupling.  A missing one (:func:`~saddlekit.core.require_oracles`),
+    or an ``r_x``, ``r_y`` or ``inner_eps`` that is not finite and positive,
+    raises before either side spends a call.  Both sides bill the tally of
+    the given view; a raw problem is billed to a fresh view.
 
     ``r_x`` and ``r_y`` bound the saddle's distances from the set centers.
     Then the gap is at least S(x, y*) - S(x*, y) >= 0 (each side is solved to
@@ -152,10 +155,7 @@ def duality_gap(
     for name, v in (("r_x", r_x), ("r_y", r_y), ("inner_eps", inner_eps)):
         require(name, v)
     mp = Metered.of(problem)
-    if mp.problem.grad_h is None:
-        raise UnsupportedProblemError("duality_gap needs grad_h for the primal side")
-    if mp.problem.grad_r is None:
-        raise UnsupportedProblemError("duality_gap needs grad_r for the dual side")
+    require_oracles(mp.problem, *GRADIENTS, use="duality_gap")
     spec = mp.spec
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -231,13 +231,19 @@ def solve_saddle(
     engine picks the route (r's prox or r's gradient); ``extras["engine"]``
     names the case that ran, whose h part follows ``prox_friendly_h``.
     ``epsilon``, ``r_x`` and ``r_y`` are checked by
-    :func:`~saddlekit.core.require` before any oracle call.
+    :func:`~saddlekit.core.require` before any oracle call, and the oracles
+    the solve needs by :func:`~saddlekit.core.require_oracles`: ``grad_r``,
+    ``grad_h``, ``grad_x_F`` and ``grad_y_F`` for the certificate, and
+    ``prox_r`` on the prox-r route (the splitting route needs ``l_x``).
     """
     mp = Metered.of(problem)
     problem = mp.problem
     problem.validate()
     require("epsilon", epsilon)
     eng = _resolve_engine(problem, engine)
+    require_oracles(problem, *GRADIENTS, use="the duality_gap certificate")
+    if eng in (Engine.CASE1, Engine.CASE3):
+        require_oracles(problem, "prox_r", use=f"the prox-r route ({eng.value})")
     spec = problem.spec
     log = RunLog(mp.tally)
     x_cur = set_center(spec.set_x, spec.dim_x)
@@ -339,8 +345,6 @@ def _case1_outer(mp, oracle, x0, eps_f, r0, mu_f, l_env) -> SolveReport:
     When the inner max is one exact prox the accuracy is never read and the
     counts do not depend on it.
     """
-    if mp.problem.prox_r is None:
-        raise UnsupportedProblemError("this route needs the prox oracle of r")
     obj = fgm.CompositeObjective(
         smooth_grad=oracle,
         l_smooth=l_env,
@@ -355,10 +359,8 @@ def _case1_outer(mp, oracle, x0, eps_f, r0, mu_f, l_env) -> SolveReport:
 def _sliding_outer(mp, oracle, x0, eps_f, mu_from_g, l_env) -> SolveReport:
     """Two-term splitting outer loop (Catalyst): smooth r plus the inexact partial max."""
     spec = mp.spec
-    if mp.problem.grad_r is None or spec.l_x is None or spec.l_x <= 0:
-        raise UnsupportedProblemError(
-            "the splitting route needs a smooth r (grad_r oracle and l_x)"
-        )
+    if spec.l_x is None or spec.l_x <= 0:
+        raise UnsupportedProblemError("the splitting route needs a smooth r with a positive l_x")
     if not isinstance(spec.set_x, AllSpace):
         raise UnsupportedProblemError("the splitting route runs on all-of-space only")
     out_spec = sliding.SlidingSpec(

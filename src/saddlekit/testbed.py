@@ -21,9 +21,6 @@ from typing import Optional
 import numpy as np
 
 from .core import (
-    AllSpace,
-    EuclideanBall,
-    FeasibleSet,
     InvalidSpecError,
     OracleKind,
     SaddleProblem,
@@ -56,18 +53,12 @@ def spectral(a: np.ndarray) -> tuple[float, float, np.ndarray]:
     return lam_max, lam_min_plus, kernel
 
 
-def _prox(mu: float, domain: FeasibleSet, b: Optional[np.ndarray] = None):
-    """Oracle for  min_{v in Q} <c1 - b, v> + mu/2 ||v||^2 + c2 ||v||^2  (b = 0 when None).
+def _prox(mu: float, b: Optional[np.ndarray] = None):
+    """Oracle for  min_v <c1 - b, v> + mu/2 ||v||^2 + c2 ||v||^2  (b = 0 when None).
 
-    Serves r (with b) and h (without).  The quadratic is isotropic, so over a
-    ball the minimizer is the projection of the unconstrained one.
+    Serves r (with b) and h (without).
     """
-
-    def prox(c1, c2):
-        v = (-c1 if b is None else b - c1) / (mu + 2.0 * c2)
-        return domain.project(v) if isinstance(domain, EuclideanBall) else v
-
-    return prox
+    return lambda c1, c2: (-c1 if b is None else b - c1) / (mu + 2.0 * c2)
 
 
 @dataclass
@@ -77,7 +68,8 @@ class SaddleInstance:
     S(x,y) = r(x) + <Ax,y> + x'Px/2 - y'Qy/2 - h(y) with r(x) = mu_x/2 ||x||^2
     - <b,x>, h(y) = mu_y/2 ||y||^2 and diagonal P, Q >= 0 (``p_diag``,
     ``q_diag``).  Construction attaches the spectral data, the closed-form
-    saddle and ``operator_l``.  The bilinear family is the P = Q = 0 member;
+    saddle and ``operator_l``; the problem is posed on all of space, where
+    the closed forms hold.  The bilinear family is the P = Q = 0 member;
     its oracles and closed forms leave the curvature terms out rather than
     adding zeros.
     """
@@ -88,8 +80,6 @@ class SaddleInstance:
     mu_y: float
     p_diag: np.ndarray
     q_diag: np.ndarray
-    set_x: FeasibleSet = field(default_factory=AllSpace)
-    set_y: FeasibleSet = field(default_factory=AllSpace)
     closed_form_x: np.ndarray = field(init=False)
     closed_form_y: np.ndarray = field(init=False)
     spectral: SpectralInfo = field(init=False)
@@ -161,8 +151,6 @@ class SaddleInstance:
             l_xy=math.sqrt(self.spectral.lambda_max),
             l_x=mu_x,
             l_y=mu_y,
-            set_x=self.set_x,
-            set_y=self.set_y,
         )
         if self.bilinear:
             value_f, grad_x_f, grad_y_f = (
@@ -187,8 +175,8 @@ class SaddleInstance:
             grad_h=lambda y: mu_y * y,
             grad_x_F=grad_x_f,
             grad_y_F=grad_y_f,
-            prox_r=_prox(mu_x, self.set_x, b),
-            prox_h=_prox(mu_y, self.set_y),
+            prox_r=_prox(mu_x, b),
+            prox_h=_prox(mu_y),
             prox_friendly_r=True,
             prox_friendly_h=True,
             matvec_cost={OracleKind.GRAD_X_F: 1, OracleKind.GRAD_Y_F: 1},
@@ -202,15 +190,12 @@ def bilinear_instance(
     b: np.ndarray,
     mu_x: float = 1.0,
     mu_y: float = 1.0,
-    set_x: Optional[FeasibleSet] = None,
-    set_y: Optional[FeasibleSet] = None,
 ) -> SaddleInstance:
     """Wrap explicit data (A, b, moduli) with its closed-form saddle (P = Q = 0)."""
     a = np.asarray(a, dtype=float)
     m, n = a.shape
     b = np.asarray(b, dtype=float)
-    set_x, set_y = set_x or AllSpace(), set_y or AllSpace()
-    return SaddleInstance(a, b, mu_x, mu_y, np.zeros(n), np.zeros(m), set_x, set_y)
+    return SaddleInstance(a, b, mu_x, mu_y, np.zeros(n), np.zeros(m))
 
 
 def _seeded_matrix(n: int, m: int, cond: float, rng: np.random.Generator) -> np.ndarray:

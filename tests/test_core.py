@@ -465,6 +465,7 @@ INPUT_RULE = {
     "ball-radius": (lambda: EuclideanBall(np.zeros(2), math.inf), "radius", math.inf),
     "spec-mu_x": (lambda: spec_with(mu_x=0.0).validate(), "mu_x", 0.0),
     "spec-l_xy": (lambda: spec_with(l_xy=-1.0).validate(), "l_xy", -1.0),
+    "spec-mu_x-None": (lambda: spec_with(mu_x=None).validate(), "mu_x", None),
     "effective-mu_y": (lambda: sk.effective_smoothness(spec_with(mu_y=math.nan)), "mu_y", math.nan),
     "regularize-r_y": (lambda: sk.regularize(1e-3, 1.0, -2.0), "r_y", -2.0),
     "objective-l_smooth": (
@@ -493,6 +494,10 @@ INPUT_RULE = {
         lambda: sk.duality_gap(_small_game(), np.zeros(4), np.zeros(4), 1.0, 1.0, 0.0), "inner_eps", 0.0
     ),
     "solve_saddle-epsilon": (lambda: sk.solve_saddle(_small_game(), math.nan), "epsilon", math.nan),
+    "solve_saddle-epsilon-None": (lambda: sk.solve_saddle(_small_game(), None), "epsilon", None),
+    "solve_saddle-r_y-string": (
+        lambda: sk.solve_saddle(_small_game(), 1e-6, r_x=1.0, r_y="wide"), "r_y", "wide"
+    ),
     "solve_saddle-r_x": (
         lambda: sk.solve_saddle(_small_game(), 1e-6, r_x=math.inf, r_y=1.0), "r_x", math.inf
     ),
@@ -523,3 +528,8 @@ def test_input_rule_message_names_the_argument_and_its_value(case):
     message = str(err.value)
     assert message.startswith(f"{name} must be finite and "), message
     assert f", got {value}" in message, message
+
+
+def test_input_rule_keeps_the_regularize_hint_for_a_missing_modulus():
+    with pytest.raises(sk.InvalidSpecError, match=r"got None \(regularize first\)"):
+        spec_with(mu_x=None).validate()

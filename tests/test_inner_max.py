@@ -274,3 +274,13 @@ def test_call_before_set_delta_raises_before_any_call(mode):
     assert mp.tally.snapshot() == {}
     oracle.set_delta(1e-6)
     assert oracle(np.ones(6)).shape == (6,)
+
+
+def test_smooth_h_without_grad_h_raises_the_oracle_rule_before_any_call():
+    # an h that is neither prox-friendly nor smooth cannot shape the inner max
+    p = inner_mode_problem("smooth-h")
+    p.grad_h = None
+    mp = Metered(p)
+    with pytest.raises(sk.UnsupportedProblemError, match="needs the grad_h oracle"):
+        sk.EnvelopeGradOracle(mp).solve(np.ones(6), 1e-6)
+    assert mp.tally.snapshot() == {}

@@ -406,6 +406,41 @@ def test_bad_radius_is_rejected_by_name(label, radius):
     assert tally.snapshot() == {}
 
 
+# route -> (instance, engine, flags set on the problem); auto runs case1 here
+MISSING_ORACLE_ROUTES = {
+    "auto": (lambda: sk.gen_bilinear(6, 5, 10.0, seed=1), "auto", {}),
+    "case2": (lambda: sk.gen_quadratic_saddle(6, 5, 10.0, seed=1), "case2", {"prox_friendly_r": False}),
+    "case3": (lambda: sk.gen_quadratic_saddle(6, 5, 10.0, seed=1), "case3", {"prox_friendly_h": False}),
+    "mirror_prox": (lambda: sk.gen_bilinear(6, 5, 10.0, seed=1), "mirror_prox", {}),
+}
+
+
+@pytest.mark.parametrize("oracle", ["grad_r", "grad_h", "grad_x_F", "grad_y_F"])
+@pytest.mark.parametrize("route", list(MISSING_ORACLE_ROUTES))
+def test_missing_oracle_is_refused_before_any_call(route, oracle):
+    # the certificate needs all four gradients on every route: the solve must
+    # say so up front, not after the route has spent its budget
+    gen, engine, flags = MISSING_ORACLE_ROUTES[route]
+    p = gen().problem()
+    for name, value in flags.items():
+        setattr(p, name, value)
+    setattr(p, oracle, None)
+    tally = sk.OracleTally()
+    with pytest.raises(sk.UnsupportedProblemError, match=f"needs the {oracle} oracle"):
+        sk.solve_saddle(Metered(p, tally), 1e-6, engine=engine, r_x=10.0, r_y=10.0)
+    assert tally.snapshot() == {}
+
+
+def test_prox_r_route_without_prox_r_is_refused_before_any_call():
+    # validate() accepts it (r is not declared prox-friendly), the route does not
+    p = sk.gen_bilinear(6, 5, 10.0, seed=1).problem()
+    p.prox_friendly_r, p.prox_r = False, None
+    tally = sk.OracleTally()
+    with pytest.raises(sk.UnsupportedProblemError, match="needs the prox_r oracle"):
+        sk.solve_saddle(Metered(p, tally), 1e-6, engine="case1", r_x=10.0, r_y=10.0)
+    assert tally.snapshot() == {}
+
+
 @pytest.mark.parametrize("engine", ["case1", "case2", "case3", "case4"])
 def test_one_inner_max_per_solve(engine, monkeypatch):
     # the witness solve reuses the outer oracle and its inner problem
@@ -500,6 +535,15 @@ class TestDualityGap:
         args = {"r_x": 1.0, "r_y": 1.0, "inner_eps": 1e-8, name: value}
         with pytest.raises(sk.InvalidSpecError, match=name):
             sk.duality_gap(Metered(b1_problem, tally), b1.closed_form_x, b1.closed_form_y, **args)
+        assert tally.snapshot() == {}
+
+    @pytest.mark.parametrize("oracle", ["grad_r", "grad_h", "grad_x_F", "grad_y_F"])
+    def test_missing_gradient_raises_before_either_side(self, b1, b1_problem, oracle):
+        # the primal side would otherwise bill grad_h before it reaches grad_y_F
+        setattr(b1_problem, oracle, None)
+        tally = sk.OracleTally()
+        with pytest.raises(sk.UnsupportedProblemError, match=f"needs the {oracle} oracle"):
+            sk.duality_gap(Metered(b1_problem, tally), b1.closed_form_x, b1.closed_form_y, 1.0, 1.0, 1e-8)
         assert tally.snapshot() == {}
 
 

@@ -3,6 +3,9 @@
 * Input rule: finite-and-positive guards go through :func:`saddlekit.core.require`;
   no ``raise InvalidSpecError`` sits under a hand-written ``isfinite`` or
   ``inf`` test anywhere else.
+* Oracle rule: missing-oracle guards go through
+  :func:`saddlekit.core.require_oracles`; no ``raise UnsupportedProblemError``
+  sits under a hand-written ``<obj>.<oracle> is None`` test anywhere else.
 * No top-level import is unused (``__init__`` re-exports count through ``__all__``).
 """
 
@@ -14,6 +17,7 @@ from pathlib import Path
 import pytest
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "saddlekit").glob("*.py"))
+ORACLES = {"grad_r", "grad_h", "grad_x_F", "grad_y_F", "prox_r", "prox_h"}
 
 
 def _tree(path: Path) -> ast.Module:
@@ -35,36 +39,60 @@ def _tests_finiteness(node: ast.expr) -> bool:
     return False
 
 
-def _raises_invalid_spec(body: list[ast.stmt]) -> bool:
+def _tests_missing_oracle(node: ast.expr) -> bool:
+    """Whether an expression contains an ``<obj>.<oracle> is None`` comparison."""
+    for sub in ast.walk(node):
+        if (
+            isinstance(sub, ast.Compare)
+            and isinstance(sub.left, ast.Attribute)
+            and sub.left.attr in ORACLES
+            and any(isinstance(op, ast.Is) for op in sub.ops)
+            and any(isinstance(c, ast.Constant) and c.value is None for c in sub.comparators)
+        ):
+            return True
+    return False
+
+
+def _raises(body: list[ast.stmt], error: str) -> bool:
     for stmt in body:
         for sub in ast.walk(stmt):
             if isinstance(sub, ast.Raise) and sub.exc is not None:
                 exc = sub.exc.func if isinstance(sub.exc, ast.Call) else sub.exc
-                if getattr(exc, "id", None) == "InvalidSpecError":
+                if getattr(exc, "id", None) == error:
                     return True
     return False
 
 
-def _hand_written_guards(path: Path) -> list[int]:
+def _hand_written_guards(path: Path, rule: str, tests, error: str) -> list[int]:
+    """Lines of the ``if`` guards outside ``core.<rule>`` whose test matches and whose body raises."""
     tree = _tree(path)
     exempt: set[int] = set()
     if path.name == "core.py":
         for fn in tree.body:
-            if isinstance(fn, ast.FunctionDef) and fn.name == "require":
+            if isinstance(fn, ast.FunctionDef) and fn.name == rule:
                 exempt = {id(n) for n in ast.walk(fn)}
     return [
         node.lineno
         for node in ast.walk(tree)
         if isinstance(node, ast.If)
         and id(node) not in exempt
-        and _tests_finiteness(node.test)
-        and _raises_invalid_spec(node.body)
+        and tests(node.test)
+        and _raises(node.body, error)
     ]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_finiteness_guards_go_through_the_core_rule(path):
-    assert _hand_written_guards(path) == [], f"{path.name}: route these guards through core.require"
+    guards = _hand_written_guards(path, "require", _tests_finiteness, "InvalidSpecError")
+    assert guards == [], f"{path.name}: route these guards through core.require"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_missing_oracle_guards_go_through_the_oracle_rule(path):
+    guards = _hand_written_guards(
+        path, "require_oracles", _tests_missing_oracle, "UnsupportedProblemError"
+    )
+    assert guards == [], f"{path.name}: route these guards through core.require_oracles"
 
 
 def _unused_imports(path: Path) -> list[str]:
