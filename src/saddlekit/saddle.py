@@ -286,9 +286,9 @@ def solve_saddle(
 def _splitting_attempts(mp, eng, epsilon, x, y, r0, mu_f, mu_from_g):
     """Attempts of the prox-r and splitting routes, one ``(report, x, y)`` per resumption.
 
-    Each attempt runs the outer loop to ``eps_f``, then a witness inner max
-    to ``gamma_w`` gives the dual point; resuming tightens both by 8.  The
-    outer loop's certified gap shrinks the starting-distance bound ``r0``.
+    Each attempt runs the outer loop to ``eps_f``, then an inner max to ``gamma_w``,
+    with no gradient of g, gives the dual point; resuming tightens both by 8.
+    The outer loop's certified gap shrinks the starting-distance bound ``r0``.
     """
     oracle = inner_max.EnvelopeGradOracle(mp)
     # a decoupled problem (zero coupling) leaves the partial max flat; any
@@ -303,8 +303,7 @@ def _splitting_attempts(mp, eng, epsilon, x, y, r0, mu_f, mu_from_g):
             rep = _sliding_outer(mp, oracle, x, eps_f, mu_from_g, l_env)
         if rep.certified_gap < float("inf"):
             r0 = min(r0, math.sqrt(max(2.0 * rep.certified_gap / mu_f, 0.0)))
-        ig = inner_max.inexact_grad_g(oracle, rep.x_final, gamma_w, y0=y)
-        x, y = rep.x_final, ig.witness_y
+        x, y = rep.x_final, oracle.solve(rep.x_final, gamma_w, y0=y)
         yield rep, x, y
         eps_f *= 0.125
         gamma_w *= 0.125

@@ -12,8 +12,8 @@ cheap-to-accelerate term and ~sqrt(l_g / mu) of the other, instead of
   :func:`sliding_solve`'s default engine and the scheduled reference that
   acceptance criteria 9a, 9b, 10 and 12 pin.
 * :func:`catalyst_solve` - an outer proximal-point acceleration wrapper whose
-  regularized subproblems are handled by the non-accelerated composite method
-  (:func:`composite_gm_solve`) with an accelerated innermost solver.  Its
+  regularized subproblems run the composite steps of :func:`composite_gm_solve`
+  in its own loop, each with a certified accelerated solve of g.  Its
   inner solves stop on certificates rather than a fixed budget, so it spends
   far fewer g-gradients; it is the engine of
   :func:`~saddlekit.saddle.solve_saddle`'s smooth-r route.
@@ -362,45 +362,29 @@ def composite_gm_solve(
     obj: fgm.CompositeObjective,
     x0: Vector,
     n: int,
-    stop_rule: Optional[Callable[[Vector, Vector, float], bool]] = None,
     tally: Optional[OracleTally] = None,
 ) -> SolveReport:
     """Non-accelerated composite gradient method returning the running average.
 
-    Each step linearizes the smooth part at the current iterate and solves
-    the model subproblem with the composite kept exact, so the smooth-part
-    gradient is evaluated exactly once per iteration (= ``n`` times total
-    unless an optional ``stop_rule(x_prev, x_next, step_gap_bound)`` fires).
+    Each of the ``n`` steps linearizes the smooth part at the current iterate
+    and solves the model subproblem with the composite kept exact, so the
+    smooth-part gradient is evaluated exactly ``n`` times.  With ``n = 0`` the
+    average is a copy of ``x0``, as :func:`~saddlekit.fgm.run_fgm` returns.
     Like :func:`~saddlekit.fgm.run_fgm`, it logs one history row per step (the
     running average's gap) exactly when the objective has ``full_value``.
-    ``certified_gap`` is inf, with no target: ``stop_rule``'s step bound is
-    about the last iterate ``extras["last"]``, not the average.
+    ``certified_gap`` is inf, with no target.
     """
     log = RunLog(tally)
     x = np.array(x0, dtype=float)
     avg = np.zeros_like(x)
-    steps = 0
-    record = obj.full_value is not None
-    for k in range(int(n)):
-        lin = obj.smooth_grad(x)
-        x_next = obj.prox_model(x, 1.0 / obj.l_smooth, lin)
-        steps += 1
-        avg += x_next
-        # step-length certificate: the model step bounds a subgradient at x_next
-        diff = x_next - x
-        gap_bound = (
-            (2.0 * obj.l_smooth) ** 2 * float(diff @ diff) / (2.0 * obj.mu)
-            if obj.mu > 0
-            else float("inf")
-        )
-        if record:
-            log.row(steps, obj.gap_at(avg / steps))
-        fired = stop_rule is not None and stop_rule(x, x_next, gap_bound)
-        x = x_next
-        if fired:
-            break
-    avg = avg / max(steps, 1)
-    return log.report(avg, float("inf"), last=x, iterations=steps)
+    steps = max(int(n), 0)
+    for k in range(1, steps + 1):
+        x = obj.prox_model(x, 1.0 / obj.l_smooth, obj.smooth_grad(x))
+        avg += x
+        if obj.full_value is not None:
+            log.row(k, obj.gap_at(avg / k))
+    avg = avg / steps if steps else x
+    return log.report(avg, float("inf"), iterations=steps)
 
 
 # Relative accuracy of Catalyst's inexact term oracles.  A (delta, L) inexact
@@ -423,12 +407,13 @@ def catalyst_solve(
 ) -> SolveReport:
     """Proximal-point outer acceleration around inexact regularized solves.
 
-    Repeatedly minimizes r + g + reg_l/2 ||x - y_prev||^2 with the
-    non-accelerated composite method (smooth part r, composite g plus the
-    regularizer; the per-step model subproblems are handled by an accelerated
-    certified solver), then extrapolates with the strongly convex momentum
-    beta = (1 - sqrt(q)) / (1 + sqrt(q)), q = mu / (mu + reg_l).  Subproblems
-    stop when the certified gap falls below q/10 of the regularization term.
+    Repeatedly minimizes r + g + reg_l/2 ||x - y_prev||^2 by non-accelerated
+    composite steps, then extrapolates with the strongly convex momentum
+    beta = (1 - sqrt(q)) / (1 + sqrt(q)), q = mu / (mu + reg_l).  A step costs
+    one r-gradient and one :func:`~saddlekit.fgm.solve_to_gap` on g plus the
+    combined quadratic; a subproblem stops at the first step whose length
+    bound (2 l_r)^2 ||step||^2 / (2 (mu + reg_l)) is at most q/10 of the
+    regularization term, or after n_cap = max(4, ceil(4 l_r / (mu + reg_l)) + 8).
     Outer iterations stop on a gradient-norm certificate for P,
     cert = ||grad P(x_k)||^2 / (2 mu) >= P(x_k) - P*, logged at every outer
     step; ``certified_gap`` is its value at the returned point, with target
@@ -464,6 +449,9 @@ def catalyst_solve(
     cap = max(8, int(math.ceil(20.0 / math.sqrt(q))) + 64)
     mu_sub = mu + reg_l
     n_cap = max(4, int(math.ceil(4.0 * spec.l_r / mu_sub)) + 8)
+    # not plain l_r: a step of length 1/l_r reads back 1/(1/l_r), which may differ in the last bit
+    l_step = 1.0 / (1.0 / spec.l_r)
+    weight = l_step + reg_l
     floor = 0.05 * epsilon * q
 
     x = np.array(x0, dtype=float)
@@ -481,44 +469,30 @@ def catalyst_solve(
         for set_delta, l_t in inexact:
             set_delta(max(delta_req, CATALYST_DELTA_FRACTION * mu * cert / l_t))
 
-        center = y_prev
-        # subproblem accuracy: q/10 of the regularization term, seeded from
-        # the running certificate so late subproblems start at the right scale
-        current_target = [max(q / 10.0 * min(cert, 1e6), floor)]
-
-        def prox_model(u, alpha_step, lin, _c=center):
-            # model step of the composite method: the composite is
-            # g + reg_l/2 ||. - center||^2, solved by a certified
-            # accelerated run on g plus the combined quadratic
-            l_r_step = 1.0 / alpha_step
-            combined_w = (l_r_step * u + reg_l * _c) / (l_r_step + reg_l)
+        # subproblem accuracy, seeded at the running certificate's scale
+        target = max(q / 10.0 * min(cert, 1e6), floor)
+        x_new = x
+        for _ in range(n_cap):
+            # model step at grad r(x_new), solved far below the subproblem
+            # tolerance so that it counts as exact
             inner = fgm.CompositeObjective(
                 smooth_grad=obj.grad_g,
                 l_smooth=max(spec.l_g, spec.mu_g),
-                mu=l_r_step + reg_l + spec.mu_g,
+                mu=weight + spec.mu_g,
                 prox_model=fgm.quadratic_prox_model(
-                    l_r_step + reg_l, center=combined_w, lin_term=lin
+                    weight, (l_step * x_new + reg_l * y_prev) / weight, obj.grad_r(x_new)
                 ),
             )
-            # the composite method's model step is assumed exact: solve the
-            # auxiliary problem far below the subproblem tolerance
-            target = max(1e-4 * current_target[0], 1e-3 * epsilon * q)
-            return fgm.solve_to_gap(inner, u, target, tally=log.tally).x_final
-
-        def stop_rule(x_prev, x_next, step_gap_bound, _c=center):
-            rel = q / 10.0 * 0.5 * reg_l * float(np.dot(x_next - _c, x_next - _c))
+            inner_target = max(1e-4 * target, 1e-3 * epsilon * q)
+            x_next = fgm.solve_to_gap(inner, x_new, inner_target, tally=log.tally).x_final
+            diff = x_next - x_new  # the model step bounds a subgradient at x_next
+            step_bound = (2.0 * spec.l_r) ** 2 * float(diff @ diff) / (2.0 * mu_sub)
+            rel = q / 10.0 * 0.5 * reg_l * float(np.dot(x_next - y_prev, x_next - y_prev))
             if math.isfinite(rel):  # a diverged step keeps the last finite target
-                current_target[0] = max(rel, floor)
-            return step_gap_bound <= current_target[0]
-
-        sub = fgm.CompositeObjective(
-            smooth_grad=obj.grad_r,
-            l_smooth=spec.l_r,
-            mu=mu_sub,
-            prox_model=prox_model,
-        )
-        rep = composite_gm_solve(sub, x, n_cap, stop_rule=stop_rule, tally=log.tally)
-        x_new = rep.extras["last"]
+                target = max(rel, floor)
+            x_new = x_next
+            if step_bound <= target:
+                break
         y_prev = x_new + momentum * (x_new - x)
         x = x_new
 

@@ -400,8 +400,8 @@ def _saddle(engine):
     return sk.solve_saddle(inst.problem(), 1e-6, engine=engine, r_x=10.0, r_y=10.0)
 
 
-def _composite(n, stop_rule=None):
-    return sk.composite_gm_solve(_quadratic_objective(), np.zeros(3), n, stop_rule=stop_rule)
+def _composite(n):
+    return sk.composite_gm_solve(_quadratic_objective(), np.zeros(3), n)
 
 
 # driver -> (its report, the target it must pass: None when it bounds no gap)
@@ -415,9 +415,6 @@ REPORTS = {
     # l_g declared 30, true 1e6: the iterate blows up and the report fails closed
     "apg_inexact_solve-blown-up": (lambda: _sliding("apg_inexact_solve", 1e-6, 1e6), 1e-6),
     "composite_gm_solve": (lambda: _composite(30), None),
-    "composite_gm_solve-stop-rule": (
-        lambda: _composite(500, stop_rule=lambda x, x_next, gap: gap <= 1e-6), None
-    ),
     "catalyst_solve": (lambda: _sliding("catalyst_solve", 1e-8), 1e-8),
     "sliding_solve-apg": (lambda: _sliding("apg", 1e-4), 1e-4),
     "sliding_solve-catalyst": (lambda: _sliding("catalyst", 1e-8), 1e-8),

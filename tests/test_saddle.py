@@ -124,26 +124,26 @@ class TestSolveSaddle:
 PINNED_TALLIES = [
     (
         "bilinear", (10, 8, 10.0), None, "case1",
-        {"grad_h": 1, "grad_r": 1, "gradx_F": 94, "grady_F": 94, "matvec": 188,
+        {"grad_h": 1, "grad_r": 1, "gradx_F": 93, "grady_F": 94, "matvec": 187,
          "prox_h": 93, "prox_r": 92},
     ),
     (
         "quadratic", (10, 8, 10.0), None, "case1",
-        {"grad_h": 1, "grad_r": 1, "gradx_F": 99, "grady_F": 117, "matvec": 216,
+        {"grad_h": 1, "grad_r": 1, "gradx_F": 98, "grady_F": 117, "matvec": 215,
          "prox_h": 116, "prox_r": 97},
     ),
     (
         "quadratic", (12, 12, 20.0), (False, True), "case2",
-        {"grad_h": 1, "grad_r": 23, "gradx_F": 144, "grady_F": 198, "matvec": 342,
+        {"grad_h": 1, "grad_r": 23, "gradx_F": 143, "grady_F": 198, "matvec": 341,
          "prox_h": 197},
     ),
     (
         "quadratic", (12, 12, 20.0), (False, False), "case4",
-        {"grad_h": 278, "grad_r": 23, "gradx_F": 164, "grady_F": 278, "matvec": 442},
+        {"grad_h": 278, "grad_r": 23, "gradx_F": 163, "grady_F": 278, "matvec": 441},
     ),
     (
         "quadratic", (12, 12, 20.0), (True, False), "case3",
-        {"grad_h": 243, "grad_r": 1, "gradx_F": 153, "grady_F": 243, "matvec": 396,
+        {"grad_h": 243, "grad_r": 1, "gradx_F": 152, "grady_F": 243, "matvec": 395,
          "prox_r": 151},
     ),
 ]
@@ -189,7 +189,7 @@ PINNED_ATTEMPT_TALLIES = [
     ),
     (
         "bilinear", 4, False, "auto", "case2", 2, 8,
-        {"grad_h": 2, "grad_r": 34, "gradx_F": 376, "grady_F": 364, "matvec": 740,
+        {"grad_h": 2, "grad_r": 34, "gradx_F": 374, "grady_F": 364, "matvec": 738,
          "prox_h": 362},
     ),
 ]

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import types
 
@@ -6,7 +7,6 @@ import numpy as np
 import pytest
 
 import saddlekit as sk
-from saddlekit import sliding
 from saddlekit.core import OracleKind, OracleTally, counted
 from saddlekit.fgm import quadratic_prox_model
 from saddlekit.sliding import normalize_split
@@ -182,6 +182,15 @@ class TestCompositeGm:
         obj.full_value = None
         assert sk.composite_gm_solve(obj, np.zeros(2), 5).history == []
 
+    def test_no_step_returns_the_start(self):
+        # with no step the average is the start itself, as run_fgm returns it
+        tally = OracleTally()
+        obj, _ = self.make_objective(tally)
+        x0 = np.array([3.0, -1.0])
+        rep = sk.composite_gm_solve(obj, x0, 0, tally=tally)
+        assert rep.x_final.tobytes() == x0.tobytes() and rep.x_final is not x0
+        assert rep.extras["iterations"] == 0 and tally.total() == 0
+
 
 class TestApg:
     def test_counts_exact(self):
@@ -327,10 +336,10 @@ class TestCatalyst:
         obj, tally = two_term_quadratic([1.0, 0.7], [0.5, 30.0], [1.0, -2.0])
         spec = sk.SlidingSpec(l_r=1.0, l_g=30.0, mu_r=0.7, mu_g=0.5)
 
-        def stalled(sub, x, n, stop_rule=None, tally=None):
-            return types.SimpleNamespace(extras={"last": x})
+        def stalled(inner, x0, target_gap, tally=None):
+            return types.SimpleNamespace(x_final=np.array(x0))
 
-        monkeypatch.setattr(sliding, "composite_gm_solve", stalled)
+        monkeypatch.setattr(sk.fgm, "solve_to_gap", stalled)
         x0 = np.array([0.3, -0.2])
         rep = sk.catalyst_solve(obj, x0, 1e-8, spec=spec, tally=tally)
         assert not rep.converged and rep.extras["outer_iterations"] > 0
@@ -348,10 +357,10 @@ class TestCatalyst:
         obj = dataclasses.replace(obj, set_delta_g=asked.append)
         spec = sk.SlidingSpec(l_r=1.0, l_g=30.0, mu_r=0.7, mu_g=0.5)
 
-        def overflowing(sub, x, n, stop_rule=None, tally=None):
-            return types.SimpleNamespace(extras={"last": np.full_like(x, 1e308)})
+        def overflowing(inner, x0, target_gap, tally=None):
+            return types.SimpleNamespace(x_final=np.full_like(x0, 1e308))
 
-        monkeypatch.setattr(sliding, "composite_gm_solve", overflowing)
+        monkeypatch.setattr(sk.fgm, "solve_to_gap", overflowing)
         with np.errstate(over="ignore"):
             rep = sk.catalyst_solve(obj, np.zeros(2), 1e-8, spec=spec, tally=tally)
         assert [math.isfinite(row.gap) for row in rep.history] == [True, False]
@@ -360,27 +369,48 @@ class TestCatalyst:
         assert len(asked) == 2 and all(math.isfinite(d) for d in asked)
 
     def test_diverged_step_keeps_a_finite_subproblem_target(self, monkeypatch):
-        # a step so far off that the stop rule's regularization term overflows
-        # must not hand the model step's certified solve an infinite target
+        # a step so far off that the regularization term overflows must not
+        # hand the next model step's certified solve an infinite target
         obj, tally = two_term_quadratic([1.0, 0.7], [0.5, 30.0], [1.0, -2.0])
         spec = sk.SlidingSpec(l_r=1.0, l_g=30.0, mu_r=0.7, mu_g=0.5)
         targets = []
-        solve_to_gap = sk.fgm.solve_to_gap
 
-        def spy(inner, x0, target_gap, **kwargs):
+        def one_far_step(inner, x0, target_gap, tally=None):
+            # the first model step diverges, the later ones land back at 0
             targets.append(target_gap)
-            return solve_to_gap(inner, x0, target_gap, **kwargs)
+            far = len(targets) == 1
+            return types.SimpleNamespace(x_final=np.full_like(x0, 1e200 if far else 0.0))
 
-        def one_far_step(sub, x, n, stop_rule=None, tally=None):
-            stop_rule(x, np.full_like(x, 1e200), math.inf)
-            x_next = sub.prox_model(x, 1.0, sub.smooth_grad(x))
-            return types.SimpleNamespace(extras={"last": x_next})
-
-        monkeypatch.setattr(sk.fgm, "solve_to_gap", spy)
-        monkeypatch.setattr(sliding, "composite_gm_solve", one_far_step)
+        monkeypatch.setattr(sk.fgm, "solve_to_gap", one_far_step)
         with np.errstate(over="ignore"):
             sk.catalyst_solve(obj, np.zeros(2), 1e-8, spec=spec, tally=tally)
-        assert targets and all(math.isfinite(t) for t in targets)
+        assert len(targets) >= 2 and all(math.isfinite(t) for t in targets)
+
+    def test_subproblem_stops_at_the_step_cap(self, monkeypatch):
+        # model steps that keep jumping by 1 never pass the step-length bound:
+        # each subproblem stops after n_cap = max(4, ceil(4 l_r / (mu + l_r)) + 8)
+        # composite steps, one grad_r each, between two certificates (grad_r
+        # then grad_g)
+        obj, _ = two_term_quadratic([1.0, 0.7], [0.5, 30.0], [1.0, -2.0])
+        spec = sk.SlidingSpec(l_r=1.0, l_g=30.0, mu_r=0.7, mu_g=0.5)
+        calls = []
+        grad_r, grad_g = obj.grad_r, obj.grad_g
+        obj = dataclasses.replace(
+            obj,
+            grad_r=lambda x: calls.append("r") or grad_r(x),
+            grad_g=lambda x: calls.append("g") or grad_g(x),
+        )
+        jumps = itertools.cycle([1.0, -1.0])
+
+        def jumping(inner, x0, target_gap, tally=None):
+            return types.SimpleNamespace(x_final=x0 + next(jumps))
+
+        monkeypatch.setattr(sk.fgm, "solve_to_gap", jumping)
+        rep = sk.catalyst_solve(obj, np.zeros(2), 1e-8, spec=spec)
+        n_cap = max(4, math.ceil(4.0 * spec.l_r / (spec.mu + spec.l_r)) + 8)
+        outer = rep.extras["outer_iterations"]
+        assert n_cap == 10 and outer > 0 and not rep.converged
+        assert "".join(calls) == "rg" + ("r" * n_cap + "rg") * outer
 
     def test_well_conditioned_few_outer_steps(self):
         # mu = l_r = l_g with a modest starting offset: three proximal steps

@@ -7,6 +7,8 @@
   :func:`saddlekit.core.require_oracles`; no ``raise UnsupportedProblemError``
   sits under a hand-written ``<obj>.<oracle> is None`` test anywhere else.
 * No top-level import is unused (``__init__`` re-exports count through ``__all__``).
+* No named function has a parameter it never reads, so a setting that
+  nothing reads cannot stay in a signature.
 """
 
 from __future__ import annotations
@@ -116,3 +118,38 @@ def _unused_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_top_level_import(path):
     assert _unused_imports(path) == []
+
+
+def _unread_parameters(path: Path) -> list[str]:
+    """``<function>.<parameter>`` for each parameter its function body never reads.
+
+    Lambdas have no name, and ``_``-prefixed parameters are declared unused, as
+    is a method's ``self`` or ``cls`` that the method does not need; none of
+    them is checked.  A read inside a nested function or lambda counts.
+    """
+    unread = []
+    for fn in ast.walk(_tree(path)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = fn.args
+        params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+        read = {
+            n.id
+            for stmt in fn.body
+            for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        unread += [
+            f"{fn.name}.{p.arg}"
+            for p in params
+            if p is not None
+            and not p.arg.startswith("_")
+            and p.arg not in ("self", "cls")
+            and p.arg not in read
+        ]
+    return unread
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    assert _unread_parameters(path) == [], f"{path.name}: drop these parameters or read them"
