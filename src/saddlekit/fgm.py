@@ -170,7 +170,7 @@ def run_restarted_fgm(
     delta_j > ``epsilon`` therefore cannot pass and is not checked.  The first
     t^2 <= ``epsilon`` stops the run, which returns x+ with
     ``certified_gap`` t^2.  Each check costs one smooth-gradient call (an
-    inner max on the saddle route) and one prox-model call, and
+    inner max on a saddle problem's partial max) and one prox-model call, and
     ``extras["smooth_calls"]`` counts the checks' calls with the blocks'.
 
     Without such a stop the wrapper restarts until the running worst-case

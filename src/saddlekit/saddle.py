@@ -5,16 +5,16 @@ f(x) = r(x) + g(x), g the partial max, whose inexact gradients come from
 certified inner maximizations.  h only shapes those inner solves (its prox
 when prox-friendly, its gradient otherwise), so the outer loop follows r:
 
-* r prox-friendly (``case1``, ``case3``) -> restarted fast gradient with
-  composite r;
-* r smooth (``case2``, ``case4``)        -> two-term splitting, Catalyst
-  engine;
-* ``mirror_prox``                        -> restarted extragradient baseline.
+* ``case1``-``case4``  -> one constant-momentum fast gradient loop, with r
+  composite when prox-friendly and folded into the gradient step when
+  smooth; its dual witness is the weighted average of the inner maximizers;
+* ``mirror_prox``      -> restarted extragradient baseline.
 
 Solves start at the set centers and are certified by a restricted
 primal-dual gap over balls around them, computed by two independent
 auxiliary solves.  An inner or certificate solve that exhausts its budget,
-or a certificate below zero, ends the solve unconverged.
+a non-finite iterate or certificate, or a certificate below zero, ends the
+solve unconverged.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import fgm, inner_max, mirror_prox, sliding
+from . import fgm, inner_max, mirror_prox
 from .core import (
     GRADIENTS,
     AllSpace,
@@ -49,7 +49,7 @@ from .core import (
 )
 
 
-MAX_ATTEMPTS = 10  # attempts of solve_saddle's accuracy loop before it gives up
+MAX_ATTEMPTS = 10  # resumptions of the extragradient route before it gives up
 
 
 class Engine(enum.Enum):
@@ -221,20 +221,29 @@ def solve_saddle(
     radius on bounded sets): they are the starting-distance bounds and fix
     the certificate's restriction balls.  The report carries the pair, the
     last :func:`duality_gap` certificate (its gap is ``certified_gap``,
-    target ``epsilon``) and that tally.  Internal accuracy targets start at
-    the scheduled O(epsilon) values and tighten geometrically until the
-    certificate passes, for at most :data:`MAX_ATTEMPTS` attempts.  An inner
-    or certificate solve that exhausts its budget, or a certificate below
-    zero (which proves ``r_x`` or ``r_y`` understated), ends the loop with an
-    infinite gap and the message in ``extras["error"]``; a negative
-    certificate stays in ``extras["certificate"]``.  An explicit ``case*``
-    engine picks the route (r's prox or r's gradient); ``extras["engine"]``
-    names the case that ran, whose h part follows ``prox_friendly_h``.
-    ``epsilon``, ``r_x`` and ``r_y`` are checked by
-    :func:`~saddlekit.core.require` before any oracle call, and the oracles
-    the solve needs by :func:`~saddlekit.core.require_oracles`: ``grad_r``,
-    ``grad_h``, ``grad_x_F`` and ``grad_y_F`` for the certificate, and
-    ``prox_r`` on the prox-r route (the splitting route needs ``l_x``).
+    target ``epsilon``) and that tally.
+
+    The route hands candidate pairs to one certify loop, which stops at the
+    first whose certificate passes; ``extras["attempts"]`` counts the
+    certificates computed.  The prox-r and splitting routes run one
+    accelerated loop (:func:`_accelerated_candidates`) within a step budget,
+    report ``extras["steps"]`` and ``extras["check_every"]``, and log one
+    history row per certificate, its restricted duality gap.  The
+    extragradient route resumes at a tighter accuracy for at most
+    :data:`MAX_ATTEMPTS` attempts and logs its restarts' rows.  A route
+    that runs out of its budget ends the solve unconverged with its last
+    certificate.  An inner or certificate solve that exhausts its budget, a
+    non-finite iterate or certificate, or a certificate below zero (which
+    proves ``r_x`` or ``r_y`` understated) ends the loop with an infinite gap and the message
+    in ``extras["error"]``; a negative certificate stays in
+    ``extras["certificate"]``.  An explicit ``case*`` engine picks the route
+    (r's prox or r's gradient); ``extras["engine"]`` names the case that
+    ran, whose h part follows ``prox_friendly_h``.  ``epsilon``, ``r_x`` and
+    ``r_y`` are checked by :func:`~saddlekit.core.require` before any oracle
+    call, and the oracles the solve needs by
+    :func:`~saddlekit.core.require_oracles`: ``grad_r``, ``grad_h``,
+    ``grad_x_F`` and ``grad_y_F`` for the certificate, and ``prox_r`` on the
+    prox-r route (the splitting route needs ``l_x``).
     """
     mp = Metered.of(problem)
     problem = mp.problem
@@ -255,18 +264,21 @@ def solve_saddle(
     if eng is Engine.MIRROR_PROX:
         route = _extragradient_attempts(mp, epsilon, x_cur, y_cur, math.hypot(r_x, r_y))
     else:
-        mu_from_g = _structured_modulus(spec, problem.spectral)
-        mu_f = max(spec.mu_x, mu_from_g)
+        mu_f = max(spec.mu_x, _structured_modulus(spec, problem.spectral))
         extras["outer_modulus"] = mu_f
-        route = _splitting_attempts(mp, eng, epsilon, x_cur, y_cur, r_x, mu_f, mu_from_g)
+        route = _accelerated_candidates(mp, eng, epsilon, x_cur, r_x, mu_f, extras)
     cert = None
-    reports = []
     attempts = 0
     try:
-        for attempts in range(1, MAX_ATTEMPTS + 1):
-            rep, x_cur, y_cur = next(route)  # resuming a route tightens its accuracy
-            reports.append(rep)
+        for attempts, (rep, x_cur, y_cur) in enumerate(route, 1):
+            if rep is not None:  # the extragradient restarts' rows
+                log.history += rep.history
             cert = duality_gap(mp, x_cur, y_cur, r_x, r_y, epsilon / 8.0)
+            if rep is None:  # the accelerated loop logs its certificates
+                log.row(attempts, cert.gap)
+            if not math.isfinite(cert.gap):  # an overflowing or NaN oracle value
+                extras["error"] = f"certificate {cert.gap} is not finite"
+                break
             if cert.gap < 0.0:  # the saddle lies outside the restriction balls
                 extras["error"] = f"certified gap {cert.gap:.3e} < 0: r_x or r_y is understated"
                 break
@@ -276,37 +288,65 @@ def solve_saddle(
         cert = None
         extras["error"] = str(err)
     extras["attempts"] = attempts
-    # the attempts' rows in order, renumbered with a global iteration index
-    rows = [row for rep in reports for row in rep.history]
-    log.history = [replace(row, iteration=i) for i, row in enumerate(rows, 1)]
+    # the rows in order, renumbered with a global iteration index
+    log.history = [replace(row, iteration=i) for i, row in enumerate(log.history, 1)]
     gap = float("inf") if "error" in extras else cert.gap
     return log.report(x_cur, gap, epsilon, y=y_cur, certificate=cert, **extras)
 
 
-def _splitting_attempts(mp, eng, epsilon, x, y, r0, mu_f, mu_from_g):
-    """Attempts of the prox-r and splitting routes, one ``(report, x, y)`` per resumption.
+STEP_BUDGET = 4.0  # the accelerated loop's step budget, in multiples of its rate bound
 
-    Each attempt runs the outer loop to ``eps_f``, then an inner max to ``gamma_w``,
-    with no gradient of g, gives the dual point; resuming tightens both by 8.
-    The outer loop's certified gap shrinks the starting-distance bound ``r0``.
+
+def _accelerated_candidates(mp, eng, epsilon, x, r0, mu_f, extras):
+    """The prox-r and splitting routes: one accelerated loop, ``(None, x, y_bar)`` per check.
+
+    Constant momentum (1 - sqrt(q)) / (1 + sqrt(q)), q = ``mu_f`` / L, on
+    f = r + g with one ``oracle.bundle`` per step at envelope accuracy
+    epsilon / 8, set once.  A prox-friendly r stays composite
+    (L = max(l_env, mu_f)); a smooth r joins g in one projected gradient
+    step (L += l_x).  The dual witness is y_bar, the average of the bundles'
+    inner maximizers with weights (1 - sqrt(q))^-k: the fast gradient
+    method's estimate sequence is a weighted sum of linear models of g, each
+    F(., w_k) - h(w_k) when F is linear in x, so y_bar's dual value tracks
+    the primal one (Nesterov, *Smooth minimization of non-smooth
+    functions*, 2005); ``duality_gap`` checks it either way.  A candidate
+    is yielded every ceil(2 / sqrt(q)) steps (two e-folds of the rate, at
+    least 16) until ``STEP_BUDGET`` / sqrt(q) max(1, ln(L r0^2 / epsilon))
+    steps have run; ``extras`` gets ``check_every`` and ``steps``.  The
+    first non-finite iterate raises :class:`~saddlekit.core.BudgetExceededError`.
     """
+    spec = mp.spec
     oracle = inner_max.EnvelopeGradOracle(mp)
     # a decoupled problem (zero coupling) leaves the partial max flat; any
     # positive envelope constant is then valid
-    l_env = max(oracle.l_env, mu_f)
-    eps_f = 0.5 * epsilon
-    gamma_w = 0.25 * epsilon  # accuracy of the witness behind the certificate
-    while True:
-        if eng in (Engine.CASE1, Engine.CASE3):  # prox-friendly r
-            rep = _case1_outer(mp, oracle, x, eps_f, r0, mu_f, l_env)
-        else:
-            rep = _sliding_outer(mp, oracle, x, eps_f, mu_from_g, l_env)
-        if rep.certified_gap < float("inf"):
-            r0 = min(r0, math.sqrt(max(2.0 * rep.certified_gap / mu_f, 0.0)))
-        x, y = rep.x_final, oracle.solve(rep.x_final, gamma_w, y0=y)
-        yield rep, x, y
-        eps_f *= 0.125
-        gamma_w *= 0.125
+    l_f = max(oracle.l_env, mu_f)
+    if eng in (Engine.CASE1, Engine.CASE3):  # prox-friendly r
+        prox = fgm.prox_model_from_friendly(mp.prox_r)
+        step = lambda y, g: prox(y, 1.0 / l_f, g)
+    else:
+        if spec.l_x is None or spec.l_x <= 0:
+            raise UnsupportedProblemError("the splitting route needs a smooth r with a positive l_x")
+        l_f += spec.l_x
+        step = lambda y, g: spec.set_x.project(y - (mp.grad_r(y) + g) / l_f)
+    rho = math.sqrt(mu_f / l_f)
+    beta = (1.0 - rho) / (1.0 + rho)
+    check_every = extras["check_every"] = max(16, math.ceil(2.0 / rho))
+    budget = STEP_BUDGET / rho * max(math.log(l_f * r0 * r0 / epsilon), 1.0)
+    oracle.set_delta(epsilon / 8.0)
+    x_prev, y_bar, s, steps = x, oracle.center, 0.0, 0
+    while steps < budget:
+        for _ in range(check_every):
+            y = x + beta * (x - x_prev)
+            ig = oracle.bundle(y)
+            x_prev, x = x, step(y, ig.grad)
+            s = (1.0 - rho) * s + 1.0
+            y_bar = y_bar + (ig.witness_y - y_bar) / s
+            steps += 1
+            if not np.isfinite(x).all():
+                extras["steps"] = steps
+                raise BudgetExceededError(f"iterate not finite after {steps} steps", best=x_prev)
+        extras["steps"] = steps
+        yield None, x, y_bar
 
 
 def _extragradient_attempts(mp, epsilon, x, y, r0):
@@ -315,67 +355,19 @@ def _extragradient_attempts(mp, epsilon, x, y, r0):
     An attempt whose residual check fires returns a point w (a leading point,
     or a block's last iterate) with ||G(w)||^2 <= ``eps_vi`` mu; on all of space gap(w) <= ``eps_vi`` / 2,
     so the first certificate passes there.  A resumption restarts from the
-    returned point, with its ``dist_sq_bound`` as the next ``r0``.
+    returned point, with its ``dist_sq_bound`` as the next ``r0``.  Yields
+    ``(report, x, y)`` at most :data:`MAX_ATTEMPTS` times.
     """
     op = mirror_prox.assemble_saddle_operator(mp)
     z = np.concatenate([x, y])
     nx = mp.spec.dim_x
     eps_vi = epsilon
-    while True:
+    for _ in range(MAX_ATTEMPTS):
         rep = mirror_prox.run_restarted_mp(op, z, eps_vi, r0=r0)
         z = rep.x_final
         r0 = math.sqrt(rep.extras["dist_sq_bound"])
         yield rep, z[:nx], z[nx:]
         eps_vi /= 16.0
-
-
-def _case1_outer(mp, oracle, x0, eps_f, r0, mu_f, l_env) -> SolveReport:
-    """Restarted accelerated outer loop with composite r and inexact g-gradients.
-
-    The inner maximizations follow :func:`~saddlekit.fgm.run_restarted_fgm`'s
-    schedule: before block j the oracle is asked for the envelope
-    inexactness delta_j = l_env D_j^2 / (4 N^3), where D_0 = ``r0`` and
-    D_j^2 at least halves from block to block.  Early blocks thus run cheap,
-    coarse inner solves and only the last ones pay for accuracy near
-    ``eps_f``.  Once delta_j is at most ``eps_f`` each block ends with one
-    more inner max at that accuracy, for a gradient-mapping step whose
-    computed gap bound stops the loop at the first pass, usually well before
-    the schedule's last block; the returned report carries that bound.
-    When the inner max is one exact prox the accuracy is never read and the
-    counts do not depend on it.
-    """
-    obj = fgm.CompositeObjective(
-        smooth_grad=oracle,
-        l_smooth=l_env,
-        mu=mu_f,
-        prox_model=fgm.prox_model_from_friendly(mp.prox_r),
-        domain=mp.spec.set_x,
-        set_delta=oracle.set_delta,
-    )
-    return fgm.run_restarted_fgm(obj, x0, eps_f, r0=r0, tally=mp.tally)
-
-
-def _sliding_outer(mp, oracle, x0, eps_f, mu_from_g, l_env) -> SolveReport:
-    """Two-term splitting outer loop (Catalyst): smooth r plus the inexact partial max."""
-    spec = mp.spec
-    if spec.l_x is None or spec.l_x <= 0:
-        raise UnsupportedProblemError("the splitting route needs a smooth r with a positive l_x")
-    if not isinstance(spec.set_x, AllSpace):
-        raise UnsupportedProblemError("the splitting route runs on all-of-space only")
-    out_spec = sliding.SlidingSpec(
-        l_r=spec.l_x,
-        l_g=l_env,
-        mu_r=spec.mu_x,
-        mu_g=mu_from_g,
-    )
-    obj = sliding.TwoTermObjective(
-        value_r=mp.value_r,
-        grad_r=mp.grad_r,
-        value_g=lambda x: float("nan"),
-        grad_g=oracle,
-        set_delta_g=oracle.set_delta,
-    )
-    return sliding.sliding_solve(out_spec, obj, x0, eps_f, engine="catalyst", tally=mp.tally)
 
 
 # ---------------------------------------------------------------------------

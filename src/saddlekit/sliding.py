@@ -15,8 +15,7 @@ cheap-to-accelerate term and ~sqrt(l_g / mu) of the other, instead of
   regularized subproblems run the composite steps of :func:`composite_gm_solve`
   in its own loop, each with a certified accelerated solve of g.  Its
   inner solves stop on certificates rather than a fixed budget, so it spends
-  far fewer g-gradients; it is the engine of
-  :func:`~saddlekit.saddle.solve_saddle`'s smooth-r route.
+  far fewer g-gradients.
 """
 
 from __future__ import annotations

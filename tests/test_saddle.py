@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import saddlekit as sk
-from saddlekit import inner_max, mirror_prox, saddle
+from saddlekit import fgm, inner_max, mirror_prox, saddle
 from saddlekit.core import Metered, OracleKind, SpectralInfo
 
 
@@ -124,27 +124,27 @@ class TestSolveSaddle:
 PINNED_TALLIES = [
     (
         "bilinear", (10, 8, 10.0), None, "case1",
-        {"grad_h": 1, "grad_r": 1, "gradx_F": 93, "grady_F": 94, "matvec": 187,
-         "prox_h": 93, "prox_r": 92},
+        {"grad_h": 1, "grad_r": 7, "gradx_F": 23, "grady_F": 17, "matvec": 40,
+         "prox_h": 16, "prox_r": 16},
     ),
     (
         "quadratic", (10, 8, 10.0), None, "case1",
-        {"grad_h": 1, "grad_r": 1, "gradx_F": 98, "grady_F": 117, "matvec": 215,
-         "prox_h": 116, "prox_r": 97},
+        {"grad_h": 1, "grad_r": 1, "gradx_F": 17, "grady_F": 113, "matvec": 130,
+         "prox_h": 112, "prox_r": 16},
     ),
     (
         "quadratic", (12, 12, 20.0), (False, True), "case2",
-        {"grad_h": 1, "grad_r": 23, "gradx_F": 143, "grady_F": 198, "matvec": 341,
-         "prox_h": 197},
+        {"grad_h": 7, "grad_r": 23, "gradx_F": 23, "grady_F": 137, "matvec": 160,
+         "prox_h": 130},
     ),
     (
         "quadratic", (12, 12, 20.0), (False, False), "case4",
-        {"grad_h": 278, "grad_r": 23, "gradx_F": 163, "grady_F": 278, "matvec": 441},
+        {"grad_h": 107, "grad_r": 23, "gradx_F": 23, "grady_F": 107, "matvec": 130},
     ),
     (
         "quadratic", (12, 12, 20.0), (True, False), "case3",
-        {"grad_h": 243, "grad_r": 1, "gradx_F": 152, "grady_F": 243, "matvec": 395,
-         "prox_r": 151},
+        {"grad_h": 136, "grad_r": 8, "gradx_F": 40, "grady_F": 136, "matvec": 176,
+         "prox_r": 32},
     ),
 ]
 
@@ -174,10 +174,10 @@ def _criterion11_radii(inst) -> tuple[float, float]:
 # Full tallies, attempt counts and history lengths of solves at epsilon 1e-6
 # with mu_x = mu_y = 1 and the criterion-11 radii.  The extragradient rows
 # certify on their first attempt: the restarts return the point whose
-# residual met eps mu.  The case2 row's first attempt fails its certificate,
-# so it pins the accuracy the splitting route tightens to on its second
-# (eps_f and gamma_w / 8); test_extragradient_resumption_divides_eps_vi_by_16
-# pins mirror_prox's.
+# residual met eps mu; test_extragradient_resumption_divides_eps_vi_by_16
+# pins what a resumption asks for.  The case2 row's first two certificates
+# fail, so it pins the accelerated loop's run past its first checks, with
+# one history row per certificate.
 PINNED_ATTEMPT_TALLIES = [
     (
         "bilinear", 1, None, "mirror_prox", "mirror_prox", 1, 5,
@@ -188,9 +188,9 @@ PINNED_ATTEMPT_TALLIES = [
         {"grad_h": 54, "grad_r": 54, "gradx_F": 54, "grady_F": 54, "matvec": 108},
     ),
     (
-        "bilinear", 4, False, "auto", "case2", 2, 8,
-        {"grad_h": 2, "grad_r": 34, "gradx_F": 374, "grady_F": 364, "matvec": 738,
-         "prox_h": 362},
+        "bilinear", 4, False, "auto", "case2", 3, 3,
+        {"grad_h": 15, "grad_r": 69, "gradx_F": 69, "grady_F": 63, "matvec": 132,
+         "prox_h": 48},
     ),
 ]
 
@@ -267,9 +267,9 @@ def test_smooth_r_costs_the_order_of_prox_r(gen, seed):
     assert matvecs[False] <= 2 * matvecs[True], matvecs
 
 
-def test_case1_inner_accuracy_follows_the_restart_schedule(monkeypatch):
-    # each restart block asks the inner maximization for the envelope
-    # inexactness delta_j = L D_j^2 / (4 N^3), from D_0 = r_x down
+def test_accelerated_loop_sets_the_inner_accuracy_once(monkeypatch):
+    # the loop asks the inner maximization for envelope accuracy eps / 8
+    # before its first step, and never again, across several certificates
     asked = []
     set_delta = inner_max.EnvelopeGradOracle.set_delta
 
@@ -278,46 +278,78 @@ def test_case1_inner_accuracy_follows_the_restart_schedule(monkeypatch):
         set_delta(self, delta_env)
 
     monkeypatch.setattr(inner_max.EnvelopeGradOracle, "set_delta", recording_set_delta)
-    inst = sk.gen_quadratic_saddle(10, 8, 10.0, seed=5, mu_x=4.0, mu_y=4.0)
+    inst = sk.gen_quadratic_saddle(12, 12, 20.0, seed=5, mu_x=4.0, mu_y=4.0)
+    problem = inst.problem()
+    problem.prox_friendly_h = False
     r_x, r_y = _criterion11_radii(inst)
-    eps = 1e-6
-    rep = sk.solve_saddle(inst.problem(), eps, engine="case1", r_x=r_x, r_y=r_y)
-    assert rep.converged and rep.extras["attempts"] == 1
-    blocks = asked  # the oracle has no accuracy until the first block asks
-    assert len(blocks) == len(rep.history) > 1  # one history row per block
+    rep = sk.solve_saddle(problem, 1e-6, engine="case3", r_x=r_x, r_y=r_y)
+    assert rep.converged and rep.extras["attempts"] == 2
+    assert asked == [1e-6 / 8.0]
+
+
+# Matvecs and certificates of the criterion-8 games on case1.  Criterion 8
+# checks only their slope; a change to the check interval moves these.
+CRITERION8_CASE1 = [(1e2, 648, 7), (1e3, 1858, 7), (1e4, 6488, 8)]
+
+
+@pytest.mark.parametrize("kappa, matvecs, attempts", CRITERION8_CASE1)
+def test_criterion8_games_check_every_two_e_folds(kappa, matvecs, attempts, monkeypatch):
+    # the loop hands (x, y_bar) to duality_gap every ceil(2 / sqrt(q)) steps,
+    # at least 16, q = mu_f / L, and logs each certificate's gap as one
+    # history row; only the last certificate passes
+    certs = []
+    duality_gap = saddle.duality_gap
+
+    def recording(*args):
+        certs.append(duality_gap(*args))
+        return certs[-1]
+
+    monkeypatch.setattr(saddle, "duality_gap", recording)
+    inst = sk.gen_smoothed_game(50, kappa, seed=808)
+    r_x, r_y = _criterion11_radii(inst)
+    rep = sk.solve_saddle(inst.problem(), 1e-6, engine="case1", r_x=r_x, r_y=r_y)
     mu = rep.extras["outer_modulus"]
     l_env = max(2.0 * sk.effective_smoothness(inst.problem().spec), mu)
-    n = sk.restart_budget(l_env, mu)
-    expected, d_sq = [], r_x**2
-    for _ in blocks:
-        expected.append(l_env * d_sq / (4.0 * n**3))
-        bound = 4.0 * l_env * d_sq / (n + 1) ** 2 + 2.0 * n * expected[-1]
-        d_sq = min(d_sq, 2.0 * bound / mu)
-    assert blocks == pytest.approx(expected, rel=1e-12)
-    assert all(b <= a for a, b in zip(blocks, blocks[1:]))
+    check_every = max(16, math.ceil(2.0 / math.sqrt(mu / l_env)))
+    assert rep.converged
+    assert (rep.tally.count(OracleKind.MATVEC), rep.extras["attempts"]) == (matvecs, attempts)
+    assert rep.extras["check_every"] == check_every
+    assert rep.extras["steps"] == attempts * check_every
+    assert [row.gap for row in rep.history] == [cert.gap for cert in certs]
+    assert all(cert.gap > 1e-6 for cert in certs[:-1])
+    assert certs[-1] is rep.extras["certificate"]
 
 
-def _case1_setup(inst):
-    """The view, oracle, modulus and envelope constant the case1 route builds."""
+def _case1_objective(inst):
+    """The case1 objective for the restarted driver: r through its prox, g through the inner max."""
     mp = Metered(inst.problem())
     oracle = inner_max.EnvelopeGradOracle(mp)
     mu_f = max(mp.spec.mu_x, saddle._structured_modulus(mp.spec, inst.spectral))
-    return mp, oracle, mu_f, max(oracle.l_env, mu_f)
+    obj = fgm.CompositeObjective(
+        smooth_grad=oracle,
+        l_smooth=max(oracle.l_env, mu_f),
+        mu=mu_f,
+        prox_model=fgm.prox_model_from_friendly(mp.prox_r),
+        domain=mp.spec.set_x,
+        set_delta=oracle.set_delta,
+    )
+    return obj, mp.tally
 
 
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("gen", [sk.gen_bilinear, sk.gen_quadratic_saddle])
 def test_case1_step_bound_holds_at_the_returned_point(gen, seed):
-    # the restarts stop before the scheduled count on the step bound t^2 of
-    # the point they return, and t^2 bounds that point's true objective gap,
-    # 1/2 (x - x*)' H (x - x*) with H the Hessian of f = r + g
+    # on the case1 objective the restarts stop before the scheduled count on
+    # the step bound t^2 of the point they return, and t^2 bounds that
+    # point's true objective gap, 1/2 (x - x*)' H (x - x*) with H the
+    # Hessian of f = r + g
     inst = gen(10, 8, 10.0, seed=seed, mu_x=1.0 + seed, mu_y=4.0)
-    mp, oracle, mu_f, l_env = _case1_setup(inst)
+    obj, tally = _case1_objective(inst)
     a = inst.a
     hessian = np.diag(inst.mu_x + inst.p_diag) + a.T @ (a.T / (inst.q_diag + inst.mu_y)).T
     r_x, _ = _criterion11_radii(inst)
     for eps_f in (1e-3, 1e-6, 1e-9):
-        rep = saddle._case1_outer(mp, oracle, np.zeros(10), eps_f, r_x, mu_f, l_env)
+        rep = fgm.run_restarted_fgm(obj, np.zeros(10), eps_f, r0=r_x, tally=tally)
         assert rep.extras["restarts"] < rep.extras["scheduled_restarts"]
         err = rep.x_final - inst.closed_form_x
         true_gap = 0.5 * float(err @ (hessian @ err))
@@ -325,9 +357,10 @@ def test_case1_step_bound_holds_at_the_returned_point(gen, seed):
 
 
 def test_case1_checks_only_blocks_that_can_pass(monkeypatch):
-    # the step bound is >= delta_j, so only blocks with delta_j <= eps_f are
-    # checked; each check costs one outer gradient at the block's accuracy,
-    # with no set_delta of its own, and smooth_calls counts it
+    # on the case1 objective the step bound is >= delta_j, so only blocks
+    # with delta_j <= eps_f are checked; each check costs one outer gradient
+    # at the block's accuracy, with no set_delta of its own, and
+    # smooth_calls counts it
     asked, grads = [], []
     set_delta, call = inner_max.EnvelopeGradOracle.set_delta, inner_max.EnvelopeGradOracle.__call__
 
@@ -342,10 +375,10 @@ def test_case1_checks_only_blocks_that_can_pass(monkeypatch):
     monkeypatch.setattr(inner_max.EnvelopeGradOracle, "set_delta", recording_set_delta)
     monkeypatch.setattr(inner_max.EnvelopeGradOracle, "__call__", counting_call)
     inst = sk.gen_quadratic_saddle(10, 8, 10.0, seed=5, mu_x=4.0, mu_y=4.0)
-    mp, oracle, mu_f, l_env = _case1_setup(inst)
+    obj, tally = _case1_objective(inst)
     r_x, _ = _criterion11_radii(inst)
     eps_f = 1e-6
-    rep = saddle._case1_outer(mp, oracle, np.zeros(10), eps_f, r_x, mu_f, l_env)
+    rep = fgm.run_restarted_fgm(obj, np.zeros(10), eps_f, r0=r_x, tally=tally)
     restarts, n = rep.extras["restarts"], rep.extras["block_size"]
     assert restarts < rep.extras["scheduled_restarts"]
     assert len(asked) == len(rep.history) == restarts
@@ -354,23 +387,79 @@ def test_case1_checks_only_blocks_that_can_pass(monkeypatch):
     assert rep.extras["smooth_calls"] == len(grads)
 
 
-def test_case1_criterion8_game_stops_early_and_certifies_once(monkeypatch):
-    # the outer loop stops on the step bound before its scheduled count, and
-    # the point it returns passes the first duality-gap certificate
-    reports = []
-    run_restarted_fgm = sk.fgm.run_restarted_fgm
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_case4_certifies_at_unit_moduli(seed):
+    # smooth r and smooth h with mu_x = mu_y = 1: every outer gradient is a
+    # grad_h inner max at one fixed accuracy, and the averaged witness
+    # certifies within a few hundred matvecs
+    inst = sk.gen_quadratic_saddle(6, 5, 10.0, seed=seed)
+    problem = inst.problem()
+    problem.prox_friendly_h = False
+    rep = sk.solve_saddle(problem, 1e-6, engine="case4", r_x=10.0, r_y=10.0)
+    assert rep.extras["engine"] == "case4"
+    assert rep.converged and rep.certified_gap <= 1e-6
+    assert rep.tally.count(OracleKind.MATVEC) <= 500
+    dist = math.hypot(
+        float(np.linalg.norm(rep.x_final - inst.closed_form_x)),
+        float(np.linalg.norm(rep.y_final - inst.closed_form_y)),
+    )
+    assert dist <= 1e-3
 
-    def recording(*args, **kwargs):
-        reports.append(run_restarted_fgm(*args, **kwargs))
-        return reports[-1]
 
-    monkeypatch.setattr(sk.fgm, "run_restarted_fgm", recording)
-    inst = sk.gen_smoothed_game(50, 1e3, seed=808)
+@pytest.mark.parametrize("kappa", [1e2, 1e3, 1e4])
+def test_understated_envelope_constant_fails_closed(kappa, monkeypatch):
+    # steps sized by an eighth of the envelope constant diverge; the solve
+    # must end unconverged with the reason named, not certify the blown-up pair
+    init = inner_max.EnvelopeGradOracle.__init__
+
+    def understating_init(self, mp):
+        init(self, mp)
+        self.l_env /= 8.0
+
+    monkeypatch.setattr(inner_max.EnvelopeGradOracle, "__init__", understating_init)
+    inst = sk.gen_smoothed_game(50, kappa, seed=808)
     r_x, r_y = _criterion11_radii(inst)
-    rep = sk.solve_saddle(inst.problem(), 1e-6, engine="case1", r_x=r_x, r_y=r_y)
-    assert rep.converged and rep.extras["attempts"] == 1
-    (outer,) = reports
-    assert outer.extras["restarts"] < outer.extras["scheduled_restarts"]
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = sk.solve_saddle(inst.problem(), 1e-6, engine="case1", r_x=r_x, r_y=r_y)
+    assert not rep.converged
+    assert rep.certified_gap == math.inf
+    assert "not finite" in rep.extras["error"]
+
+
+def test_first_non_finite_iterate_stops_the_loop():
+    # a prox_r that turns NaN at its fifth call: the loop stops on that
+    # step, before its first check, and certifies nothing
+    problem = sk.gen_bilinear(6, 5, 10.0, seed=1).problem()
+    prox_r, calls = problem.prox_r, [0]
+
+    def failing_prox_r(c1, c2):
+        calls[0] += 1
+        v = prox_r(c1, c2)
+        return v if calls[0] < 5 else np.full_like(v, np.nan)
+
+    problem.prox_r = failing_prox_r
+    rep = sk.solve_saddle(problem, 1e-6, engine="case1", r_x=10.0, r_y=10.0)
+    assert not rep.converged and rep.certified_gap == math.inf
+    assert rep.extras["error"] == "iterate not finite after 5 steps"
+    assert rep.extras["steps"] == 5 and rep.extras["attempts"] == 0
+    assert rep.tally.count(OracleKind.PROX_R) == 5
+    assert rep.extras["certificate"] is None
+
+
+def test_exhausted_step_budget_fails_closed(monkeypatch):
+    # the case2 row of PINNED_ATTEMPT_TALLIES passes on its third check; a
+    # budget below one check interval allows only the first, which fails
+    monkeypatch.setattr(saddle, "STEP_BUDGET", 1e-3)
+    inst = sk.gen_bilinear(6, 6, 10.0, seed=4)
+    problem = inst.problem()
+    problem.prox_friendly_r = False
+    r_x, r_y = _criterion11_radii(inst)
+    rep = sk.solve_saddle(problem, 1e-6, r_x=r_x, r_y=r_y)
+    assert not rep.converged
+    assert rep.extras["attempts"] == 1
+    assert rep.extras["steps"] == rep.extras["check_every"]
+    assert rep.certified_gap == rep.extras["certificate"].gap > 1e-6
+    assert "error" not in rep.extras
 
 
 @pytest.mark.parametrize("seed", range(6))
