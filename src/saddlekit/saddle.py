@@ -301,8 +301,13 @@ def _accelerated_candidates(mp, eng, epsilon, x, r0, mu_f, extras):
     """The prox-r and splitting routes: one accelerated loop, ``(None, x, y_bar)`` per check.
 
     Constant momentum (1 - sqrt(q)) / (1 + sqrt(q)), q = ``mu_f`` / L, on
-    f = r + g with one ``oracle.bundle`` per step at envelope accuracy
-    epsilon / 8, set once.  A prox-friendly r stays composite
+    f = r + g with one ``oracle.bundle`` per step.  Step k asks for envelope
+    accuracy max(epsilon / 8, sqrt(q) L r0^2 (1 - sqrt(q))^k / 8), which
+    tightens at the loop's rate (the error it accumulates stays of the order
+    of the rate term: Devolder, Glineur & Nesterov, *First-order methods of
+    smooth convex optimization with inexact oracle*, 2014) down to the floor
+    epsilon / 8; an exact-prox inner max never reads it, so there the
+    schedule is skipped.  A prox-friendly r stays composite
     (L = max(l_env, mu_f)); a smooth r joins g in one projected gradient
     step (L += l_x).  The dual witness is y_bar, the average of the bundles'
     inner maximizers with weights (1 - sqrt(q))^-k: the fast gradient
@@ -332,12 +337,18 @@ def _accelerated_candidates(mp, eng, epsilon, x, r0, mu_f, extras):
     beta = (1.0 - rho) / (1.0 + rho)
     check_every = extras["check_every"] = max(16, math.ceil(2.0 / rho))
     budget = STEP_BUDGET / rho * max(math.log(l_f * r0 * r0 / epsilon), 1.0)
-    oracle.set_delta(epsilon / 8.0)
+    floor = epsilon / 8.0
+    # an exact-prox inner max never reads delta: it starts at the floor, so no schedule runs
+    delta = floor if oracle.exact_prox else rho * l_f * r0 * r0 / 8.0
+    oracle.set_delta(max(delta, floor))
     x_prev, y_bar, s, steps = x, oracle.center, 0.0, 0
     while steps < budget:
         for _ in range(check_every):
             y = x + beta * (x - x_prev)
             ig = oracle.bundle(y)
+            if delta > floor:  # the next step's accuracy
+                delta *= 1.0 - rho
+                oracle.set_delta(max(delta, floor))
             x_prev, x = x, step(y, ig.grad)
             s = (1.0 - rho) * s + 1.0
             y_bar = y_bar + (ig.witness_y - y_bar) / s

@@ -129,21 +129,21 @@ PINNED_TALLIES = [
     ),
     (
         "quadratic", (10, 8, 10.0), None, "case1",
-        {"grad_h": 1, "grad_r": 1, "gradx_F": 17, "grady_F": 113, "matvec": 130,
-         "prox_h": 112, "prox_r": 16},
+        {"grad_h": 1, "grad_r": 1, "gradx_F": 17, "grady_F": 17, "matvec": 34,
+         "prox_h": 16, "prox_r": 16},
     ),
     (
         "quadratic", (12, 12, 20.0), (False, True), "case2",
-        {"grad_h": 7, "grad_r": 23, "gradx_F": 23, "grady_F": 137, "matvec": 160,
-         "prox_h": 130},
+        {"grad_h": 8, "grad_r": 40, "gradx_F": 40, "grady_F": 40, "matvec": 80,
+         "prox_h": 32},
     ),
     (
         "quadratic", (12, 12, 20.0), (False, False), "case4",
-        {"grad_h": 107, "grad_r": 23, "gradx_F": 23, "grady_F": 107, "matvec": 130},
+        {"grad_h": 88, "grad_r": 40, "gradx_F": 40, "grady_F": 88, "matvec": 128},
     ),
     (
         "quadratic", (12, 12, 20.0), (True, False), "case3",
-        {"grad_h": 136, "grad_r": 8, "gradx_F": 40, "grady_F": 136, "matvec": 176,
+        {"grad_h": 82, "grad_r": 8, "gradx_F": 40, "grady_F": 82, "matvec": 122,
          "prox_r": 32},
     ),
 ]
@@ -267,9 +267,9 @@ def test_smooth_r_costs_the_order_of_prox_r(gen, seed):
     assert matvecs[False] <= 2 * matvecs[True], matvecs
 
 
-def test_accelerated_loop_sets_the_inner_accuracy_once(monkeypatch):
-    # the loop asks the inner maximization for envelope accuracy eps / 8
-    # before its first step, and never again, across several certificates
+@pytest.fixture
+def asked_deltas(monkeypatch):
+    """Every envelope accuracy given to an inner maximization's ``set_delta``, in order."""
     asked = []
     set_delta = inner_max.EnvelopeGradOracle.set_delta
 
@@ -278,13 +278,42 @@ def test_accelerated_loop_sets_the_inner_accuracy_once(monkeypatch):
         set_delta(self, delta_env)
 
     monkeypatch.setattr(inner_max.EnvelopeGradOracle, "set_delta", recording_set_delta)
+    return asked
+
+
+def test_accelerated_loop_tightens_the_inner_accuracy_at_its_rate(asked_deltas):
+    # before step k the loop asks the inner maximization for envelope accuracy
+    # max(eps / 8, rho L r0^2 (1 - rho)^k / 8), rho = sqrt(mu_f / L): coarse
+    # far from the saddle, tightening with the rate, never below eps / 8,
+    # and no call once the floor is reached
+    asked = asked_deltas
     inst = sk.gen_quadratic_saddle(12, 12, 20.0, seed=5, mu_x=4.0, mu_y=4.0)
     problem = inst.problem()
     problem.prox_friendly_h = False
     r_x, r_y = _criterion11_radii(inst)
-    rep = sk.solve_saddle(problem, 1e-6, engine="case3", r_x=r_x, r_y=r_y)
-    assert rep.converged and rep.extras["attempts"] == 2
-    assert asked == [1e-6 / 8.0]
+    eps = 1e-8
+    rep = sk.solve_saddle(problem, eps, engine="case3", r_x=r_x, r_y=r_y)
+    assert rep.converged and rep.extras["attempts"] == 3
+    mu_f = rep.extras["outer_modulus"]
+    l_f = max(inner_max.EnvelopeGradOracle(problem).l_env, mu_f)
+    rho, floor = math.sqrt(mu_f / l_f), eps / 8.0
+    assert asked[0] == pytest.approx(max(floor, rho * l_f * r_x * r_x / 8.0), rel=1e-12)
+    assert asked[0] > floor
+    for prev, cur in zip(asked, asked[1:-1]):
+        assert cur == pytest.approx(prev * (1.0 - rho), rel=1e-12)
+    assert asked[-2] * (1.0 - rho) <= floor == asked[-1]
+    assert len(asked) <= rep.extras["steps"]
+    assert min(asked) >= floor
+
+
+def test_exact_prox_inner_max_sets_the_inner_accuracy_once(asked_deltas):
+    # a bilinear coupling with a prox-friendly h is maximized by one prox, so
+    # the loop sets an accuracy once and runs no schedule
+    inst = sk.gen_bilinear(12, 12, 20.0, seed=5, mu_x=4.0, mu_y=4.0)
+    r_x, r_y = _criterion11_radii(inst)
+    rep = sk.solve_saddle(inst.problem(), 1e-8, engine="case1", r_x=r_x, r_y=r_y)
+    assert rep.converged and rep.extras["steps"] > 16
+    assert len(asked_deltas) == 1
 
 
 # Matvecs and certificates of the criterion-8 games on case1.  Criterion 8
@@ -390,7 +419,7 @@ def test_case1_checks_only_blocks_that_can_pass(monkeypatch):
 @pytest.mark.parametrize("seed", [1, 2, 3, 4])
 def test_case4_certifies_at_unit_moduli(seed):
     # smooth r and smooth h with mu_x = mu_y = 1: every outer gradient is a
-    # grad_h inner max at one fixed accuracy, and the averaged witness
+    # grad_h inner max at the loop's scheduled accuracy, and the averaged witness
     # certifies within a few hundred matvecs
     inst = sk.gen_quadratic_saddle(6, 5, 10.0, seed=seed)
     problem = inst.problem()
@@ -476,6 +505,36 @@ def test_splitting_route_passes_the_benchmark_gate(seed):
     r_x, r_y = _criterion11_radii(inst)
     rep = sk.solve_saddle(problem, 1e-6, r_x=r_x, r_y=r_y)
     assert rep.extras["engine"] == ("case2" if seed % 2 == 0 else "case4")
+    assert rep.converged and rep.certified_gap <= 1e-6
+    dist = math.hypot(
+        float(np.linalg.norm(rep.x_final - inst.closed_form_x)),
+        float(np.linalg.norm(rep.y_final - inst.closed_form_y)),
+    )
+    assert dist <= 1e-3
+
+
+# (prox_friendly_r, prox_friendly_h) of each case, set on the problem as the
+# benchmark's split workload sets them
+CASE_FLAGS = {"case1": (True, True), "case2": (False, True), "case3": (True, False),
+              "case4": (False, False)}
+
+
+@pytest.mark.parametrize("seed", range(4))  # none of these instances tuned the schedule
+@pytest.mark.parametrize("case", list(CASE_FLAGS))
+def test_coarse_early_inner_solves_still_certify(case, seed):
+    # the first steps' inner maxima are solved far coarser than eps / 8; the
+    # returned pair must still be certified and near the closed-form saddle
+    rng = np.random.default_rng([seed, 24])
+    n, m = (int(v) for v in rng.integers(4, 31, size=2))
+    mu = float(rng.choice([1.0, 4.0]))
+    inst = sk.gen_quadratic_saddle(
+        n, m, float(rng.uniform(5.0, 50.0)), seed=200 + seed, mu_x=mu, mu_y=mu
+    )
+    problem = inst.problem()
+    problem.prox_friendly_r, problem.prox_friendly_h = CASE_FLAGS[case]
+    r_x, r_y = _criterion11_radii(inst)
+    rep = sk.solve_saddle(problem, 1e-6, r_x=r_x, r_y=r_y)
+    assert rep.extras["engine"] == case
     assert rep.converged and rep.certified_gap <= 1e-6
     dist = math.hypot(
         float(np.linalg.norm(rep.x_final - inst.closed_form_x)),
@@ -572,7 +631,7 @@ def test_exhausted_inner_budget_fails_closed(engine):
 
     def failing_grad_y_F(x, y):
         calls[0] += 1
-        return grad_y_F(x, y) if calls[0] <= 30 else np.full(len(y), np.nan)
+        return grad_y_F(x, y) if calls[0] <= 10 else np.full(len(y), np.nan)
 
     p.grad_y_F = failing_grad_y_F
     rep = sk.solve_saddle(p, 1e-6, engine=engine, r_x=10.0, r_y=10.0)
