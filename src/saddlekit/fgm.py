@@ -305,6 +305,23 @@ def solve_to_gap(
         witness = x.copy()
     if bound <= target_gap:
         return log.report(witness, bound, target_gap, blocks=0)
+    witness, bound, blocks, n_b = _resume_to_gap(obj, bound, witness, target_gap, log.tally)
+    return log.report(witness, bound, target_gap, blocks=blocks, block_size=n_b)
+
+
+def _resume_to_gap(
+    obj: CompositeObjective,
+    bound: float,
+    witness: Vector,
+    target_gap: float,
+    tally: OracleTally,
+) -> tuple[Vector, float, int, int]:
+    """The block loop of :func:`solve_to_gap`, from a start already certified.
+
+    ``(bound, witness)`` is the start's :func:`certificate`, so resuming from
+    it does not certify it a second time.  Returns ``(witness, bound, blocks,
+    block size)`` and raises as :func:`solve_to_gap` does.
+    """
     n_b = restart_budget(max(obj.l_smooth, obj.mu), obj.mu)
     blocks = 0
     while not bound <= target_gap:
@@ -312,18 +329,18 @@ def solve_to_gap(
             raise BudgetExceededError(
                 f"certificate {bound} is not finite after {blocks} blocks",
                 best=witness,
-                tally=log.tally,
+                tally=tally,
             )
         if blocks >= MAX_BLOCKS:
             raise BudgetExceededError(
                 f"certificate still {bound:.3e} > {target_gap:.3e} after {blocks} blocks",
                 best=witness,
-                tally=log.tally,
+                tally=tally,
             )
-        x = run_fgm(obj, witness, n_b, 0.0, tally=log.tally).x_final
+        x = run_fgm(obj, witness, n_b, 0.0, tally=tally).x_final
         bound, witness = certificate(obj, x)
         blocks += 1
-    return log.report(witness, bound, target_gap, blocks=blocks, block_size=n_b)
+    return witness, bound, blocks, n_b
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,10 @@ when prox-friendly, its gradient otherwise), so the outer loop follows r:
 
 Solves start at the set centers and are certified by a restricted
 primal-dual gap over balls around them, computed by two independent
-auxiliary solves.  An inner or certificate solve that exhausts its budget,
-a non-finite iterate or certificate, or a certificate below zero, ends the
-solve unconverged.
+auxiliary solves; a pair whose two starts already bound that gap above
+epsilon fails without them.  An inner or certificate solve that exhausts
+its budget, a non-finite iterate or certificate, or a certificate below
+zero, ends the solve unconverged.
 """
 
 from __future__ import annotations
@@ -68,7 +69,10 @@ class GapCertificate:
     ``primal_value`` approximates  max_{y in Q_y ∩ B(2 r_y)} S(x, y)  from
     below, ``dual_value``  min_{x in Q_x ∩ B(2 r_x)} S(x, y)  from above;
     both auxiliary solves are certified to ``inner_accuracy``, whose slack is
-    folded into ``gap``.
+    folded into ``gap``.  A pair :func:`duality_gap` settles from the two
+    starts instead holds their values, ``inner_accuracy`` the larger of
+    their certificate bounds and ``gap`` primal - dual plus both bounds, an
+    upper bound that still satisfies gap <= primal - dual + 2 inner_accuracy.
     """
 
     primal_value: float
@@ -135,6 +139,8 @@ def duality_gap(
     r_x: float,
     r_y: float,
     inner_eps: float,
+    *,
+    target: Optional[float] = None,
 ) -> GapCertificate:
     """Certify a candidate pair by two restricted auxiliary solves.
 
@@ -151,6 +157,18 @@ def duality_gap(
     Then the gap is at least S(x, y*) - S(x*, y) >= 0 (each side is solved to
     ``inner_eps``, and ``2 inner_eps`` is added back), so a negative gap
     proves ``r_x`` or ``r_y`` understated.
+
+    Each side's start is certified first (:func:`~saddlekit.fgm.certificate`,
+    primal side first), giving feasible witnesses w_p, w_d with bounds b_p,
+    b_d; a side whose start certifies to ``inner_eps`` runs no block, and the
+    others resume from their witness.  The restricted gap is at least
+    low = [r(x) + S^(x, w_p)] - [r(w_d) + S^(w_d, y)], and so is every gap
+    the full solves could return.  So when ``target`` is given and a finite
+    low exceeds it, the pair fails without either solve: the certificate
+    holds the witnesses' values, ``inner_accuracy`` = max(b_p, b_d) and the
+    upper bound ``gap`` = low + b_p + b_d, at least the restricted gap and
+    so at least the full gap minus 2 ``inner_eps``.  Otherwise, and always
+    without ``target``, the certificate is that of the two full solves.
     """
     for name, v in (("r_x", r_x), ("r_y", r_y), ("inner_eps", inner_eps)):
         require(name, v)
@@ -160,8 +178,8 @@ def duality_gap(
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
 
-    def restricted_argmin(smooth_grad, feasible, dim, radius, l_coupling, l_comp, mu, start):
-        """Certified minimizer of one side over its set intersected with B(center, 2 radius)."""
+    def restricted_side(smooth_grad, feasible, dim, radius, l_coupling, l_comp, mu, start):
+        """One side over its set intersected with B(center, 2 radius), and its start's certificate."""
         dom = restrict_to_ball(feasible, set_center(feasible, dim), 2.0 * radius)
         side = fgm.CompositeObjective(
             smooth_grad=smooth_grad,
@@ -169,25 +187,47 @@ def duality_gap(
             mu=mu,
             domain=dom,
         )
-        return fgm.solve_to_gap(side, dom.project(start), inner_eps, tally=mp.tally).x_final
+        return (side, *fgm.certificate(side, dom.project(start)))
 
     # primal side: minimize h(v) - F(x, v) over the restricted dual set
-    y_p = restricted_argmin(
+    primal_side, b_p, w_p = restricted_side(
         lambda v: mp.grad_h(v) - mp.grad_y_F(x, v),
         spec.set_y, spec.dim_y, r_y, spec.l_yy, spec.l_y, spec.mu_y, y,
     )
-    primal_value = mp.value_r(x) + mp.value_S_hat(x, y_p)
     # dual side: minimize r(v) + F(v, y) over the restricted primal set
-    x_d = restricted_argmin(
+    dual_side, b_d, w_d = restricted_side(
         lambda v: mp.grad_r(v) + mp.grad_x_F(v, y),
         spec.set_x, spec.dim_x, r_x, spec.l_xx, spec.l_x, spec.mu_x, x,
     )
-    dual_value = mp.value_r(x_d) + mp.value_S_hat(x_d, y)
+    r_of_x = mp.value_r(x)
+    primal_at = lambda v: float(r_of_x + mp.value_S_hat(x, v))
+    dual_at = lambda v: float(mp.value_r(v) + mp.value_S_hat(v, y))
+    primal_value = dual_value = None
+    if target is not None and math.isfinite(b_p) and math.isfinite(b_d):
+        primal_value, dual_value = primal_at(w_p), dual_at(w_d)
+        low = primal_value - dual_value
+        if math.isfinite(low) and low > target:  # no full solve can pass
+            return GapCertificate(
+                primal_value=primal_value,
+                dual_value=dual_value,
+                gap=low + b_p + b_d,
+                r_x=float(r_x),
+                r_y=float(r_y),
+                inner_accuracy=max(b_p, b_d),
+            )
 
-    gap = float(primal_value) - float(dual_value) + 2.0 * inner_eps
+    def settle(side, bound, witness, value_at, start_value):
+        """The side's value at its point certified to ``inner_eps``: its start's when that certifies."""
+        if not bound <= inner_eps:
+            return value_at(fgm._resume_to_gap(side, bound, witness, inner_eps, mp.tally)[0])
+        return start_value if start_value is not None else value_at(witness)
+
+    primal_value = settle(primal_side, b_p, w_p, primal_at, primal_value)
+    dual_value = settle(dual_side, b_d, w_d, dual_at, dual_value)
+    gap = primal_value - dual_value + 2.0 * inner_eps
     return GapCertificate(
-        primal_value=float(primal_value),
-        dual_value=float(dual_value),
+        primal_value=primal_value,
+        dual_value=dual_value,
         gap=gap,
         r_x=float(r_x),
         r_y=float(r_y),
@@ -228,7 +268,9 @@ def solve_saddle(
     certificates computed.  The prox-r and splitting routes run one
     accelerated loop (:func:`_accelerated_candidates`) within a step budget,
     report ``extras["steps"]`` and ``extras["check_every"]``, and log one
-    history row per certificate, its restricted duality gap.  The
+    history row per certificate, its restricted duality gap.  Certificates
+    are asked for ``target`` = ``epsilon``, so a failing check that its two
+    starts settle logs :func:`duality_gap`'s upper bound instead.  The
     extragradient route resumes at a tighter accuracy for at most
     :data:`MAX_ATTEMPTS` attempts and logs its restarts' rows.  A route
     that runs out of its budget ends the solve unconverged with its last
@@ -273,7 +315,7 @@ def solve_saddle(
         for attempts, (rep, x_cur, y_cur) in enumerate(route, 1):
             if rep is not None:  # the extragradient restarts' rows
                 log.history += rep.history
-            cert = duality_gap(mp, x_cur, y_cur, r_x, r_y, epsilon / 8.0)
+            cert = duality_gap(mp, x_cur, y_cur, r_x, r_y, epsilon / 8.0, target=epsilon)
             if rep is None:  # the accelerated loop logs its certificates
                 log.row(attempts, cert.gap)
             if not math.isfinite(cert.gap):  # an overflowing or NaN oracle value

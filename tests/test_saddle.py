@@ -134,16 +134,16 @@ PINNED_TALLIES = [
     ),
     (
         "quadratic", (12, 12, 20.0), (False, True), "case2",
-        {"grad_h": 8, "grad_r": 40, "gradx_F": 40, "grady_F": 40, "matvec": 80,
+        {"grad_h": 2, "grad_r": 34, "gradx_F": 34, "grady_F": 34, "matvec": 68,
          "prox_h": 32},
     ),
     (
         "quadratic", (12, 12, 20.0), (False, False), "case4",
-        {"grad_h": 88, "grad_r": 40, "gradx_F": 40, "grady_F": 88, "matvec": 128},
+        {"grad_h": 82, "grad_r": 34, "gradx_F": 34, "grady_F": 82, "matvec": 116},
     ),
     (
         "quadratic", (12, 12, 20.0), (True, False), "case3",
-        {"grad_h": 82, "grad_r": 8, "gradx_F": 40, "grady_F": 82, "matvec": 122,
+        {"grad_h": 76, "grad_r": 2, "gradx_F": 34, "grady_F": 76, "matvec": 110,
          "prox_r": 32},
     ),
 ]
@@ -176,8 +176,8 @@ def _criterion11_radii(inst) -> tuple[float, float]:
 # certify on their first attempt: the restarts return the point whose
 # residual met eps mu; test_extragradient_resumption_divides_eps_vi_by_16
 # pins what a resumption asks for.  The case2 row's first two certificates
-# fail, so it pins the accelerated loop's run past its first checks, with
-# one history row per certificate.
+# fail, each settled from the two sides' starts, so it pins the accelerated
+# loop's run past its first checks, with one history row per certificate.
 PINNED_ATTEMPT_TALLIES = [
     (
         "bilinear", 1, None, "mirror_prox", "mirror_prox", 1, 5,
@@ -189,7 +189,7 @@ PINNED_ATTEMPT_TALLIES = [
     ),
     (
         "bilinear", 4, False, "auto", "case2", 3, 3,
-        {"grad_h": 15, "grad_r": 69, "gradx_F": 69, "grady_F": 63, "matvec": 132,
+        {"grad_h": 3, "grad_r": 57, "gradx_F": 57, "grady_F": 51, "matvec": 108,
          "prox_h": 48},
     ),
 ]
@@ -317,8 +317,9 @@ def test_exact_prox_inner_max_sets_the_inner_accuracy_once(asked_deltas):
 
 
 # Matvecs and certificates of the criterion-8 games on case1.  Criterion 8
-# checks only their slope; a change to the check interval moves these.
-CRITERION8_CASE1 = [(1e2, 648, 7), (1e3, 1858, 7), (1e4, 6488, 8)]
+# checks only their slope; a change to the check interval, or to what a
+# failing certificate costs, moves these.
+CRITERION8_CASE1 = [(1e2, 588, 7), (1e3, 1798, 7), (1e4, 6422, 8)]
 
 
 @pytest.mark.parametrize("kappa, matvecs, attempts", CRITERION8_CASE1)
@@ -329,8 +330,8 @@ def test_criterion8_games_check_every_two_e_folds(kappa, matvecs, attempts, monk
     certs = []
     duality_gap = saddle.duality_gap
 
-    def recording(*args):
-        certs.append(duality_gap(*args))
+    def recording(*args, **kwargs):
+        certs.append(duality_gap(*args, **kwargs))
         return certs[-1]
 
     monkeypatch.setattr(saddle, "duality_gap", recording)
@@ -655,6 +656,100 @@ def test_understated_radius_fails_closed(engine):
     assert rep.certified_gap == math.inf
     assert rep.extras["certificate"].gap < 0.0
     assert "r_x or r_y" in rep.extras["error"]
+
+
+def _on_balls(inst):
+    """The instance's problem on balls of half its saddle's norms, both sides by gradients."""
+    problem = inst.problem()
+    problem.prox_friendly_r = problem.prox_friendly_h = False
+    for name, closed_form in (("set_x", inst.closed_form_x), ("set_y", inst.closed_form_y)):
+        radius = 0.5 * float(np.linalg.norm(closed_form))
+        setattr(problem.spec, name, sk.EuclideanBall(np.zeros(len(closed_form)), radius))
+    return problem
+
+
+def _soundness_grid():
+    """(problem, radii) of seeded solves whose loops hand out failing pairs."""
+    for gen in (sk.gen_bilinear, sk.gen_quadratic_saddle):
+        for seed, (prox_r, prox_h) in enumerate(CASE_FLAGS.values()):
+            inst = gen(6 + seed, 6, 10.0, seed=seed)
+            problem = inst.problem()
+            problem.prox_friendly_r, problem.prox_friendly_h = prox_r, prox_h
+            yield problem, _criterion11_radii(inst)
+    yield _on_balls(sk.gen_quadratic_saddle(8, 8, 10.0, seed=3)), (None, None)
+
+
+def _recorded_checks(monkeypatch):
+    """Every (problem, x, y, r_x, r_y, inner_eps, target, certificate) the certify loop computes."""
+    checks = []
+    duality_gap = saddle.duality_gap
+
+    def recording(mp, x, y, r_x, r_y, inner_eps, *, target=None):
+        cert = duality_gap(mp, x, y, r_x, r_y, inner_eps, target=target)
+        checks.append((mp.problem, x.copy(), y.copy(), r_x, r_y, inner_eps, target, cert))
+        return cert
+
+    monkeypatch.setattr(saddle, "duality_gap", recording)
+    return checks
+
+
+def test_early_failing_certificates_are_sound(monkeypatch):
+    # a pair settled from the two sides' starts would also fail the full
+    # solves, and its gap bounds theirs from above up to 2 inner_eps; every
+    # other pair gets the full solves' certificate, field for field
+    checks = _recorded_checks(monkeypatch)
+    for problem, (r_x, r_y) in _soundness_grid():
+        rep = sk.solve_saddle(problem, 1e-6, r_x=r_x, r_y=r_y)
+        assert rep.converged
+    early = 0
+    for problem, x, y, r_x, r_y, inner_eps, target, cert in checks:
+        full = sk.duality_gap(problem, x, y, r_x, r_y, inner_eps)
+        if cert.inner_accuracy == inner_eps:
+            assert cert == full
+        else:
+            early += 1
+            assert full.gap > target
+            assert cert.gap >= full.gap - 2.0 * inner_eps
+            assert cert.gap >= cert.primal_value - cert.dual_value > target
+    assert 0 < early < len(checks)
+
+
+@pytest.mark.parametrize("seed, case", list(enumerate(CASE_FLAGS)))
+def test_early_failing_certificates_change_no_result(seed, case, monkeypatch):
+    # settling a failing pair early only skips work: with the early decision
+    # off (no target reaches duality_gap) the solve returns the same pair,
+    # certificate, checks and steps, for more matvecs
+    inst = sk.gen_quadratic_saddle(6 + seed, 6, 10.0, seed=seed)
+    r_x, r_y = _criterion11_radii(inst)
+
+    def solve():
+        problem = inst.problem()
+        problem.prox_friendly_r, problem.prox_friendly_h = CASE_FLAGS[case]
+        return sk.solve_saddle(problem, 1e-6, r_x=r_x, r_y=r_y)
+
+    settled = solve()
+    duality_gap = saddle.duality_gap
+    monkeypatch.setattr(saddle, "duality_gap", lambda *args, target=None: duality_gap(*args))
+    full = solve()
+    assert settled.converged and settled.extras["engine"] == case
+    assert settled.x_final.tobytes() == full.x_final.tobytes()
+    assert settled.y_final.tobytes() == full.y_final.tobytes()
+    assert settled.certified_gap == full.certified_gap
+    for key in ("attempts", "steps", "certificate"):
+        assert settled.extras[key] == full.extras[key]
+    assert settled.tally.count(OracleKind.MATVEC) < full.tally.count(OracleKind.MATVEC)
+
+
+def test_nan_value_falls_through_to_the_full_certificate():
+    # a NaN coupling value makes the starts' lower bound NaN: the pair is not
+    # settled early, and the full certificate fails closed as it always did
+    problem = sk.gen_bilinear(6, 5, 10.0, seed=1).problem()
+    problem.value_F = lambda x, y: math.nan
+    rep = sk.solve_saddle(problem, 1e-6, engine="case1", r_x=10.0, r_y=10.0)
+    assert not rep.converged and rep.certified_gap == math.inf
+    assert rep.extras["error"] == "certificate nan is not finite"
+    assert rep.extras["attempts"] == 1
+    assert rep.extras["certificate"].inner_accuracy == 1e-6 / 8.0
 
 
 class TestDualityGap:
