@@ -8,7 +8,11 @@ inexact gradient of the partial-max function
 
 satisfying the two-sided model envelope with inexactness 2*delta and envelope
 constant 2*L, L = l_xx + 2 l_xy^2 / mu_y, together with the error bound
-``||grad - grad g(x)|| <= l_xy sqrt(2 delta / mu_y)``.
+``||grad - grad g(x)|| <= l_xy sqrt(2 delta / mu_y)``.  That 2x constant is
+what the inexact bundle costs (Devolder, Glineur & Nesterov 2014); when the
+inner max is one exact prox (``exact_prox``) the bundle is g's own gradient,
+and g is (l_xx + l_xy^2 / mu_y)-smooth, the constant the accelerated loop
+then steps with.
 
 The bundle's value F(x, w) - h(w) is computed when it is first read, not
 when the bundle is built: the solvers only use the gradient, and the value

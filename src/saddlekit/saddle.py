@@ -349,14 +349,18 @@ def _accelerated_candidates(mp, eng, epsilon, x, r0, mu_f, extras):
     of the rate term: Devolder, Glineur & Nesterov, *First-order methods of
     smooth convex optimization with inexact oracle*, 2014) down to the floor
     epsilon / 8; an exact-prox inner max never reads it, so there the
-    schedule is skipped.  A prox-friendly r stays composite
-    (L = max(l_env, mu_f)); a smooth r joins g in one projected gradient
-    step (L += l_x).  The dual witness is y_bar, the average of the bundles'
-    inner maximizers with weights (1 - sqrt(q))^-k: the fast gradient
-    method's estimate sequence is a weighted sum of linear models of g, each
-    F(., w_k) - h(w_k) when F is linear in x, so y_bar's dual value tracks
-    the primal one (Nesterov, *Smooth minimization of non-smooth
-    functions*, 2005); ``duality_gap`` checks it either way.  A candidate
+    schedule is skipped.  The bundle's envelope constant l_env pays for an
+    inexact inner max.  An exact-prox one (prox-friendly h, l_yy = 0) gives
+    g's own gradient, and there l_g = l_xx + l_xy^2 / mu_y: the maximizer
+    y*(.) is (l_xy / mu_y)-Lipschitz (Nesterov, *Smooth minimization of
+    non-smooth functions*, 2005, Thm 1); elsewhere l_g = l_env.  A
+    prox-friendly r stays composite (L = max(l_g, mu_f)); a smooth r joins
+    g in one projected gradient step (L += l_x).  The dual witness is y_bar,
+    the average of the bundles' inner maximizers with weights
+    (1 - sqrt(q))^-k: the fast gradient method's estimate sequence is a
+    weighted sum of linear models of g, each F(., w_k) - h(w_k) when F is
+    linear in x, so y_bar's dual value tracks the primal one (Nesterov
+    2005); ``duality_gap`` checks it either way.  A candidate
     is yielded every ceil(2 / sqrt(q)) steps (two e-folds of the rate, at
     least 16) until ``STEP_BUDGET`` / sqrt(q) max(1, ln(L r0^2 / epsilon))
     steps have run; ``extras`` gets ``check_every`` and ``steps``.  The
@@ -365,8 +369,9 @@ def _accelerated_candidates(mp, eng, epsilon, x, r0, mu_f, extras):
     spec = mp.spec
     oracle = inner_max.EnvelopeGradOracle(mp)
     # a decoupled problem (zero coupling) leaves the partial max flat; any
-    # positive envelope constant is then valid
-    l_f = max(oracle.l_env, mu_f)
+    # positive constant is then valid
+    l_g = spec.l_xx + spec.l_xy**2 / spec.mu_y if oracle.exact_prox else oracle.l_env
+    l_f = max(l_g, mu_f)
     if eng in (Engine.CASE1, Engine.CASE3):  # prox-friendly r
         prox = fgm.prox_model_from_friendly(mp.prox_r)
         step = lambda y, g: prox(y, 1.0 / l_f, g)

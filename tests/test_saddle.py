@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -124,7 +125,7 @@ class TestSolveSaddle:
 PINNED_TALLIES = [
     (
         "bilinear", (10, 8, 10.0), None, "case1",
-        {"grad_h": 1, "grad_r": 7, "gradx_F": 23, "grady_F": 17, "matvec": 40,
+        {"grad_h": 1, "grad_r": 1, "gradx_F": 17, "grady_F": 17, "matvec": 34,
          "prox_h": 16, "prox_r": 16},
     ),
     (
@@ -175,9 +176,9 @@ def _criterion11_radii(inst) -> tuple[float, float]:
 # with mu_x = mu_y = 1 and the criterion-11 radii.  The extragradient rows
 # certify on their first attempt: the restarts return the point whose
 # residual met eps mu; test_extragradient_resumption_divides_eps_vi_by_16
-# pins what a resumption asks for.  The case2 row's first two certificates
-# fail, each settled from the two sides' starts, so it pins the accelerated
-# loop's run past its first checks, with one history row per certificate.
+# pins what a resumption asks for.  The case2 row's first certificate
+# fails, settled from the two sides' starts, so it pins the accelerated
+# loop's run past its first check, with one history row per certificate.
 PINNED_ATTEMPT_TALLIES = [
     (
         "bilinear", 1, None, "mirror_prox", "mirror_prox", 1, 5,
@@ -188,9 +189,9 @@ PINNED_ATTEMPT_TALLIES = [
         {"grad_h": 54, "grad_r": 54, "gradx_F": 54, "grady_F": 54, "matvec": 108},
     ),
     (
-        "bilinear", 4, False, "auto", "case2", 3, 3,
-        {"grad_h": 3, "grad_r": 57, "gradx_F": 57, "grady_F": 51, "matvec": 108,
-         "prox_h": 48},
+        "bilinear", 4, False, "auto", "case2", 2, 2,
+        {"grad_h": 2, "grad_r": 34, "gradx_F": 34, "grady_F": 34, "matvec": 68,
+         "prox_h": 32},
     ),
 ]
 
@@ -308,25 +309,55 @@ def test_accelerated_loop_tightens_the_inner_accuracy_at_its_rate(asked_deltas):
 
 def test_exact_prox_inner_max_sets_the_inner_accuracy_once(asked_deltas):
     # a bilinear coupling with a prox-friendly h is maximized by one prox, so
-    # the loop sets an accuracy once and runs no schedule
-    inst = sk.gen_bilinear(12, 12, 20.0, seed=5, mu_x=4.0, mu_y=4.0)
+    # the loop sets an accuracy once and runs no schedule, over three checks
+    inst = sk.gen_bilinear(12, 12, 20.0, seed=5)
     r_x, r_y = _criterion11_radii(inst)
     rep = sk.solve_saddle(inst.problem(), 1e-8, engine="case1", r_x=r_x, r_y=r_y)
     assert rep.converged and rep.extras["steps"] > 16
     assert len(asked_deltas) == 1
 
 
+def test_exact_prox_constant_holds_on_a_curved_partial_max():
+    # P > 0 with Q = 0 keeps the inner max one exact prox while g gains
+    # curvature: its Hessian P + A'A / mu_y stays within l_xx + l_xy^2 / mu_y,
+    # the constant both routes step with, and both certify near the saddle
+    base = sk.gen_quadratic_saddle(20, 20, 30.0, seed=3)
+    inst = sk.SaddleInstance(base.a, base.b, 1.0, 1.0, 50.0 * base.p_diag, np.zeros(20))
+    spec = inst.problem().spec
+    assert inner_max.EnvelopeGradOracle(inst.problem()).exact_prox and spec.l_xx > 0.0
+    l_g = spec.l_xx + spec.l_xy**2 / spec.mu_y
+    a = inst.a
+    assert np.linalg.eigvalsh(np.diag(inst.p_diag) + a.T @ a / inst.mu_y)[-1] <= l_g
+    rng = np.random.default_rng(606)
+    for _ in range(40):
+        u, v = rng.standard_normal((2, 20))
+        secant = np.linalg.norm(inst.g_grad(u) - inst.g_grad(v)) / np.linalg.norm(u - v)
+        assert secant <= l_g
+    r_x, r_y = _criterion11_radii(inst)
+    for engine, l_f in (("case1", l_g), ("case2", l_g + spec.l_x)):
+        rep = sk.solve_saddle(inst.problem(), 1e-6, engine=engine, r_x=r_x, r_y=r_y)
+        assert rep.converged and rep.certified_gap <= 1e-6
+        rho = math.sqrt(rep.extras["outer_modulus"] / l_f)
+        assert rep.extras["check_every"] == max(16, math.ceil(2.0 / rho))
+        dist = math.hypot(
+            float(np.linalg.norm(rep.x_final - inst.closed_form_x)),
+            float(np.linalg.norm(rep.y_final - inst.closed_form_y)),
+        )
+        assert dist <= 1e-3
+
+
 # Matvecs and certificates of the criterion-8 games on case1.  Criterion 8
 # checks only their slope; a change to the check interval, or to what a
 # failing certificate costs, moves these.
-CRITERION8_CASE1 = [(1e2, 588, 7), (1e3, 1798, 7), (1e4, 6422, 8)]
+CRITERION8_CASE1 = [(1e2, 270, 6), (1e3, 916, 7), (1e4, 3222, 8)]
 
 
 @pytest.mark.parametrize("kappa, matvecs, attempts", CRITERION8_CASE1)
 def test_criterion8_games_check_every_two_e_folds(kappa, matvecs, attempts, monkeypatch):
     # the loop hands (x, y_bar) to duality_gap every ceil(2 / sqrt(q)) steps,
-    # at least 16, q = mu_f / L, and logs each certificate's gap as one
-    # history row; only the last certificate passes
+    # at least 16, q = mu_f / L with L = l_xx + l_xy^2 / mu_y on this
+    # exact-prox route, and logs each certificate's gap as one history row;
+    # only the last certificate passes
     certs = []
     duality_gap = saddle.duality_gap
 
@@ -338,9 +369,9 @@ def test_criterion8_games_check_every_two_e_folds(kappa, matvecs, attempts, monk
     inst = sk.gen_smoothed_game(50, kappa, seed=808)
     r_x, r_y = _criterion11_radii(inst)
     rep = sk.solve_saddle(inst.problem(), 1e-6, engine="case1", r_x=r_x, r_y=r_y)
-    mu = rep.extras["outer_modulus"]
-    l_env = max(2.0 * sk.effective_smoothness(inst.problem().spec), mu)
-    check_every = max(16, math.ceil(2.0 / math.sqrt(mu / l_env)))
+    mu, spec = rep.extras["outer_modulus"], inst.problem().spec
+    l_f = max(spec.l_xx + spec.l_xy**2 / spec.mu_y, mu)
+    check_every = max(16, math.ceil(2.0 / math.sqrt(mu / l_f)))
     assert rep.converged
     assert (rep.tally.count(OracleKind.MATVEC), rep.extras["attempts"]) == (matvecs, attempts)
     assert rep.extras["check_every"] == check_every
@@ -437,20 +468,17 @@ def test_case4_certifies_at_unit_moduli(seed):
 
 
 @pytest.mark.parametrize("kappa", [1e2, 1e3, 1e4])
-def test_understated_envelope_constant_fails_closed(kappa, monkeypatch):
-    # steps sized by an eighth of the envelope constant diverge; the solve
-    # must end unconverged with the reason named, not certify the blown-up pair
-    init = inner_max.EnvelopeGradOracle.__init__
-
-    def understating_init(self, mp):
-        init(self, mp)
-        self.l_env /= 8.0
-
-    monkeypatch.setattr(inner_max.EnvelopeGradOracle, "__init__", understating_init)
+def test_understated_envelope_constant_fails_closed(kappa):
+    # the exact-prox route steps with L = l_xx + l_xy^2 / mu_y; a coupling
+    # constant understated by sqrt(8) understates L by 8 and the steps
+    # diverge; the solve must end unconverged with the reason named, not
+    # certify the blown-up pair
     inst = sk.gen_smoothed_game(50, kappa, seed=808)
+    problem = inst.problem()
+    problem.spec = replace(problem.spec, l_xy=problem.spec.l_xy / math.sqrt(8.0))
     r_x, r_y = _criterion11_radii(inst)
     with np.errstate(over="ignore", invalid="ignore"):
-        rep = sk.solve_saddle(inst.problem(), 1e-6, engine="case1", r_x=r_x, r_y=r_y)
+        rep = sk.solve_saddle(problem, 1e-6, engine="case1", r_x=r_x, r_y=r_y)
     assert not rep.converged
     assert rep.certified_gap == math.inf
     assert "not finite" in rep.extras["error"]
@@ -477,7 +505,7 @@ def test_first_non_finite_iterate_stops_the_loop():
 
 
 def test_exhausted_step_budget_fails_closed(monkeypatch):
-    # the case2 row of PINNED_ATTEMPT_TALLIES passes on its third check; a
+    # the case2 row of PINNED_ATTEMPT_TALLIES passes on its second check; a
     # budget below one check interval allows only the first, which fails
     monkeypatch.setattr(saddle, "STEP_BUDGET", 1e-3)
     inst = sk.gen_bilinear(6, 6, 10.0, seed=4)
