@@ -252,11 +252,26 @@ class SaddleSpec:
 
 
 def effective_smoothness(spec: SaddleSpec) -> float:
-    """Smoothness constant of the partial-max function x -> max_y {F(x,y)-h(y)}.
+    """Smoothness constant L_g of the partial-max function g(x) = max_y {F(x,y)-h(y)}.
 
-    Equals ``l_xx + 2 l_xy^2 / mu_y``; finite whenever ``mu_y > 0``.
+    Equals ``l_xx + l_xy^2 / mu_y``; finite whenever ``mu_y > 0``.  The
+    maximizer y*(.) is (l_xy / mu_y)-Lipschitz (Nesterov, *Smooth minimization
+    of non-smooth functions*, 2005, Thm 1), so grad g = grad_x F(., y*(.)) is
+    L_g-Lipschitz.
+
+    An inexact inner max costs exactly a factor 2 on top of L_g.  Let w have
+    inner gap at most d (the inner objective is mu_y-strongly convex), take
+    v = F(x,w) - h(w), G = grad_x F(x,w) and s = z - x.  Then
+    v is in [g(x) - d, g(x)] and e = ||G - grad g(x)|| <= l_xy sqrt(2 d / mu_y),
+    so e^2 <= 2 L_g d.  Lower side: g(z) >= F(z,w) - h(w) >= v + <G, s>, as
+    F(., w) is convex.  Upper side: g(z) <= v + d + <G, s> + e ||s|| + L_g/2
+    ||s||^2 <= v + <G, s> + (2 L_g)/2 ||s||^2 + 2 d, by e ||s|| <= e^2 / (2 L_g)
+    + L_g/2 ||s||^2.  So (v, G) is a (2 d, 2 L_g) oracle (Devolder, Glineur &
+    Nesterov 2014).  The constant is tight: on a bilinear F with h = mu_y/2
+    ||y||^2, w = y* - sqrt(2 d / mu_y) A s / ||A s|| and s along A's top right
+    singular vector with ||s|| = sqrt(2 d / L_g), the upper side is an equality.
     """
-    return spec.l_xx + 2.0 * spec.l_xy**2 / require("mu_y", spec.mu_y)
+    return spec.l_xx + spec.l_xy**2 / require("mu_y", spec.mu_y)
 
 
 @dataclass

@@ -7,12 +7,13 @@ inexact gradient of the partial-max function
     g(x) = max_y { F(x,y) - h(y) },
 
 satisfying the two-sided model envelope with inexactness 2*delta and envelope
-constant 2*L, L = l_xx + 2 l_xy^2 / mu_y, together with the error bound
-``||grad - grad g(x)|| <= l_xy sqrt(2 delta / mu_y)``.  That 2x constant is
-what the inexact bundle costs (Devolder, Glineur & Nesterov 2014); when the
-inner max is one exact prox (``exact_prox``) the bundle is g's own gradient,
-and g is (l_xx + l_xy^2 / mu_y)-smooth, the constant the accelerated loop
-then steps with.
+constant 2*L_g, L_g = l_xx + l_xy^2 / mu_y the smoothness of g, together with
+the error bound ``||grad - grad g(x)|| <= l_xy sqrt(2 delta / mu_y)``.  Those
+two factors 2 are the whole price of the inexact bundle (Devolder, Glineur &
+Nesterov 2014), and neither can be lowered for a given delta: the proof and
+the equality case are in :func:`~saddlekit.core.effective_smoothness`.  When
+the inner max is one exact prox (``exact_prox``) the bundle is g's own
+gradient, and the accelerated loop steps with L_g itself.
 
 The bundle's value F(x, w) - h(w) is computed when it is first read, not
 when the bundle is built: the solvers only use the gradient, and the value
@@ -49,7 +50,8 @@ class InexactGrad:
     """A one-point model of g: value, gradient, inexactness, envelope constant.
 
     ``delta`` is the envelope inexactness (= 2x the inner accuracy actually
-    requested), ``l_env`` the envelope constant (= 2x the smoothness of g).
+    requested), ``l_env`` the envelope constant (= 2x the smoothness of g,
+    2 (l_xx + l_xy^2 / mu_y)).
     ``witness_y`` is the approximate inner maximizer behind the bundle.
     ``value`` is computed by ``value_fn`` on first read and cached.
     """

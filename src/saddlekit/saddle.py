@@ -43,6 +43,7 @@ from .core import (
     SpectralInfo,
     UnsupportedProblemError,
     Vector,
+    effective_smoothness,
     require,
     require_oracles,
     restrict_to_ball,
@@ -349,11 +350,12 @@ def _accelerated_candidates(mp, eng, epsilon, x, r0, mu_f, extras):
     of the rate term: Devolder, Glineur & Nesterov, *First-order methods of
     smooth convex optimization with inexact oracle*, 2014) down to the floor
     epsilon / 8; an exact-prox inner max never reads it, so there the
-    schedule is skipped.  The bundle's envelope constant l_env pays for an
-    inexact inner max.  An exact-prox one (prox-friendly h, l_yy = 0) gives
-    g's own gradient, and there l_g = l_xx + l_xy^2 / mu_y: the maximizer
-    y*(.) is (l_xy / mu_y)-Lipschitz (Nesterov, *Smooth minimization of
-    non-smooth functions*, 2005, Thm 1); elsewhere l_g = l_env.  A
+    schedule is skipped.  An exact-prox inner max (prox-friendly h,
+    l_yy = 0) gives g's own gradient, and there l_g is g's smoothness
+    l_xx + l_xy^2 / mu_y (:func:`~saddlekit.core.effective_smoothness`,
+    which also proves the rest); an inexact one gives a
+    (2 delta_in, 2 (l_xx + l_xy^2 / mu_y)) oracle, and there l_g is that
+    envelope constant, ``oracle.l_env``.  A
     prox-friendly r stays composite (L = max(l_g, mu_f)); a smooth r joins
     g in one projected gradient step (L += l_x).  The dual witness is y_bar,
     the average of the bundles' inner maximizers with weights
@@ -370,7 +372,7 @@ def _accelerated_candidates(mp, eng, epsilon, x, r0, mu_f, extras):
     oracle = inner_max.EnvelopeGradOracle(mp)
     # a decoupled problem (zero coupling) leaves the partial max flat; any
     # positive constant is then valid
-    l_g = spec.l_xx + spec.l_xy**2 / spec.mu_y if oracle.exact_prox else oracle.l_env
+    l_g = effective_smoothness(spec) if oracle.exact_prox else oracle.l_env
     l_f = max(l_g, mu_f)
     if eng in (Engine.CASE1, Engine.CASE3):  # prox-friendly r
         prox = fgm.prox_model_from_friendly(mp.prox_r)

@@ -25,7 +25,7 @@ def spec_with(l_xx=0.0, l_xy=0.0, l_yy=0.0, mu_x=1.0, mu_y=1.0, **kw):
 class TestEffectiveSmoothness:
     @pytest.mark.parametrize(
         "l_xx,l_xy,mu_y,expected",
-        [(0.0, 2.0, 1.0, 8.0), (5.0, 0.0, 3.0, 5.0), (1.0, 3.0, 2.0, 10.0)],
+        [(0.0, 2.0, 1.0, 4.0), (5.0, 0.0, 3.0, 5.0), (1.0, 3.0, 2.0, 5.5)],
     )
     def test_values(self, l_xx, l_xy, mu_y, expected):
         assert sk.effective_smoothness(spec_with(l_xx=l_xx, l_xy=l_xy, mu_y=mu_y)) == expected

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import saddlekit as sk
+from saddlekit import properties
 from saddlekit.core import Metered, OracleTally
 
 
@@ -67,7 +68,7 @@ class TestInexactGrad:
         assert err == pytest.approx(0.2)
         assert bound == pytest.approx(0.2)
         assert ig.delta == pytest.approx(0.01)
-        assert ig.l_env == pytest.approx(16.0)
+        assert ig.l_env == pytest.approx(8.0)  # 2 (l_xx + l_xy^2 / mu_y), l_xy = 2
 
     def test_value_computed_on_first_read(self, b1_problem):
         calls = {"value_F": 0, "value_h": 0}
@@ -158,6 +159,53 @@ class TestEnvelopeCheck:
             dx = np.linalg.norm(x1 - x2)
             dy = np.linalg.norm(inst.y_star_of(x1) - inst.y_star_of(x2))
             assert dy <= (2 * spec.l_xy / spec.mu_y) * dx + 1e-7
+
+    def test_envelope_constant_is_tight(self):
+        # the equality case of the (2 delta, 2 L_g) envelope: h = mu_y/2 ||y||^2,
+        # the witness y* - sqrt(2 delta / mu_y) A d / ||A d|| and d along A's top
+        # right singular vector with ||d|| = sqrt(2 delta / L_g) meet the upper
+        # side exactly, so any smaller envelope constant fails there
+        inst = sk.gen_bilinear(6, 5, 10.0, seed=0, mu_y=0.5)
+        problem = inst.problem()
+        spec = problem.spec
+        l_g = sk.effective_smoothness(spec)
+        assert spec.l_xx == 0.0 and l_g == pytest.approx(inst.spectral.lambda_max / inst.mu_y)
+        delta = 1e-2
+        _, vecs = np.linalg.eigh(inst.a.T @ inst.a)
+        d = vecs[:, -1] * math.sqrt(2.0 * delta / l_g)
+        x = np.random.default_rng(3).standard_normal(6)
+        witness, gap = properties._witness_with_gap(inst, x, -(inst.a @ d), delta)
+        assert gap == delta
+        ig = sk.inexact_grad_from_witness(problem, x, witness, delta)
+        assert ig.l_env == 2.0 * l_g
+        z = x + d
+        lhs = inst.g_value(z) - (ig.value + float(ig.grad @ d))
+        assert lhs == pytest.approx(0.5 * ig.l_env * float(d @ d) + ig.delta, rel=1e-9)
+        assert sk.envelope_check(inst.g_value, ig, x, z)
+        ig.l_env *= 0.999  # 2e-5 below the equality, far above the check's slack
+        assert not sk.envelope_check(inst.g_value, ig, x, z)
+
+    @pytest.mark.parametrize("gen", [sk.gen_bilinear, sk.gen_quadratic_saddle])
+    def test_argmax_is_l_xy_over_mu_y_lipschitz(self, gen):
+        # the premise of L_g = l_xx + l_xy^2 / mu_y on both routes: y*(.) is
+        # (l_xy / mu_y)-Lipschitz, and so grad g is L_g-Lipschitz; a bilinear
+        # instance attains the ratio along A's top right singular vector
+        rng = np.random.default_rng(27)
+        for seed in range(3):
+            inst = gen(6, 5, 30.0, seed=seed, mu_y=0.5 + seed)
+            spec = inst.problem().spec
+            assert inst.bilinear == (gen is sk.gen_bilinear)
+            assert inst.bilinear or inst.q_diag.min() > 0.0
+            lip, l_g = spec.l_xy / spec.mu_y, sk.effective_smoothness(spec)
+            for _ in range(200):
+                x1, x2 = rng.standard_normal((2, 6)) * rng.uniform(0.1, 5.0)
+                dx = np.linalg.norm(x1 - x2)
+                dy = np.linalg.norm(inst.y_star_of(x1) - inst.y_star_of(x2))
+                assert dy <= lip * dx * (1.0 + 1e-12)
+                assert np.linalg.norm(inst.g_grad(x1) - inst.g_grad(x2)) <= l_g * dx * (1.0 + 1e-12)
+            if inst.bilinear:
+                top = np.linalg.eigh(inst.a.T @ inst.a)[1][:, -1]
+                assert np.linalg.norm(inst.y_star_of(top)) == pytest.approx(lip, rel=1e-12)
 
 
 class TestEnvelopeOracle:

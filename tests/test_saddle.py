@@ -130,21 +130,21 @@ PINNED_TALLIES = [
     ),
     (
         "quadratic", (10, 8, 10.0), None, "case1",
-        {"grad_h": 1, "grad_r": 1, "gradx_F": 17, "grady_F": 17, "matvec": 34,
-         "prox_h": 16, "prox_r": 16},
+        {"grad_h": 1, "grad_r": 1, "gradx_F": 17, "grady_F": 23, "matvec": 40,
+         "prox_h": 22, "prox_r": 16},
     ),
     (
         "quadratic", (12, 12, 20.0), (False, True), "case2",
-        {"grad_h": 2, "grad_r": 34, "gradx_F": 34, "grady_F": 34, "matvec": 68,
-         "prox_h": 32},
+        {"grad_h": 1, "grad_r": 17, "gradx_F": 17, "grady_F": 17, "matvec": 34,
+         "prox_h": 16},
     ),
     (
         "quadratic", (12, 12, 20.0), (False, False), "case4",
-        {"grad_h": 82, "grad_r": 34, "gradx_F": 34, "grady_F": 82, "matvec": 116},
+        {"grad_h": 88, "grad_r": 34, "gradx_F": 34, "grady_F": 88, "matvec": 122},
     ),
     (
         "quadratic", (12, 12, 20.0), (True, False), "case3",
-        {"grad_h": 76, "grad_r": 2, "gradx_F": 34, "grady_F": 76, "matvec": 110,
+        {"grad_h": 88, "grad_r": 8, "gradx_F": 40, "grady_F": 88, "matvec": 128,
          "prox_r": 32},
     ),
 ]
@@ -294,7 +294,7 @@ def test_accelerated_loop_tightens_the_inner_accuracy_at_its_rate(asked_deltas):
     r_x, r_y = _criterion11_radii(inst)
     eps = 1e-8
     rep = sk.solve_saddle(problem, eps, engine="case3", r_x=r_x, r_y=r_y)
-    assert rep.converged and rep.extras["attempts"] == 3
+    assert rep.converged and rep.extras["attempts"] == 2
     mu_f = rep.extras["outer_modulus"]
     l_f = max(inner_max.EnvelopeGradOracle(problem).l_env, mu_f)
     rho, floor = math.sqrt(mu_f / l_f), eps / 8.0
@@ -482,6 +482,48 @@ def test_understated_envelope_constant_fails_closed(kappa):
     assert not rep.converged
     assert rep.certified_gap == math.inf
     assert "not finite" in rep.extras["error"]
+
+
+@pytest.mark.parametrize("mu", [4.0, 1.0])
+@pytest.mark.parametrize("engine, flags", [
+    ("case1", (True, True)), ("case2", (False, True)),
+    ("case3", (True, False)), ("case4", (False, False)),
+])
+def test_understated_inexact_route_constant_never_certifies_a_wrong_point(
+    engine, flags, mu, monkeypatch
+):
+    # off the exact-prox route the loop steps with the bundle's envelope
+    # constant oracle.l_env; an eighth of it is unsound, so whatever the steps
+    # do, the certificate must stand between them and the answer: each solve
+    # ends unconverged, or certified and near the closed-form saddle.  At
+    # mu = 4 the steps still contract and every solve certifies; at mu = 1
+    # they diverge, and only the certificate keeps the solves from passing
+    built = []
+    init = inner_max.EnvelopeGradOracle.__init__
+
+    def understated(self, problem):
+        init(self, problem)
+        self.l_env /= 8.0
+        built.append(self)
+
+    monkeypatch.setattr(inner_max.EnvelopeGradOracle, "__init__", understated)
+    for seed in range(4):
+        inst = sk.gen_quadratic_saddle(20, 20, 30.0, seed=seed, mu_x=mu, mu_y=mu)
+        problem = inst.problem()
+        problem.prox_friendly_r, problem.prox_friendly_h = flags
+        r_x, r_y = _criterion11_radii(inst)
+        built.clear()
+        with np.errstate(over="ignore", invalid="ignore"):
+            rep = sk.solve_saddle(problem, 1e-6, engine=engine, r_x=r_x, r_y=r_y)
+        assert built and not built[0].exact_prox
+        assert built[0].l_env == 2.0 * sk.effective_smoothness(problem.spec) / 8.0
+        if rep.converged:
+            assert rep.certified_gap <= 1e-6
+            dist = math.hypot(
+                float(np.linalg.norm(rep.x_final - inst.closed_form_x)),
+                float(np.linalg.norm(rep.y_final - inst.closed_form_y)),
+            )
+            assert dist <= 1e-3
 
 
 def test_first_non_finite_iterate_stops_the_loop():
