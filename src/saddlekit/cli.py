@@ -83,6 +83,8 @@ def _load_instance(desc: dict) -> SaddleInstance:
         gen = gen_bilinear if family == "bilinear" else gen_quadratic_saddle
         return gen(n, m, cond, int(desc.get("seed", 0)), mu_x, mu_y)
     a = np.asarray(desc["a"], dtype=float)
+    if a.ndim != 2:
+        raise ConfigError(f"a must be a 2-D matrix, got shape {a.shape}")
     m, n = a.shape
     _check_caps(n, m, 1.0)
     if family == "quadratic" and not ("p_diag" in desc and "q_diag" in desc):

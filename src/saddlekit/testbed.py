@@ -15,7 +15,7 @@ enough oracles for all engines.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -33,16 +33,16 @@ from .core import (
 KERNEL_TOL = 1e-10
 
 
-def spectral(a: np.ndarray) -> tuple[float, float, np.ndarray]:
-    """(lambda_max, lambda_min_plus, kernel basis) of the Gram matrix A^T A.
-
-    Direct symmetric eigendecomposition; meant for desk-scale matrices.  The
-    kernel basis columns span {v : A v = 0}.  A zero matrix has no positive
-    eigenvalue and raises.
-    """
+def _gram_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(A^T A, its eigenvalues ascending, their eigenvectors): the one factorization."""
     a = np.asarray(a, dtype=float)
     gram = a.T @ a
     vals, vecs = np.linalg.eigh(gram)
+    return gram, vals, vecs
+
+
+def _spectral_of(vals: np.ndarray, vecs: np.ndarray) -> tuple[float, float, np.ndarray]:
+    """:func:`spectral` read off an eigendecomposition of A^T A."""
     lam_max = float(vals[-1])
     if lam_max <= KERNEL_TOL:
         raise InvalidSpecError("zero matrix: smallest positive eigenvalue undefined")
@@ -51,6 +51,17 @@ def spectral(a: np.ndarray) -> tuple[float, float, np.ndarray]:
     lam_min_plus = float(positive[0])
     kernel = vecs[:, vals <= cut]
     return lam_max, lam_min_plus, kernel
+
+
+def spectral(a: np.ndarray) -> tuple[float, float, np.ndarray]:
+    """(lambda_max, lambda_min_plus, kernel basis) of the Gram matrix A^T A.
+
+    Direct symmetric eigendecomposition; meant for desk-scale matrices.  The
+    kernel basis columns span {v : A v = 0}.  A zero matrix has no positive
+    eigenvalue and raises.
+    """
+    _, vals, vecs = _gram_eigh(a)
+    return _spectral_of(vals, vecs)
 
 
 def _prox(mu: float, b: Optional[np.ndarray] = None):
@@ -72,6 +83,12 @@ class SaddleInstance:
     the closed forms hold.  The bilinear family is the P = Q = 0 member;
     its oracles and closed forms leave the curvature terms out rather than
     adding zeros.
+
+    The spectral data and the bilinear closed form share one Gram product
+    A^T A and its one eigendecomposition.  A generator that has already
+    factored A^T A hands over (gram, eigenvalues, eigenvectors), exactly as
+    ``_gram_eigh`` returns them, through the private keyword ``_factor``;
+    otherwise construction factors it.  The factorization is not kept.
     """
 
     a: np.ndarray
@@ -84,20 +101,28 @@ class SaddleInstance:
     closed_form_y: np.ndarray = field(init=False)
     spectral: SpectralInfo = field(init=False)
     operator_l: float = field(init=False)
+    _factor: InitVar[Optional[tuple]] = field(default=None, kw_only=True)
 
-    def __post_init__(self):
+    def __post_init__(self, _factor):
         mu_x, mu_y = float(require("mu_x", self.mu_x)), float(require("mu_y", self.mu_y))
         self.mu_x, self.mu_y = mu_x, mu_y
         a, p_diag, q_diag = self.a, self.p_diag, self.q_diag
-        n = a.shape[1]
+        if np.ndim(a) != 2:
+            raise InvalidSpecError(f"a must be a 2-D matrix, got shape {np.shape(a)}")
+        m, n = a.shape
+        for name, shape in (("b", (n,)), ("p_diag", (n,)), ("q_diag", (m,))):
+            got = np.shape(getattr(self, name))
+            if got != shape:
+                raise InvalidSpecError(f"{name} must have shape {shape}, got {got}")
+        gram, vals, vecs = _gram_eigh(a) if _factor is None else _factor
         if np.all(a == 0.0):
             # decoupled limit: the coupling has no spectrum
             self.spectral = SpectralInfo(0.0, 0.0, np.eye(n))
         else:
-            self.spectral = SpectralInfo(*spectral(a))
+            self.spectral = SpectralInfo(*_spectral_of(vals, vecs))
         # saddle by block elimination: y = (Q + mu_y)^{-1} A x
         if self.bilinear:
-            h_mat = mu_x * np.eye(n) + a.T @ a / mu_y
+            h_mat = mu_x * np.eye(n) + gram / mu_y
         else:
             h_mat = np.diag(mu_x + p_diag) + a.T @ ((a.T / (q_diag + mu_y)).T)
         self.closed_form_x = np.linalg.solve(h_mat, self.b)
@@ -220,6 +245,8 @@ def gen_bilinear(
 ) -> SaddleInstance:
     """Seeded bilinear instance with conditioning lambda_max/lambda_min+ = cond."""
     require("cond", cond, low=1.0, strict=False)
+    require("n", n, low=1, strict=False)
+    require("m", m, low=1, strict=False)
     rng = np.random.default_rng(seed)
     a = _seeded_matrix(n, m, cond, rng)
     b = rng.standard_normal(n)
@@ -236,6 +263,8 @@ def gen_quadratic_saddle(
 ) -> SaddleInstance:
     """Seeded quadratic-coupling instance; the diagonals of P and Q are uniform on [0, 1)."""
     require("cond", cond, low=1.0, strict=False)
+    require("n", n, low=1, strict=False)
+    require("m", m, low=1, strict=False)
     rng = np.random.default_rng(seed)
     a = _seeded_matrix(n, m, cond, rng)
     b = rng.standard_normal(n)
@@ -257,16 +286,22 @@ def gen_smoothed_game(n: int, kappa: float, seed: int) -> SaddleInstance:
     iterations genuinely contract at their worst-case rate; elsewhere the
     saddle is trivially zero and would flatter the baseline.  The shift has
     unit norm.
+
+    The eigendecomposition of A^T A that finds the slow subspace is the one
+    the instance's spectral data and closed form are built from; it is
+    handed to :class:`SaddleInstance` rather than computed a second time.
     """
     require("kappa", kappa, low=1.0, strict=False)
+    require("n", n, low=1, strict=False)
     rng = np.random.default_rng(seed)
     a = _seeded_matrix(n, n, kappa, rng) / math.sqrt(kappa)  # spectrum in [1/kappa, 1]
     mu = 0.05 / kappa
-    _, vecs = np.linalg.eigh(a.T @ a)  # ascending eigenvalues
-    k_slow = max(2, n // 10)
+    factor = _gram_eigh(a)
+    vecs = factor[2]  # ascending eigenvalues
+    k_slow = min(n, max(2, n // 10))
     b = vecs[:, :k_slow] @ rng.standard_normal(k_slow)
     b = b / max(np.linalg.norm(b), 1e-12)
-    return bilinear_instance(a, b, mu_x=mu, mu_y=mu)
+    return SaddleInstance(a, b, mu, mu, np.zeros(n), np.zeros(n), _factor=factor)
 
 
 # ---------------------------------------------------------------------------

@@ -191,6 +191,23 @@ def test_explicit_matrix_conditioning_is_capped(tmp_path, capsys):
     assert _load_instance({"a": [[0.0, 0.0], [0.0, 0.0]], "b": [1.0, 1.0]}).spectral.lambda_max == 0.0
 
 
+@pytest.mark.parametrize(
+    "desc, name",
+    [
+        ({"family": "bilinear", "a": [[1.0, 0.0], [0.0, 2.0]], "b": [[1.0], [1.0]]}, "b"),
+        ({"family": "bilinear", "a": [1.0, 2.0], "b": [1.0]}, "a"),
+    ],
+    ids=["b-column", "a-1d"],
+)
+def test_misshapen_instance_data_is_a_config_error(tmp_path, capsys, desc, name):
+    # a misshapen field is named before any solve, not met later as a numpy traceback
+    instance = tmp_path / "shape.json"
+    instance.write_text(json.dumps(desc))
+    assert cli_main(["solve", "--instance", str(instance), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {name} must")
+
+
 def test_unknown_subcommand_exit_code():
     assert cli_main(["frobnicate"]) == 2
 

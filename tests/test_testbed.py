@@ -76,6 +76,40 @@ class TestGenerators:
         with pytest.raises(sk.InvalidSpecError, match=name):
             call()
 
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            (lambda: sk.gen_bilinear(0, 3, 4.0, seed=0), "n"),
+            (lambda: sk.gen_bilinear(3, 0, 4.0, seed=0), "m"),
+            (lambda: sk.gen_quadratic_saddle(0, 3, 4.0, seed=0), "n"),
+            (lambda: sk.gen_quadratic_saddle(3, 0, 4.0, seed=0), "m"),
+            (lambda: sk.gen_smoothed_game(0, 1e3, seed=0), "n"),
+        ],
+        ids=["bilinear-n0", "bilinear-m0", "quadratic-n0", "quadratic-m0", "game-n0"],
+    )
+    def test_empty_dimensions_are_rejected_by_name(self, call, name):
+        # a 0-dimensional instance would otherwise fail only inside the solve
+        with pytest.raises(sk.InvalidSpecError, match=f"^{name} must be"):
+            call()
+
+    @pytest.mark.parametrize(
+        "fields, name",
+        [
+            (dict(a=np.ones(2)), "a"),
+            (dict(b=np.ones((2, 1))), "b"),
+            (dict(b=np.ones(2)), "b"),
+            (dict(p_diag=np.zeros(2)), "p_diag"),
+            (dict(q_diag=np.zeros(3)), "q_diag"),
+        ],
+        ids=["a-1d", "b-column", "b-length", "p_diag-length", "q_diag-length"],
+    )
+    def test_misshapen_data_is_rejected_by_name(self, fields, name):
+        # A is 2 x 3, so b and p_diag have length 3 and q_diag length 2
+        data = dict(a=np.ones((2, 3)), b=np.ones(3), p_diag=np.zeros(3), q_diag=np.zeros(2))
+        data.update(fields)
+        with pytest.raises(sk.InvalidSpecError, match=f"^{name} must"):
+            sk.SaddleInstance(data["a"], data["b"], 1.0, 1.0, data["p_diag"], data["q_diag"])
+
     def test_closed_form_zeroes_operator(self):
         for seed in range(6):
             inst = sk.gen_bilinear(5, 7, 40.0, seed=seed, mu_x=0.7, mu_y=1.4)
@@ -143,9 +177,13 @@ class TestGenerators:
         ),
         (lambda: sk.gen_bilinear(5, 4, 20.0, seed=3, mu_x=0.7, mu_y=1.4), False),
         (lambda: sk.gen_smoothed_game(8, 50.0, seed=2), False),
+        (lambda: sk.gen_smoothed_game(1, 50.0, seed=2), False),
         (lambda: sk.gen_quadratic_saddle(5, 4, 20.0, seed=3, mu_x=0.7, mu_y=1.4), True),
     ],
-    ids=["bilinear_instance", "gen_bilinear", "gen_smoothed_game", "gen_quadratic_saddle"],
+    ids=[
+        "bilinear_instance", "gen_bilinear", "gen_smoothed_game", "gen_smoothed_game-n1",
+        "gen_quadratic_saddle",
+    ],
 )
 def test_one_family(make, curved):
     # every generator builds the one instance type: its closed forms solve the
@@ -161,6 +199,45 @@ def test_one_family(make, curved):
     assert spec.l_xx == p.max() and spec.l_yy == q.max()
     assert p.shape == (inst.dims[0],) and q.shape == (inst.dims[1],)
     assert inst.bilinear is not curved and bool(p.any() and q.any()) is curved
+
+
+class TestOneFactorization:
+    """A^T A is formed and eigendecomposed once per instance, with no byte moved."""
+
+    @pytest.mark.parametrize("n", [8, 50])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_game_matches_an_instance_factored_from_scratch(self, n, seed):
+        inst = sk.gen_smoothed_game(n, 1e3, seed=seed)
+        fresh = sk.bilinear_instance(inst.a, inst.b, inst.mu_x, inst.mu_y)
+        for name in ("a", "b", "closed_form_x", "closed_form_y"):
+            assert getattr(inst, name).tobytes() == getattr(fresh, name).tobytes(), name
+        got, want = inst.spectral, fresh.spectral
+        assert got.lambda_max == want.lambda_max
+        assert got.lambda_min_plus == want.lambda_min_plus
+        assert got.kernel_basis.shape == want.kernel_basis.shape
+        assert got.kernel_basis.tobytes() == want.kernel_basis.tobytes()
+        assert inst.operator_l == fresh.operator_l
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: sk.gen_smoothed_game(20, 1e3, seed=1),
+            lambda: sk.gen_bilinear(6, 5, 30.0, seed=1),
+            lambda: sk.gen_quadratic_saddle(6, 5, 30.0, seed=1),
+        ],
+        ids=["gen_smoothed_game", "gen_bilinear", "gen_quadratic_saddle"],
+    )
+    def test_each_generated_instance_makes_one_eigh_call(self, make, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        make()
+        assert len(calls) == 1
 
 
 class TestLemma1Check:
