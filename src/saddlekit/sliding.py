@@ -6,16 +6,18 @@ cheap-to-accelerate term and ~sqrt(l_g / mu) of the other, instead of
 
 * :func:`apg_inexact_solve` - an accelerated proximal gradient outer loop
   whose prox step ``prox_{g / l_r}(x - grad r(x) / l_r)`` is approximated by a
-  fixed budget of fast-gradient iterations; tolerates per-call inexactness in
-  both terms' gradients.  Its step sizes, contraction factor, and accuracy
-  thresholds are fully explicit (:func:`alg5_params`), so it stays
-  :func:`sliding_solve`'s default engine and the scheduled reference that
-  acceptance criteria 9a, 9b, 10 and 12 pin.
+  fixed budget of fast-gradient iterations.  Its step sizes, contraction
+  factor and inner budget are fully explicit (:func:`alg5_params`), so it
+  stays :func:`sliding_solve`'s default engine and the scheduled reference
+  that acceptance criteria 9a, 9b, 10 and 12 pin.
 * :func:`catalyst_solve` - an outer proximal-point acceleration wrapper whose
   regularized subproblems run the composite steps of :func:`composite_gm_solve`
   in its own loop, each with a certified accelerated solve of g.  Its
   inner solves stop on certificates rather than a fixed budget, so it spends
   far fewer g-gradients.
+
+r must be the cheaper term (l_r <= l_g); a split the other way round raises
+before any oracle call.
 """
 
 from __future__ import annotations
@@ -41,8 +43,7 @@ from .core import (
 class SlidingSpec:
     """Constants of the two terms; the full objective has modulus mu_r + mu_g.
 
-    Each engine works out the per-call oracle accuracies it needs from its
-    target and requests them through ``TwoTermObjective.set_delta_r`` / ``set_delta_g``.
+    r is the cheaper term: :meth:`validate` asks for l_r <= l_g.
     """
 
     l_r: float
@@ -61,18 +62,18 @@ class SlidingSpec:
             raise InvalidSpecError("need mu_r, mu_g >= 0 with mu_r + mu_g > 0")
         if self.mu_r > self.l_r + 1e-12 or self.mu_g > self.l_g + 1e-12:
             raise InvalidSpecError("a term's modulus cannot exceed its smoothness")
+        if self.l_r > self.l_g:
+            raise InvalidSpecError("need l_r <= l_g: pass the cheaper term as r")
 
 
 @dataclass
 class TwoTermObjective:
-    """Oracle bundle for P = r + g over all of R^n.
+    """Oracle bundle for P = r + g over all of R^n, r the cheaper term.
 
     Gradient closures should already be wrapped for counting by the caller
     (convention: the r-term counts as GRAD_R, the g-term as GRAD_X_F).
     ``prox_g(w, scale)`` - when available - returns the exact minimizer of
     ``g(v) + scale/2 ||v - w||^2`` and enables exact-inner-solve runs.
-    ``set_delta_g`` forwards a requested per-call accuracy to an inexact
-    g-oracle.
     """
 
     value_r: Callable[[Vector], float]
@@ -80,8 +81,6 @@ class TwoTermObjective:
     value_g: Callable[[Vector], float]
     grad_g: Callable[[Vector], Vector]
     prox_g: Optional[Callable[[Vector, float], Vector]] = None
-    set_delta_r: Optional[Callable[[float], None]] = None
-    set_delta_g: Optional[Callable[[float], None]] = None
     x_star: Optional[Vector] = None
     f_star: Optional[float] = None
 
@@ -119,37 +118,15 @@ def _shift_modulus(obj: TwoTermObjective, spec: SlidingSpec, s: float):
 
 
 def normalize_split(obj: TwoTermObjective, spec: SlidingSpec):
-    """Orient the split so that l_r <= l_g and both terms carry some modulus.
+    """Validate the split and make sure both terms carry some modulus.
 
-    When the caller's r-term has the larger constant the roles are swapped
-    (counters stay attached to the physical closures).  When only the
-    (oriented) r-term is strongly convex, half of its modulus is shifted onto
-    the g-term.  Returns ``(objective, spec, swapped)``.
+    When only the r-term is strongly convex, half of its modulus is shifted
+    onto the g-term.  Returns ``(objective, spec)``.
     """
     spec.validate()
-    swapped = spec.l_r > spec.l_g
-    if swapped:
-        obj = TwoTermObjective(
-            value_r=obj.value_g,
-            grad_r=obj.grad_g,
-            value_g=obj.value_r,
-            grad_g=obj.grad_r,
-            prox_g=None,  # exact prox of the original r-term is not assumed
-            set_delta_r=obj.set_delta_g,
-            set_delta_g=obj.set_delta_r,
-            x_star=obj.x_star,
-            f_star=obj.f_star,
-        )
-        spec = replace(
-            spec,
-            l_r=spec.l_g,
-            l_g=spec.l_r,
-            mu_r=spec.mu_g,
-            mu_g=spec.mu_r,
-        )
     if spec.mu_g == 0.0 and spec.mu_r > 0.0:
         obj, spec = _shift_modulus(obj, spec, 0.5 * spec.mu_r)
-    return obj, spec, swapped
+    return obj, spec
 
 
 # ---------------------------------------------------------------------------
@@ -162,11 +139,10 @@ class Alg5Params:
     """Fully explicit parameter set of the accelerated proximal outer loop.
 
     alpha is the per-step contraction of the Lyapunov function
-    ||z - x*||^2 + c2 (P(y) - P*); beta and eta drive the z-update; c1..c4 are
-    the error-propagation constants; ``delta_rel_inner`` the relative accuracy
-    the inner prox approximation must reach and ``t_inner`` the fast-gradient
-    budget that achieves it; ``delta_r`` / ``delta_g`` the per-call oracle
-    accuracies sufficient for a final accuracy epsilon.
+    ||z - x*||^2 + c2 (P(y) - P*); beta and eta drive the z-update; c1 is the
+    error-propagation constant that sets ``delta_rel_inner``, the relative
+    accuracy the inner prox approximation must reach, and ``t_inner`` the
+    fast-gradient budget that achieves it.
     """
 
     alpha: float
@@ -174,13 +150,9 @@ class Alg5Params:
     eta: float
     c1: float
     c2: float
-    c3: float
-    c4: float
     delta_rel_inner: float
     t_inner: int
     k_outer: int
-    delta_r: float
-    delta_g: float
 
     def check_ranges(self) -> None:
         if not (0.0 < self.alpha <= 0.25):
@@ -212,8 +184,6 @@ def alg5_params(spec: SlidingSpec, epsilon: float, gap0: float = 1.0) -> Alg5Par
     beta = 1.0 - eta * mu / (2.0 * denom)
     c1 = 2.0 * (l_r / mu + 1.0) * (l_g**2 / l_r**2 + 1.0)
     c2 = 2.0 * eta * beta / (alpha * denom)
-    c3 = 0.25 * eta * (beta * (1.0 - alpha) / alpha + 1.0)
-    c4 = 4.0 * math.sqrt(l_r + l_g) / denom**1.5
     delta_rel = 1.0 / (32.0 * c1)
     t_inner = max(
         1,
@@ -226,24 +196,15 @@ def alg5_params(spec: SlidingSpec, epsilon: float, gap0: float = 1.0) -> Alg5Par
         ),
     )
     k_outer = max(1, int(math.ceil(math.log(4.0 * gap0 / epsilon) / alpha)))
-    delta_r = alpha * epsilon / 16.0
-    delta_g = min(
-        alpha * c2 * epsilon / (8.0 * c3 * c4),
-        (epsilon / 12.0) * math.sqrt(mu / (l_r + l_g)),
-    )
     params = Alg5Params(
         alpha=alpha,
         beta=beta,
         eta=eta,
         c1=c1,
         c2=c2,
-        c3=c3,
-        c4=c4,
         delta_rel_inner=delta_rel,
         t_inner=t_inner,
         k_outer=k_outer,
-        delta_r=delta_r,
-        delta_g=delta_g,
     )
     params.check_ranges()
     return params
@@ -287,37 +248,26 @@ def apg_inexact_solve(
     exact_inner: bool = False,
     tally: Optional[OracleTally] = None,
 ) -> SolveReport:
-    """Accelerated proximal gradient loop with inexact gradients of both terms.
+    """Accelerated proximal gradient loop with an approximate prox of g.
 
-    The split is oriented by :func:`normalize_split` and the schedule is
-    :func:`alg5_params` of the oriented spec.  Runs its ``k_outer``
-    iterations; per iteration there is exactly one r-gradient call and
-    (unless ``exact_inner``) exactly ``t_inner`` g-gradient calls.  With
-    ``exact_inner`` the prox subproblem is solved by the objective's
-    closed-form ``prox_g``; a split that :func:`normalize_split` swaps has
-    no such prox, and ``exact_inner`` then raises.  When ``obj.x_star`` is
+    The split goes through :func:`normalize_split` (so l_r <= l_g) and the
+    schedule is :func:`alg5_params` of the resulting spec.  Runs its
+    ``k_outer`` iterations; per iteration there is exactly one r-gradient
+    call and (unless ``exact_inner``) exactly ``t_inner`` g-gradient calls.
+    With ``exact_inner`` the prox subproblem is solved by the objective's
+    closed-form ``prox_g``, which must then be given.  When ``obj.x_star`` is
     known the report's ``extras["lyapunov"]`` logs the contraction quantity
-    after every step, and ``extras["swapped"]`` records whether the split
-    was swapped.  The target is ``epsilon``, and ``certified_gap`` is the
+    after every step.  The target is ``epsilon``, and ``certified_gap`` is the
     schedule's a-priori bound on the final iterate's objective gap under the
     declared constants: ``epsilon`` itself, or ``inf`` when that iterate is
     NaN or infinite.  The history logs y's objective gap after every step
     (nan without ``obj.f_star``).
     """
-    obj, spec, swapped = normalize_split(obj, spec)
+    obj, spec = normalize_split(obj, spec)
     log = RunLog(tally)
     params = alg5_params(spec, epsilon, gap0=gap0)
     if exact_inner and obj.prox_g is None:
-        if swapped:
-            raise InvalidSpecError(
-                "exact_inner needs the g-term's prox, but l_r > l_g swapped the split "
-                "and the original r-term has no prox"
-            )
         raise InvalidSpecError("exact_inner requires a prox_g oracle")
-    if obj.set_delta_r is not None:
-        obj.set_delta_r(params.delta_r)
-    if obj.set_delta_g is not None:
-        obj.set_delta_g(params.delta_g)
 
     l_r = spec.l_r
     x = np.array(x0, dtype=float)
@@ -347,9 +297,7 @@ def apg_inexact_solve(
     # the schedule certifies nothing about a NaN or inf iterate (an understated
     # constant can blow the loop up): fail closed without spending an oracle call
     gap = epsilon if np.isfinite(y).all() else float("inf")
-    return log.report(
-        y, gap, epsilon, params=params, lyapunov=lyapunov, engine="apg", swapped=swapped
-    )
+    return log.report(y, gap, epsilon, params=params, lyapunov=lyapunov, engine="apg")
 
 
 # ---------------------------------------------------------------------------
@@ -386,17 +334,6 @@ def composite_gm_solve(
     return log.report(avg, float("inf"), iterations=steps)
 
 
-# Relative accuracy of Catalyst's inexact term oracles.  A (delta, L) inexact
-# oracle errs by at most sqrt(2 L delta) in its gradient (Devolder, Glineur &
-# Nesterov 2014).  Asking term t for delta_t = mu cert / (16 l_t), with
-# cert = ||grad P(x_k)||^2 / (2 mu), gives sqrt(2 l_t delta_t) = sqrt(mu cert / 8)
-# = ||grad P(x_k)|| / 4: each term errs by at most a quarter of the gradient
-# the outer step is driving to zero.  On the seeded quadratic saddles of the
-# benchmark's ``split`` workload a fraction of 1 made solves fail and 1/4 did
-# not; 1/16 keeps a 16x margin to the failures.
-CATALYST_DELTA_FRACTION = 1.0 / 16.0
-
-
 def catalyst_solve(
     obj: TwoTermObjective,
     x0: Vector,
@@ -416,33 +353,21 @@ def catalyst_solve(
     Outer iterations stop on a gradient-norm certificate for P,
     cert = ||grad P(x_k)||^2 / (2 mu) >= P(x_k) - P*, logged at every outer
     step; ``certified_gap`` is its value at the returned point, with target
-    ``epsilon``.  ``spec`` holds the constants of ``obj``; both are oriented
-    by :func:`normalize_split`, and ``extras["swapped"]`` records whether the
-    split was swapped.  reg_l is the oriented split's l_r.
+    ``epsilon``.  ``spec`` holds the constants of ``obj`` and goes through
+    :func:`normalize_split` (so l_r <= l_g); reg_l is l_r.
 
-    Inexact term oracles (``set_delta_r`` / ``set_delta_g``) are asked for a
-    relative accuracy: the first certificate uses the floor
-    delta_req = epsilon / 12 sqrt(mu / (l_r + l_g)), the scheduled engine's
-    scale, and before each subproblem term t is asked for
-    max(delta_req, :data:`CATALYST_DELTA_FRACTION` mu cert / l_t), which
-    keeps its gradient error within ||grad P(x_k)|| / 4.  A certificate that
-    is not finite (an overflowing or NaN gradient) ends the outer loop and is
-    reported, unconverged; a step whose regularization term is not finite
-    keeps the last finite subproblem target.  So no term or model step is
+    A certificate that is not finite (an overflowing or NaN gradient) ends the
+    outer loop and is reported, unconverged; a step whose regularization term
+    is not finite keeps the last finite subproblem target, so no model step is
     asked for a non-finite accuracy.  An ``epsilon`` that is not finite and
     positive raises :class:`~saddlekit.core.InvalidSpecError` before any
     oracle call.
     """
-    obj, spec, swapped = normalize_split(obj, spec)
+    obj, spec = normalize_split(obj, spec)
     reg_l = spec.l_r
     require("epsilon", epsilon)
     log = RunLog(tally)
     mu = spec.mu
-    delta_req = epsilon / 12.0 * math.sqrt(mu / (spec.l_r + spec.l_g))
-    terms = ((obj.set_delta_r, spec.l_r), (obj.set_delta_g, spec.l_g))
-    inexact = [(set_delta, l_t) for set_delta, l_t in terms if set_delta is not None]
-    for set_delta, _ in inexact:
-        set_delta(delta_req)
     q = mu / (mu + reg_l)
     momentum = (1.0 - math.sqrt(q)) / (1.0 + math.sqrt(q))
     cap = max(8, int(math.ceil(20.0 / math.sqrt(q))) + 64)
@@ -465,8 +390,6 @@ def catalyst_solve(
         if cert <= epsilon or outer >= cap or not math.isfinite(cert):
             break
         outer += 1
-        for set_delta, l_t in inexact:
-            set_delta(max(delta_req, CATALYST_DELTA_FRACTION * mu * cert / l_t))
 
         # subproblem accuracy, seeded at the running certificate's scale
         target = max(q / 10.0 * min(cert, 1e6), floor)
@@ -495,9 +418,7 @@ def catalyst_solve(
         y_prev = x_new + momentum * (x_new - x)
         x = x_new
 
-    return log.report(
-        x, cert, epsilon, engine="catalyst", outer_iterations=outer, q=q, swapped=swapped
-    )
+    return log.report(x, cert, epsilon, engine="catalyst", outer_iterations=outer, q=q)
 
 
 def sliding_solve(
@@ -513,9 +434,9 @@ def sliding_solve(
 
     ``engine="apg"`` (default) runs the fully scheduled accelerated proximal
     loop; ``engine="catalyst"`` the proximal-point wrapper with
-    regularization weight l_r of the oriented split (the cheaper term's
-    constant, which minimizes the total g-gradient count).  Each engine orients
-    the split (``extras["swapped"]``) and documents its report's ``certified_gap``.
+    regularization weight l_r (the cheaper term's constant, which minimizes
+    the total g-gradient count).  r must be the cheaper term, l_r <= l_g.
+    Each engine documents its report's ``certified_gap``.
     """
     if engine == "apg":
         return apg_inexact_solve(spec, obj, x0, epsilon, gap0=gap0, tally=tally)

@@ -239,7 +239,7 @@ def driver_cases() -> None:
     fingerprint("mirror_prox/run_restarted_mp/balls", mp_restarted_balls)
 
     for engine in ("apg", "catalyst"):
-        for l_g in (40.0, 0.5):  # 0.5 < l_r swaps the split
+        for l_g in (40.0, 0.5):  # 0.5 < l_r breaks the orientation rule and raises
             def split(engine=engine, l_g=l_g):
                 tally = OracleTally()
                 obj, spec = _two_term(tally, l_g=l_g)

@@ -40,10 +40,7 @@ class TestAlg5Params:
         assert p.alpha == pytest.approx(0.25 * math.sqrt(0.5))
         assert p.eta == pytest.approx(1.09540, abs=1e-5)
         assert p.beta == pytest.approx(0.72615, abs=1e-5)
-        assert p.c4 == pytest.approx(2.0)
         assert p.delta_rel_inner == pytest.approx(1.0 / 256)
-        assert p.delta_r == pytest.approx(p.alpha * 0.16 / 16)
-        assert p.delta_r == pytest.approx(1.7678e-3, rel=1e-4)
 
     def test_boundary_modulus(self):
         # mu -> l_r + mu_g: alpha hits its cap 1/4 and beta stays in range
@@ -71,48 +68,29 @@ class TestAlg5Params:
             assert 0 < p.alpha <= 0.25
             assert 0.5 <= p.beta <= 1 - p.alpha
 
-    def test_delta_g_formula(self):
-        spec = sk.SlidingSpec(l_r=1.0, l_g=4.0, mu_r=0.0, mu_g=0.5)
-        eps = 1e-3
-        p = sk.alg5_params(spec, eps)
-        expected = min(
-            p.alpha * p.c2 * eps / (8 * p.c3 * p.c4),
-            eps / 12 * math.sqrt(spec.mu / (spec.l_r + spec.l_g)),
-        )
-        assert p.delta_g == pytest.approx(expected)
-
 
 class TestNormalization:
-    def test_swap_when_r_heavier(self):
-        obj, _ = two_term_quadratic([5.0, 5.0], [1.0, 1.0], [1.0, 1.0])
-        spec = sk.SlidingSpec(l_r=5.0, l_g=1.0, mu_r=0.0, mu_g=1.0)
-        obj_n, spec_n, swapped = normalize_split(obj, spec)
-        assert swapped
-        assert spec_n.l_r <= spec_n.l_g
-
     @pytest.mark.parametrize(
         "rdiag, gdiag, l_r, l_g, mu_r, mu_g",
         [
-            ([5.0, 5.0], [1.0, 1.0], 5.0, 1.0, 0.0, 1.0),  # swapped, then shifted
+            ([1.0, 1.0], [5.0, 5.0], 1.0, 5.0, 0.0, 1.0),  # only g curved: left alone
             ([1.0, 1.0], [4.0, 4.0], 1.0, 4.0, 1.0, 0.0),  # shifted only
             ([1.0, 0.5], [4.0, 2.0], 1.0, 4.0, 0.5, 2.0),  # left alone
         ],
     )
     def test_idempotent(self, rdiag, gdiag, l_r, l_g, mu_r, mu_g):
-        # a split that is already oriented comes back unchanged
+        # a split that is already normalized comes back unchanged
         obj, _ = two_term_quadratic(rdiag, gdiag, [1.0, -1.0])
         spec = sk.SlidingSpec(l_r=l_r, l_g=l_g, mu_r=mu_r, mu_g=mu_g)
-        obj_n, spec_n, _ = normalize_split(obj, spec)
-        obj_2, spec_2, swapped = normalize_split(obj_n, spec_n)
+        obj_n, spec_n = normalize_split(obj, spec)
+        obj_2, spec_2 = normalize_split(obj_n, spec_n)
         assert obj_2 is obj_n
         assert spec_2 is spec_n
-        assert not swapped
 
     def test_shift_when_only_r_strongly_convex(self):
         obj, _ = two_term_quadratic([1.0, 1.0], [4.0, 4.0], [1.0, 1.0])
         spec = sk.SlidingSpec(l_r=1.0, l_g=4.0, mu_r=1.0, mu_g=0.0)
-        obj_n, spec_n, swapped = normalize_split(obj, spec)
-        assert not swapped
+        obj_n, spec_n = normalize_split(obj, spec)
         assert spec_n.mu_g == pytest.approx(0.5)
         assert spec_n.mu_r == pytest.approx(0.5)
         assert spec_n.l_g == pytest.approx(4.5)
@@ -272,37 +250,6 @@ class TestApg:
         assert tally.count(OracleKind.GRAD_R) == p.k_outer
         assert tally.count(OracleKind.GRAD_X_F) == p.k_outer * p.t_inner
 
-    def test_exact_inner_names_a_swapped_split(self):
-        # prox_g is passed, but l_r > l_g makes the original r the new g
-        obj, tally = two_term_quadratic([40.0, 3.0], [2.0, 0.5], [1.0, -2.0])
-        assert obj.prox_g is not None
-        spec = sk.SlidingSpec(l_r=40.0, l_g=2.0, mu_r=3.0, mu_g=0.5)
-        with pytest.raises(sk.InvalidSpecError, match="swapped"):
-            sk.apg_inexact_solve(spec, obj, np.zeros(2), 1e-6, exact_inner=True, tally=tally)
-        assert tally.total() == 0
-
-    @pytest.mark.parametrize("swapped", [False, True])
-    def test_accuracy_requests_precede_every_call(self, swapped):
-        # each hook is asked once, for the schedule's accuracy of the term it
-        # serves after orientation, before any oracle call
-        rdiag, gdiag, b = [1.0, 0.7], [10.0, 0.5], [1.0, -2.0]
-        if swapped:
-            rdiag, gdiag = gdiag, rdiag
-        obj, tally = two_term_quadratic(rdiag, gdiag, b)
-        asked = {"r": [], "g": []}
-
-        def hook(term):
-            return lambda delta: asked[term].append((delta, tally.total()))
-
-        obj = dataclasses.replace(obj, set_delta_r=hook("r"), set_delta_g=hook("g"))
-        spec = sk.SlidingSpec(l_r=max(rdiag), l_g=max(gdiag), mu_r=min(rdiag), mu_g=min(gdiag))
-        rep = sk.apg_inexact_solve(spec, obj, np.zeros(2), 1e-6, tally=tally)
-        assert rep.extras["swapped"] is swapped
-        params = rep.extras["params"]
-        want = (params.delta_g, params.delta_r) if swapped else (params.delta_r, params.delta_g)
-        assert asked == {"r": [(want[0], 0)], "g": [(want[1], 0)]}
-        assert params.delta_r != params.delta_g and tally.total() > 0
-
 
 class TestCatalyst:
     def test_converges_with_certificate(self):
@@ -350,11 +297,8 @@ class TestCatalyst:
 
     def test_non_finite_certificate_ends_the_run(self, monkeypatch):
         # a subproblem that lands where grad g overflows: the run stops on the
-        # infinite certificate and reports it, and no term is asked for an
-        # infinite accuracy (an envelope oracle would refuse one)
+        # infinite certificate and reports it
         obj, tally = two_term_quadratic([1.0, 0.7], [0.5, 30.0], [1.0, -2.0])
-        asked = []
-        obj = dataclasses.replace(obj, set_delta_g=asked.append)
         spec = sk.SlidingSpec(l_r=1.0, l_g=30.0, mu_r=0.7, mu_g=0.5)
 
         def overflowing(inner, x0, target_gap, tally=None):
@@ -366,7 +310,6 @@ class TestCatalyst:
         assert [math.isfinite(row.gap) for row in rep.history] == [True, False]
         assert rep.certified_gap == math.inf and not rep.converged
         assert rep.extras["outer_iterations"] == 1
-        assert len(asked) == 2 and all(math.isfinite(d) for d in asked)
 
     def test_diverged_step_keeps_a_finite_subproblem_target(self, monkeypatch):
         # a step so far off that the regularization term overflows must not
@@ -423,45 +366,6 @@ class TestCatalyst:
         assert rep.converged
         assert rep.extras["outer_iterations"] <= 3
 
-    def test_sliding_solve_swaps_a_heavier_r(self):
-        # the engine orients the split and reports the swap; sliding_solve
-        # hands back the engine's report on the raw objective
-        rdiag, gdiag, b = [40.0, 3.0], [2.0, 0.5], [1.0, -2.0]
-        spec = sk.SlidingSpec(l_r=40.0, l_g=2.0, mu_r=3.0, mu_g=0.5)
-        obj, tally = two_term_quadratic(rdiag, gdiag, b)
-        rep = sk.sliding_solve(spec, obj, np.zeros(2), 1e-8, engine="catalyst", tally=tally)
-        assert rep.converged
-        assert rep.extras["swapped"] is True
-        obj_raw, tally_raw = two_term_quadratic(rdiag, gdiag, b)
-        ref = sk.catalyst_solve(obj_raw, np.zeros(2), 1e-8, spec=spec, tally=tally_raw)
-        assert rep.x_final.tobytes() == ref.x_final.tobytes()
-        assert tally == tally_raw
-        assert ref.extras["swapped"] is True
-
-    def test_term_accuracies_follow_the_certificate(self):
-        # each inexact term is asked for max(delta_req, mu cert / (16 l_t)),
-        # cert = ||grad P(x_k)||^2 / (2 mu) the outer certificate logged before
-        # the subproblem; the first certificate runs at the floor delta_req
-        rdiag, gdiag, b = [1.0, 0.7], [0.5, 30.0], [1.0, -2.0]
-        obj, tally = two_term_quadratic(rdiag, gdiag, b)
-        asked = {"r": [], "g": []}
-        obj = dataclasses.replace(
-            obj, f_star=None, set_delta_r=asked["r"].append, set_delta_g=asked["g"].append
-        )
-        spec = sk.SlidingSpec(l_r=1.0, l_g=30.0, mu_r=0.7, mu_g=0.5)
-        eps = 1e-8
-        rep = sk.catalyst_solve(obj, np.zeros(2), eps, spec=spec, tally=tally)
-        assert rep.converged
-        certs = [row.gap for row in rep.history][:-1]  # the last one stopped the loop
-        assert len(certs) == rep.extras["outer_iterations"] >= 2
-        delta_req = eps / 12.0 * math.sqrt(spec.mu / (spec.l_r + spec.l_g))
-        for term, l_t in (("r", spec.l_r), ("g", spec.l_g)):
-            rule = [max(delta_req, spec.mu * c / (16.0 * l_t)) for c in certs]
-            assert asked[term] == pytest.approx([delta_req] + rule, rel=1e-12)
-            assert min(asked[term]) >= delta_req
-        # the rule loosens the early subproblems, and the floor binds at the end
-        assert asked["g"][1] > delta_req == asked["g"][-1]
-
     def test_gradient_split_scaling(self):
         # reg weight at l_r: g-gradient calls stay within a small factor of
         # sqrt(l_g / mu) * polylog while r-gradient calls track sqrt(l_r / mu)
@@ -510,3 +414,28 @@ def test_non_finite_constants_and_targets_are_rejected(call):
     with pytest.raises(sk.InvalidSpecError):
         call(spec, obj)
     assert tally.snapshot() == {}
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda spec, obj, tally: spec.validate(),
+        lambda spec, obj, tally: sk.apg_inexact_solve(
+            spec, obj, np.zeros(2), 1e-6, exact_inner=True, tally=tally
+        ),
+        lambda spec, obj, tally: sk.catalyst_solve(obj, np.zeros(2), 1e-8, spec, tally=tally),
+        lambda spec, obj, tally: sk.sliding_solve(spec, obj, np.zeros(2), 1e-8, tally=tally),
+        lambda spec, obj, tally: sk.sliding_solve(
+            spec, obj, np.zeros(2), 1e-8, engine="catalyst", tally=tally
+        ),
+    ],
+    ids=["validate", "apg", "catalyst", "sliding-apg", "sliding-catalyst"],
+)
+def test_a_heavier_r_is_refused_before_any_call(call):
+    # r must be the cheaper term: l_r = 40 > l_g = 2 names the rule, and no
+    # oracle is called
+    obj, tally = two_term_quadratic([40.0, 3.0], [2.0, 0.5], [1.0, -2.0])
+    spec = sk.SlidingSpec(l_r=40.0, l_g=2.0, mu_r=3.0, mu_g=0.5)
+    with pytest.raises(sk.InvalidSpecError, match="l_r <= l_g"):
+        call(spec, obj, tally)
+    assert tally.total() == 0
