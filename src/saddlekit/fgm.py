@@ -299,14 +299,23 @@ def solve_to_gap(
     """
     require("target_gap", target_gap)
     log = RunLog(tally)
+    witness, bound, blocks, n_b = _to_gap(obj, x0, target_gap, log.tally)
+    sized = {} if n_b is None else {"block_size": n_b}
+    return log.report(witness, bound, target_gap, blocks=blocks, **sized)
+
+
+def _to_gap(obj: CompositeObjective, x0: Vector, target_gap: float, tally: OracleTally):
+    """:func:`solve_to_gap` without its report: ``(witness, bound, blocks, block size)``.
+
+    The block size is ``None`` when the start certifies; raises as :func:`solve_to_gap` does.
+    """
     x = np.asarray(x0, dtype=float)
     bound, witness = certificate(obj, x)
     if witness is x0:
         witness = x.copy()
     if bound <= target_gap:
-        return log.report(witness, bound, target_gap, blocks=0)
-    witness, bound, blocks, n_b = _resume_to_gap(obj, bound, witness, target_gap, log.tally)
-    return log.report(witness, bound, target_gap, blocks=blocks, block_size=n_b)
+        return witness, bound, 0, None
+    return _resume_to_gap(obj, bound, witness, target_gap, tally)
 
 
 def _resume_to_gap(

@@ -15,9 +15,9 @@ the equality case are in :func:`~saddlekit.core.effective_smoothness`.  When
 the inner max is one exact prox (``exact_prox``) the bundle is g's own
 gradient, and the accelerated loop steps with L_g itself.
 
-The bundle's value F(x, w) - h(w) is computed when it is first read, not
-when the bundle is built: the solvers only use the gradient, and the value
-costs a ``value_F`` evaluation (a matvec on bilinear instances).
+The accelerated loop reads the lean pair (gradient, witness) of
+:meth:`EnvelopeGradOracle.grad_and_witness`.  The bundle serves the public API;
+its value F(x, w) - h(w), a ``value_F`` evaluation, is computed when first read.
 
 The inner objective does not depend on x, so :class:`EnvelopeGradOracle`
 builds it once per metered view, with the set center and the envelope
@@ -83,10 +83,11 @@ class EnvelopeGradOracle:
     gradient calls ``grad_h`` first, so without that oracle the first inner
     solve raises (:func:`~saddlekit.core.require_oracles`) before any call is billed.
 
-    Each call runs one certified inner maximization at the accuracy last
-    given to :meth:`set_delta`, the *envelope* inexactness (the inner solver
-    is asked for half of it), and returns the bundle's gradient; the witness
-    seeds the next call.  The accuracy comes only from ``set_delta``: a call
+    Each :meth:`grad_and_witness` runs one certified inner maximization at the
+    accuracy last given to :meth:`set_delta`, the *envelope* inexactness (the
+    inner solver is asked for half of it), and returns the gradient and the
+    witness, which seeds the next call; :meth:`bundle` packages that pair and a
+    call returns its gradient.  The accuracy comes only from ``set_delta``: a call
     before the first one raises :class:`~saddlekit.core.InvalidSpecError`.
     Every call bills the given view's tally, as :func:`inexact_grad_g` does
     (``mp.tally`` for a raw problem).
@@ -127,7 +128,8 @@ class EnvelopeGradOracle:
         inner problem the gap is bounded by ||grad||^2 / (2 mu_y); in the
         composite or constrained case by the proximal-gradient-mapping analogue.
         When the coupling gradient in y is constant (l_yy = 0) and h is
-        prox-friendly, a single prox call solves the subproblem exactly.
+        prox-friendly, a single prox call solves the subproblem exactly.  Otherwise
+        the start is certified first, and restart blocks run only if that fails.
 
         Raises :class:`~saddlekit.core.BudgetExceededError` (carrying the best
         iterate) if :data:`~saddlekit.fgm.MAX_BLOCKS` blocks run without
@@ -140,22 +142,35 @@ class EnvelopeGradOracle:
         if self.exact_prox:
             return mp.prox_h(-mp.grad_y_F(x, self.center), 0.0)
         self.x = x
-        start = self.center if y0 is None else y0  # solve_to_gap copies its start
-        rep = fgm.solve_to_gap(self.objective, start, delta, tally=mp.tally)
-        return rep.x_final
+        start = self.center if y0 is None else y0  # never aliased by the witness
+        return fgm._to_gap(self.objective, start, delta, mp.tally)[0]
 
     def set_delta(self, delta_env: float) -> None:
         self._delta_env = float(require("delta_env", delta_env))
 
-    def bundle(self, x: Vector) -> InexactGrad:
+    def grad_and_witness(self, x: Vector) -> tuple[Vector, Vector]:
+        """The bundle's gradient and witness, without the bundle: what the solvers read."""
         if self._delta_env is None:
             raise InvalidSpecError("envelope accuracy was never set: call set_delta first")
-        ig = inexact_grad_g(self, x, 0.5 * self._delta_env, y0=self._warm)
-        self._warm = ig.witness_y
-        return ig
+        w = self._warm = self.solve(x, 0.5 * self._delta_env, self._warm)
+        return self.mp.grad_x_F(x, w), w
+
+    def bundle(self, x: Vector) -> InexactGrad:
+        return self._package(x, *self.grad_and_witness(x), 0.5 * self._delta_env)
 
     def __call__(self, x: Vector) -> Vector:
-        return self.bundle(x).grad
+        return self.grad_and_witness(x)[0]
+
+    def _package(self, x: Vector, grad: Vector, witness: Vector, delta: float) -> InexactGrad:
+        x = np.array(x, dtype=float)  # the caller may reuse its buffer before .value is read
+        witness = np.asarray(witness, dtype=float)
+        return InexactGrad(
+            grad=np.asarray(grad, dtype=float),
+            delta=2.0 * float(delta),
+            l_env=self.l_env,
+            witness_y=witness,
+            value_fn=lambda: self.mp.value_S_hat(x, witness),
+        )
 
 
 def inexact_grad_g(
@@ -185,17 +200,7 @@ def inexact_grad_from_witness(
     value oracles run only if ``.value`` is read.
     """
     oracle = problem if isinstance(problem, EnvelopeGradOracle) else EnvelopeGradOracle(problem)
-    mp = oracle.mp
-    grad = mp.grad_x_F(x, witness)
-    x = np.array(x, dtype=float)  # the caller may reuse its buffer before .value is read
-    witness = np.asarray(witness, dtype=float)
-    return InexactGrad(
-        grad=np.asarray(grad, dtype=float),
-        delta=2.0 * float(delta),
-        l_env=oracle.l_env,
-        witness_y=witness,
-        value_fn=lambda: mp.value_S_hat(x, witness),
-    )
+    return oracle._package(x, oracle.mp.grad_x_F(x, witness), witness, delta)
 
 
 def envelope_check(

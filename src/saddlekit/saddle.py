@@ -344,7 +344,7 @@ def _accelerated_candidates(mp, eng, epsilon, x, r0, mu_f, extras):
     """The prox-r and splitting routes: one accelerated loop, ``(None, x, y_bar)`` per check.
 
     Constant momentum (1 - sqrt(q)) / (1 + sqrt(q)), q = ``mu_f`` / L, on
-    f = r + g with one ``oracle.bundle`` per step.  Step k asks for envelope
+    f = r + g with one ``oracle.grad_and_witness`` per step.  Step k asks for envelope
     accuracy max(epsilon / 8, sqrt(q) L r0^2 (1 - sqrt(q))^k / 8), which
     tightens at the loop's rate (the error it accumulates stays of the order
     of the rate term: Devolder, Glineur & Nesterov, *First-order methods of
@@ -358,7 +358,7 @@ def _accelerated_candidates(mp, eng, epsilon, x, r0, mu_f, extras):
     envelope constant, ``oracle.l_env``.  A
     prox-friendly r stays composite (L = max(l_g, mu_f)); a smooth r joins
     g in one projected gradient step (L += l_x).  The dual witness is y_bar,
-    the average of the bundles' inner maximizers with weights
+    the average of the inner maximizers (the witnesses) with weights
     (1 - sqrt(q))^-k: the fast gradient method's estimate sequence is a
     weighted sum of linear models of g, each F(., w_k) - h(w_k) when F is
     linear in x, so y_bar's dual value tracks the primal one (Nesterov
@@ -394,13 +394,13 @@ def _accelerated_candidates(mp, eng, epsilon, x, r0, mu_f, extras):
     while steps < budget:
         for _ in range(check_every):
             y = x + beta * (x - x_prev)
-            ig = oracle.bundle(y)
+            g, w = oracle.grad_and_witness(y)
             if delta > floor:  # the next step's accuracy
                 delta *= 1.0 - rho
                 oracle.set_delta(max(delta, floor))
-            x_prev, x = x, step(y, ig.grad)
+            x_prev, x = x, step(y, g)
             s = (1.0 - rho) * s + 1.0
-            y_bar = y_bar + (ig.witness_y - y_bar) / s
+            y_bar = y_bar + (w - y_bar) / s
             steps += 1
             if not np.isfinite(x).all():
                 extras["steps"] = steps

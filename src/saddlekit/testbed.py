@@ -162,7 +162,7 @@ class SaddleInstance:
         return self.p_diag * x + self.a.T @ self.y_star_of(x)
 
     def problem(self) -> SaddleProblem:
-        a, b = self.a, self.b
+        a, at, b = self.a, self.a.T, self.b  # one transposed view for both grad_x_F closures
         p_diag, q_diag = self.p_diag, self.q_diag
         mu_x, mu_y = self.mu_x, self.mu_y
         n, m = self.dims
@@ -180,7 +180,7 @@ class SaddleInstance:
         if self.bilinear:
             value_f, grad_x_f, grad_y_f = (
                 lambda x, y: float(y @ (a @ x)),
-                lambda x, y: a.T @ y,
+                lambda x, y: at @ y,
                 lambda x, y: a @ x,
             )
         else:
@@ -188,7 +188,7 @@ class SaddleInstance:
                 lambda x, y: float(y @ (a @ x))
                 + 0.5 * float(x @ (p_diag * x))
                 - 0.5 * float(y @ (q_diag * y)),
-                lambda x, y: a.T @ y + p_diag * x,
+                lambda x, y: at @ y + p_diag * x,
                 lambda x, y: a @ x - q_diag * y,
             )
         return SaddleProblem(

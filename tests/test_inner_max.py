@@ -277,6 +277,75 @@ class TestSharedInnerObject:
             assert ig.value == p.value_F(x, w) - p.value_h(w)
 
 
+class TestLeanPair:
+    """The pair the accelerated loop reads, against the bundle the public API returns."""
+
+    @pytest.mark.parametrize("mode", INNER_MODES)
+    def test_pair_equals_bundle_over_warm_started_calls(self, mode):
+        p = inner_mode_problem(mode)
+        lean_tally, bundle_tally = OracleTally(), OracleTally()
+        lean = sk.EnvelopeGradOracle(Metered(p, lean_tally))
+        full = sk.EnvelopeGradOracle(Metered(p, bundle_tally))
+        for k, x in enumerate(np.random.default_rng(11).standard_normal((6, 6))):
+            for oracle in (lean, full):
+                oracle.set_delta(1e-3 * 0.1**k)
+            grad, witness = lean.grad_and_witness(x)
+            ig = full.bundle(x)
+            assert grad.tobytes() == ig.grad.tobytes()
+            assert witness.tobytes() == ig.witness_y.tobytes()
+            assert lean._warm.tobytes() == full._warm.tobytes()
+            assert lean_tally.snapshot() == bundle_tally.snapshot()
+        assert lean_tally.count(sk.OracleKind.GRAD_X_F) == 6
+
+
+INEXACT_MODES = ["prox-h", "smooth-h"]
+
+
+class TestCertificateFirstSolve:
+    """The inexact route certifies its start first and builds no report."""
+
+    @staticmethod
+    def counted_reports(monkeypatch):
+        built = []
+        report = sk.core.SolveReport
+
+        def counting(*args, **kwargs):
+            built.append(1)
+            return report(*args, **kwargs)
+
+        monkeypatch.setattr(sk.core, "SolveReport", counting)
+        return built
+
+    @pytest.mark.parametrize("certifies", [True, False], ids=["certifying-start", "cold-start"])
+    @pytest.mark.parametrize("mode", INEXACT_MODES)
+    def test_solve_matches_solve_to_gap(self, mode, certifies, monkeypatch):
+        p = inner_mode_problem(mode)
+        x = np.linspace(-1.0, 1.0, 6)
+        delta = 1e-4
+        start = sk.EnvelopeGradOracle(p).solve(x, 1e-12) if certifies else np.full(5, 3.0)
+        before = start.copy()
+        ref_tally, tally = OracleTally(), OracleTally()
+        ref = sk.EnvelopeGradOracle(Metered(p, ref_tally))
+        ref.x = x
+        rep = sk.fgm.solve_to_gap(ref.objective, start, delta, tally=ref_tally)
+        assert (rep.extras["blocks"] == 0) == certifies
+        built = self.counted_reports(monkeypatch)
+        w = sk.EnvelopeGradOracle(Metered(p, tally)).solve(x, delta, start)
+        assert w.tobytes() == rep.x_final.tobytes()
+        assert tally.snapshot() == ref_tally.snapshot()
+        assert not np.shares_memory(w, start)
+        assert start.tobytes() == before.tobytes()
+        assert (built == []) == certifies
+
+    @pytest.mark.parametrize("mode", INEXACT_MODES)
+    def test_nan_oracle_raises_with_the_best_iterate(self, mode):
+        p = inner_mode_problem(mode)
+        p.grad_y_F = lambda x, y: np.full(5, np.nan)
+        with pytest.raises(sk.BudgetExceededError, match="not finite") as err:
+            sk.EnvelopeGradOracle(p).solve(np.ones(6), 1e-6)
+        assert err.value.best is not None and err.value.best.shape == (5,)
+
+
 class TestInnerTally:
     """An oracle bills its own view's tally."""
 

@@ -678,6 +678,30 @@ def test_one_inner_max_per_solve(engine, monkeypatch):
     assert len(built) == 1
 
 
+@pytest.mark.parametrize("engine", ["case1", "case2", "case3", "case4"])
+def test_accelerated_loop_builds_no_bundle(engine, monkeypatch):
+    # the loop reads (gradient, witness) pairs: no InexactGrad, no value closure
+    built = []
+    bundle = inner_max.InexactGrad
+
+    def counting(*args, **kwargs):
+        built.append(1)
+        return bundle(*args, **kwargs)
+
+    monkeypatch.setattr(inner_max, "InexactGrad", counting)
+    inst = sk.gen_quadratic_saddle(6, 6, 10.0, seed=3, mu_x=4.0, mu_y=4.0)
+    problem = inst.problem()
+    problem.prox_friendly_h = engine in ("case1", "case2")
+    r_x, r_y = _criterion11_radii(inst)
+    rep = sk.solve_saddle(problem, 1e-8, engine=engine, r_x=r_x, r_y=r_y)
+    assert rep.converged and rep.extras["engine"] == engine and rep.extras["steps"] > 0
+    assert built == []
+    oracle = inner_max.EnvelopeGradOracle(problem)
+    oracle.set_delta(1e-6)
+    oracle.bundle(np.ones(6))  # the public bundle still goes through the counted class
+    assert len(built) == 1
+
+
 @pytest.mark.parametrize("requested, ran", [("case3", "case1"), ("case4", "case2")])
 def test_engine_names_the_case_that_ran(requested, ran):
     # h is treated as prox_friendly_h says whatever case was asked for, so a
