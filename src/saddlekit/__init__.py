@@ -22,8 +22,6 @@ from .core import (
     SpectralInfo,
     UnsupportedProblemError,
     effective_smoothness,
-    regularize,
-    regularize_problem,
 )
 from .fgm import (
     CompositeObjective,
@@ -121,8 +119,6 @@ __all__ = [
     "lemma1_check",
     "next_alpha",
     "predict_complexity",
-    "regularize",
-    "regularize_problem",
     "restart_budget",
     "restart_count",
     "run_fgm",

@@ -1,4 +1,4 @@
-"""Problem containers, constant bookkeeping, oracle metering, and preprocessing.
+"""Problem containers, constant bookkeeping and oracle metering.
 
 Everything downstream (inner maximization, fast gradient methods, the
 extragradient baseline, the meta-solver) consumes the types defined here:
@@ -11,15 +11,13 @@ extragradient baseline, the meta-solver) consumes the types defined here:
   solver in the package reports how many times each oracle was invoked.
 * :class:`RunLog` records a solver run's history rows and builds its
   :class:`SolveReport`.
-* :func:`regularize` computes the quadratic moduli that make a merely
-  convex-concave instance strongly convex-concave at an O(epsilon) bias.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Callable, Mapping, Optional
 
@@ -237,18 +235,15 @@ class SaddleSpec:
     set_y: FeasibleSet = field(default_factory=AllSpace)
 
     def validate(self) -> None:
-        if self.dim_x <= 0 or self.dim_y <= 0:
-            raise InvalidSpecError("dimensions must be positive")
+        for name in ("dim_x", "dim_y"):
+            require(name, getattr(self, name), low=1, strict=False)
         for name in ("l_xx", "l_xy", "l_yy"):
             require(name, getattr(self, name), strict=False)
         for name in ("l_x", "l_y"):
             if getattr(self, name) is not None:
                 require(name, getattr(self, name), strict=False)
         for name in ("mu_x", "mu_y"):
-            try:
-                require(name, getattr(self, name))
-            except InvalidSpecError as err:
-                raise InvalidSpecError(f"{err} (regularize first)") from None
+            require(name, getattr(self, name))
 
 
 def effective_smoothness(spec: SaddleSpec) -> float:
@@ -318,7 +313,6 @@ class SaddleProblem:
     matvec_cost: Mapping[OracleKind, int] = field(default_factory=dict)
     operator_l: Optional[float] = None  # Lipschitz bound of the stacked VI operator
     spectral: Optional[SpectralInfo] = None
-    notes: dict = field(default_factory=dict)
 
     def validate(self) -> None:
         self.spec.validate()
@@ -415,74 +409,6 @@ class Metered:
 
     def prox_h(self, c1, c2):
         return self._metered(OracleKind.PROX_H, self.problem.prox_h, "prox_h")(c1, c2)
-
-
-# ---------------------------------------------------------------------------
-# regularization / dual smoothing
-# ---------------------------------------------------------------------------
-
-
-def regularize(epsilon: float, r_x: float, r_y: float) -> tuple[float, float]:
-    """Quadratic moduli making the problem strongly convex-concave.
-
-    Returns ``(epsilon / (2 r_x^2), epsilon / (2 r_y^2))``, to be added as
-    ``mu/2 ||.||^2`` regularizers on the primal and dual composites; an input
-    that is not finite and positive raises naming it.  The caller owns the
-    accuracy bookkeeping: we budget an epsilon/4 bias per regularized side.
-    """
-    for name, v in (("epsilon", epsilon), ("r_x", r_x), ("r_y", r_y)):
-        require(name, v)
-    return epsilon / (2.0 * r_x**2), epsilon / (2.0 * r_y**2)
-
-
-REGULARIZATION_BIAS_FRACTION = 0.25  # accuracy bias budgeted per regularized side
-
-
-def regularize_problem(problem: SaddleProblem, epsilon: float, r_x: float, r_y: float) -> SaddleProblem:
-    """Tighten a problem's moduli to at least the smoothing floors.
-
-    Sides already at or above their floor are untouched (regularization only
-    tightens).  Modified sides get ``d/2 ||.||^2`` folded into the composite's
-    value, gradient, and prox oracles, and the smoothness/modulus constants
-    updated.  The accuracy bias budget is recorded in ``notes``.
-    """
-    floor_x, floor_y = regularize(epsilon, r_x, r_y)
-    spec = problem.spec
-    d_x = max(0.0, floor_x - spec.mu_x) if spec.mu_x > 0 else floor_x
-    d_y = max(0.0, floor_y - spec.mu_y) if spec.mu_y > 0 else floor_y
-    if d_x == 0.0 and d_y == 0.0:
-        return problem
-
-    new = replace(problem)
-    new.notes = dict(problem.notes)
-    bias = 0.0
-    spec_kw = {}
-    if d_x > 0.0:
-        base_vr, base_gr, base_pr = problem.value_r, problem.grad_r, problem.prox_r
-        new.value_r = lambda x, _f=base_vr, _d=d_x: _f(x) + 0.5 * _d * float(x @ x)
-        if base_gr is not None:
-            new.grad_r = lambda x, _f=base_gr, _d=d_x: _f(x) + _d * x
-        if base_pr is not None:
-            new.prox_r = lambda c1, c2, _f=base_pr, _d=d_x: _f(c1, c2 + 0.5 * _d)
-        spec_kw["mu_x"] = spec.mu_x + d_x
-        if spec.l_x is not None:
-            spec_kw["l_x"] = spec.l_x + d_x
-        bias += REGULARIZATION_BIAS_FRACTION * epsilon
-    if d_y > 0.0:
-        base_vh, base_gh, base_ph = problem.value_h, problem.grad_h, problem.prox_h
-        new.value_h = lambda y, _f=base_vh, _d=d_y: _f(y) + 0.5 * _d * float(y @ y)
-        if base_gh is not None:
-            new.grad_h = lambda y, _f=base_gh, _d=d_y: _f(y) + _d * y
-        if base_ph is not None:
-            new.prox_h = lambda c1, c2, _f=base_ph, _d=d_y: _f(c1, c2 + 0.5 * _d)
-        spec_kw["mu_y"] = spec.mu_y + d_y
-        if spec.l_y is not None:
-            spec_kw["l_y"] = spec.l_y + d_y
-        bias += REGULARIZATION_BIAS_FRACTION * epsilon
-    new.spec = replace(spec, **spec_kw)
-    new.notes["regularization_bias"] = bias
-    new.notes["regularization_added"] = (d_x, d_y)
-    return new
 
 
 # ---------------------------------------------------------------------------

@@ -150,9 +150,9 @@ def duality_gap(
     symmetrically.  Both use the gradients of the composites (a prox-only
     composite would need its feasible set unchanged by the restriction) and
     of the coupling.  A missing one (:func:`~saddlekit.core.require_oracles`),
-    or an ``r_x``, ``r_y`` or ``inner_eps`` that is not finite and positive,
-    raises before either side spends a call.  Both sides bill the tally of
-    the given view; a raw problem is billed to a fresh view.
+    or an ``r_x``, ``r_y``, ``inner_eps``, ``mu_x`` or ``mu_y`` that is not
+    finite and positive, raises before either side spends a call.  Both sides
+    bill the tally of the given view; a raw problem is billed to a fresh view.
 
     ``r_x`` and ``r_y`` bound the saddle's distances from the set centers.
     Then the gap is at least S(x, y*) - S(x*, y) >= 0 (each side is solved to
@@ -171,11 +171,13 @@ def duality_gap(
     so at least the full gap minus 2 ``inner_eps``.  Otherwise, and always
     without ``target``, the certificate is that of the two full solves.
     """
-    for name, v in (("r_x", r_x), ("r_y", r_y), ("inner_eps", inner_eps)):
-        require(name, v)
     mp = Metered.of(problem)
-    require_oracles(mp.problem, *GRADIENTS, use="duality_gap")
     spec = mp.spec
+    for name, v in (
+        ("r_x", r_x), ("r_y", r_y), ("inner_eps", inner_eps), ("mu_x", spec.mu_x), ("mu_y", spec.mu_y)
+    ):
+        require(name, v)
+    require_oracles(mp.problem, *GRADIENTS, use="duality_gap")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
 
@@ -447,7 +449,9 @@ def predict_complexity(
     structured modulus lambda_min+ / (l_y + l_yy) under the conditions the
     solve uses it (trivial kernel, unconstrained dual set) whenever that
     exceeds it, and the kernel-restricted product formula is also evaluated.
+    A spec that fails :meth:`SaddleSpec.validate` raises before any formula.
     """
+    spec.validate()
     mu_g = _structured_modulus(spec, spectral)
     mu_x, mu_y = max(spec.mu_x, mu_g), spec.mu_y
 
@@ -559,5 +563,4 @@ def dual_view(problem: SaddleProblem) -> SaddleProblem:
         matvec_cost=swapped_mv,
         operator_l=problem.operator_l,
         spectral=None,  # kernel data does not transfer without the matrix itself
-        notes=dict(problem.notes),
     )

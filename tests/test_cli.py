@@ -144,6 +144,17 @@ def test_config_error_exit_code(tmp_path):
     assert cli_main(["predict", "--spec", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("name, value", [("mu_x", 0.0), ("l_xx", -1.0)])
+def test_predict_refuses_an_invalid_spec(tmp_path, capsys, name, value):
+    # unchecked, a zero modulus would divide by zero and a negative constant would print predictions
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"mu_x": 1.0, "mu_y": 1.0, "l_xy": 2.0, name: value}))
+    assert cli_main(["predict", "--spec", str(spec)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: {name} must be finite and ")
+
+
 def test_non_finite_instance_value_is_named(tmp_path, capsys):
     # JSON allows NaN: the generator must name it, not fail inside the linear algebra
     instance = tmp_path / "nan.json"

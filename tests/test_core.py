@@ -17,8 +17,8 @@ from saddlekit.core import (
 )
 
 
-def spec_with(l_xx=0.0, l_xy=0.0, l_yy=0.0, mu_x=1.0, mu_y=1.0, **kw):
-    return sk.SaddleSpec(dim_x=2, dim_y=2, mu_x=mu_x, mu_y=mu_y,
+def spec_with(l_xx=0.0, l_xy=0.0, l_yy=0.0, mu_x=1.0, mu_y=1.0, dim_x=2, dim_y=2, **kw):
+    return sk.SaddleSpec(dim_x=dim_x, dim_y=dim_y, mu_x=mu_x, mu_y=mu_y,
                          l_xx=l_xx, l_xy=l_xy, l_yy=l_yy, **kw)
 
 
@@ -46,70 +46,6 @@ class TestEffectiveSmoothness:
             assert sk.effective_smoothness(spec_with(l_xx=l_xx + bump, l_xy=l_xy, mu_y=mu_y)) >= base
             assert sk.effective_smoothness(spec_with(l_xx=l_xx, l_xy=l_xy + bump, mu_y=mu_y)) >= base
             assert sk.effective_smoothness(spec_with(l_xx=l_xx, l_xy=l_xy, mu_y=mu_y + bump)) <= base
-
-
-class TestRegularize:
-    def test_values(self):
-        assert sk.regularize(0.01, 1.0, 1.0) == (0.005, 0.005)
-        assert sk.regularize(0.02, 2.0, 1.0) == (0.0025, 0.01)
-
-    @pytest.mark.parametrize("args", [(0.0, 1, 1), (0.1, 0.0, 1), (0.1, 1, -2)])
-    def test_nonpositive_rejected(self, args):
-        with pytest.raises(sk.InvalidSpecError):
-            sk.regularize(*args)
-
-    @pytest.mark.parametrize("value", [math.inf, math.nan])
-    @pytest.mark.parametrize("name", ["epsilon", "r_x", "r_y"])
-    def test_non_finite_rejected_by_name(self, b1_problem, name, value):
-        # epsilon=inf would give infinite moduli, and r_x=inf a zero x-modulus
-        # that regularize_problem reads as nothing to add
-        args = {"epsilon": 1e-3, "r_x": 1.0, "r_y": 1.0, name: value}
-        with pytest.raises(sk.InvalidSpecError, match=name):
-            sk.regularize(**args)
-        with pytest.raises(sk.InvalidSpecError, match=name):
-            sk.regularize_problem(b1_problem, **args)
-
-    def test_noop_when_already_strongly_convex(self, b1_problem):
-        # mu = 1 >= eps / (2 r^2) = 0.005: moduli unchanged, same object
-        out = sk.regularize_problem(b1_problem, 0.01, 1.0, 1.0)
-        assert out is b1_problem
-
-    def test_tightens_weak_side_only(self, b1):
-        problem = b1.problem()
-        problem.spec.mu_x = 1e-4
-        out = sk.regularize_problem(problem, 0.01, 1.0, 1.0)
-        assert out.spec.mu_x == pytest.approx(0.005)
-        assert out.spec.mu_y == 1.0
-        assert out.notes["regularization_bias"] == pytest.approx(0.0025)
-        # folded quadratic is consistent between value, gradient and prox
-        x = np.array([0.3, -0.7])
-        d = 0.005 - 1e-4
-        assert out.value_r(x) == pytest.approx(problem.value_r(x) + 0.5 * d * float(x @ x))
-        assert np.allclose(out.grad_r(x), problem.grad_r(x) + d * x)
-        c1, c2 = np.array([0.2, 0.1]), 0.7
-        v = out.prox_r(c1, c2)
-        # optimality of min <c1,.> + r(.) + d/2||.||^2 + c2||.||^2
-        assert np.allclose(c1 + out.grad_r(v) + 2 * c2 * v, 0.0, atol=1e-12)
-
-    def test_tightens_dual_side_only(self, b1):
-        problem = b1.problem()
-        problem.spec.mu_y = 1e-4
-        out = sk.regularize_problem(problem, 0.01, 1.0, 1.0)
-        d = 0.005 - 1e-4
-        assert out.spec.mu_y == pytest.approx(0.005)
-        assert out.spec.l_y == pytest.approx(problem.spec.l_y + d)
-        assert (out.spec.mu_x, out.spec.l_x) == (problem.spec.mu_x, problem.spec.l_x)
-        assert out.notes["regularization_bias"] == pytest.approx(0.0025)
-        assert out.notes["regularization_added"] == (0.0, pytest.approx(d))
-        assert out.value_r is problem.value_r and out.grad_r is problem.grad_r
-        # folded quadratic is consistent between value, gradient and prox
-        y = np.array([0.3, -0.7])
-        assert out.value_h(y) == pytest.approx(problem.value_h(y) + 0.5 * d * float(y @ y))
-        assert np.allclose(out.grad_h(y), problem.grad_h(y) + d * y)
-        c1, c2 = np.array([0.2, 0.1]), 0.7
-        v = out.prox_h(c1, c2)
-        # optimality of min <c1,.> + h(.) + d/2||.||^2 + c2||.||^2
-        assert np.allclose(c1 + out.grad_h(v) + 2 * c2 * v, 0.0, atol=1e-12)
 
 
 class TestTally:
@@ -294,8 +230,8 @@ class TestSets:
 @pytest.mark.parametrize(
     "name, value, match",
     [
-        ("dim_x", 0, "dimensions"),
-        ("dim_y", -1, "dimensions"),
+        ("dim_x", 0, "dim_x"),
+        ("dim_y", -1, "dim_y"),
         ("l_xx", -1.0, "l_xx"),
         ("l_xy", math.nan, "l_xy"),
         ("l_yy", math.inf, "l_yy"),
@@ -463,8 +399,10 @@ INPUT_RULE = {
     "spec-mu_x": (lambda: spec_with(mu_x=0.0).validate(), "mu_x", 0.0),
     "spec-l_xy": (lambda: spec_with(l_xy=-1.0).validate(), "l_xy", -1.0),
     "spec-mu_x-None": (lambda: spec_with(mu_x=None).validate(), "mu_x", None),
+    "spec-dim_x-None": (lambda: spec_with(dim_x=None).validate(), "dim_x", None),
+    "spec-dim_y-nan": (lambda: spec_with(dim_y=math.nan).validate(), "dim_y", math.nan),
+    "spec-dim_x-inf": (lambda: spec_with(dim_x=math.inf).validate(), "dim_x", math.inf),
     "effective-mu_y": (lambda: sk.effective_smoothness(spec_with(mu_y=math.nan)), "mu_y", math.nan),
-    "regularize-r_y": (lambda: sk.regularize(1e-3, 1.0, -2.0), "r_y", -2.0),
     "objective-l_smooth": (
         lambda: sk.CompositeObjective(smooth_grad=lambda x: x, l_smooth=math.inf), "l_smooth", math.inf
     ),
@@ -526,7 +464,3 @@ def test_input_rule_message_names_the_argument_and_its_value(case):
     assert message.startswith(f"{name} must be finite and "), message
     assert f", got {value}" in message, message
 
-
-def test_input_rule_keeps_the_regularize_hint_for_a_missing_modulus():
-    with pytest.raises(sk.InvalidSpecError, match=r"got None \(regularize first\)"):
-        spec_with(mu_x=None).validate()

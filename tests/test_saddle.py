@@ -874,6 +874,15 @@ class TestDualityGap:
             sk.duality_gap(Metered(b1_problem, tally), b1.closed_form_x, b1.closed_form_y, **args)
         assert tally.snapshot() == {}
 
+    @pytest.mark.parametrize("name", ["mu_x", "mu_y"])
+    def test_zero_modulus_rejected_by_name(self, b1, b1_problem, name):
+        # checked with the radii: a zero mu_x would otherwise bill grad_h, grad_y_F and a matvec first
+        setattr(b1_problem.spec, name, 0.0)
+        tally = sk.OracleTally()
+        with pytest.raises(sk.InvalidSpecError, match=f"{name} must be finite and positive, got 0.0"):
+            sk.duality_gap(Metered(b1_problem, tally), b1.closed_form_x, b1.closed_form_y, 1.0, 1.0, 1e-8)
+        assert tally.snapshot() == {}
+
     @pytest.mark.parametrize("oracle", ["grad_r", "grad_h", "grad_x_F", "grad_y_F"])
     def test_missing_gradient_raises_before_either_side(self, b1, b1_problem, oracle):
         # the primal side would otherwise bill grad_h before it reaches grad_y_F
