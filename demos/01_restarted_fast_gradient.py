@@ -51,7 +51,7 @@ def main():
     )
 
     print("\n== gradient budget vs condition number ==")
-    print(f"{'kappa':>8} {'smooth calls':>13}")  # block steps plus step-bound checks
+    print(f"{'kappa':>8} {'smooth calls':>13}")  # block steps plus certificate checks
     for kappa in (1e2, 1e3, 1e4, 1e5):
         o, _ = quadratic([1.0, kappa], [0.7, 0.3 * kappa])
         rep = sk.run_restarted_fgm(o, np.zeros(2), 1e-6, r0=1.5)

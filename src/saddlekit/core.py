@@ -340,8 +340,7 @@ class Metered:
     matvec cost, read from the problem once, at construction); a call to an
     oracle the problem lacks raises (:func:`require_oracles`) and counts
     nothing.  Value oracles pass through unmetered: they feed certificates
-    and the values of inexact-gradient bundles, which are computed only when
-    first read, not the complexity accounting.
+    and the values of inexact-gradient bundles, not the complexity accounting.
 
     Every entry point that takes a problem or a view bills the view's tally,
     and a raw problem gets a fresh view (:meth:`of`); a caller who wants the

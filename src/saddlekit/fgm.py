@@ -13,10 +13,11 @@ Three drivers are provided:
 
 * :func:`run_fgm` - a fixed number of accelerated steps;
 * :func:`run_restarted_fgm` - the linearly convergent restart wrapper for
-  strongly convex objectives, with a per-restart inexactness schedule and an
-  early stop on a computed bound of one gradient-mapping step's gap;
-* :func:`solve_to_gap` - restart blocks driven by a computable optimality
-  certificate instead of a known distance bound (used by inner solvers).
+  strongly convex objectives under an exact oracle, the reference schedule:
+  a known distance bound fixes its blocks, and :func:`certificate` may stop
+  it early;
+* :func:`solve_to_gap` - restart blocks driven by the computable optimality
+  :func:`certificate` instead of a known distance bound (used by inner solvers).
 """
 
 from __future__ import annotations
@@ -43,9 +44,7 @@ from .core import (
 class CompositeObjective:
     """Smooth-plus-composite objective handed to the accelerated drivers.
 
-    ``smooth_grad`` is called once per iteration; it may hide an inexact
-    oracle, in which case ``set_delta`` (when provided) lets the restart
-    scheduler request a per-call accuracy.  ``prox_model(u, alpha, lin)``
+    ``smooth_grad`` is called once per iteration.  ``prox_model(u, alpha, lin)``
     must return the exact minimizer of the model subproblem above over the
     feasible set.  ``mu`` is the strong-convexity modulus of the *full*
     objective (smooth + composite).
@@ -58,7 +57,6 @@ class CompositeObjective:
     domain: FeasibleSet = field(default_factory=AllSpace)
     full_value: Optional[Callable[[Vector], float]] = None
     f_star: Optional[float] = None
-    set_delta: Optional[Callable[[float], None]] = None
 
     def __post_init__(self):
         require("l_smooth", self.l_smooth)
@@ -152,37 +150,26 @@ def run_restarted_fgm(
     r0: float,
     tally: Optional[OracleTally] = None,
 ) -> SolveReport:
-    """Restarted accelerated method for ``mu``-strongly convex objectives.
+    """Restarted accelerated method for ``mu``-strongly convex objectives, exact oracle.
 
     ``r0`` upper-bounds the starting distance ``||x0 - x*||``.  Each restart
-    runs a block of :func:`restart_budget` iterations and halves the
-    certified squared distance; :func:`restart_count` restarts are scheduled.
-    Before every block the per-call oracle inexactness of the schedule
-    delta_j = L D_j^2 / (4 N^3) is passed to ``obj.set_delta`` (when
-    provided); it keeps the accumulated oracle error below L D_j^2 / (4 N^2)
-    per block, so early blocks, whose squared distance D_j^2 is large, ask
-    for coarse oracles and later ones for fine.
+    runs a block of :func:`restart_budget` iterations from the last block's
+    point, and :func:`restart_count` blocks, p, are scheduled.  After every
+    block but the p-th, :func:`certificate` is computed at the block's point;
+    the first bound at most ``epsilon`` stops the run, which returns its
+    witness with that bound as ``certified_gap``.  Otherwise the run returns
+    the p-th block's point with the a-priori bound 4 L D_p^2 / (N+1)^2 under
+    the declared L and mu, where D_1 = r0 and D_(j+1)^2 = 2 bound_j / mu.
+    Since N^2 >= 18 L / mu each block's bound is at most 2 mu D_j^2 / 9, so
+    D_j^2 shrinks by a factor 4/9 per block and the p-th bound is at most
+    4 epsilon / 9.
 
-    After a block whose delta_j is at most ``epsilon`` and that does not end
-    the schedule, one gradient-mapping step x+ is taken at that block's
-    accuracy (no new ``set_delta``) and its gap bounded by
-    :func:`_step_bound`, f(x+) - f* <= t^2 with t^2 >= delta_j; a block with
-    delta_j > ``epsilon`` therefore cannot pass and is not checked.  The first
-    t^2 <= ``epsilon`` stops the run, which returns x+ with
-    ``certified_gap`` t^2.  Each check costs one smooth-gradient call (an
-    inner max on a saddle problem's partial max) and one prox-model call, and
-    ``extras["smooth_calls"]`` counts the checks' calls with the blocks'.
-
-    Without such a stop the wrapper restarts until the running worst-case
-    bound on the objective gap of the returned point, its ``certified_gap``
-    under the declared L and mu, is at most ``epsilon``, for at most
-    4 p + 64 blocks.  Each block's bound is at most mu D_j^2 / 4, since
-    N^2 >= 18 L / mu, so the p scheduled blocks bring it to
-    mu r0^2 / 2^(p+1) <= epsilon / 2 and the run stops there.  The history
-    logs one row per block, for the returned point on the last: the
-    objective gap with ``obj.full_value`` (nan without ``obj.f_star``),
-    else the bound.  ``mu``, ``l_smooth``, ``epsilon`` and ``r0`` are checked
-    by :func:`~saddlekit.core.require` before any oracle call.
+    ``extras["smooth_calls"]`` counts the blocks' smooth-gradient calls and
+    one per certificate, the stopping one included.  The history logs one
+    row per block, for the returned point on the last: the objective gap with
+    ``obj.full_value`` (nan without ``obj.f_star``), else the bound.  ``mu``,
+    ``l_smooth``, ``epsilon`` and ``r0`` are checked by
+    :func:`~saddlekit.core.require` before any oracle call.
     """
     require("r0", r0)
     log = RunLog(tally)
@@ -192,57 +179,24 @@ def run_restarted_fgm(
 
     x = np.array(x0, dtype=float)
     d_sq = r0 * r0
-    checks = 0
-    for restarts in range(1, 4 * p + 65):
-        delta_j = l * d_sq / (4.0 * n_j**3)
-        if obj.set_delta is not None:
-            obj.set_delta(delta_j)
-        x = run_fgm(obj, x, n_j, delta_j, tally=log.tally).x_final
-        bound = 4.0 * l * d_sq / (n_j + 1) ** 2 + 2.0 * n_j * delta_j
-        d_sq = min(d_sq, 2.0 * bound / mu)
-        stop = restarts >= p and bound <= epsilon
-        if not stop and delta_j <= epsilon:  # the step bound is >= delta_j
-            checks += 1
-            x_plus, step_bound = _step_bound(obj, x, delta_j)
-            stop = step_bound <= epsilon
+    for restarts in range(1, p + 1):
+        x = run_fgm(obj, x, n_j, tally=log.tally).x_final
+        bound = 4.0 * l * d_sq / (n_j + 1) ** 2
+        d_sq = 2.0 * bound / mu
+        stop = False
+        if restarts < p:
+            cert, witness = certificate(obj, x)
+            stop = cert <= epsilon
             if stop:
-                x, bound = x_plus, step_bound
+                x, bound = witness, cert
         log.row(restarts, obj.gap_at(x) if obj.full_value is not None else bound)
         if stop:
             break
     return log.report(
         x, bound, epsilon,
         restarts=restarts, block_size=n_j, scheduled_restarts=p,
-        smooth_calls=restarts * n_j + checks,
+        smooth_calls=restarts * n_j + min(restarts, p - 1),
     )
-
-
-def _step_bound(obj: CompositeObjective, x: Vector, delta: float) -> tuple[Vector, float]:
-    """One gradient-mapping step from ``x`` and a bound on the gap of its result.
-
-    Under a (delta, L) inexact oracle with L <= l_c = max(l, mu), the step
-    x+ = prox_model(x, 1 / l_c, g(x)) has, with s = ||x+ - x|| and
-    D = ||x+ - x*||,
-
-        f(x+) - f* <= delta + l_c s D + l_c s^2 / 2,
-
-    from the upper envelope at x+ and the lower envelope at x* together with
-    the model's l_c-strong convexity.  Strong convexity bounds D by
-    sqrt(2 (f(x+) - f*) / mu), and solving for the gap gives
-    f(x+) - f* <= t^2 with t = (a + sqrt(a^2 + 4 c)) / 2, a = l_c s sqrt(2 / mu)
-    and c = delta + l_c s^2 / 2.  Returns ``(x+, t^2)``; a non-finite
-    oracle value gives a non-finite bound.  Costs one smooth-gradient call at
-    the accuracy the oracle was last given and one prox-model call.
-    """
-    l_c = max(obj.l_smooth, obj.mu)
-    g = obj.smooth_grad(x)
-    x_plus = obj.prox_model(x, 1.0 / l_c, g)
-    step = x_plus - x
-    s = math.sqrt(float(np.dot(step, step)))
-    a = l_c * s * math.sqrt(2.0 / obj.mu)
-    c = delta + 0.5 * l_c * s * s
-    t = 0.5 * (a + math.sqrt(a * a + 4.0 * c))
-    return x_plus, t * t
 
 
 def certificate(obj: CompositeObjective, x: Vector) -> tuple[float, Vector]:

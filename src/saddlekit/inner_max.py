@@ -16,8 +16,10 @@ the inner max is one exact prox (``exact_prox``) the bundle is g's own
 gradient, and the accelerated loop steps with L_g itself.
 
 The accelerated loop reads the lean pair (gradient, witness) of
-:meth:`EnvelopeGradOracle.grad_and_witness`.  The bundle serves the public API;
-its value F(x, w) - h(w), a ``value_F`` evaluation, is computed when first read.
+:meth:`EnvelopeGradOracle.grad_and_witness`.  The bundle of
+:func:`inexact_grad_g` and :func:`inexact_grad_from_witness` serves the public
+API and the envelope checks; its value F(x, w) - h(w) is evaluated unmetered
+when it is built.
 
 The inner objective does not depend on x, so :class:`EnvelopeGradOracle`
 builds it once per metered view, with the set center and the envelope
@@ -27,8 +29,7 @@ the same view.  The oracle's accuracy comes only from its ``set_delta``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -52,19 +53,15 @@ class InexactGrad:
     ``delta`` is the envelope inexactness (= 2x the inner accuracy actually
     requested), ``l_env`` the envelope constant (= 2x the smoothness of g,
     2 (l_xx + l_xy^2 / mu_y)).
-    ``witness_y`` is the approximate inner maximizer behind the bundle.
-    ``value`` is computed by ``value_fn`` on first read and cached.
+    ``witness_y`` is the approximate inner maximizer behind the bundle, and
+    ``value`` is F(x, w) - h(w) at it.
     """
 
     grad: Vector
     delta: float
     l_env: float
     witness_y: Vector
-    value_fn: Callable[[], float] = field(repr=False)
-
-    @cached_property
-    def value(self) -> float:
-        return float(self.value_fn())
+    value: float
 
 
 class EnvelopeGradOracle:
@@ -86,9 +83,9 @@ class EnvelopeGradOracle:
     Each :meth:`grad_and_witness` runs one certified inner maximization at the
     accuracy last given to :meth:`set_delta`, the *envelope* inexactness (the
     inner solver is asked for half of it), and returns the gradient and the
-    witness, which seeds the next call; :meth:`bundle` packages that pair and a
-    call returns its gradient.  The accuracy comes only from ``set_delta``: a call
-    before the first one raises :class:`~saddlekit.core.InvalidSpecError`.
+    witness, which seeds the next call.  The accuracy comes only from
+    ``set_delta``: a call before the first one raises
+    :class:`~saddlekit.core.InvalidSpecError`.
     Every call bills the given view's tally, as :func:`inexact_grad_g` does
     (``mp.tally`` for a raw problem).
     """
@@ -149,28 +146,11 @@ class EnvelopeGradOracle:
         self._delta_env = float(require("delta_env", delta_env))
 
     def grad_and_witness(self, x: Vector) -> tuple[Vector, Vector]:
-        """The bundle's gradient and witness, without the bundle: what the solvers read."""
+        """The gradient of g at x and its witness, without a bundle: what the solvers read."""
         if self._delta_env is None:
             raise InvalidSpecError("envelope accuracy was never set: call set_delta first")
         w = self._warm = self.solve(x, 0.5 * self._delta_env, self._warm)
         return self.mp.grad_x_F(x, w), w
-
-    def bundle(self, x: Vector) -> InexactGrad:
-        return self._package(x, *self.grad_and_witness(x), 0.5 * self._delta_env)
-
-    def __call__(self, x: Vector) -> Vector:
-        return self.grad_and_witness(x)[0]
-
-    def _package(self, x: Vector, grad: Vector, witness: Vector, delta: float) -> InexactGrad:
-        x = np.array(x, dtype=float)  # the caller may reuse its buffer before .value is read
-        witness = np.asarray(witness, dtype=float)
-        return InexactGrad(
-            grad=np.asarray(grad, dtype=float),
-            delta=2.0 * float(delta),
-            l_env=self.l_env,
-            witness_y=witness,
-            value_fn=lambda: self.mp.value_S_hat(x, witness),
-        )
 
 
 def inexact_grad_g(
@@ -196,11 +176,20 @@ def inexact_grad_from_witness(
 ) -> InexactGrad:
     """Package a given delta-accurate inner point as an inexact gradient of g.
 
-    Costs one ``grad_x_F`` call, billed as :func:`inexact_grad_g` bills; the
-    value oracles run only if ``.value`` is read.
+    Costs one ``grad_x_F`` call, billed as :func:`inexact_grad_g` bills, and
+    one unmetered evaluation of F(x, w) - h(w).  ``delta`` must be finite and
+    positive (:func:`~saddlekit.core.require`), checked before any call.
     """
+    require("delta", delta)
     oracle = problem if isinstance(problem, EnvelopeGradOracle) else EnvelopeGradOracle(problem)
-    return oracle._package(x, oracle.mp.grad_x_F(x, witness), witness, delta)
+    witness = np.asarray(witness, dtype=float)
+    return InexactGrad(
+        grad=np.asarray(oracle.mp.grad_x_F(x, witness), dtype=float),
+        delta=2.0 * float(delta),
+        l_env=oracle.l_env,
+        witness_y=witness,
+        value=float(oracle.mp.value_S_hat(x, witness)),
+    )
 
 
 def envelope_check(

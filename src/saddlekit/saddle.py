@@ -449,9 +449,13 @@ def predict_complexity(
     structured modulus lambda_min+ / (l_y + l_yy) under the conditions the
     solve uses it (trivial kernel, unconstrained dual set) whenever that
     exceeds it, and the kernel-restricted product formula is also evaluated.
-    A spec that fails :meth:`SaddleSpec.validate` raises before any formula.
+    A spec that fails :meth:`SaddleSpec.validate`, or spectral data whose
+    eigenvalues are not finite and positive, raises before any formula.
     """
     spec.validate()
+    if spectral is not None:
+        for name in ("lambda_max", "lambda_min_plus"):
+            require(name, getattr(spectral, name))
     mu_g = _structured_modulus(spec, spectral)
     mu_x, mu_y = max(spec.mu_x, mu_g), spec.mu_y
 

@@ -144,11 +144,16 @@ def test_config_error_exit_code(tmp_path):
     assert cli_main(["predict", "--spec", str(bad)]) == 2
 
 
-@pytest.mark.parametrize("name, value", [("mu_x", 0.0), ("l_xx", -1.0)])
+@pytest.mark.parametrize(
+    "name, value", [("mu_x", 0.0), ("l_xx", -1.0), ("lambda_min_plus", 0.0), ("lambda_max", -4.0)]
+)
 def test_predict_refuses_an_invalid_spec(tmp_path, capsys, name, value):
-    # unchecked, a zero modulus would divide by zero and a negative constant would print predictions
+    # unchecked, a zero modulus or lambda_min_plus would divide by zero, a negative
+    # constant would print predictions and a negative lambda_max would fail in a sqrt
+    desc = {"mu_x": 1.0, "mu_y": 1.0, "l_xy": 2.0, "l_x": 1.0, "l_y": 1.0,
+            "lambda_max": 4.0, "lambda_min_plus": 1.0, name: value}
     spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps({"mu_x": 1.0, "mu_y": 1.0, "l_xy": 2.0, name: value}))
+    spec.write_text(json.dumps(desc))
     assert cli_main(["predict", "--spec", str(spec)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

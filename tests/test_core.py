@@ -106,7 +106,7 @@ METERED_ORACLES = {
 def _oracle_gradient(view, x):
     oracle = sk.EnvelopeGradOracle(view)
     oracle.set_delta(1e-6)
-    return oracle(x)
+    return oracle.grad_and_witness(x)[0]
 
 
 # the entry points that take a problem or a view, each driven once on a view

@@ -149,9 +149,9 @@ class TestRestarts:
 
 
     def test_scheduled_run_certifies_at_the_scheduled_count(self):
-        # with the scheduled delta_j each block's bound is <= mu D_j^2 / 4, so the
-        # p scheduled blocks already certify and no extra block is ever run; a
-        # run stops before them only on a step bound that holds at its point
+        # each block's bound is <= 2 mu D_j^2 / 9, so the p scheduled blocks
+        # already certify and no extra block is ever run; a run stops before
+        # them only on a certificate that holds at its witness
         rng = np.random.default_rng(11)
         exits = {"scheduled": 0, "check": 0}
         for _ in range(40):
@@ -172,10 +172,48 @@ class TestRestarts:
             else:
                 exits["check"] += 1
                 assert rep.extras["restarts"] < p
-                true_gap = obj.full_value(rep.x_final) - obj.f_star
-                assert true_gap <= rep.certified_gap <= eps
+                err = rep.x_final - x_star  # f - f* without the cancellation of a difference
+                assert 0.5 * float(err @ (diag * err)) <= rep.certified_gap <= eps
             assert len(rep.history) == rep.extras["restarts"]
         assert min(exits.values()) > 0  # both exits occur among the draws
+
+    def test_composite_run_certifies_at_its_witness(self):
+        # f = 1/2 x'Dx - <b, x> + w/2 ||x - c||^2 with the quadratic term in the
+        # prox: the certificate's witness is one prox-gradient step, its true gap
+        # is 1/2 e'(D + w)e with e = x - x*, and smooth_calls counts every call
+        rng = np.random.default_rng(23)
+        for _ in range(100):
+            n = int(rng.integers(1, 6))
+            diag = np.exp(rng.uniform(0.0, np.log(1e4), n))
+            b, c = rng.standard_normal(n), rng.standard_normal(n)
+            w = 10.0 ** rng.uniform(-2.0, 1.0)
+            x_star = (b + w * c) / (diag + w)
+            calls = []
+
+            def smooth_grad(x, diag=diag, b=b):
+                calls.append(1)
+                return diag * x - b
+
+            obj = sk.CompositeObjective(
+                smooth_grad=smooth_grad,
+                l_smooth=float(diag.max()),
+                mu=float(diag.min()) + w,
+                prox_model=sk.fgm.quadratic_prox_model(w, c),
+            )
+            x0 = rng.standard_normal(n)
+            r0 = float(np.linalg.norm(x0 - x_star)) * rng.uniform(1.0, 5.0) + 1e-3
+            eps = 10.0 ** rng.uniform(-10.0, 1.0)
+            rep = sk.run_restarted_fgm(obj, x0, eps, r0=r0)
+            assert rep.converged and rep.certified_gap <= eps
+            assert rep.extras["smooth_calls"] == len(calls)
+            restarts, n_b, p = (rep.extras[k] for k in ("restarts", "block_size", "scheduled_restarts"))
+            assert len(calls) == restarts * n_b + min(restarts, p - 1)  # a check after each block but the p-th
+            err = rep.x_final - x_star
+            # the closed form rounds four times, so within two ulps of it the
+            # returned point is x* to working precision, and a certificate of
+            # 0 there can sit below the closed form's own rounding (~1e-32)
+            at_x_star = np.all(np.abs(err) <= 2.0 * np.spacing(np.abs(x_star)))
+            assert 0.5 * float(err @ ((diag + w) * err)) <= rep.certified_gap or at_x_star
 
 
 class TestSolveToGap:

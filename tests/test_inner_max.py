@@ -70,28 +70,6 @@ class TestInexactGrad:
         assert ig.delta == pytest.approx(0.01)
         assert ig.l_env == pytest.approx(8.0)  # 2 (l_xx + l_xy^2 / mu_y), l_xy = 2
 
-    def test_value_computed_on_first_read(self, b1_problem):
-        calls = {"value_F": 0, "value_h": 0}
-        base_vf, base_vh = b1_problem.value_F, b1_problem.value_h
-
-        def vf(x, y):
-            calls["value_F"] += 1
-            return base_vf(x, y)
-
-        def vh(y):
-            calls["value_h"] += 1
-            return base_vh(y)
-
-        b1_problem.value_F, b1_problem.value_h = vf, vh
-        x, w = np.array([1.0, 1.0]), np.array([1.0, 1.9])
-        ig = sk.inexact_grad_from_witness(b1_problem, x, w, 0.005)
-        assert calls == {"value_F": 0, "value_h": 0}
-        x[:] = 7.0  # the bundle keeps its own base point
-        expected = base_vf(np.array([1.0, 1.0]), w) - base_vh(w)
-        assert ig.value == expected
-        assert ig.value == expected
-        assert calls == {"value_F": 1, "value_h": 1}
-
     def test_small_delta_recovers_gradient(self, b1_problem):
         ig = sk.inexact_grad_g(b1_problem, np.array([1.0, 1.0]), 1e-12)
         assert np.allclose(ig.grad, [1.0, 4.0], atol=1e-5)
@@ -210,14 +188,17 @@ class TestEnvelopeCheck:
 
 class TestEnvelopeOracle:
     def test_warm_start_and_delta_update(self, b1_problem):
-        tally = OracleTally()
-        oracle = sk.EnvelopeGradOracle(Metered(b1_problem, tally))
-        oracle.set_delta(1e-2)
-        g1 = oracle(np.array([1.0, 1.0]))
-        oracle.set_delta(1e-6)
-        ig = oracle.bundle(np.array([1.0, 1.0]))
-        assert np.allclose(ig.grad, [1.0, 4.0], atol=1e-2)
-        assert ig.delta == pytest.approx(1e-6)
+        # each call solves at half the envelope accuracy last set, so its
+        # gradient error is at most l_xy sqrt(delta_env / mu_y), and its
+        # witness seeds the next call
+        x, spec = np.array([1.0, 1.0]), b1_problem.spec
+        oracle = sk.EnvelopeGradOracle(Metered(b1_problem))
+        for delta_env in (1e-2, 1e-6):
+            oracle.set_delta(delta_env)
+            grad, witness = oracle.grad_and_witness(x)
+            assert oracle._warm is witness
+            err = np.linalg.norm(grad - np.array([1.0, 4.0]))
+            assert err <= spec.l_xy * math.sqrt(delta_env / spec.mu_y)
         with pytest.raises(sk.InvalidSpecError):
             oracle.set_delta(0.0)
 
@@ -246,6 +227,8 @@ class TestSharedInnerObject:
 
     @pytest.mark.parametrize("mode", INNER_MODES)
     def test_bundles_equal_one_shot_calls(self, mode):
+        # the warm-started pair the loop reads is the one-shot bundle's
+        # gradient and witness, at the same cost
         p = inner_mode_problem(mode)
         shared_tally, fresh_tally = OracleTally(), OracleTally()
         oracle = sk.EnvelopeGradOracle(Metered(p, shared_tally))
@@ -253,49 +236,14 @@ class TestSharedInnerObject:
         for k, x in enumerate(self.points()):
             delta_env = 1e-3 * 0.1**k
             oracle.set_delta(delta_env)
-            ig = oracle.bundle(x)
+            grad, witness = oracle.grad_and_witness(x)
             ref = sk.inexact_grad_g(Metered(p, fresh_tally), x, 0.5 * delta_env, y0=warm)
             warm = ref.witness_y
-            assert ig.grad.tobytes() == ref.grad.tobytes()
-            assert ig.witness_y.tobytes() == ref.witness_y.tobytes()
-            assert (ig.delta, ig.l_env) == (ref.delta, ref.l_env)
+            assert grad.tobytes() == ref.grad.tobytes()
+            assert witness.tobytes() == ref.witness_y.tobytes()
+            assert (delta_env, oracle.l_env) == (ref.delta, ref.l_env)
             assert shared_tally.snapshot() == fresh_tally.snapshot()
-
-    @pytest.mark.parametrize("mode", INNER_MODES)
-    def test_early_value_keeps_its_own_point(self, mode):
-        p = inner_mode_problem(mode)
-        oracle = sk.EnvelopeGradOracle(p)
-        oracle.set_delta(1e-6)
-        x_buf = np.empty(6)  # one buffer, overwritten before every call
-        xs, bundles = [], []
-        for x in self.points():
-            x_buf[:] = x
-            xs.append(x.copy())
-            bundles.append(oracle.bundle(x_buf))
-        for x, ig in zip(xs, bundles):
-            w = ig.witness_y
-            assert ig.value == p.value_F(x, w) - p.value_h(w)
-
-
-class TestLeanPair:
-    """The pair the accelerated loop reads, against the bundle the public API returns."""
-
-    @pytest.mark.parametrize("mode", INNER_MODES)
-    def test_pair_equals_bundle_over_warm_started_calls(self, mode):
-        p = inner_mode_problem(mode)
-        lean_tally, bundle_tally = OracleTally(), OracleTally()
-        lean = sk.EnvelopeGradOracle(Metered(p, lean_tally))
-        full = sk.EnvelopeGradOracle(Metered(p, bundle_tally))
-        for k, x in enumerate(np.random.default_rng(11).standard_normal((6, 6))):
-            for oracle in (lean, full):
-                oracle.set_delta(1e-3 * 0.1**k)
-            grad, witness = lean.grad_and_witness(x)
-            ig = full.bundle(x)
-            assert grad.tobytes() == ig.grad.tobytes()
-            assert witness.tobytes() == ig.witness_y.tobytes()
-            assert lean._warm.tobytes() == full._warm.tobytes()
-            assert lean_tally.snapshot() == bundle_tally.snapshot()
-        assert lean_tally.count(sk.OracleKind.GRAD_X_F) == 6
+        assert shared_tally.count(sk.OracleKind.GRAD_X_F) == len(self.points())
 
 
 INEXACT_MODES = ["prox-h", "smooth-h"]
@@ -367,8 +315,10 @@ class TestInnerTally:
         lambda mp: sk.EnvelopeGradOracle(mp).solve(np.ones(6), math.inf),
         lambda mp: sk.inexact_grad_g(mp, np.ones(6), math.inf),
         lambda mp: sk.EnvelopeGradOracle(mp).set_delta(math.inf),
+        lambda mp: sk.inexact_grad_from_witness(mp, np.ones(6), np.ones(5), math.inf),
+        lambda mp: sk.inexact_grad_from_witness(mp, np.ones(6), np.ones(5), math.nan),
     ],
-    ids=["solve", "inexact-grad", "set-delta"],
+    ids=["solve", "inexact-grad", "set-delta", "from-witness-inf", "from-witness-nan"],
 )
 def test_infinite_accuracy_raises_before_any_call(call, mode):
     # an infinite accuracy certifies nothing: every route must refuse it,
@@ -385,12 +335,10 @@ def test_call_before_set_delta_raises_before_any_call(mode):
     mp = Metered(inner_mode_problem(mode))
     oracle = sk.EnvelopeGradOracle(mp)
     with pytest.raises(sk.InvalidSpecError, match="set_delta"):
-        oracle(np.ones(6))
-    with pytest.raises(sk.InvalidSpecError, match="set_delta"):
-        oracle.bundle(np.ones(6))
+        oracle.grad_and_witness(np.ones(6))
     assert mp.tally.snapshot() == {}
     oracle.set_delta(1e-6)
-    assert oracle(np.ones(6)).shape == (6,)
+    assert oracle.grad_and_witness(np.ones(6))[0].shape == (6,)
 
 
 def test_smooth_h_without_grad_h_raises_the_oracle_rule_before_any_call():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import saddlekit as sk
-from saddlekit import fgm, inner_max, mirror_prox, saddle
+from saddlekit import inner_max, mirror_prox, saddle
 from saddlekit.core import Metered, OracleKind, SpectralInfo
 
 
@@ -381,73 +381,6 @@ def test_criterion8_games_check_every_two_e_folds(kappa, matvecs, attempts, monk
     assert certs[-1] is rep.extras["certificate"]
 
 
-def _case1_objective(inst):
-    """The case1 objective for the restarted driver: r through its prox, g through the inner max."""
-    mp = Metered(inst.problem())
-    oracle = inner_max.EnvelopeGradOracle(mp)
-    mu_f = max(mp.spec.mu_x, saddle._structured_modulus(mp.spec, inst.spectral))
-    obj = fgm.CompositeObjective(
-        smooth_grad=oracle,
-        l_smooth=max(oracle.l_env, mu_f),
-        mu=mu_f,
-        prox_model=fgm.prox_model_from_friendly(mp.prox_r),
-        domain=mp.spec.set_x,
-        set_delta=oracle.set_delta,
-    )
-    return obj, mp.tally
-
-
-@pytest.mark.parametrize("seed", range(3))
-@pytest.mark.parametrize("gen", [sk.gen_bilinear, sk.gen_quadratic_saddle])
-def test_case1_step_bound_holds_at_the_returned_point(gen, seed):
-    # on the case1 objective the restarts stop before the scheduled count on
-    # the step bound t^2 of the point they return, and t^2 bounds that
-    # point's true objective gap, 1/2 (x - x*)' H (x - x*) with H the
-    # Hessian of f = r + g
-    inst = gen(10, 8, 10.0, seed=seed, mu_x=1.0 + seed, mu_y=4.0)
-    obj, tally = _case1_objective(inst)
-    a = inst.a
-    hessian = np.diag(inst.mu_x + inst.p_diag) + a.T @ (a.T / (inst.q_diag + inst.mu_y)).T
-    r_x, _ = _criterion11_radii(inst)
-    for eps_f in (1e-3, 1e-6, 1e-9):
-        rep = fgm.run_restarted_fgm(obj, np.zeros(10), eps_f, r0=r_x, tally=tally)
-        assert rep.extras["restarts"] < rep.extras["scheduled_restarts"]
-        err = rep.x_final - inst.closed_form_x
-        true_gap = 0.5 * float(err @ (hessian @ err))
-        assert true_gap <= rep.certified_gap <= eps_f
-
-
-def test_case1_checks_only_blocks_that_can_pass(monkeypatch):
-    # on the case1 objective the step bound is >= delta_j, so only blocks
-    # with delta_j <= eps_f are checked; each check costs one outer gradient
-    # at the block's accuracy, with no set_delta of its own, and
-    # smooth_calls counts it
-    asked, grads = [], []
-    set_delta, call = inner_max.EnvelopeGradOracle.set_delta, inner_max.EnvelopeGradOracle.__call__
-
-    def recording_set_delta(self, delta_env):
-        asked.append(delta_env)
-        set_delta(self, delta_env)
-
-    def counting_call(self, x):
-        grads.append(x)
-        return call(self, x)
-
-    monkeypatch.setattr(inner_max.EnvelopeGradOracle, "set_delta", recording_set_delta)
-    monkeypatch.setattr(inner_max.EnvelopeGradOracle, "__call__", counting_call)
-    inst = sk.gen_quadratic_saddle(10, 8, 10.0, seed=5, mu_x=4.0, mu_y=4.0)
-    obj, tally = _case1_objective(inst)
-    r_x, _ = _criterion11_radii(inst)
-    eps_f = 1e-6
-    rep = fgm.run_restarted_fgm(obj, np.zeros(10), eps_f, r0=r_x, tally=tally)
-    restarts, n = rep.extras["restarts"], rep.extras["block_size"]
-    assert restarts < rep.extras["scheduled_restarts"]
-    assert len(asked) == len(rep.history) == restarts
-    checks = len(grads) - restarts * n
-    assert checks == sum(delta <= eps_f for delta in asked) >= 1
-    assert rep.extras["smooth_calls"] == len(grads)
-
-
 @pytest.mark.parametrize("seed", [1, 2, 3, 4])
 def test_case4_certifies_at_unit_moduli(seed):
     # smooth r and smooth h with mu_x = mu_y = 1: every outer gradient is a
@@ -696,9 +629,7 @@ def test_accelerated_loop_builds_no_bundle(engine, monkeypatch):
     rep = sk.solve_saddle(problem, 1e-8, engine=engine, r_x=r_x, r_y=r_y)
     assert rep.converged and rep.extras["engine"] == engine and rep.extras["steps"] > 0
     assert built == []
-    oracle = inner_max.EnvelopeGradOracle(problem)
-    oracle.set_delta(1e-6)
-    oracle.bundle(np.ones(6))  # the public bundle still goes through the counted class
+    sk.inexact_grad_g(problem, np.ones(6), 1e-6)  # the public bundle still goes through the counted class
     assert len(built) == 1
 
 
