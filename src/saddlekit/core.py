@@ -155,14 +155,8 @@ class OracleTally:
 
     __slots__ = ("_counts",)
 
-    def __init__(self, counts: Optional[Mapping[OracleKind, int]] = None):
+    def __init__(self):
         self._counts: dict[OracleKind, int] = {}
-        if counts:
-            for k, v in counts.items():
-                if v < 0:
-                    raise ValueError("counters must be nonnegative")
-                if v:
-                    self._counts[k] = int(v)
 
     def bump(self, kind: OracleKind, n: int = 1) -> None:
         if n > 0:
@@ -174,16 +168,10 @@ class OracleTally:
     def count(self, kind: OracleKind) -> int:
         return self._counts.get(kind, 0)
 
-    def total(self) -> int:
-        return sum(self._counts.values())
-
     def snapshot(self) -> dict[str, int]:
         """Plain-dict snapshot keyed by the kind's string value, in key order."""
         counts = self._counts
         return {key: counts[k] for k, key in _SNAPSHOT_ORDER if k in counts}
-
-    def copy(self) -> "OracleTally":
-        return OracleTally(self._counts)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, OracleTally):
@@ -194,13 +182,11 @@ class OracleTally:
         return f"OracleTally({self.snapshot()})"
 
 
-def counted(fn: Callable, tally: OracleTally, kind: OracleKind, matvecs: int = 0) -> Callable:
+def counted(fn: Callable, tally: OracleTally, kind: OracleKind) -> Callable:
     """Wrap an oracle closure so each invocation bumps ``tally``."""
 
     def wrapped(*args):
         tally.bump(kind)
-        if matvecs:
-            tally.bump(OracleKind.MATVEC, matvecs)
         return fn(*args)
 
     return wrapped

@@ -87,22 +87,22 @@ def run_fgm(
     obj: CompositeObjective,
     x0: Vector,
     n: int,
-    delta: float = 0.0,
     tally: Optional[OracleTally] = None,
 ) -> SolveReport:
-    """Run ``n`` accelerated steps from ``x0``.
+    """Run ``n`` accelerated steps from ``x0``; ``n = 0`` returns a copy of the start.
 
-    ``delta`` is the per-call oracle inexactness the caller asked for; it
-    changes no step and is only echoed in ``extras["delta"]``, and
     ``certified_gap`` is inf, with no target.  When the objective has a
     value oracle (``obj.full_value``) the history logs one row per step with
     the objective gap (nan without ``obj.f_star``); without one it stays empty.
+    An ``n`` below 0 raises :class:`~saddlekit.core.InvalidSpecError` before
+    any oracle call (:func:`~saddlekit.core.require`).
 
     Each step forms ``big_a * x`` once and builds both convex combinations
     ``(alpha * u + big_a * x) / a_next`` from it in place, one new array
     each: the same floating-point operations in the same order as that
     formula, so the iterates are bit for bit the formula's.
     """
+    require("n", n, strict=False)
     log = RunLog(tally)
     x = np.array(x0, dtype=float)
     u = x.copy()
@@ -123,7 +123,7 @@ def run_fgm(
         big_a = a_next
         if record:
             log.row(k + 1, obj.gap_at(x))
-    return log.report(x, float("inf"), big_a=big_a, delta=delta, iterations=int(n))
+    return log.report(x, float("inf"), big_a=big_a, iterations=int(n))
 
 
 def restart_budget(l: float, mu: float) -> int:
@@ -162,7 +162,9 @@ def run_restarted_fgm(
     the declared L and mu, where D_1 = r0 and D_(j+1)^2 = 2 bound_j / mu.
     Since N^2 >= 18 L / mu each block's bound is at most 2 mu D_j^2 / 9, so
     D_j^2 shrinks by a factor 4/9 per block and the p-th bound is at most
-    4 epsilon / 9.
+    4 epsilon / 9.  That bound says nothing about a NaN or inf point (a NaN
+    oracle, or an understated constant): such a point is returned with
+    ``certified_gap`` inf, unconverged.
 
     ``extras["smooth_calls"]`` counts the blocks' smooth-gradient calls and
     one per certificate, the stopping one included.  The history logs one
@@ -192,8 +194,9 @@ def run_restarted_fgm(
         log.row(restarts, obj.gap_at(x) if obj.full_value is not None else bound)
         if stop:
             break
+    gap = bound if np.isfinite(x).all() else float("inf")
     return log.report(
-        x, bound, epsilon,
+        x, gap, epsilon,
         restarts=restarts, block_size=n_j, scheduled_restarts=p,
         smooth_calls=restarts * n_j + min(restarts, p - 1),
     )
@@ -300,7 +303,7 @@ def _resume_to_gap(
                 best=witness,
                 tally=tally,
             )
-        x = run_fgm(obj, witness, n_b, 0.0, tally=tally).x_final
+        x = run_fgm(obj, witness, n_b, tally=tally).x_final
         bound, witness = certificate(obj, x)
         blocks += 1
     return witness, bound, blocks, n_b
@@ -315,18 +318,16 @@ def quadratic_prox_model(
     weight: float,
     center: Optional[Vector] = None,
     lin_term: Optional[Vector] = None,
-    domain: Optional[FeasibleSet] = None,
 ) -> Callable[[Vector, float, Vector], Vector]:
-    """Model-subproblem solver for a quadratic composite.
+    """Model-subproblem solver for a quadratic composite over all of space.
 
     Composite ``c(v) = weight/2 ||v - center||^2 + <lin_term, v>``; the model
 
         min_v 1/2 ||v - u||^2 + alpha (<lin, v> + c(v))
 
-    over an unconstrained domain or a Euclidean ball reduces to a projection
-    of the unconstrained minimizer because the objective stays isotropic.
+    has the closed-form minimizer returned here.  The objective stays
+    isotropic, so over a Euclidean ball the minimizer is this one projected.
     """
-    dom = domain if domain is not None else AllSpace()
 
     def prox(u: Vector, alpha: float, lin: Vector) -> Vector:
         num = u - alpha * lin
@@ -335,10 +336,8 @@ def quadratic_prox_model(
         if weight != 0.0:
             if center is not None:
                 num = num + alpha * weight * center
-            v = num / (1.0 + alpha * weight)
-        else:
-            v = num
-        return dom.project(v)
+            return num / (1.0 + alpha * weight)
+        return num
 
     return prox
 

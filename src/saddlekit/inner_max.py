@@ -24,7 +24,8 @@ when it is built.
 The inner objective does not depend on x, so :class:`EnvelopeGradOracle`
 builds it once per metered view, with the set center and the envelope
 constant, and reuses it for every outer gradient and for every other solve on
-the same view.  The oracle's accuracy comes only from its ``set_delta``.
+the same view.  It keeps no accuracy or warm start between solves: every call
+takes both as arguments.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ import numpy as np
 
 from . import fgm
 from .core import (
-    InvalidSpecError,
     Metered,
     SaddleProblem,
     Vector,
@@ -81,11 +81,9 @@ class EnvelopeGradOracle:
     solve raises (:func:`~saddlekit.core.require_oracles`) before any call is billed.
 
     Each :meth:`grad_and_witness` runs one certified inner maximization at the
-    accuracy last given to :meth:`set_delta`, the *envelope* inexactness (the
-    inner solver is asked for half of it), and returns the gradient and the
-    witness, which seeds the next call.  The accuracy comes only from
-    ``set_delta``: a call before the first one raises
-    :class:`~saddlekit.core.InvalidSpecError`.
+    given *envelope* inexactness (the inner solver is asked for half of it)
+    from the given warm start, and returns the gradient and the witness,
+    which the caller may pass as the next warm start.
     Every call bills the given view's tally, as :func:`inexact_grad_g` does
     (``mp.tally`` for a raw problem).
     """
@@ -115,8 +113,6 @@ class EnvelopeGradOracle:
                 mu=spec.mu_y,
                 domain=spec.set_y,
             )
-        self._delta_env: Optional[float] = None
-        self._warm: Optional[Vector] = None
 
     def solve(self, x: Vector, delta: float, y0: Optional[Vector] = None) -> Vector:
         """Return a certified delta-accurate maximizer of F(x, .) - h(.).
@@ -142,14 +138,16 @@ class EnvelopeGradOracle:
         start = self.center if y0 is None else y0  # never aliased by the witness
         return fgm._to_gap(self.objective, start, delta, mp.tally)[0]
 
-    def set_delta(self, delta_env: float) -> None:
-        self._delta_env = float(require("delta_env", delta_env))
+    def grad_and_witness(
+        self, x: Vector, delta_env: float, y0: Optional[Vector] = None
+    ) -> tuple[Vector, Vector]:
+        """The gradient of g at x and its witness, without a bundle: what the solvers read.
 
-    def grad_and_witness(self, x: Vector) -> tuple[Vector, Vector]:
-        """The gradient of g at x and its witness, without a bundle: what the solvers read."""
-        if self._delta_env is None:
-            raise InvalidSpecError("envelope accuracy was never set: call set_delta first")
-        w = self._warm = self.solve(x, 0.5 * self._delta_env, self._warm)
+        ``delta_env`` is the envelope inexactness, checked by
+        :func:`~saddlekit.core.require` before any call; the inner solve from
+        ``y0`` is asked for half of it.
+        """
+        w = self.solve(x, 0.5 * require("delta_env", delta_env), y0)
         return self.mp.grad_x_F(x, w), w
 
 
@@ -162,7 +160,7 @@ def inexact_grad_g(
     """Inexact-gradient bundle of g at x from a certified inner solve.
 
     Bills the tally of the given view or oracle; a raw problem gets a fresh
-    view.  An oracle's own accuracy and warm start are neither read nor set.
+    view.
     """
     oracle = problem if isinstance(problem, EnvelopeGradOracle) else EnvelopeGradOracle(problem)
     return inexact_grad_from_witness(oracle, x, oracle.solve(x, delta, y0), delta)

@@ -199,11 +199,12 @@ def run_mirror_prox(
     both evaluations once per call.  It bills the evaluations it made with
     ``op.charge`` before each history row and on the way out, also when an
     evaluation raises (that evaluation is billed too).  The report carries
-    ``op.tally``, or a fresh tally when the operator has none.
+    ``op.tally``, or a fresh tally when the operator has none.  An ``n``
+    below 1 raises :class:`~saddlekit.core.InvalidSpecError` before any
+    evaluation (:func:`~saddlekit.core.require`).
     """
+    require("n", n, low=1, strict=False)  # from here on the loop runs at least once
     log = RunLog(op.tally)
-    if n < 1:  # from here on the loop runs at least once
-        return log.report(None, float("inf"), error=f"degenerate budget n={n}", iterations=0)
     z = np.array(z0, dtype=float)
     inv_l = 1.0 / op.l
     domain = op.domain

@@ -27,7 +27,8 @@ class SuiteResult:
 
     @property
     def ok(self) -> bool:
-        return self.violations == 0
+        """No violation, and at least one check: a suite that checked nothing shows nothing."""
+        return self.checked > 0 and self.violations == 0
 
     def summary(self) -> str:
         status = "ok" if self.ok else "FAILED"
@@ -116,7 +117,7 @@ def argmax_lipschitz_suite(pairs: int = 1000, seed: int = 0) -> SuiteResult:
     """||y*(x1) - y*(x2)|| <= (2 l_xy / mu_y) ||x1 - x2|| over random pairs."""
     rng = np.random.default_rng(seed)
     instances = _sample_instances(seed)
-    violations = 0
+    violations = checked = 0
     worst = 0.0
     for i in range(int(pairs)):
         inst = instances[i % len(instances)]
@@ -127,12 +128,13 @@ def argmax_lipschitz_suite(pairs: int = 1000, seed: int = 0) -> SuiteResult:
         dx = float(np.linalg.norm(x1 - x2))
         if dx < 1e-12:
             continue
+        checked += 1
         ratio = float(np.linalg.norm(inst.y_star_of(x1) - inst.y_star_of(x2))) / dx
         bound = 2.0 * spec.l_xy / spec.mu_y
         worst = max(worst, ratio - bound)
         if ratio > bound + 1e-7:
             violations += 1
-    return SuiteResult("argmax_lipschitz", int(pairs), violations, {"worst_margin": worst})
+    return SuiteResult("argmax_lipschitz", checked, violations, {"worst_margin": worst})
 
 
 def curvature_suite(instances: int = 50, samples: int = 40, seed: int = 0) -> SuiteResult:

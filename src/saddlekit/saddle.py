@@ -79,8 +79,6 @@ class GapCertificate:
     primal_value: float
     dual_value: float
     gap: float
-    r_x: float
-    r_y: float
     inner_accuracy: float
 
 
@@ -210,14 +208,7 @@ def duality_gap(
         primal_value, dual_value = primal_at(w_p), dual_at(w_d)
         low = primal_value - dual_value
         if math.isfinite(low) and low > target:  # no full solve can pass
-            return GapCertificate(
-                primal_value=primal_value,
-                dual_value=dual_value,
-                gap=low + b_p + b_d,
-                r_x=float(r_x),
-                r_y=float(r_y),
-                inner_accuracy=max(b_p, b_d),
-            )
+            return GapCertificate(primal_value, dual_value, low + b_p + b_d, max(b_p, b_d))
 
     def settle(side, bound, witness, value_at, start_value):
         """The side's value at its point certified to ``inner_eps``: its start's when that certifies."""
@@ -228,14 +219,7 @@ def duality_gap(
     primal_value = settle(primal_side, b_p, w_p, primal_at, primal_value)
     dual_value = settle(dual_side, b_d, w_d, dual_at, dual_value)
     gap = primal_value - dual_value + 2.0 * inner_eps
-    return GapCertificate(
-        primal_value=primal_value,
-        dual_value=dual_value,
-        gap=gap,
-        r_x=float(r_x),
-        r_y=float(r_y),
-        inner_accuracy=float(inner_eps),
-    )
+    return GapCertificate(primal_value, dual_value, gap, float(inner_eps))
 
 
 def _default_radius(feasible, label: str, r: Optional[float]) -> float:
@@ -351,8 +335,8 @@ def _accelerated_candidates(mp, eng, epsilon, x, r0, mu_f, extras):
     tightens at the loop's rate (the error it accumulates stays of the order
     of the rate term: Devolder, Glineur & Nesterov, *First-order methods of
     smooth convex optimization with inexact oracle*, 2014) down to the floor
-    epsilon / 8; an exact-prox inner max never reads it, so there the
-    schedule is skipped.  An exact-prox inner max (prox-friendly h,
+    epsilon / 8; an exact-prox inner max never reads it.  Each inner max
+    starts from the last witness.  An exact-prox inner max (prox-friendly h,
     l_yy = 0) gives g's own gradient, and there l_g is g's smoothness
     l_xx + l_xy^2 / mu_y (:func:`~saddlekit.core.effective_smoothness`,
     which also proves the rest); an inexact one gives a
@@ -389,17 +373,13 @@ def _accelerated_candidates(mp, eng, epsilon, x, r0, mu_f, extras):
     check_every = extras["check_every"] = max(16, math.ceil(2.0 / rho))
     budget = STEP_BUDGET / rho * max(math.log(l_f * r0 * r0 / epsilon), 1.0)
     floor = epsilon / 8.0
-    # an exact-prox inner max never reads delta: it starts at the floor, so no schedule runs
-    delta = floor if oracle.exact_prox else rho * l_f * r0 * r0 / 8.0
-    oracle.set_delta(max(delta, floor))
-    x_prev, y_bar, s, steps = x, oracle.center, 0.0, 0
+    delta = rho * l_f * r0 * r0 / 8.0
+    x_prev, y_bar, w, s, steps = x, oracle.center, None, 0.0, 0
     while steps < budget:
         for _ in range(check_every):
             y = x + beta * (x - x_prev)
-            g, w = oracle.grad_and_witness(y)
-            if delta > floor:  # the next step's accuracy
-                delta *= 1.0 - rho
-                oracle.set_delta(max(delta, floor))
+            g, w = oracle.grad_and_witness(y, max(delta, floor), w)
+            delta *= 1.0 - rho
             x_prev, x = x, step(y, g)
             s = (1.0 - rho) * s + 1.0
             y_bar = y_bar + (w - y_bar) / s

@@ -316,15 +316,17 @@ def composite_gm_solve(
     Each of the ``n`` steps linearizes the smooth part at the current iterate
     and solves the model subproblem with the composite kept exact, so the
     smooth-part gradient is evaluated exactly ``n`` times.  With ``n = 0`` the
-    average is a copy of ``x0``, as :func:`~saddlekit.fgm.run_fgm` returns.
-    Like :func:`~saddlekit.fgm.run_fgm`, it logs one history row per step (the
+    average is a copy of ``x0``, as :func:`~saddlekit.fgm.run_fgm` returns, and
+    like it an ``n`` below 0 raises before any call.  Like
+    :func:`~saddlekit.fgm.run_fgm`, it logs one history row per step (the
     running average's gap) exactly when the objective has ``full_value``.
     ``certified_gap`` is inf, with no target.
     """
+    require("n", n, strict=False)
     log = RunLog(tally)
     x = np.array(x0, dtype=float)
     avg = np.zeros_like(x)
-    steps = max(int(n), 0)
+    steps = int(n)
     for k in range(1, steps + 1):
         x = obj.prox_model(x, 1.0 / obj.l_smooth, obj.smooth_grad(x))
         avg += x
@@ -418,7 +420,7 @@ def catalyst_solve(
         y_prev = x_new + momentum * (x_new - x)
         x = x_new
 
-    return log.report(x, cert, epsilon, engine="catalyst", outer_iterations=outer, q=q)
+    return log.report(x, cert, epsilon, engine="catalyst", outer_iterations=outer)
 
 
 def sliding_solve(

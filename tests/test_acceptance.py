@@ -110,7 +110,7 @@ def test_criterion_02_inexact_fgm_rate():
             )
             x0 = rng.standard_normal(n)
             r_sq = 0.5 * float((x0 - x_star) @ (x0 - x_star))
-            rep = sk.run_fgm(obj, x0, 120, delta=delta)
+            rep = sk.run_fgm(obj, x0, 120)
             for row in rep.history:
                 checked += 1
                 bound = 8.0 * l_declared * r_sq / (row.iteration + 1) ** 2 + 2.0 * row.iteration * delta

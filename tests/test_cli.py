@@ -95,6 +95,21 @@ def test_verify_suite(capsys):
     assert "argmax_lipschitz: ok" in captured.out
 
 
+@pytest.mark.parametrize(
+    "suite, samples, line",
+    [
+        ("envelope", "0", "envelope: FAILED (0 checks, 0 violations)"),
+        ("argmax_lipschitz", "-3", "argmax_lipschitz: FAILED (0 checks, 0 violations)"),
+    ],
+)
+def test_verify_suite_that_checked_nothing_fails(capsys, suite, samples, line):
+    # no check is no evidence: the suite fails, and so does the command
+    code = cli_main(["verify", "--suite", suite, "--samples", samples])
+    assert code == 1
+    assert line in capsys.readouterr().out.splitlines()
+    assert saddlekit.properties.envelope_suite(0).ok is False
+
+
 def test_predict_output(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     spec.write_text(

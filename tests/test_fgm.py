@@ -97,7 +97,7 @@ class TestRunFgm:
         )
         x0 = np.array([2.0, -1.0])
         r_sq = 0.5 * float((x0 - x_star) @ (x0 - x_star))
-        rep = sk.run_fgm(obj, x0, 100, delta=delta)
+        rep = sk.run_fgm(obj, x0, 100)
         for row in rep.history:
             bound = 8 * l_declared * r_sq / (row.iteration + 1) ** 2 + 2 * row.iteration * delta
             assert row.gap <= bound
@@ -119,6 +119,15 @@ class TestRunFgmHistory:
         again = sk.run_fgm(obj, np.zeros(2), 9)
         assert again.history == []
         assert again.x_final.tobytes() == rep.x_final.tobytes()
+
+
+def test_restarted_fgm_fails_closed_on_a_non_finite_point():
+    # a NaN gradient leaves a NaN point: the schedule's a-priori bound says
+    # nothing about it, so the run reports inf and does not converge
+    obj = sk.CompositeObjective(smooth_grad=lambda x: np.full_like(x, np.nan), l_smooth=2.0, mu=1.0)
+    rep = sk.run_restarted_fgm(obj, np.zeros(2), 1e-6, 2.0)
+    assert np.isnan(rep.x_final).all()
+    assert rep.certified_gap == math.inf and not rep.converged
 
 
 class TestRestarts:
@@ -289,8 +298,10 @@ class TestProxModels:
                 t = rng.standard_normal(n)
                 w, alpha = rng.uniform(0.1, 5.0), rng.uniform(0.1, 5.0)
                 dom = sk.EuclideanBall(np.zeros(n), 0.8) if constrained else None
-                prox = quadratic_prox_model(w, center=c, lin_term=t, domain=dom)
+                prox = quadratic_prox_model(w, center=c, lin_term=t)
                 got = prox(u, alpha, lin)
+                if dom is not None:  # the isotropic model's ball minimizer is a projection
+                    got = dom.project(got)
 
                 def model(v):
                     return (
@@ -333,11 +344,12 @@ class TestRunFgmMatchesTheFormula:
         diag = rng.uniform(0.5, 40.0, 5)
         obj, _ = quad_objective(diag, rng.standard_normal(5), domain=ball if composite else None)
         if composite:
-            obj.prox_model = quadratic_prox_model(0.3, center=np.ones(5), domain=ball)
+            model = quadratic_prox_model(0.3, center=np.ones(5))
+            obj.prox_model = lambda u, alpha, lin: ball.project(model(u, alpha, lin))
         if not with_value:
             obj.full_value = None
         x0 = rng.standard_normal(5)
-        rep = sk.run_fgm(obj, x0, 41, 1e-3)
+        rep = sk.run_fgm(obj, x0, 41)
         x, big_a, rows = _reference_fgm(obj, x0, 41)
         assert rep.x_final.tobytes() == x.tobytes()
         assert rep.extras["big_a"] == big_a
@@ -488,7 +500,9 @@ def _nan_objective(l_smooth=1.0, mu=1.0):
         lambda: sk.next_alpha(0.0, math.nan),
         lambda: _identity_operator(l=math.nan),
         lambda: _identity_operator(mu=math.nan),
-        lambda: sk.EnvelopeGradOracle(sk.gen_bilinear(3, 3, 2.0, seed=1).problem()).set_delta(math.nan),
+        lambda: sk.EnvelopeGradOracle(sk.gen_bilinear(3, 3, 2.0, seed=1).problem()).grad_and_witness(
+            np.ones(3), math.nan
+        ),
         lambda: _nan_objective(l_smooth=math.inf),
         lambda: sk.run_restarted_fgm(_nan_objective(mu=math.inf), np.ones(2), 1e-6, 1.0),
         lambda: sk.restart_budget(math.inf, 1.0),

@@ -188,19 +188,22 @@ class TestEnvelopeCheck:
 
 class TestEnvelopeOracle:
     def test_warm_start_and_delta_update(self, b1_problem):
-        # each call solves at half the envelope accuracy last set, so its
+        # each call solves at half the envelope accuracy it is given, so its
         # gradient error is at most l_xy sqrt(delta_env / mu_y), and its
-        # witness seeds the next call
+        # witness can seed the next call; the oracle keeps no state, so the
+        # same accuracy and warm start give the same bytes again
         x, spec = np.array([1.0, 1.0]), b1_problem.spec
         oracle = sk.EnvelopeGradOracle(Metered(b1_problem))
+        warm = None
         for delta_env in (1e-2, 1e-6):
-            oracle.set_delta(delta_env)
-            grad, witness = oracle.grad_and_witness(x)
-            assert oracle._warm is witness
+            grad, witness = oracle.grad_and_witness(x, delta_env, warm)
             err = np.linalg.norm(grad - np.array([1.0, 4.0]))
             assert err <= spec.l_xy * math.sqrt(delta_env / spec.mu_y)
+            again = oracle.grad_and_witness(x, delta_env, warm)
+            assert (again[0].tobytes(), again[1].tobytes()) == (grad.tobytes(), witness.tobytes())
+            warm = witness
         with pytest.raises(sk.InvalidSpecError):
-            oracle.set_delta(0.0)
+            oracle.grad_and_witness(x, 0.0, warm)
 
 
 def inner_mode_problem(mode):
@@ -235,8 +238,7 @@ class TestSharedInnerObject:
         warm = None
         for k, x in enumerate(self.points()):
             delta_env = 1e-3 * 0.1**k
-            oracle.set_delta(delta_env)
-            grad, witness = oracle.grad_and_witness(x)
+            grad, witness = oracle.grad_and_witness(x, delta_env, warm)
             ref = sk.inexact_grad_g(Metered(p, fresh_tally), x, 0.5 * delta_env, y0=warm)
             warm = ref.witness_y
             assert grad.tobytes() == ref.grad.tobytes()
@@ -314,11 +316,11 @@ class TestInnerTally:
     [
         lambda mp: sk.EnvelopeGradOracle(mp).solve(np.ones(6), math.inf),
         lambda mp: sk.inexact_grad_g(mp, np.ones(6), math.inf),
-        lambda mp: sk.EnvelopeGradOracle(mp).set_delta(math.inf),
+        lambda mp: sk.EnvelopeGradOracle(mp).grad_and_witness(np.ones(6), math.inf),
         lambda mp: sk.inexact_grad_from_witness(mp, np.ones(6), np.ones(5), math.inf),
         lambda mp: sk.inexact_grad_from_witness(mp, np.ones(6), np.ones(5), math.nan),
     ],
-    ids=["solve", "inexact-grad", "set-delta", "from-witness-inf", "from-witness-nan"],
+    ids=["solve", "inexact-grad", "grad-and-witness", "from-witness-inf", "from-witness-nan"],
 )
 def test_infinite_accuracy_raises_before_any_call(call, mode):
     # an infinite accuracy certifies nothing: every route must refuse it,
@@ -327,18 +329,6 @@ def test_infinite_accuracy_raises_before_any_call(call, mode):
     with pytest.raises(sk.InvalidSpecError, match="finite and positive"):
         call(mp)
     assert mp.tally.snapshot() == {}
-
-
-@pytest.mark.parametrize("mode", INNER_MODES)
-def test_call_before_set_delta_raises_before_any_call(mode):
-    # the oracle has no accuracy of its own: it answers only what set_delta asked for
-    mp = Metered(inner_mode_problem(mode))
-    oracle = sk.EnvelopeGradOracle(mp)
-    with pytest.raises(sk.InvalidSpecError, match="set_delta"):
-        oracle.grad_and_witness(np.ones(6))
-    assert mp.tally.snapshot() == {}
-    oracle.set_delta(1e-6)
-    assert oracle.grad_and_witness(np.ones(6))[0].shape == (6,)
 
 
 def test_smooth_h_without_grad_h_raises_the_oracle_rule_before_any_call():

@@ -188,11 +188,13 @@ class TestRunMirrorProx:
         assert rep.extras["residual_stop"] is None and rep.extras["iterations"] == 40
 
     def test_degenerate_budget(self):
-        op = identity_operator()
-        rep = sk.run_mirror_prox(op, np.zeros(2), 0)
-        assert rep.x_final is None
-        assert not rep.converged
-        assert "error" in rep.extras
+        # one rule for step counts: a run needs n >= 1, checked before any evaluation
+        tally = OracleTally()
+        op = _metered_op(tally)
+        for n in (0, -3):
+            with pytest.raises(sk.InvalidSpecError, match=f"n must be finite and >= 1, got {n}"):
+                sk.run_mirror_prox(op, np.zeros(7), n)
+        assert tally.snapshot() == {}
 
 
 class TestRestartedMp:
@@ -349,8 +351,7 @@ class TestBlockBilling:
         rep = sk.run_mirror_prox(op, np.ones(7), 9, record_every=1)
         assert [row.iteration for row in rep.history] == list(range(1, 10))
         for row in rep.history:
-            want = OracleTally({kind: 2 * row.iteration * n for kind, n in op.cost.items()})
-            assert row.tally == want.snapshot()
+            assert row.tally == {kind.value: 2 * row.iteration * n for kind, n in op.cost.items()}
 
     @pytest.mark.parametrize("j", [1, 2, 5, 8])
     def test_raising_evaluation_bills_what_was_made(self, j):

@@ -270,23 +270,23 @@ def test_smooth_r_costs_the_order_of_prox_r(gen, seed):
 
 @pytest.fixture
 def asked_deltas(monkeypatch):
-    """Every envelope accuracy given to an inner maximization's ``set_delta``, in order."""
+    """Every envelope accuracy given to an inner maximization's ``grad_and_witness``, in order."""
     asked = []
-    set_delta = inner_max.EnvelopeGradOracle.set_delta
+    grad_and_witness = inner_max.EnvelopeGradOracle.grad_and_witness
 
-    def recording_set_delta(self, delta_env):
+    def recording(self, x, delta_env, y0=None):
         asked.append(delta_env)
-        set_delta(self, delta_env)
+        return grad_and_witness(self, x, delta_env, y0)
 
-    monkeypatch.setattr(inner_max.EnvelopeGradOracle, "set_delta", recording_set_delta)
+    monkeypatch.setattr(inner_max.EnvelopeGradOracle, "grad_and_witness", recording)
     return asked
 
 
 def test_accelerated_loop_tightens_the_inner_accuracy_at_its_rate(asked_deltas):
-    # before step k the loop asks the inner maximization for envelope accuracy
+    # step k asks the inner maximization for envelope accuracy
     # max(eps / 8, rho L r0^2 (1 - rho)^k / 8), rho = sqrt(mu_f / L): coarse
     # far from the saddle, tightening with the rate, never below eps / 8,
-    # and no call once the floor is reached
+    # with one call per step
     asked = asked_deltas
     inst = sk.gen_quadratic_saddle(12, 12, 20.0, seed=5, mu_x=4.0, mu_y=4.0)
     problem = inst.problem()
@@ -298,23 +298,36 @@ def test_accelerated_loop_tightens_the_inner_accuracy_at_its_rate(asked_deltas):
     mu_f = rep.extras["outer_modulus"]
     l_f = max(inner_max.EnvelopeGradOracle(problem).l_env, mu_f)
     rho, floor = math.sqrt(mu_f / l_f), eps / 8.0
-    assert asked[0] == pytest.approx(max(floor, rho * l_f * r_x * r_x / 8.0), rel=1e-12)
-    assert asked[0] > floor
-    for prev, cur in zip(asked, asked[1:-1]):
-        assert cur == pytest.approx(prev * (1.0 - rho), rel=1e-12)
-    assert asked[-2] * (1.0 - rho) <= floor == asked[-1]
-    assert len(asked) <= rep.extras["steps"]
-    assert min(asked) >= floor
+    assert len(asked) == rep.extras["steps"]
+    delta = rho * l_f * r_x * r_x / 8.0
+    assert delta > floor
+    for cur in asked:
+        assert cur == max(delta, floor)
+        delta *= 1.0 - rho
+    assert asked[-1] == floor and min(asked) >= floor
 
 
-def test_exact_prox_inner_max_sets_the_inner_accuracy_once(asked_deltas):
+def test_exact_prox_inner_max_ignores_the_inner_accuracy(asked_deltas, monkeypatch):
     # a bilinear coupling with a prox-friendly h is maximized by one prox, so
-    # the loop sets an accuracy once and runs no schedule, over three checks
+    # the accuracy the loop asks for changes nothing: asked for the floor at
+    # every step instead, the solve gives the same bytes, over three checks
     inst = sk.gen_bilinear(12, 12, 20.0, seed=5)
     r_x, r_y = _criterion11_radii(inst)
-    rep = sk.solve_saddle(inst.problem(), 1e-8, engine="case1", r_x=r_x, r_y=r_y)
+    solve = lambda: sk.solve_saddle(inst.problem(), 1e-8, engine="case1", r_x=r_x, r_y=r_y)
+    rep = solve()
     assert rep.converged and rep.extras["steps"] > 16
-    assert len(asked_deltas) == 1
+    assert len(asked_deltas) == rep.extras["steps"] and asked_deltas[0] > 1e-8 / 8.0
+    recording = inner_max.EnvelopeGradOracle.grad_and_witness
+    monkeypatch.setattr(
+        inner_max.EnvelopeGradOracle,
+        "grad_and_witness",
+        lambda self, x, delta_env, y0=None: recording(self, x, 1e-8 / 8.0, y0),
+    )
+    floored = solve()
+    assert set(asked_deltas[rep.extras["steps"]:]) == {1e-8 / 8.0}
+    assert floored.x_final.tobytes() == rep.x_final.tobytes()
+    assert floored.y_final.tobytes() == rep.y_final.tobytes()
+    assert floored.tally == rep.tally and floored.certified_gap == rep.certified_gap
 
 
 def test_exact_prox_constant_holds_on_a_curved_partial_max():

@@ -167,7 +167,7 @@ class TestCompositeGm:
         x0 = np.array([3.0, -1.0])
         rep = sk.composite_gm_solve(obj, x0, 0, tally=tally)
         assert rep.x_final.tobytes() == x0.tobytes() and rep.x_final is not x0
-        assert rep.extras["iterations"] == 0 and tally.total() == 0
+        assert rep.extras["iterations"] == 0 and tally.snapshot() == {}
 
 
 class TestApg:
@@ -438,4 +438,4 @@ def test_a_heavier_r_is_refused_before_any_call(call):
     spec = sk.SlidingSpec(l_r=40.0, l_g=2.0, mu_r=3.0, mu_g=0.5)
     with pytest.raises(sk.InvalidSpecError, match="l_r <= l_g"):
         call(spec, obj, tally)
-    assert tally.total() == 0
+    assert tally.snapshot() == {}

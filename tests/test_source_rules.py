@@ -9,6 +9,9 @@
 * No top-level import is unused (``__init__`` re-exports count through ``__all__``).
 * No named function has a parameter it never reads, so a setting that
   nothing reads cannot stay in a signature.
+* Every dataclass field is read as ``.<field>`` somewhere in the package, its
+  tests, demos or benchmark, so an output that nothing reads cannot stay in a
+  result type.
 """
 
 from __future__ import annotations
@@ -18,7 +21,8 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "saddlekit").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "saddlekit").glob("*.py"))
 ORACLES = {"grad_r", "grad_h", "grad_x_F", "grad_y_F", "prox_r", "prox_h"}
 
 
@@ -153,3 +157,41 @@ def _unread_parameters(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_every_parameter_is_read(path):
     assert _unread_parameters(path) == [], f"{path.name}: drop these parameters or read them"
+
+
+def _dataclass_fields(path: Path) -> list[str]:
+    """``<class>.<field>`` for each field of the ``@dataclass`` classes in ``path``.
+
+    An ``InitVar`` or ``ClassVar`` annotation declares no field that is read back.
+    """
+    fields = []
+    for cls in ast.walk(_tree(path)):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list]
+        if not any(getattr(d, "id", getattr(d, "attr", None)) == "dataclass" for d in decorators):
+            continue
+        for stmt in cls.body:
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                if not any(
+                    getattr(n, "id", getattr(n, "attr", None)) in ("InitVar", "ClassVar")
+                    for n in ast.walk(stmt.annotation)
+                ):
+                    fields.append(f"{cls.name}.{stmt.target.id}")
+    return fields
+
+
+def test_every_dataclass_field_is_read():
+    readers = [
+        path
+        for folder in ("src", "tests", "demos", "perfbench")
+        for path in sorted((ROOT / folder).rglob("*.py"))
+    ]
+    read = {
+        node.attr
+        for path in readers
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = [f for path in SOURCES for f in _dataclass_fields(path) if f.split(".")[1] not in read]
+    assert unread == [], f"drop these fields or read them: {unread}"
