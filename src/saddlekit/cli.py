@@ -307,7 +307,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--suite", default="all", choices=["all", *properties.SUITES]
     )
-    p_verify.add_argument("--samples", type=int, default=2000)
+    p_verify.add_argument(
+        "--samples", type=int, default=2000,
+        help="samples of the envelope suite and pairs of argmax_lipschitz;"
+        " curvature and averaged_residual run their fixed sizes",
+    )
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.set_defaults(func=_cmd_verify)
 

@@ -404,7 +404,8 @@ class Metered:
 @dataclass
 class HistoryRow:
     """One logged step.  ``gap`` is what the logging driver documents: a true gap,
-    a bound, a certificate, a residual or a squared distance (nan for none)."""
+    a bound, a certificate, a residual or a squared distance (nan for none).
+    :func:`~saddlekit.saddle.solve_saddle` logs one row per certificate on every engine."""
 
     iteration: int
     gap: float

@@ -169,7 +169,8 @@ def run_restarted_fgm(
     ``extras["smooth_calls"]`` counts the blocks' smooth-gradient calls and
     one per certificate, the stopping one included.  The history logs one
     row per block, for the returned point on the last: the objective gap with
-    ``obj.full_value`` (nan without ``obj.f_star``), else the bound.  ``mu``,
+    ``obj.full_value`` (nan without ``obj.f_star``), else the bound, inf at
+    a NaN or inf point as in ``certified_gap``.  ``mu``,
     ``l_smooth``, ``epsilon`` and ``r0`` are checked by
     :func:`~saddlekit.core.require` before any oracle call.
     """
@@ -191,10 +192,10 @@ def run_restarted_fgm(
             stop = cert <= epsilon
             if stop:
                 x, bound = witness, cert
-        log.row(restarts, obj.gap_at(x) if obj.full_value is not None else bound)
+        gap = bound if np.isfinite(x).all() else float("inf")
+        log.row(restarts, obj.gap_at(x) if obj.full_value is not None else gap)
         if stop:
             break
-    gap = bound if np.isfinite(x).all() else float("inf")
     return log.report(
         x, gap, epsilon,
         restarts=restarts, block_size=n_j, scheduled_restarts=p,
@@ -261,33 +262,21 @@ def solve_to_gap(
     return log.report(witness, bound, target_gap, blocks=blocks, **sized)
 
 
-def _to_gap(obj: CompositeObjective, x0: Vector, target_gap: float, tally: OracleTally):
+def _to_gap(obj: CompositeObjective, x0: Vector, target_gap: float, tally: OracleTally, bound=None):
     """:func:`solve_to_gap` without its report: ``(witness, bound, blocks, block size)``.
 
-    The block size is ``None`` when the start certifies; raises as :func:`solve_to_gap` does.
+    A given ``bound`` is the start's :func:`certificate` bound with ``x0``
+    its witness, so the start is not certified a second time.  The block
+    size is ``None`` when the start certifies; raises as :func:`solve_to_gap` does.
     """
-    x = np.asarray(x0, dtype=float)
-    bound, witness = certificate(obj, x)
-    if witness is x0:
-        witness = x.copy()
+    witness = x0
+    if bound is None:
+        x = np.asarray(x0, dtype=float)
+        bound, witness = certificate(obj, x)
+        if witness is x0:
+            witness = x.copy()
     if bound <= target_gap:
         return witness, bound, 0, None
-    return _resume_to_gap(obj, bound, witness, target_gap, tally)
-
-
-def _resume_to_gap(
-    obj: CompositeObjective,
-    bound: float,
-    witness: Vector,
-    target_gap: float,
-    tally: OracleTally,
-) -> tuple[Vector, float, int, int]:
-    """The block loop of :func:`solve_to_gap`, from a start already certified.
-
-    ``(bound, witness)`` is the start's :func:`certificate`, so resuming from
-    it does not certify it a second time.  Returns ``(witness, bound, blocks,
-    block size)`` and raises as :func:`solve_to_gap` does.
-    """
     n_b = restart_budget(max(obj.l_smooth, obj.mu), obj.mu)
     blocks = 0
     while not bound <= target_gap:

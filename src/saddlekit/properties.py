@@ -118,7 +118,7 @@ def argmax_lipschitz_suite(pairs: int = 1000, seed: int = 0) -> SuiteResult:
     rng = np.random.default_rng(seed)
     instances = _sample_instances(seed)
     violations = checked = 0
-    worst = 0.0
+    worst = -float("inf")
     for i in range(int(pairs)):
         inst = instances[i % len(instances)]
         spec = inst.problem().spec
@@ -141,7 +141,7 @@ def curvature_suite(instances: int = 50, samples: int = 40, seed: int = 0) -> Su
     """Sampled Lipschitz/modulus constants of the partial max on bilinear instances."""
     rng = np.random.default_rng(seed)
     violations = 0
-    details = {"worst_lip": 0.0, "worst_mod": 0.0, "worst_kernel": 0.0}
+    details = {"worst_lip": -float("inf"), "worst_mod": -float("inf"), "worst_kernel": 0.0}
     for j in range(int(instances)):
         n = int(rng.integers(2, 8))
         m = int(rng.integers(2, 8))

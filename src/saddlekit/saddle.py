@@ -212,9 +212,9 @@ def duality_gap(
 
     def settle(side, bound, witness, value_at, start_value):
         """The side's value at its point certified to ``inner_eps``: its start's when that certifies."""
-        if not bound <= inner_eps:
-            return value_at(fgm._resume_to_gap(side, bound, witness, inner_eps, mp.tally)[0])
-        return start_value if start_value is not None else value_at(witness)
+        if bound <= inner_eps and start_value is not None:
+            return start_value
+        return value_at(fgm._to_gap(side, witness, inner_eps, mp.tally, bound)[0])
 
     primal_value = settle(primal_side, b_p, w_p, primal_at, primal_value)
     dual_value = settle(dual_side, b_d, w_d, dual_at, dual_value)
@@ -250,16 +250,17 @@ def solve_saddle(
     last :func:`duality_gap` certificate (its gap is ``certified_gap``,
     target ``epsilon``) and that tally.
 
-    The route hands candidate pairs to one certify loop, which stops at the
-    first whose certificate passes; ``extras["attempts"]`` counts the
-    certificates computed.  The prox-r and splitting routes run one
-    accelerated loop (:func:`_accelerated_candidates`) within a step budget,
-    report ``extras["steps"]`` and ``extras["check_every"]``, and log one
-    history row per certificate, its restricted duality gap.  Certificates
-    are asked for ``target`` = ``epsilon``, so a failing check that its two
-    starts settle logs :func:`duality_gap`'s upper bound instead.  The
-    extragradient route resumes at a tighter accuracy for at most
-    :data:`MAX_ATTEMPTS` attempts and logs its restarts' rows.  A route
+    The route only proposes candidate pairs; this loop certifies each and
+    stops at the first that passes.  On every engine the history holds one
+    row per certificate, numbered from one, with the certificate's gap
+    (asked for ``target`` = ``epsilon``, so a failing check that its two
+    starts settle logs :func:`duality_gap`'s upper bound), and
+    ``extras["attempts"]`` counts the certificates.  The prox-r and
+    splitting routes run one accelerated loop
+    (:func:`_accelerated_candidates`) within a step budget and report
+    ``extras["steps"]`` and ``extras["check_every"]``.  The extragradient
+    route (:func:`_extragradient_attempts`) resumes at a tighter accuracy
+    for at most :data:`MAX_ATTEMPTS` attempts.  A route
     that runs out of its budget ends the solve unconverged with its last
     certificate.  An inner or certificate solve that exhausts its budget, a
     non-finite iterate or certificate, or a certificate below zero (which
@@ -299,12 +300,9 @@ def solve_saddle(
     cert = None
     attempts = 0
     try:
-        for attempts, (rep, x_cur, y_cur) in enumerate(route, 1):
-            if rep is not None:  # the extragradient restarts' rows
-                log.history += rep.history
+        for attempts, (x_cur, y_cur) in enumerate(route, 1):
             cert = duality_gap(mp, x_cur, y_cur, r_x, r_y, epsilon / 8.0, target=epsilon)
-            if rep is None:  # the accelerated loop logs its certificates
-                log.row(attempts, cert.gap)
+            log.row(attempts, cert.gap)
             if not math.isfinite(cert.gap):  # an overflowing or NaN oracle value
                 extras["error"] = f"certificate {cert.gap} is not finite"
                 break
@@ -317,8 +315,6 @@ def solve_saddle(
         cert = None
         extras["error"] = str(err)
     extras["attempts"] = attempts
-    # the rows in order, renumbered with a global iteration index
-    log.history = [replace(row, iteration=i) for i, row in enumerate(log.history, 1)]
     gap = float("inf") if "error" in extras else cert.gap
     return log.report(x_cur, gap, epsilon, y=y_cur, certificate=cert, **extras)
 
@@ -327,7 +323,7 @@ STEP_BUDGET = 4.0  # the accelerated loop's step budget, in multiples of its rat
 
 
 def _accelerated_candidates(mp, eng, epsilon, x, r0, mu_f, extras):
-    """The prox-r and splitting routes: one accelerated loop, ``(None, x, y_bar)`` per check.
+    """The prox-r and splitting routes: one accelerated loop, a pair ``(x, y_bar)`` per check.
 
     Constant momentum (1 - sqrt(q)) / (1 + sqrt(q)), q = ``mu_f`` / L, on
     f = r + g with one ``oracle.grad_and_witness`` per step.  Step k asks for envelope
@@ -388,7 +384,7 @@ def _accelerated_candidates(mp, eng, epsilon, x, r0, mu_f, extras):
                 extras["steps"] = steps
                 raise BudgetExceededError(f"iterate not finite after {steps} steps", best=x_prev)
         extras["steps"] = steps
-        yield None, x, y_bar
+        yield x, y_bar
 
 
 def _extragradient_attempts(mp, epsilon, x, y, r0):
@@ -398,7 +394,8 @@ def _extragradient_attempts(mp, epsilon, x, y, r0):
     or a block's last iterate) with ||G(w)||^2 <= ``eps_vi`` mu; on all of space gap(w) <= ``eps_vi`` / 2,
     so the first certificate passes there.  A resumption restarts from the
     returned point, with its ``dist_sq_bound`` as the next ``r0``.  Yields
-    ``(report, x, y)`` at most :data:`MAX_ATTEMPTS` times.
+    the pair ``(x, y)`` at most :data:`MAX_ATTEMPTS` times; the restarts' own
+    rows stay in :func:`~saddlekit.mirror_prox.run_restarted_mp`'s reports.
     """
     op = mirror_prox.assemble_saddle_operator(mp)
     z = np.concatenate([x, y])
@@ -408,7 +405,7 @@ def _extragradient_attempts(mp, epsilon, x, y, r0):
         rep = mirror_prox.run_restarted_mp(op, z, eps_vi, r0=r0)
         z = rep.x_final
         r0 = math.sqrt(rep.extras["dist_sq_bound"])
-        yield rep, z[:nx], z[nx:]
+        yield z[:nx], z[nx:]
         eps_vi /= 16.0
 
 

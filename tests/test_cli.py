@@ -61,6 +61,28 @@ def test_solve_case1(tmp_path, b1_json):
     assert code == 0
 
 
+@pytest.mark.parametrize("engine", [e.value for e in saddlekit.Engine])
+def test_solve_history_has_one_row_per_certificate(tmp_path, monkeypatch, engine):
+    # every engine logs one history row per certificate, numbered from one;
+    # the last is the certificate the summary reports, to the last bit
+    reports = []
+    solve = saddlekit.cli.solve_saddle
+    monkeypatch.setattr(
+        saddlekit.cli, "solve_saddle", lambda *a, **k: reports.append(solve(*a, **k)) or reports[-1]
+    )
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({"family": "bilinear", "n": 6, "m": 6, "cond": 10, "seed": 1}))
+    out = tmp_path / "out"
+    assert cli_main(["solve", "--instance", str(inst), "--engine", engine, "--out", str(out)]) == 0
+    summary = (out / "summary.csv").read_text().splitlines()[1].split(",")
+    history = [line.split(",") for line in (out / "history.csv").read_text().splitlines()[1:]]
+    assert summary[-1] == "1"  # converged
+    attempts = reports[0].extras["attempts"]
+    assert [int(row[0]) for row in history] == list(range(1, attempts + 1))
+    assert history[-1][1] == summary[8]  # gap
+    assert history[-1][2] == summary[11]  # calls_gradx_F
+
+
 def test_sweep_byte_identical(tmp_path):
     cfg = {
         "family": "bilinear",
@@ -108,6 +130,17 @@ def test_verify_suite_that_checked_nothing_fails(capsys, suite, samples, line):
     assert code == 1
     assert line in capsys.readouterr().out.splitlines()
     assert saddlekit.properties.envelope_suite(0).ok is False
+
+
+def test_passing_suites_report_their_slack(capsys):
+    # a passing run's worst margins are negative: how far the worst sample
+    # stayed inside its bound, not a zero the start value left behind
+    assert cli_main(["verify", "--suite", "argmax_lipschitz", "--samples", "5"]) == 0
+    margin = capsys.readouterr().out.splitlines()[1]
+    assert margin.startswith("  worst_margin: -")
+    result = saddlekit.properties.curvature_suite(3, 10)
+    assert result.ok
+    assert result.details["worst_lip"] < 0.0 and result.details["worst_mod"] < 0.0
 
 
 def test_predict_output(tmp_path, capsys):

@@ -123,11 +123,13 @@ class TestRunFgmHistory:
 
 def test_restarted_fgm_fails_closed_on_a_non_finite_point():
     # a NaN gradient leaves a NaN point: the schedule's a-priori bound says
-    # nothing about it, so the run reports inf and does not converge
+    # nothing about it, so the run reports inf and does not converge, and the
+    # history's row for that point, which logs the bound, reads inf too
     obj = sk.CompositeObjective(smooth_grad=lambda x: np.full_like(x, np.nan), l_smooth=2.0, mu=1.0)
     rep = sk.run_restarted_fgm(obj, np.zeros(2), 1e-6, 2.0)
     assert np.isnan(rep.x_final).all()
     assert rep.certified_gap == math.inf and not rep.converged
+    assert rep.history[-1].gap == math.inf
 
 
 class TestRestarts:

@@ -173,19 +173,19 @@ def _criterion11_radii(inst) -> tuple[float, float]:
 
 
 # Full tallies, attempt counts and history lengths of solves at epsilon 1e-6
-# with mu_x = mu_y = 1 and the criterion-11 radii.  The extragradient rows
-# certify on their first attempt: the restarts return the point whose
-# residual met eps mu; test_extragradient_resumption_divides_eps_vi_by_16
-# pins what a resumption asks for.  The case2 row's first certificate
-# fails, settled from the two sides' starts, so it pins the accelerated
-# loop's run past its first check, with one history row per certificate.
+# with mu_x = mu_y = 1 and the criterion-11 radii; every engine logs one
+# history row per certificate.  The extragradient rows certify on their
+# first attempt: the restarts return the point whose residual met eps mu;
+# test_extragradient_resumption_divides_eps_vi_by_16 pins what a resumption
+# asks for.  The case2 row's first certificate fails, settled from the two
+# sides' starts, so it pins the accelerated loop's run past its first check.
 PINNED_ATTEMPT_TALLIES = [
     (
-        "bilinear", 1, None, "mirror_prox", "mirror_prox", 1, 5,
+        "bilinear", 1, None, "mirror_prox", "mirror_prox", 1, 1,
         {"grad_h": 51, "grad_r": 51, "gradx_F": 51, "grady_F": 51, "matvec": 102},
     ),
     (
-        "quadratic", 0, None, "mirror_prox", "mirror_prox", 1, 6,
+        "quadratic", 0, None, "mirror_prox", "mirror_prox", 1, 1,
         {"grad_h": 54, "grad_r": 54, "gradx_F": 54, "grady_F": 54, "matvec": 108},
     ),
     (
@@ -210,7 +210,7 @@ def test_pinned_attempt_counts(family, seed, prox_friendly_r, engine, ran, attem
     assert rep.converged and rep.certified_gap <= 1e-6
     assert (rep.extras["engine"], rep.extras["attempts"]) == (ran, attempts)
     assert rep.tally.snapshot() == tally
-    # every attempt's rows, numbered on from one to the next
+    # one row per certificate, numbered from one
     assert [row.iteration for row in rep.history] == list(range(1, rows + 1))
 
 
@@ -231,9 +231,10 @@ def test_extragradient_resumption_divides_eps_vi_by_16(monkeypatch):
     route = saddle._extragradient_attempts(
         Metered(inst.problem()), 1e-6, np.zeros(6), np.zeros(6), math.hypot(r_x, r_y)
     )
-    first, _, _ = next(route)
-    _, x, y = next(route)
+    next(route)
+    x, y = next(route)
     assert [epsilon for _, epsilon, _, _ in calls] == [1e-6, 1e-6 / 16.0]
+    first = calls[0][3]
     z0, _, r0, second = calls[1]
     assert z0.tobytes() == first.x_final.tobytes()
     assert r0 == math.sqrt(first.extras["dist_sq_bound"])

@@ -12,11 +12,14 @@
 * Every dataclass field is read as ``.<field>`` somewhere in the package, its
   tests, demos or benchmark, so an output that nothing reads cannot stay in a
   result type.
+* Every private (``_``-prefixed) function or class is referenced in the package
+  outside its own body, so a folded helper cannot linger for tests alone.
 """
 
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -195,3 +198,34 @@ def test_every_dataclass_field_is_read():
     }
     unread = [f for path in SOURCES for f in _dataclass_fields(path) if f.split(".")[1] not in read]
     assert unread == [], f"drop these fields or read them: {unread}"
+
+
+
+def _referred_name(node: ast.AST):
+    """The name a ``Name`` or an ``Attribute`` node refers to, else None."""
+    if isinstance(node, ast.Name):
+        return node.id
+    return node.attr if isinstance(node, ast.Attribute) else None
+
+
+def _unreferenced_private_names() -> list[str]:
+    """``<file>:<name>`` for each private def or class no package code refers to.
+
+    A reference is a name or an attribute anywhere in ``src/saddlekit``
+    outside the definition's own body; dunder methods are exempt.
+    """
+    defs, refs = [], Counter()
+    for path in SOURCES:
+        for node in ast.walk(_tree(path)):
+            refs[_referred_name(node)] += 1
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = node.name
+                if name.startswith("_") and not name.endswith("__"):
+                    own = sum(_referred_name(sub) == name for sub in ast.walk(node))
+                    defs.append((path.name, name, own))
+    return [f"{file}:{name}" for file, name, own in defs if refs[name] <= own]
+
+
+def test_every_private_helper_is_referenced():
+    unreferenced = _unreferenced_private_names()
+    assert unreferenced == [], f"fold or delete these helpers: {unreferenced}"
