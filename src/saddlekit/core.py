@@ -103,25 +103,16 @@ def set_center(s: FeasibleSet, dim: int) -> Vector:
     return np.zeros(dim)
 
 
-def restrict_to_ball(base: FeasibleSet, center: Vector, radius: float) -> FeasibleSet:
-    """Intersection of ``base`` with the ball B(center, radius).
+def restrict_to_ball(base: FeasibleSet, radius: float, dim: int) -> FeasibleSet:
+    """Intersection of ``base`` with the ball of ``radius`` around ``base``'s own center.
 
-    Only the cases with a closed-form projection are supported: an
-    unconstrained base, or nested balls.  Anything else raises
-    :class:`UnsupportedProblemError`.
+    The two are concentric, so the intersection is the smaller one: ``base``
+    itself when it is a ball no larger, else the ball (centered at the
+    origin of the ``dim``-dimensional space when ``base`` is all of it).
     """
-    ball = EuclideanBall(np.asarray(center, dtype=float), float(radius))
-    if isinstance(base, AllSpace):
-        return ball
-    # nested-ball cases
-    dist = float(np.linalg.norm(base.center - ball.center))
-    if dist + base.radius <= ball.radius:
+    if isinstance(base, EuclideanBall) and base.radius <= radius:
         return base
-    if dist + ball.radius <= base.radius:
-        return ball
-    raise UnsupportedProblemError(
-        "projection onto the intersection of two overlapping balls is not closed form"
-    )
+    return EuclideanBall(set_center(base, dim), float(radius))
 
 
 # ---------------------------------------------------------------------------

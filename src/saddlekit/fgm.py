@@ -14,8 +14,8 @@ Three drivers are provided:
 * :func:`run_fgm` - a fixed number of accelerated steps;
 * :func:`run_restarted_fgm` - the linearly convergent restart wrapper for
   strongly convex objectives under an exact oracle, the reference schedule:
-  a known distance bound fixes its blocks, and :func:`certificate` may stop
-  it early;
+  a known distance bound sizes its block budget, and :func:`certificate`
+  decides when it stops and what it reports;
 * :func:`solve_to_gap` - restart blocks driven by the computable optimality
   :func:`certificate` instead of a known distance bound (used by inner solvers).
 """
@@ -152,54 +152,40 @@ def run_restarted_fgm(
 ) -> SolveReport:
     """Restarted accelerated method for ``mu``-strongly convex objectives, exact oracle.
 
-    ``r0`` upper-bounds the starting distance ``||x0 - x*||``.  Each restart
-    runs a block of :func:`restart_budget` iterations from the last block's
-    point, and :func:`restart_count` blocks, p, are scheduled.  After every
-    block but the p-th, :func:`certificate` is computed at the block's point;
-    the first bound at most ``epsilon`` stops the run, which returns its
-    witness with that bound as ``certified_gap``.  Otherwise the run returns
-    the p-th block's point with the a-priori bound 4 L D_p^2 / (N+1)^2 under
-    the declared L and mu, where D_1 = r0 and D_(j+1)^2 = 2 bound_j / mu.
-    Since N^2 >= 18 L / mu each block's bound is at most 2 mu D_j^2 / 9, so
-    D_j^2 shrinks by a factor 4/9 per block and the p-th bound is at most
-    4 epsilon / 9.  That bound says nothing about a NaN or inf point (a NaN
-    oracle, or an understated constant): such a point is returned with
-    ``certified_gap`` inf, unconverged.
+    ``r0`` upper-bounds the starting distance ``||x0 - x*||`` and sizes the
+    block budget: each restart runs a block of :func:`restart_budget`
+    iterations from the last block's point, for at most :func:`restart_count`
+    blocks, p.  Under the declared L and mu that budget suffices (N^2 >=
+    18 L / mu shrinks the squared distance bound by 4/9 per block), but the
+    certificate decides: after every block :func:`certificate` is computed at
+    the block's point, and the first bound at most ``epsilon`` stops the run,
+    which returns its witness with that bound as ``certified_gap``.  When no
+    bound passes (an understated constant, a NaN oracle) the run returns the
+    p-th block's certificate, unconverged; a NaN bound reads inf.
 
     ``extras["smooth_calls"]`` counts the blocks' smooth-gradient calls and
-    one per certificate, the stopping one included.  The history logs one
-    row per block, for the returned point on the last: the objective gap with
-    ``obj.full_value`` (nan without ``obj.f_star``), else the bound, inf at
-    a NaN or inf point as in ``certified_gap``.  ``mu``,
-    ``l_smooth``, ``epsilon`` and ``r0`` are checked by
+    one per certificate, ``restarts * (block_size + 1)``.  The history logs
+    one row per block, its certificate, so the last row is ``certified_gap``.
+    ``mu``, ``l_smooth``, ``epsilon`` and ``r0`` are checked by
     :func:`~saddlekit.core.require` before any oracle call.
     """
     require("r0", r0)
     log = RunLog(tally)
-    l, mu = obj.l_smooth, obj.mu
-    n_j = restart_budget(l, mu)
-    p = restart_count(mu, r0 * r0, epsilon)
-
+    n_j = restart_budget(obj.l_smooth, obj.mu)
+    p = restart_count(obj.mu, r0 * r0, epsilon)
     x = np.array(x0, dtype=float)
-    d_sq = r0 * r0
     for restarts in range(1, p + 1):
         x = run_fgm(obj, x, n_j, tally=log.tally).x_final
-        bound = 4.0 * l * d_sq / (n_j + 1) ** 2
-        d_sq = 2.0 * bound / mu
-        stop = False
-        if restarts < p:
-            cert, witness = certificate(obj, x)
-            stop = cert <= epsilon
-            if stop:
-                x, bound = witness, cert
-        gap = bound if np.isfinite(x).all() else float("inf")
-        log.row(restarts, obj.gap_at(x) if obj.full_value is not None else gap)
-        if stop:
+        bound, witness = certificate(obj, x)
+        if math.isnan(bound):
+            bound = float("inf")
+        log.row(restarts, bound)
+        if bound <= epsilon:
             break
     return log.report(
-        x, gap, epsilon,
+        witness, bound, epsilon,
         restarts=restarts, block_size=n_j, scheduled_restarts=p,
-        smooth_calls=restarts * n_j + min(restarts, p - 1),
+        smooth_calls=restarts * (n_j + 1),
     )
 
 

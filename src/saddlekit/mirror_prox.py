@@ -57,13 +57,7 @@ class ProductSet:
     second: FeasibleSet
     dim_first: int
 
-    @property
-    def is_all_space(self) -> bool:
-        return isinstance(self.first, AllSpace) and isinstance(self.second, AllSpace)
-
     def project(self, v: Vector) -> Vector:
-        if self.is_all_space:
-            return v
         a = self.first.project(v[: self.dim_first])
         b = self.second.project(v[self.dim_first :])
         return np.concatenate([a, b])
@@ -129,6 +123,8 @@ def assemble_saddle_operator(problem: SaddleProblem | Metered) -> ViOperator:
     call.  The operator bills the tally of the given view, or of a fresh view
     of a raw problem (read back as ``op.tally``): one evaluation costs one
     call of each of the four gradient oracles plus their declared matvecs.
+    Its domain is the :class:`ProductSet` of the two sets, or
+    :class:`~saddlekit.core.AllSpace` when both are all of space.
     The evaluators that ``bind`` returns call the raw oracles on the x and y
     views of ``z``, write the two blocks into the views of ``out``, and leave
     the billing to the caller's :meth:`ViOperator.charge`.
@@ -144,6 +140,7 @@ def assemble_saddle_operator(problem: SaddleProblem | Metered) -> ViOperator:
     if matvecs:
         cost[OracleKind.MATVEC] = matvecs
     grad_r, grad_h, grad_x_f, grad_y_f = p.grad_r, p.grad_h, p.grad_x_F, p.grad_y_F
+    free = isinstance(spec.set_x, AllSpace) and isinstance(spec.set_y, AllSpace)
 
     def bind(z: Vector, out: Vector) -> Callable[[], Vector]:
         x, y = z[:nx], z[nx:]
@@ -160,7 +157,7 @@ def assemble_saddle_operator(problem: SaddleProblem | Metered) -> ViOperator:
         bind=bind,
         l=p.operator_l if p.operator_l is not None else _default_operator_l(spec),
         mu=min(spec.mu_x, spec.mu_y),
-        domain=ProductSet(spec.set_x, spec.set_y, nx),
+        domain=AllSpace() if free else ProductSet(spec.set_x, spec.set_y, nx),
         tally=mp.tally,
         cost=cost,
     )
@@ -208,10 +205,7 @@ def run_mirror_prox(
     z = np.array(z0, dtype=float)
     inv_l = 1.0 / op.l
     domain = op.domain
-    free = isinstance(domain, AllSpace) or (
-        isinstance(domain, ProductSet) and domain.is_all_space
-    )
-    project = None if free else domain.project
+    project = None if isinstance(domain, AllSpace) else domain.project
     w = np.empty_like(z)
     step = np.empty_like(z)
     at_z, at_w = op.bind(z, np.empty_like(z)), op.bind(w, np.empty_like(z))

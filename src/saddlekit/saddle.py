@@ -181,7 +181,7 @@ def duality_gap(
 
     def restricted_side(smooth_grad, feasible, dim, radius, l_coupling, l_comp, mu, start):
         """One side over its set intersected with B(center, 2 radius), and its start's certificate."""
-        dom = restrict_to_ball(feasible, set_center(feasible, dim), 2.0 * radius)
+        dom = restrict_to_ball(feasible, 2.0 * radius, dim)
         side = fgm.CompositeObjective(
             smooth_grad=smooth_grad,
             l_smooth=max(l_coupling + (l_comp if l_comp is not None else mu), mu),
@@ -254,9 +254,9 @@ def solve_saddle(
     stops at the first that passes.  On every engine the history holds one
     row per certificate, numbered from one, with the certificate's gap
     (asked for ``target`` = ``epsilon``, so a failing check that its two
-    starts settle logs :func:`duality_gap`'s upper bound), and
-    ``extras["attempts"]`` counts the certificates.  The prox-r and
-    splitting routes run one accelerated loop
+    starts settle logs :func:`duality_gap`'s upper bound, and one that
+    exhausts its budget logs inf), and ``extras["attempts"]`` counts the
+    certificates.  The prox-r and splitting routes run one accelerated loop
     (:func:`_accelerated_candidates`) within a step budget and report
     ``extras["steps"]`` and ``extras["check_every"]``.  The extragradient
     route (:func:`_extragradient_attempts`) resumes at a tighter accuracy
@@ -314,6 +314,8 @@ def solve_saddle(
     except BudgetExceededError as err:
         cert = None
         extras["error"] = str(err)
+        if len(log.history) < attempts:  # the certificate raised, not the route
+            log.row(attempts, float("inf"))
     extras["attempts"] = attempts
     gap = float("inf") if "error" in extras else cert.gap
     return log.report(x_cur, gap, epsilon, y=y_cur, certificate=cert, **extras)

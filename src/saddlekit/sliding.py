@@ -9,12 +9,14 @@ cheap-to-accelerate term and ~sqrt(l_g / mu) of the other, instead of
   fixed budget of fast-gradient iterations.  Its step sizes, contraction
   factor and inner budget are fully explicit (:func:`alg5_params`), so it
   stays :func:`sliding_solve`'s default engine and the scheduled reference
-  that acceptance criteria 9a, 9b, 10 and 12 pin.
+  that acceptance criteria 9a, 9b, 10 and 12 pin.  It computes no bound, so
+  its ``certified_gap`` is inf, with no target.
 * :func:`catalyst_solve` - an outer proximal-point acceleration wrapper whose
   regularized subproblems run the composite steps of :func:`composite_gm_solve`
   in its own loop, each with a certified accelerated solve of g.  Its
   inner solves stop on certificates rather than a fixed budget, so it spends
-  far fewer g-gradients.
+  far fewer g-gradients, and it stops on a gradient-norm certificate that it
+  reports at the returned point.
 
 r must be the cheaper term (l_r <= l_g); a split the other way round raises
 before any oracle call.
@@ -257,11 +259,11 @@ def apg_inexact_solve(
     With ``exact_inner`` the prox subproblem is solved by the objective's
     closed-form ``prox_g``, which must then be given.  When ``obj.x_star`` is
     known the report's ``extras["lyapunov"]`` logs the contraction quantity
-    after every step.  The target is ``epsilon``, and ``certified_gap`` is the
-    schedule's a-priori bound on the final iterate's objective gap under the
-    declared constants: ``epsilon`` itself, or ``inf`` when that iterate is
-    NaN or infinite.  The history logs y's objective gap after every step
-    (nan without ``obj.f_star``).
+    after every step.  ``epsilon`` sizes the schedule, but the run computes
+    no bound: like :func:`~saddlekit.fgm.run_fgm` and
+    :func:`composite_gm_solve` it is a fixed-budget driver, so
+    ``certified_gap`` is inf, with no target.  The history logs y's
+    objective gap after every step (nan without ``obj.f_star``).
     """
     obj, spec = normalize_split(obj, spec)
     log = RunLog(tally)
@@ -294,10 +296,7 @@ def apg_inexact_solve(
         if obj.x_star is not None and p_star is not None:
             lyapunov.append(lyap(z, y))
         log.row(k + 1, obj.gap_at(y))
-    # the schedule certifies nothing about a NaN or inf iterate (an understated
-    # constant can blow the loop up): fail closed without spending an oracle call
-    gap = epsilon if np.isfinite(y).all() else float("inf")
-    return log.report(y, gap, epsilon, params=params, lyapunov=lyapunov, engine="apg")
+    return log.report(y, float("inf"), params=params, lyapunov=lyapunov, engine="apg")
 
 
 # ---------------------------------------------------------------------------

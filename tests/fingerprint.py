@@ -181,6 +181,18 @@ def driver_cases() -> None:
         "fgm/run_restarted_fgm",
         lambda: fgm.run_restarted_fgm(_quad(diag, b), x0, 1e-9, r0=40.0, tally=OracleTally()),
     )
+    fingerprint(
+        "fgm/run_restarted_fgm/one_block",
+        lambda: fgm.run_restarted_fgm(_quad(diag, b), x0, 1e3, r0=40.0, tally=OracleTally()),
+    )
+
+    def understated_l():
+        obj = _quad([1.0, 10.0], [0.7, 3.0])
+        obj.l_smooth = 5.0  # the true constant is 10: the blocks diverge
+        with np.errstate(all="ignore"):
+            return fgm.run_restarted_fgm(obj, np.zeros(2), 1e-3, r0=1.5, tally=OracleTally())
+
+    fingerprint("fgm/run_restarted_fgm/understated_l", understated_l)
     fingerprint("fgm/solve_to_gap/free", lambda: fgm.solve_to_gap(_quad(diag, b), x0, 1e-10))
     ball = EuclideanBall(np.zeros(8), 0.05)
     fingerprint("fgm/solve_to_gap/ball", lambda: fgm.solve_to_gap(_quad(diag, b, ball), x0, 1e-10))

@@ -208,12 +208,14 @@ class TestSets:
         assert ball.project(inside) is inside
 
     def test_restrict_to_ball(self):
-        ball = restrict_to_ball(sk.AllSpace(), np.zeros(2), 2.0)
-        assert isinstance(ball, EuclideanBall)
-        inner = EuclideanBall(np.zeros(2), 1.0)
-        assert restrict_to_ball(inner, np.zeros(2), 5.0) is inner
-        with pytest.raises(sk.UnsupportedProblemError):
-            restrict_to_ball(EuclideanBall(np.array([3.0, 0.0]), 2.0), np.zeros(2), 2.0)
+        # the ball is concentric with the set, so the smaller of the two is the intersection
+        ball = restrict_to_ball(sk.AllSpace(), 2.0, 2)
+        assert isinstance(ball, EuclideanBall) and ball.radius == 2.0
+        assert np.array_equal(ball.center, np.zeros(2))
+        inner = EuclideanBall(np.array([3.0, 0.0]), 1.0)
+        assert restrict_to_ball(inner, 5.0, 2) is inner
+        cut = restrict_to_ball(EuclideanBall(np.array([3.0, 0.0]), 2.0), 1.0, 2)
+        assert cut.radius == 1.0 and np.array_equal(cut.center, [3.0, 0.0])
 
     def test_set_center(self):
         assert np.allclose(set_center(EuclideanBall(np.array([1.0, 2.0]), 1.0), 2), [1.0, 2.0])
@@ -345,12 +347,12 @@ REPORTS = {
         lambda: sk.run_restarted_fgm(_quadratic_objective(), np.zeros(3), 1e-8, r0=5.0), 1e-8
     ),
     "solve_to_gap": (lambda: sk.solve_to_gap(_quadratic_objective(), np.zeros(3), 1e-9), 1e-9),
-    "apg_inexact_solve": (lambda: _sliding("apg_inexact_solve", 1e-4), 1e-4),
-    # l_g declared 30, true 1e6: the iterate blows up and the report fails closed
-    "apg_inexact_solve-blown-up": (lambda: _sliding("apg_inexact_solve", 1e-6, 1e6), 1e-6),
+    "apg_inexact_solve": (lambda: _sliding("apg_inexact_solve", 1e-4), None),
+    # l_g declared 30, true 1e6: the iterate blows up, and nothing was bounded either way
+    "apg_inexact_solve-blown-up": (lambda: _sliding("apg_inexact_solve", 1e-6, 1e6), None),
     "composite_gm_solve": (lambda: _composite(30), None),
     "catalyst_solve": (lambda: _sliding("catalyst_solve", 1e-8), 1e-8),
-    "sliding_solve-apg": (lambda: _sliding("apg", 1e-4), 1e-4),
+    "sliding_solve-apg": (lambda: _sliding("apg", 1e-4), None),
     "sliding_solve-catalyst": (lambda: _sliding("catalyst", 1e-8), 1e-8),
     "run_mirror_prox": (lambda: _mirror_prox(50), None),
     "run_mirror_prox-z_star": (lambda: _mirror_prox(50, with_z_star=True), None),
@@ -369,6 +371,22 @@ def test_converged_is_derived_from_a_bounded_gap(driver):
     assert rep.converged == (rep.target is not None and rep.certified_gap <= rep.target)
     # no report claims convergence on a gap it did not bound
     assert not (rep.converged and not math.isfinite(rep.certified_gap))
+    # a driver without a target bounds nothing
+    assert rep.target is not None or rep.certified_gap == math.inf
+
+
+# drivers whose history rows are their certificates: the last row is the reported gap
+CERTIFICATE_ROWS = {
+    "run_restarted_fgm": REPORTS["run_restarted_fgm"][0],  # an objective with full_value
+    "catalyst_solve": REPORTS["catalyst_solve"][0],
+    **{f"solve_saddle-{e.value}": (lambda e=e: _saddle(e.value)) for e in sk.Engine},
+}
+
+
+@pytest.mark.parametrize("driver", list(CERTIFICATE_ROWS))
+def test_last_history_row_is_the_certified_gap(driver):
+    rep = CERTIFICATE_ROWS[driver]()
+    assert rep.history and rep.history[-1].gap.hex() == rep.certified_gap.hex()
 
 
 def _quadratic_two_term():

@@ -122,14 +122,26 @@ class TestRunFgmHistory:
 
 
 def test_restarted_fgm_fails_closed_on_a_non_finite_point():
-    # a NaN gradient leaves a NaN point: the schedule's a-priori bound says
-    # nothing about it, so the run reports inf and does not converge, and the
-    # history's row for that point, which logs the bound, reads inf too
+    # a NaN gradient leaves a NaN point whose certificate is NaN: the run
+    # reports inf and does not converge, and the history's row for that
+    # point, which logs the certificate, reads inf too
     obj = sk.CompositeObjective(smooth_grad=lambda x: np.full_like(x, np.nan), l_smooth=2.0, mu=1.0)
     rep = sk.run_restarted_fgm(obj, np.zeros(2), 1e-6, 2.0)
     assert np.isnan(rep.x_final).all()
     assert rep.certified_gap == math.inf and not rep.converged
     assert rep.history[-1].gap == math.inf
+
+
+def test_restarted_fgm_with_an_understated_l_ends_unconverged():
+    # l_smooth declared 5 for a true 10: the blocks diverge, and the run
+    # reports the p-th block's certificate, unconverged
+    obj, x_star = quad_objective([1.0, 10.0], [0.7, 3.0])
+    obj.l_smooth = 5.0
+    with np.errstate(all="ignore"):
+        rep = sk.run_restarted_fgm(obj, np.zeros(2), 1e-3, r0=1.5)
+    assert not rep.converged
+    assert rep.extras["restarts"] == rep.extras["scheduled_restarts"]
+    assert rep.history[-1].gap == rep.certified_gap >= obj.gap_at(rep.x_final) > 1e3
 
 
 class TestRestarts:
@@ -160,9 +172,9 @@ class TestRestarts:
 
 
     def test_scheduled_run_certifies_at_the_scheduled_count(self):
-        # each block's bound is <= 2 mu D_j^2 / 9, so the p scheduled blocks
-        # already certify and no extra block is ever run; a run stops before
-        # them only on a certificate that holds at its witness
+        # with exact constants the squared distance bound shrinks by 4/9 per
+        # block, so the p-th block's certificate passes at the latest; every
+        # exit reports a certificate that holds at its witness
         rng = np.random.default_rng(11)
         exits = {"scheduled": 0, "check": 0}
         for _ in range(40):
@@ -182,9 +194,8 @@ class TestRestarts:
                 assert rep.certified_gap <= 0.5 * eps
             else:
                 exits["check"] += 1
-                assert rep.extras["restarts"] < p
-                err = rep.x_final - x_star  # f - f* without the cancellation of a difference
-                assert 0.5 * float(err @ (diag * err)) <= rep.certified_gap <= eps
+            err = rep.x_final - x_star  # f - f* without the cancellation of a difference
+            assert 0.5 * float(err @ (diag * err)) <= rep.certified_gap <= eps
             assert len(rep.history) == rep.extras["restarts"]
         assert min(exits.values()) > 0  # both exits occur among the draws
 
@@ -218,7 +229,7 @@ class TestRestarts:
             assert rep.converged and rep.certified_gap <= eps
             assert rep.extras["smooth_calls"] == len(calls)
             restarts, n_b, p = (rep.extras[k] for k in ("restarts", "block_size", "scheduled_restarts"))
-            assert len(calls) == restarts * n_b + min(restarts, p - 1)  # a check after each block but the p-th
+            assert len(calls) == restarts * (n_b + 1)  # a certificate after every block
             err = rep.x_final - x_star
             # the closed form rounds four times, so within two ulps of it the
             # returned point is x* to working precision, and a certificate of

@@ -491,6 +491,7 @@ def test_first_non_finite_iterate_stops_the_loop():
     assert rep.extras["steps"] == 5 and rep.extras["attempts"] == 0
     assert rep.tally.count(OracleKind.PROX_R) == 5
     assert rep.extras["certificate"] is None
+    assert rep.history == []  # the route raised before any certificate
 
 
 def test_exhausted_step_budget_fails_closed(monkeypatch):
@@ -789,6 +790,20 @@ def test_nan_value_falls_through_to_the_full_certificate():
     assert rep.extras["error"] == "certificate nan is not finite"
     assert rep.extras["attempts"] == 1
     assert rep.extras["certificate"].inner_accuracy == 1e-6 / 8.0
+
+
+@pytest.mark.parametrize("engine", ["case1", "mirror_prox"])
+def test_a_certificate_over_budget_logs_an_inf_row(engine, monkeypatch):
+    # the certificate raises: its attempt is counted and logged, at inf
+    def exhausted(*args, target=None):
+        raise sk.BudgetExceededError("certificate out of budget")
+
+    monkeypatch.setattr(saddle, "duality_gap", exhausted)
+    problem = sk.gen_bilinear(4, 4, 5.0, seed=1, mu_x=4, mu_y=4).problem()
+    rep = sk.solve_saddle(problem, 1e-6, engine=engine, r_x=10.0, r_y=10.0)
+    assert not rep.converged and rep.extras["error"] == "certificate out of budget"
+    assert len(rep.history) == rep.extras["attempts"] == 1
+    assert rep.history[-1].gap == rep.certified_gap == math.inf
 
 
 class TestDualityGap:
