@@ -71,7 +71,6 @@ from .testbed import (
     gen_quadratic_saddle,
     gen_smoothed_game,
     lemma1_check,
-    spectral,
 )
 
 __version__ = "0.1.0"
@@ -128,5 +127,4 @@ __all__ = [
     "sliding_solve",
     "solve_saddle",
     "solve_to_gap",
-    "spectral",
 ]

@@ -42,16 +42,6 @@ SUMMARY_HEADER = (
 )
 HISTORY_HEADER = "iter,gap,calls_gradx_F,calls_grady_F,wall_ms"
 
-_TALLY_COLUMNS = (
-    OracleKind.GRAD_R,
-    OracleKind.GRAD_H,
-    OracleKind.GRAD_X_F,
-    OracleKind.GRAD_Y_F,
-    OracleKind.PROX_R,
-    OracleKind.PROX_H,
-    OracleKind.MATVEC,
-)
-
 
 class ConfigError(Exception):
     pass
@@ -129,7 +119,7 @@ def _summary_row(run_id, engine, n, m, cond, mu_x, mu_y, eps, report, wall: bool
         _fmt(eps),
         _fmt(report.certified_gap),
     ]
-    cells += [str(t.count(k)) for k in _TALLY_COLUMNS]
+    cells += [str(t.count(k)) for k in OracleKind]  # declaration order is the header's
     cells.append(_fmt(report.wall_ms) if wall else "0")
     cells.append("1" if report.converged else "0")
     return ",".join(cells)
@@ -194,7 +184,7 @@ def _cmd_sweep(args) -> int:
     eps = float(cfg.get("eps", 1e-6))
     wall = bool(cfg.get("record_wall", False))
     with_history = bool(cfg.get("history", False))
-    out = _out_dir(cfg.get("out_dir", args.out))
+    out = _out_dir(args.out or cfg.get("out_dir"))
 
     rows = [SUMMARY_HEADER]
     for seed in seeds:

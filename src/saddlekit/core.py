@@ -19,7 +19,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Callable, Mapping, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -271,7 +271,9 @@ class SaddleProblem:
 
     Oracles must be pure functions of their inputs; counting is layered on
     per run via :class:`Metered`, so independent runs may execute
-    concurrently, each billing its own tally.
+    concurrently, each billing its own tally.  Each ``grad_x_F`` or
+    ``grad_y_F`` call costs ``coupling_matvecs`` products with A or A^T (1 on
+    the testbed), the one matvec declaration.
     """
 
     spec: SaddleSpec
@@ -286,13 +288,13 @@ class SaddleProblem:
     prox_h: Optional[Callable[[Vector, float], Vector]] = None
     prox_friendly_r: bool = False
     prox_friendly_h: bool = False
-    # declared matvec cost per gradient/prox oracle call (bilinear instances)
-    matvec_cost: Mapping[OracleKind, int] = field(default_factory=dict)
+    coupling_matvecs: int = 0
     operator_l: Optional[float] = None  # Lipschitz bound of the stacked VI operator
     spectral: Optional[SpectralInfo] = None
 
     def validate(self) -> None:
         self.spec.validate()
+        require("coupling_matvecs", self.coupling_matvecs, strict=False)
         if self.prox_friendly_r and self.prox_r is None:
             raise InvalidSpecError("prox_friendly_r set but prox_r oracle missing")
         if self.prox_friendly_h and self.prox_h is None:
@@ -313,11 +315,12 @@ def require_oracles(problem: SaddleProblem, *names: str, use: str) -> None:
 class Metered:
     """Counting view of a :class:`SaddleProblem` bound to one run's tally.
 
-    Gradient and prox calls bump the corresponding counter (plus the declared
-    matvec cost, read from the problem once, at construction); a call to an
-    oracle the problem lacks raises (:func:`require_oracles`) and counts
-    nothing.  Value oracles pass through unmetered: they feed certificates
-    and the values of inexact-gradient bundles, not the complexity accounting.
+    Gradient and prox calls bump the corresponding counter, and each
+    ``grad_x_F`` or ``grad_y_F`` call also bumps ``MATVEC`` by the problem's
+    ``coupling_matvecs``; a call to an oracle the problem lacks raises
+    (:func:`require_oracles`) and counts nothing.  Value oracles pass through
+    unmetered: they feed certificates and the values of inexact-gradient
+    bundles, not the complexity accounting.
 
     Every entry point that takes a problem or a view bills the view's tally,
     and a raw problem gets a fresh view (:meth:`of`); a caller who wants the
@@ -327,7 +330,6 @@ class Metered:
     def __init__(self, problem: SaddleProblem, tally: Optional[OracleTally] = None):
         self.problem = problem
         self.tally = tally if tally is not None else OracleTally()
-        self._matvecs = {k: problem.matvec_cost.get(k, 0) for k in OracleKind}
 
     @classmethod
     def of(cls, problem) -> "Metered":
@@ -342,15 +344,14 @@ class Metered:
     def spec(self) -> SaddleSpec:
         return self.problem.spec
 
-    def _metered(self, kind: OracleKind, fn, name: str):
-        """Return oracle ``fn`` after counting one call; a missing oracle counts nothing."""
+    def _metered(self, kind: OracleKind, fn, name: str, matvecs: int = 0):
+        """Return ``fn`` after counting one call and ``matvecs``; a missing oracle counts nothing."""
         if fn is None:
             require_oracles(self.problem, name, use="a metered call")
         tally = self.tally
         tally.bump(kind)
-        mv = self._matvecs[kind]
-        if mv:
-            tally.bump(OracleKind.MATVEC, mv)
+        if matvecs:
+            tally.bump(OracleKind.MATVEC, matvecs)
         return fn
 
     # -- values (unmetered) --
@@ -375,10 +376,12 @@ class Metered:
         return self._metered(OracleKind.GRAD_H, self.problem.grad_h, "grad_h")(y)
 
     def grad_x_F(self, x, y):
-        return self._metered(OracleKind.GRAD_X_F, self.problem.grad_x_F, "grad_x_F")(x, y)
+        p = self.problem
+        return self._metered(OracleKind.GRAD_X_F, p.grad_x_F, "grad_x_F", p.coupling_matvecs)(x, y)
 
     def grad_y_F(self, x, y):
-        return self._metered(OracleKind.GRAD_Y_F, self.problem.grad_y_F, "grad_y_F")(x, y)
+        p = self.problem
+        return self._metered(OracleKind.GRAD_Y_F, p.grad_y_F, "grad_y_F", p.coupling_matvecs)(x, y)
 
     def prox_r(self, c1, c2):
         return self._metered(OracleKind.PROX_R, self.problem.prox_r, "prox_r")(c1, c2)

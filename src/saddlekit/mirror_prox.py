@@ -73,8 +73,8 @@ class ViOperator:
     result; the views of ``z`` and ``out`` it needs are made once, at
     binding, so a loop that updates ``z`` in place binds once and calls the
     evaluator every step.  Loops that know how many evaluations they made
-    bill them in one go with :meth:`charge`, which adds ``cost`` (the counter
-    increments of one evaluation) ``k`` times to ``tally``.  :meth:`evaluate`
+    bill them in one go with :meth:`charge`, which adds ``cost`` (one
+    evaluation's calls and matvecs) ``k`` times to ``tally``.  :meth:`evaluate`
     is one binding used once, billed as one evaluation.
     """
 
@@ -122,7 +122,7 @@ def assemble_saddle_operator(problem: SaddleProblem | Metered) -> ViOperator:
     naming it, through :func:`~saddlekit.core.require_oracles`, before any
     call.  The operator bills the tally of the given view, or of a fresh view
     of a raw problem (read back as ``op.tally``): one evaluation costs one
-    call of each of the four gradient oracles plus their declared matvecs.
+    call of each of the four gradient oracles and ``2 * coupling_matvecs`` matvecs.
     Its domain is the :class:`ProductSet` of the two sets, or
     :class:`~saddlekit.core.AllSpace` when both are all of space.
     The evaluators that ``bind`` returns call the raw oracles on the x and y
@@ -136,9 +136,8 @@ def assemble_saddle_operator(problem: SaddleProblem | Metered) -> ViOperator:
     nx = spec.dim_x
     kinds = (OracleKind.GRAD_R, OracleKind.GRAD_X_F, OracleKind.GRAD_H, OracleKind.GRAD_Y_F)
     cost = dict.fromkeys(kinds, 1)
-    matvecs = sum(p.matvec_cost.get(k, 0) for k in kinds)
-    if matvecs:
-        cost[OracleKind.MATVEC] = matvecs
+    if p.coupling_matvecs:
+        cost[OracleKind.MATVEC] = 2 * p.coupling_matvecs
     grad_r, grad_h, grad_x_f, grad_y_f = p.grad_r, p.grad_h, p.grad_x_F, p.grad_y_F
     free = isinstance(spec.set_x, AllSpace) and isinstance(spec.set_y, AllSpace)
 

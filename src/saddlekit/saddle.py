@@ -498,7 +498,8 @@ def dual_view(problem: SaddleProblem) -> SaddleProblem:
 
     The swapped coupling is F'(u, v) = -F(v, u); solving the view and
     negating the value recovers the same saddle pair with roles exchanged.
-    Applying the swap twice restores the original problem.
+    The view keeps ``coupling_matvecs``, and applying the swap twice
+    restores the original problem.
     """
     spec = problem.spec
     new_spec = replace(
@@ -514,18 +515,6 @@ def dual_view(problem: SaddleProblem) -> SaddleProblem:
         set_x=spec.set_y,
         set_y=spec.set_x,
     )
-    mv = problem.matvec_cost
-    swapped_mv = {}
-    pairs = {
-        OracleKind.GRAD_R: OracleKind.GRAD_H,
-        OracleKind.GRAD_H: OracleKind.GRAD_R,
-        OracleKind.GRAD_X_F: OracleKind.GRAD_Y_F,
-        OracleKind.GRAD_Y_F: OracleKind.GRAD_X_F,
-        OracleKind.PROX_R: OracleKind.PROX_H,
-        OracleKind.PROX_H: OracleKind.PROX_R,
-    }
-    for kind, cost in mv.items():
-        swapped_mv[pairs.get(kind, kind)] = cost
     return SaddleProblem(
         spec=new_spec,
         value_r=problem.value_h,
@@ -543,7 +532,7 @@ def dual_view(problem: SaddleProblem) -> SaddleProblem:
         prox_h=problem.prox_r,
         prox_friendly_r=problem.prox_friendly_h,
         prox_friendly_h=problem.prox_friendly_r,
-        matvec_cost=swapped_mv,
+        coupling_matvecs=problem.coupling_matvecs,
         operator_l=problem.operator_l,
         spectral=None,  # kernel data does not transfer without the matrix itself
     )

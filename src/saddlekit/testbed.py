@@ -22,7 +22,6 @@ import numpy as np
 
 from .core import (
     InvalidSpecError,
-    OracleKind,
     SaddleProblem,
     SaddleSpec,
     SpectralInfo,
@@ -39,29 +38,6 @@ def _gram_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     gram = a.T @ a
     vals, vecs = np.linalg.eigh(gram)
     return gram, vals, vecs
-
-
-def _spectral_of(vals: np.ndarray, vecs: np.ndarray) -> tuple[float, float, np.ndarray]:
-    """:func:`spectral` read off an eigendecomposition of A^T A."""
-    lam_max = float(vals[-1])
-    if lam_max <= KERNEL_TOL:
-        raise InvalidSpecError("zero matrix: smallest positive eigenvalue undefined")
-    cut = max(KERNEL_TOL, 1e-12 * lam_max)
-    positive = vals[vals > cut]
-    lam_min_plus = float(positive[0])
-    kernel = vecs[:, vals <= cut]
-    return lam_max, lam_min_plus, kernel
-
-
-def spectral(a: np.ndarray) -> tuple[float, float, np.ndarray]:
-    """(lambda_max, lambda_min_plus, kernel basis) of the Gram matrix A^T A.
-
-    Direct symmetric eigendecomposition; meant for desk-scale matrices.  The
-    kernel basis columns span {v : A v = 0}.  A zero matrix has no positive
-    eigenvalue and raises.
-    """
-    _, vals, vecs = _gram_eigh(a)
-    return _spectral_of(vals, vecs)
 
 
 def _prox(mu: float, b: Optional[np.ndarray] = None):
@@ -115,11 +91,14 @@ class SaddleInstance:
             if got != shape:
                 raise InvalidSpecError(f"{name} must have shape {shape}, got {got}")
         gram, vals, vecs = _gram_eigh(a) if _factor is None else _factor
-        if np.all(a == 0.0):
-            # decoupled limit: the coupling has no spectrum
+        lam_max = float(vals.max(initial=0.0))
+        if np.all(a == 0.0):  # decoupled limit: the coupling has no spectrum
             self.spectral = SpectralInfo(0.0, 0.0, np.eye(n))
+        elif lam_max <= KERNEL_TOL:  # nonzero but negligible: no positive eigenvalue to cut at
+            raise InvalidSpecError(f"A^T A has lambda_max {lam_max:.3g} <= KERNEL_TOL")
         else:
-            self.spectral = SpectralInfo(*_spectral_of(vals, vecs))
+            cut = max(KERNEL_TOL, 1e-12 * lam_max)  # the eigenvectors at or below it span ker A
+            self.spectral = SpectralInfo(lam_max, float(vals[vals > cut][0]), vecs[:, vals <= cut])
         # saddle by block elimination: y = (Q + mu_y)^{-1} A x
         if self.bilinear:
             h_mat = mu_x * np.eye(n) + gram / mu_y
@@ -204,7 +183,7 @@ class SaddleInstance:
             prox_h=_prox(mu_y),
             prox_friendly_r=True,
             prox_friendly_h=True,
-            matvec_cost={OracleKind.GRAD_X_F: 1, OracleKind.GRAD_Y_F: 1},
+            coupling_matvecs=1,
             operator_l=self.operator_l,
             spectral=self.spectral,
         )

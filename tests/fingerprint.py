@@ -12,6 +12,8 @@ hashes the exception type and message instead.  Cases:
 * the curved probes: quadratic instances whose structured modulus
   lambda_min+ / (l_y + l_yy) exceeds mu_x (``case1`` and ``case2``);
 * every workload case of ``perfbench/workloads.py`` at seeds 1 and 7;
+* the role-swapped ``dual_view`` of the seeded bilinear and quadratic
+  instances (``case1``, ``case2`` and ``mirror_prox``);
 * direct calls of each driver, including ``run_mirror_prox`` and
   ``run_restarted_mp`` on all of space and on a product of balls.
 
@@ -108,6 +110,21 @@ def game_cases() -> None:
             fingerprint(
                 f"game/kappa{kappa:g}/{engine}",
                 lambda: sk.solve_saddle(inst.problem(), 1e-6, engine=engine, r_x=r_x, r_y=r_y),
+            )
+
+
+def dual_view_cases() -> None:
+    for family, inst in (
+        ("bilinear", sk.gen_bilinear(6, 5, 10.0, seed=3)),
+        ("quadratic", sk.gen_quadratic_saddle(6, 5, 10.0, seed=3)),
+    ):
+        r_y, r_x = _radii(inst)  # the view's x is the instance's y
+        for engine in ("case1", "case2", "mirror_prox"):
+            fingerprint(
+                f"dual_view/{family}/{engine}",
+                lambda: sk.solve_saddle(
+                    sk.dual_view(inst.problem()), 1e-6, engine=engine, r_x=r_x, r_y=r_y
+                ),
             )
 
 
@@ -285,6 +302,7 @@ def main() -> None:
     game_cases()
     curved_probe_cases()
     workload_cases()
+    dual_view_cases()
 
 
 if __name__ == "__main__":

@@ -110,6 +110,39 @@ def test_sweep_byte_identical(tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
+def test_sweep_out_flag_wins_over_the_config_and_the_environment(tmp_path, monkeypatch):
+    # --out, then the config's out_dir, then SADDLEKIT_OUTDIR, then the current directory
+    cfg_path = tmp_path / "sweep.json"
+    cfg = {"n": 3, "conds": [4.0], "engines": ["case1"], "out_dir": str(tmp_path / "config")}
+    cfg_path.write_text(json.dumps(cfg))
+    monkeypatch.setenv("SADDLEKIT_OUTDIR", str(tmp_path / "env"))
+    assert cli_main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "flag")]) == 0
+    assert (tmp_path / "flag" / "summary.csv").exists()
+    assert not (tmp_path / "config").exists()
+    assert cli_main(["sweep", "--config", str(cfg_path)]) == 0
+    assert (tmp_path / "config" / "summary.csv").exists()
+    assert not (tmp_path / "env").exists()
+
+
+def test_summary_count_columns_are_the_tally_entries_they_name(tmp_path, monkeypatch):
+    reports = []
+    solve = saddlekit.cli.solve_saddle
+    monkeypatch.setattr(
+        saddlekit.cli, "solve_saddle", lambda *a, **k: reports.append(solve(*a, **k)) or reports[-1]
+    )
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({"family": "quadratic", "n": 5, "m": 4, "cond": 10, "seed": 2}))
+    assert cli_main(["solve", "--instance", str(inst), "--out", str(tmp_path)]) == 0
+    header, row = (line.split(",") for line in (tmp_path / "summary.csv").read_text().splitlines())
+    cells = dict(zip(header, row))
+    tally = reports[0].tally
+    for kind in saddlekit.OracleKind:
+        name = "matvecs" if kind is saddlekit.OracleKind.MATVEC else f"calls_{kind.value}"
+        assert int(cells.pop(name)) == tally.count(kind), name
+    assert not [name for name in cells if name.startswith("calls_")]
+    assert tally.count(saddlekit.OracleKind.MATVEC) > 0
+
+
 def test_verify_suite(capsys):
     code = cli_main(["verify", "--suite", "argmax_lipschitz", "--samples", "200", "--seed", "7"])
     captured = capsys.readouterr()

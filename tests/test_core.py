@@ -118,30 +118,50 @@ ENTRY_POINTS = {
     "EnvelopeGradOracle": lambda view, x, y: _oracle_gradient(view, x),
     "solve_saddle": lambda view, x, y: sk.solve_saddle(view, 1e-6, r_x=3.0, r_y=3.0),
 }
+ENTRY_POINTS.update(
+    (f"solve_saddle-{engine.value}", lambda view, x, y, engine=engine: sk.solve_saddle(
+        view, 1e-6, engine=engine, r_x=3.0, r_y=3.0
+    ))
+    for engine in sk.Engine
+    if engine is not sk.Engine.AUTO  # the default route is "solve_saddle" itself
+)
 
 
 class TestMetering:
     @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
     def test_tally_matches_independent_counter(self, b1, entry):
-        """Each entry point bills the raw closure calls to the tally of the view it is given."""
-        problem = b1.problem()
-        raw_counts = dict.fromkeys(METERED_ORACLES, 0)
+        """Each entry point bills the raw closure calls to the tally of the view it is given, and
+        ``coupling_matvecs`` matvecs per coupling-gradient call, on a problem and its dual view."""
+        for c in (0, 1, 3):
+            for swap in (False, True):
+                base = b1.problem()
+                base.coupling_matvecs = c
+                problem = sk.dual_view(base) if swap else base
+                raw_counts = dict.fromkeys(METERED_ORACLES, 0)
 
-        def raw(kind, fn):
-            def call(*args):
-                raw_counts[kind] += 1
-                return fn(*args)
+                def raw(kind, fn, raw_counts=raw_counts):
+                    def call(*args):
+                        raw_counts[kind] += 1
+                        return fn(*args)
 
-            return call
+                    return call
 
-        for kind, attr in METERED_ORACLES.items():
-            setattr(problem, attr, raw(kind, getattr(problem, attr)))
-        tally = OracleTally()
-        ENTRY_POINTS[entry](Metered(problem, tally), np.array([1.0, 1.0]), np.array([0.5, -0.5]))
-        assert sum(raw_counts.values()) > 0
-        assert {k: tally.count(k) for k in METERED_ORACLES} == raw_counts
-        coupling = raw_counts[OracleKind.GRAD_X_F] + raw_counts[OracleKind.GRAD_Y_F]
-        assert tally.count(OracleKind.MATVEC) == coupling
+                for kind, attr in METERED_ORACLES.items():
+                    setattr(problem, attr, raw(kind, getattr(problem, attr)))
+                tally = OracleTally()
+                x, y = np.array([1.0, 1.0]), np.array([0.5, -0.5])
+                ENTRY_POINTS[entry](Metered(problem, tally), x, y)
+                assert sum(raw_counts.values()) > 0
+                assert {k: tally.count(k) for k in METERED_ORACLES} == raw_counts
+                coupling = raw_counts[OracleKind.GRAD_X_F] + raw_counts[OracleKind.GRAD_Y_F]
+                assert tally.count(OracleKind.MATVEC) == c * coupling
+
+    @pytest.mark.parametrize("coupling_matvecs", [-1, math.nan, None])
+    def test_invalid_coupling_matvecs_raises_before_any_call(self, coupling_matvecs):
+        view = Metered(_with_matvecs(coupling_matvecs))
+        with pytest.raises(sk.InvalidSpecError, match="coupling_matvecs"):
+            sk.solve_saddle(view, 1e-6)
+        assert view.tally.snapshot() == {}
 
     def test_missing_oracle_raises(self, b1):
         problem = b1.problem()
@@ -400,6 +420,12 @@ def _small_game():
     return sk.gen_bilinear(4, 4, 5.0, seed=1, mu_x=4, mu_y=4).problem()
 
 
+def _with_matvecs(coupling_matvecs):
+    problem = _small_game()
+    problem.coupling_matvecs = coupling_matvecs
+    return problem
+
+
 def _plain_objective(mu=1.0):
     return sk.CompositeObjective(smooth_grad=lambda x: x, l_smooth=1.0, mu=mu)
 
@@ -449,6 +475,15 @@ INPUT_RULE = {
         lambda: sk.duality_gap(_small_game(), np.zeros(4), np.zeros(4), 1.0, 1.0, 0.0), "inner_eps", 0.0
     ),
     "solve_saddle-epsilon": (lambda: sk.solve_saddle(_small_game(), math.nan), "epsilon", math.nan),
+    "coupling_matvecs-negative": (
+        lambda: sk.solve_saddle(_with_matvecs(-1), 1e-6), "coupling_matvecs", -1
+    ),
+    "coupling_matvecs-nan": (
+        lambda: sk.solve_saddle(_with_matvecs(math.nan), 1e-6), "coupling_matvecs", math.nan
+    ),
+    "coupling_matvecs-None": (
+        lambda: sk.solve_saddle(_with_matvecs(None), 1e-6), "coupling_matvecs", None
+    ),
     "solve_saddle-epsilon-None": (lambda: sk.solve_saddle(_small_game(), None), "epsilon", None),
     "solve_saddle-r_y-string": (
         lambda: sk.solve_saddle(_small_game(), 1e-6, r_x=1.0, r_y="wide"), "r_y", "wide"

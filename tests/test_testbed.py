@@ -8,29 +8,35 @@ import saddlekit as sk
 
 class TestSpectral:
     def test_diagonal(self):
-        lam_max, lam_min_plus, kernel = sk.spectral(np.diag([1.0, 2.0]))
-        assert lam_max == pytest.approx(4.0)
-        assert lam_min_plus == pytest.approx(1.0)
-        assert kernel.shape == (2, 0)
+        spectral = sk.bilinear_instance(np.diag([1.0, 2.0]), np.ones(2)).spectral
+        assert spectral.lambda_max == pytest.approx(4.0)
+        assert spectral.lambda_min_plus == pytest.approx(1.0)
+        assert spectral.kernel_basis.shape == (2, 0)
 
     def test_rank_deficient(self):
-        lam_max, lam_min_plus, kernel = sk.spectral(np.array([[1.0, 0.0], [0.0, 0.0]]))
-        assert lam_max == pytest.approx(1.0)
-        assert lam_min_plus == pytest.approx(1.0)
-        assert kernel.shape == (2, 1)
-        assert np.allclose(np.abs(kernel[:, 0]), [0.0, 1.0])
+        spectral = sk.bilinear_instance(np.array([[1.0, 0.0], [0.0, 0.0]]), np.ones(2)).spectral
+        assert spectral.lambda_max == pytest.approx(1.0)
+        assert spectral.lambda_min_plus == pytest.approx(1.0)
+        assert spectral.kernel_basis.shape == (2, 1)
+        assert np.allclose(np.abs(spectral.kernel_basis[:, 0]), [0.0, 1.0])
 
-    def test_zero_matrix_rejected(self):
-        with pytest.raises(sk.InvalidSpecError):
-            sk.spectral(np.zeros((2, 2)))
+    def test_negligible_nonzero_matrix_rejected(self):
+        # an all-zero A is the decoupled limit; a nonzero A whose A^T A sits
+        # below KERNEL_TOL has no positive eigenvalue to cut the kernel at
+        with pytest.raises(sk.InvalidSpecError, match="KERNEL_TOL"):
+            sk.bilinear_instance(1e-7 * np.eye(2), np.ones(2))
 
     def test_matches_construction(self):
-        # generator singular values vs an independent eigendecomposition
+        # generator singular values vs an independent singular value decomposition
         inst = sk.gen_bilinear(7, 5, 64.0, seed=12)
-        lam_max, lam_min_plus, _ = sk.spectral(inst.a)
-        assert lam_max == pytest.approx(64.0, rel=1e-8)
-        assert lam_min_plus == pytest.approx(1.0, rel=1e-8)
-        assert inst.spectral.lambda_max == pytest.approx(lam_max, abs=1e-8)
+        sv = np.linalg.svd(inst.a, compute_uv=False)
+        assert inst.spectral.lambda_max == pytest.approx(sv[0] ** 2, rel=1e-10)
+        assert inst.spectral.lambda_min_plus == pytest.approx(sv[-1] ** 2, rel=1e-10)
+        assert sv[0] ** 2 == pytest.approx(64.0, rel=1e-8)
+        assert sv[-1] ** 2 == pytest.approx(1.0, rel=1e-8)
+        kernel = inst.spectral.kernel_basis
+        assert kernel.shape == (7, 2)
+        assert np.allclose(inst.a @ kernel, 0.0, atol=1e-10)
 
 
 class TestGenerators:
