@@ -136,6 +136,7 @@ class OracleKind(enum.Enum):
 
 # (kind, key) pairs in the key order of OracleTally.snapshot
 _SNAPSHOT_ORDER = tuple((k, k.value) for k in sorted(OracleKind, key=lambda k: k.value))
+_COUPLING_KINDS = frozenset((OracleKind.GRAD_X_F, OracleKind.GRAD_Y_F))  # the kinds that pay matvecs
 
 
 class OracleTally:
@@ -294,7 +295,6 @@ class SaddleProblem:
 
     def validate(self) -> None:
         self.spec.validate()
-        require("coupling_matvecs", self.coupling_matvecs, strict=False)
         if self.prox_friendly_r and self.prox_r is None:
             raise InvalidSpecError("prox_friendly_r set but prox_r oracle missing")
         if self.prox_friendly_h and self.prox_h is None:
@@ -315,9 +315,9 @@ def require_oracles(problem: SaddleProblem, *names: str, use: str) -> None:
 class Metered:
     """Counting view of a :class:`SaddleProblem` bound to one run's tally.
 
-    Gradient and prox calls bump the corresponding counter, and each
-    ``grad_x_F`` or ``grad_y_F`` call also bumps ``MATVEC`` by the problem's
-    ``coupling_matvecs``; a call to an oracle the problem lacks raises
+    Each gradient, prox or block of calls is counted by :meth:`bill`, with
+    ``coupling_matvecs`` (a nonnegative integer) matvecs per ``grad_x_F`` or
+    ``grad_y_F`` call; a call to an oracle the problem lacks raises
     (:func:`require_oracles`) and counts nothing.  Value oracles pass through
     unmetered: they feed certificates and the values of inexact-gradient
     bundles, not the complexity accounting.
@@ -328,8 +328,12 @@ class Metered:
     """
 
     def __init__(self, problem: SaddleProblem, tally: Optional[OracleTally] = None):
+        matvecs = require("coupling_matvecs", problem.coupling_matvecs, strict=False)
+        if matvecs != int(matvecs):
+            raise InvalidSpecError(f"coupling_matvecs must be finite and an integer, got {matvecs}")
         self.problem = problem
         self.tally = tally if tally is not None else OracleTally()
+        self._matvecs = int(matvecs)
 
     @classmethod
     def of(cls, problem) -> "Metered":
@@ -344,14 +348,21 @@ class Metered:
     def spec(self) -> SaddleSpec:
         return self.problem.spec
 
-    def _metered(self, kind: OracleKind, fn, name: str, matvecs: int = 0):
-        """Return ``fn`` after counting one call and ``matvecs``; a missing oracle counts nothing."""
+    def bill(self, kind: OracleKind, k: int = 1) -> None:
+        """Count ``k`` calls of ``kind``, and ``k * coupling_matvecs`` matvecs for a coupling gradient."""
+        tally = self.tally
+        tally.bump(kind, k)
+        if kind in _COUPLING_KINDS and self._matvecs:
+            tally.bump(OracleKind.MATVEC, k * self._matvecs)
+
+    def _metered(self, kind: OracleKind, fn, name: str):
+        """Return ``fn`` after :meth:`bill` of one call, inlined; a missing oracle counts nothing."""
         if fn is None:
             require_oracles(self.problem, name, use="a metered call")
         tally = self.tally
         tally.bump(kind)
-        if matvecs:
-            tally.bump(OracleKind.MATVEC, matvecs)
+        if kind in _COUPLING_KINDS and self._matvecs:
+            tally.bump(OracleKind.MATVEC, self._matvecs)
         return fn
 
     # -- values (unmetered) --
@@ -376,12 +387,10 @@ class Metered:
         return self._metered(OracleKind.GRAD_H, self.problem.grad_h, "grad_h")(y)
 
     def grad_x_F(self, x, y):
-        p = self.problem
-        return self._metered(OracleKind.GRAD_X_F, p.grad_x_F, "grad_x_F", p.coupling_matvecs)(x, y)
+        return self._metered(OracleKind.GRAD_X_F, self.problem.grad_x_F, "grad_x_F")(x, y)
 
     def grad_y_F(self, x, y):
-        p = self.problem
-        return self._metered(OracleKind.GRAD_Y_F, p.grad_y_F, "grad_y_F", p.coupling_matvecs)(x, y)
+        return self._metered(OracleKind.GRAD_Y_F, self.problem.grad_y_F, "grad_y_F")(x, y)
 
     def prox_r(self, c1, c2):
         return self._metered(OracleKind.PROX_R, self.problem.prox_r, "prox_r")(c1, c2)

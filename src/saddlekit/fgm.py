@@ -60,7 +60,9 @@ class CompositeObjective:
 
     def __post_init__(self):
         require("l_smooth", self.l_smooth)
-        if self.prox_model is None:
+        # a copy (dataclasses.replace) steps on its own domain, not on its original's
+        default = CompositeObjective._projected_step
+        if self.prox_model is None or getattr(self.prox_model, "__func__", None) is default:
             self.prox_model = self._projected_step
 
     def _projected_step(self, u: Vector, alpha: float, lin: Vector) -> Vector:

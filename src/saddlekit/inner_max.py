@@ -75,7 +75,7 @@ class EnvelopeGradOracle:
     exact-prox flag.  It is built once per view and reused for every x.
 
     With a prox-friendly h the coupling part is the smooth term and h stays
-    composite; otherwise h must be smooth (constant l_y) and the whole
+    composite; otherwise h must be smooth (a declared ``l_y``, required) and the whole
     objective is handled as one smooth term over the feasible set.  Its
     gradient calls ``grad_h`` first, so without that oracle the first inner
     solve raises (:func:`~saddlekit.core.require_oracles`) before any call is billed.
@@ -106,10 +106,9 @@ class EnvelopeGradOracle:
                 domain=spec.set_y,
             )
         else:
-            l_y = spec.l_y if spec.l_y is not None else spec.mu_y
             self.objective = fgm.CompositeObjective(
                 smooth_grad=lambda y: mp.grad_h(y) - mp.grad_y_F(self.x, y),
-                l_smooth=max(spec.l_yy + l_y, spec.mu_y),
+                l_smooth=max(spec.l_yy + require("l_y", spec.l_y), spec.mu_y),
                 mu=spec.mu_y,
                 domain=spec.set_y,
             )

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -33,7 +33,6 @@ from .core import (
     GRADIENTS,
     AllSpace,
     FeasibleSet,
-    InvalidSpecError,
     Metered,
     OracleKind,
     OracleTally,
@@ -73,9 +72,9 @@ class ViOperator:
     result; the views of ``z`` and ``out`` it needs are made once, at
     binding, so a loop that updates ``z`` in place binds once and calls the
     evaluator every step.  Loops that know how many evaluations they made
-    bill them in one go with :meth:`charge`, which adds ``cost`` (one
-    evaluation's calls and matvecs) ``k`` times to ``tally``.  :meth:`evaluate`
-    is one binding used once, billed as one evaluation.
+    bill them in one go with ``charge(k)``, which bills nothing unless the
+    operator's maker bills into ``tally``.  :meth:`evaluate` is one binding
+    used once, billed as one evaluation.
     """
 
     bind: Callable[[Vector, Vector], Callable[[], Vector]]
@@ -83,33 +82,22 @@ class ViOperator:
     mu: float
     domain: FeasibleSet = field(default_factory=AllSpace)
     tally: Optional[OracleTally] = None
-    cost: Mapping[OracleKind, int] = field(default_factory=dict)
+    charge: Callable[[int], None] = lambda k: None
 
     def __post_init__(self):
         require("l", self.l)
         require("mu", self.mu, strict=False)
-        if self.cost and self.tally is None:
-            raise InvalidSpecError("an operator with a cost needs a tally to bill")
 
     def evaluate(self, z: Vector) -> Vector:
         """Bill one evaluation and return the values at ``z``, computed into a new array."""
         self.charge(1)
         return self.bind(z, np.empty_like(z, dtype=float))()
 
-    def charge(self, k: int) -> None:
-        """Bill ``k`` evaluations: bump every counter of ``cost`` by ``k`` times its amount."""
-        if k:
-            tally = self.tally
-            for kind, n in self.cost.items():
-                tally.bump(kind, n * k)
-
 
 def _default_operator_l(spec) -> float:
-    """Conservative Lipschitz bound from the declared blockwise constants."""
-    l_x = spec.l_x if spec.l_x is not None else 0.0
-    l_y = spec.l_y if spec.l_y is not None else 0.0
-    row_x = math.hypot(l_x + spec.l_xx, spec.l_xy)
-    row_y = math.hypot(l_y + spec.l_yy, spec.l_xy)
+    """Conservative Lipschitz bound from the declared blockwise constants, l_x and l_y included."""
+    row_x = math.hypot(require("l_x", spec.l_x) + spec.l_xx, spec.l_xy)
+    row_y = math.hypot(require("l_y", spec.l_y) + spec.l_yy, spec.l_xy)
     return math.hypot(row_x, row_y)
 
 
@@ -120,14 +108,14 @@ def assemble_saddle_operator(problem: SaddleProblem | Metered) -> ViOperator:
     prox-only composite cannot be driven by the extragradient baseline); a
     missing one raises :class:`~saddlekit.core.UnsupportedProblemError`
     naming it, through :func:`~saddlekit.core.require_oracles`, before any
-    call.  The operator bills the tally of the given view, or of a fresh view
-    of a raw problem (read back as ``op.tally``): one evaluation costs one
-    call of each of the four gradient oracles and ``2 * coupling_matvecs`` matvecs.
-    Its domain is the :class:`ProductSet` of the two sets, or
-    :class:`~saddlekit.core.AllSpace` when both are all of space.
-    The evaluators that ``bind`` returns call the raw oracles on the x and y
-    views of ``z``, write the two blocks into the views of ``out``, and leave
-    the billing to the caller's :meth:`ViOperator.charge`.
+    call; without ``operator_l``, so does an undeclared ``l_x`` or ``l_y``.
+    ``charge(k)`` bills ``k`` calls of each of the four gradients through the
+    given view's :meth:`~saddlekit.core.Metered.bill` (a fresh view's for a
+    raw problem, read back as ``op.tally``).  Its domain is the
+    :class:`ProductSet` of the two sets, or :class:`~saddlekit.core.AllSpace`
+    when both are all of space.  The evaluators that ``bind`` returns call
+    the raw oracles on the x and y views of ``z``, write the two blocks into
+    the views of ``out``, and leave the billing to the caller's ``op.charge``.
     """
     mp = Metered.of(problem)
     p = mp.problem
@@ -135,9 +123,6 @@ def assemble_saddle_operator(problem: SaddleProblem | Metered) -> ViOperator:
     spec = mp.spec
     nx = spec.dim_x
     kinds = (OracleKind.GRAD_R, OracleKind.GRAD_X_F, OracleKind.GRAD_H, OracleKind.GRAD_Y_F)
-    cost = dict.fromkeys(kinds, 1)
-    if p.coupling_matvecs:
-        cost[OracleKind.MATVEC] = 2 * p.coupling_matvecs
     grad_r, grad_h, grad_x_f, grad_y_f = p.grad_r, p.grad_h, p.grad_x_F, p.grad_y_F
     free = isinstance(spec.set_x, AllSpace) and isinstance(spec.set_y, AllSpace)
 
@@ -152,13 +137,17 @@ def assemble_saddle_operator(problem: SaddleProblem | Metered) -> ViOperator:
 
         return evaluate_bound
 
+    def charge(k: int) -> None:
+        for kind in kinds:
+            mp.bill(kind, k)
+
     return ViOperator(
         bind=bind,
         l=p.operator_l if p.operator_l is not None else _default_operator_l(spec),
         mu=min(spec.mu_x, spec.mu_y),
         domain=AllSpace() if free else ProductSet(spec.set_x, spec.set_y, nx),
         tally=mp.tally,
-        cost=cost,
+        charge=charge,
     )
 
 

@@ -41,7 +41,6 @@ from .core import (
     SaddleSpec,
     SolveReport,
     SpectralInfo,
-    UnsupportedProblemError,
     Vector,
     effective_smoothness,
     require,
@@ -117,7 +116,7 @@ def _structured_modulus(spec: SaddleSpec, spectral: Optional[SpectralInfo]) -> f
     lambda_min+ / (l_y + l_yy) strongly convex (the conjugate of the
     (l_y + l_yy)-smooth dual part, composed with A).  Returns that modulus
     when it exceeds mu_x, otherwise 0; the solve and the prediction both use
-    it in place of mu_x.
+    it in place of mu_x; the ``lambda_min_plus`` it reads must be positive.
     """
     if (
         spectral is None
@@ -127,7 +126,7 @@ def _structured_modulus(spec: SaddleSpec, spectral: Optional[SpectralInfo]) -> f
         or not isinstance(spec.set_y, AllSpace)
     ):
         return 0.0
-    modulus = spectral.lambda_min_plus / (spec.l_y + spec.l_yy)
+    modulus = require("lambda_min_plus", spectral.lambda_min_plus) / (spec.l_y + spec.l_yy)
     return modulus if modulus > spec.mu_x else 0.0
 
 
@@ -148,9 +147,9 @@ def duality_gap(
     symmetrically.  Both use the gradients of the composites (a prox-only
     composite would need its feasible set unchanged by the restriction) and
     of the coupling.  A missing one (:func:`~saddlekit.core.require_oracles`),
-    or an ``r_x``, ``r_y``, ``inner_eps``, ``mu_x`` or ``mu_y`` that is not
-    finite and positive, raises before either side spends a call.  Both sides
-    bill the tally of the given view; a raw problem is billed to a fresh view.
+    or an ``r_x``, ``r_y``, ``inner_eps``, ``mu_x``, ``mu_y``, ``l_x`` or
+    ``l_y`` that is not finite and positive, raises before either side spends
+    a call.  Both sides bill the tally of the given view (a fresh view for a raw problem).
 
     ``r_x`` and ``r_y`` bound the saddle's distances from the set centers.
     Then the gap is at least S(x, y*) - S(x*, y) >= 0 (each side is solved to
@@ -172,7 +171,8 @@ def duality_gap(
     mp = Metered.of(problem)
     spec = mp.spec
     for name, v in (
-        ("r_x", r_x), ("r_y", r_y), ("inner_eps", inner_eps), ("mu_x", spec.mu_x), ("mu_y", spec.mu_y)
+        ("r_x", r_x), ("r_y", r_y), ("inner_eps", inner_eps),
+        ("mu_x", spec.mu_x), ("mu_y", spec.mu_y), ("l_x", spec.l_x), ("l_y", spec.l_y),
     ):
         require(name, v)
     require_oracles(mp.problem, *GRADIENTS, use="duality_gap")
@@ -184,7 +184,7 @@ def duality_gap(
         dom = restrict_to_ball(feasible, 2.0 * radius, dim)
         side = fgm.CompositeObjective(
             smooth_grad=smooth_grad,
-            l_smooth=max(l_coupling + (l_comp if l_comp is not None else mu), mu),
+            l_smooth=max(l_coupling + l_comp, mu),
             mu=mu,
             domain=dom,
         )
@@ -270,20 +270,21 @@ def solve_saddle(
     (r's prox or r's gradient); ``extras["engine"]`` names the case that
     ran, whose h part follows ``prox_friendly_h``.  ``epsilon``, ``r_x`` and
     ``r_y`` are checked by :func:`~saddlekit.core.require` before any oracle
-    call, and the oracles the solve needs by
-    :func:`~saddlekit.core.require_oracles`: ``grad_r``, ``grad_h``,
-    ``grad_x_F`` and ``grad_y_F`` for the certificate, and ``prox_r`` on the
-    prox-r route (the splitting route needs ``l_x``).
+    call, and so are the ``l_x`` and ``l_y`` every certificate steps on; the
+    oracles by :func:`~saddlekit.core.require_oracles`: ``grad_r``,
+    ``grad_h``, ``grad_x_F`` and ``grad_y_F`` for the certificate, and
+    ``prox_r`` on the prox-r route.
     """
     mp = Metered.of(problem)
     problem = mp.problem
     problem.validate()
-    require("epsilon", epsilon)
+    spec = problem.spec
+    for name, v in (("epsilon", epsilon), ("l_x", spec.l_x), ("l_y", spec.l_y)):
+        require(name, v)
     eng = _resolve_engine(problem, engine)
     require_oracles(problem, *GRADIENTS, use="the duality_gap certificate")
     if eng in (Engine.CASE1, Engine.CASE3):
         require_oracles(problem, "prox_r", use=f"the prox-r route ({eng.value})")
-    spec = problem.spec
     log = RunLog(mp.tally)
     x_cur = set_center(spec.set_x, spec.dim_x)
     y_cur = set_center(spec.set_y, spec.dim_y)
@@ -362,8 +363,6 @@ def _accelerated_candidates(mp, eng, epsilon, x, r0, mu_f, extras):
         prox = fgm.prox_model_from_friendly(mp.prox_r)
         step = lambda y, g: prox(y, 1.0 / l_f, g)
     else:
-        if spec.l_x is None or spec.l_x <= 0:
-            raise UnsupportedProblemError("the splitting route needs a smooth r with a positive l_x")
         l_f += spec.l_x
         step = lambda y, g: spec.set_x.project(y - (mp.grad_r(y) + g) / l_f)
     rho = math.sqrt(mu_f / l_f)

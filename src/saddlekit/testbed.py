@@ -54,11 +54,11 @@ class SaddleInstance:
 
     S(x,y) = r(x) + <Ax,y> + x'Px/2 - y'Qy/2 - h(y) with r(x) = mu_x/2 ||x||^2
     - <b,x>, h(y) = mu_y/2 ||y||^2 and diagonal P, Q >= 0 (``p_diag``,
-    ``q_diag``).  Construction attaches the spectral data, the closed-form
-    saddle and ``operator_l``; the problem is posed on all of space, where
-    the closed forms hold.  The bilinear family is the P = Q = 0 member;
-    its oracles and closed forms leave the curvature terms out rather than
-    adding zeros.
+    ``q_diag``, checked finite and nonnegative).  Construction attaches the
+    spectral data, the closed-form saddle and ``operator_l``; the problem is
+    posed on all of space, where the closed forms hold.  The bilinear family
+    is the P = Q = 0 member; its oracles and closed forms leave the
+    curvature terms out rather than adding zeros.
 
     The spectral data and the bilinear closed form share one Gram product
     A^T A and its one eigendecomposition.  A generator that has already
@@ -90,6 +90,10 @@ class SaddleInstance:
             got = np.shape(getattr(self, name))
             if got != shape:
                 raise InvalidSpecError(f"{name} must have shape {shape}, got {got}")
+        for name in ("p_diag", "q_diag"):  # finite and >= 0: its lowest and its highest entry
+            diag = getattr(self, name)
+            for v in (np.min(diag, initial=0.0), np.max(diag, initial=0.0)):
+                require(name, float(v), strict=False)
         gram, vals, vecs = _gram_eigh(a) if _factor is None else _factor
         lam_max = float(vals.max(initial=0.0))
         if np.all(a == 0.0):  # decoupled limit: the coupling has no spectrum

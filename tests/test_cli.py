@@ -293,16 +293,29 @@ def test_explicit_matrix_conditioning_is_capped(tmp_path, capsys):
     [
         ({"family": "bilinear", "a": [[1.0, 0.0], [0.0, 2.0]], "b": [[1.0], [1.0]]}, "b"),
         ({"family": "bilinear", "a": [1.0, 2.0], "b": [1.0]}, "a"),
+        (
+            {"family": "quadratic", "a": [[1.0, 0.0], [0.0, 2.0]], "b": [1.0, 1.0],
+             "p_diag": [-1.0, 0.0], "q_diag": [0.0, 0.0]},
+            "p_diag",
+        ),
     ],
-    ids=["b-column", "a-1d"],
+    ids=["b-column", "a-1d", "p_diag-negative"],
 )
 def test_misshapen_instance_data_is_a_config_error(tmp_path, capsys, desc, name):
-    # a misshapen field is named before any solve, not met later as a numpy traceback
+    # a misshapen or out-of-range field is named before any solve, not met
+    # later as a numpy traceback or a misleading certificate
     instance = tmp_path / "shape.json"
     instance.write_text(json.dumps(desc))
     assert cli_main(["solve", "--instance", str(instance), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {name} must")
+
+
+def test_unknown_instance_family_is_a_config_error(tmp_path, capsys):
+    instance = tmp_path / "cubic.json"
+    instance.write_text(json.dumps({"family": "cubic", "n": 3, "m": 3}))
+    assert cli_main(["solve", "--instance", str(instance), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "config error: unknown instance family 'cubic'\n"
 
 
 def test_unknown_subcommand_exit_code():

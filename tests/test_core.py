@@ -158,10 +158,27 @@ class TestMetering:
 
     @pytest.mark.parametrize("coupling_matvecs", [-1, math.nan, None])
     def test_invalid_coupling_matvecs_raises_before_any_call(self, coupling_matvecs):
-        view = Metered(_with_matvecs(coupling_matvecs))
+        tally = OracleTally()
         with pytest.raises(sk.InvalidSpecError, match="coupling_matvecs"):
-            sk.solve_saddle(view, 1e-6)
-        assert view.tally.snapshot() == {}
+            sk.solve_saddle(Metered(_with_matvecs(coupling_matvecs), tally), 1e-6)
+        assert tally.snapshot() == {}
+
+    @pytest.mark.parametrize("coupling_matvecs", [-1, 1.5])
+    @pytest.mark.parametrize("entry", ["duality_gap", "assemble_saddle_operator", "inexact_grad_g"])
+    def test_every_view_checks_coupling_matvecs(self, entry, coupling_matvecs):
+        """The view checks the declaration it applies, whichever entry point is handed it."""
+        x = y = np.zeros(4)
+        call = {
+            "duality_gap": lambda p: sk.duality_gap(p, x, y, 1.0, 1.0, 1e-6),
+            "assemble_saddle_operator": lambda p: sk.assemble_saddle_operator(p).evaluate(np.ones(8)),
+            "inexact_grad_g": lambda p: sk.inexact_grad_g(p, x, 1e-6),
+        }[entry]
+        tally = OracleTally()
+        with pytest.raises(sk.InvalidSpecError, match="coupling_matvecs"):
+            call(Metered(_with_matvecs(coupling_matvecs), tally))
+        assert tally.snapshot() == {}
+        with pytest.raises(sk.InvalidSpecError, match="coupling_matvecs"):
+            call(_with_matvecs(coupling_matvecs))
 
     def test_missing_oracle_raises(self, b1):
         problem = b1.problem()
@@ -420,6 +437,21 @@ def _small_game():
     return sk.gen_bilinear(4, 4, 5.0, seed=1, mu_x=4, mu_y=4).problem()
 
 
+def _undeclared(name, **changes):
+    """The small game with ``spec.<name>`` undeclared and the problem fields ``changes`` set."""
+    problem = _small_game()
+    setattr(problem.spec, name, None)
+    for field, value in changes.items():
+        setattr(problem, field, value)
+    return problem
+
+
+def _instance_with(p_diag=1.0, q_diag=0.0):
+    """A 5 x 5 quadratic instance with constant diagonals; a negative P once built with l_xx = 0."""
+    a = 0.3 * np.random.default_rng(0).standard_normal((5, 5))
+    return sk.SaddleInstance(a, np.ones(5), 1.0, 1.0, np.full(5, p_diag), np.full(5, q_diag))
+
+
 def _with_matvecs(coupling_matvecs):
     problem = _small_game()
     problem.coupling_matvecs = coupling_matvecs
@@ -484,6 +516,16 @@ INPUT_RULE = {
     "coupling_matvecs-None": (
         lambda: sk.solve_saddle(_with_matvecs(None), 1e-6), "coupling_matvecs", None
     ),
+    "coupling_matvecs-fraction": (lambda: Metered(_with_matvecs(1.5)), "coupling_matvecs", 1.5),
+    "duality_gap-l_x-None": (
+        lambda: sk.duality_gap(_undeclared("l_x"), np.zeros(4), np.zeros(4), 1.0, 1.0, 1e-6), "l_x", None
+    ),
+    "operator-l_y-None": (
+        lambda: sk.assemble_saddle_operator(_undeclared("l_y", operator_l=None)), "l_y", None
+    ),
+    "inner-smooth-h-l_y-None": (
+        lambda: sk.EnvelopeGradOracle(_undeclared("l_y", prox_friendly_h=False)), "l_y", None
+    ),
     "solve_saddle-epsilon-None": (lambda: sk.solve_saddle(_small_game(), None), "epsilon", None),
     "solve_saddle-r_y-string": (
         lambda: sk.solve_saddle(_small_game(), 1e-6, r_x=1.0, r_y="wide"), "r_y", "wide"
@@ -502,6 +544,8 @@ INPUT_RULE = {
         "epsilon",
         math.nan,
     ),
+    "instance-p_diag": (lambda: _instance_with(p_diag=-2.0), "p_diag", -2.0),
+    "instance-q_diag-inf": (lambda: _instance_with(q_diag=math.inf), "q_diag", math.inf),
     "gen_bilinear-cond": (lambda: sk.gen_bilinear(3, 3, 0.5, seed=0), "cond", 0.5),
     "lemma1-l_y": (
         lambda: sk.lemma1_check(sk.gen_bilinear(3, 3, 4.0, seed=0), math.nan, 10), "l_y", math.nan

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import zlib
 
@@ -536,3 +537,24 @@ def test_nan_declared_constants_are_rejected(call):
     # ValueError or OverflowError from int(ceil(...)) later, or to a NaN step
     with pytest.raises(sk.InvalidSpecError):
         call()
+
+
+def test_a_copy_steps_on_its_own_domain():
+    # dataclasses.replace once kept the original's bound projected step: the
+    # copy stepped on all of space, left the ball and read 32 at (5, 0)
+    target = np.array([5.0, 0.0])
+    obj = sk.CompositeObjective(smooth_grad=lambda x: x - target, l_smooth=1.0, mu=1.0)
+    ball = sk.EuclideanBall(np.zeros(2), 1.0)
+    copy = dataclasses.replace(obj, domain=ball)
+    fresh = sk.CompositeObjective(smooth_grad=lambda x: x - target, l_smooth=1.0, mu=1.0, domain=ball)
+    assert copy.plain_smooth and obj.plain_smooth
+    x = sk.run_fgm(copy, np.zeros(2), 20).x_final
+    assert x.tobytes() == sk.run_fgm(fresh, np.zeros(2), 20).x_final.tobytes()
+    assert np.linalg.norm(x) <= 1.0
+    bound, witness = certificate(copy, np.array([1.0, 0.0]))
+    assert bound == 0.0 and witness.tolist() == [1.0, 0.0]
+    assert sk.run_fgm(obj, np.zeros(2), 20).x_final.tolist() != x.tolist()  # the original is unbounded
+    # a composite's own model step is kept by a copy
+    prox = quadratic_prox_model(1.0)
+    composite = sk.CompositeObjective(smooth_grad=lambda x: x, l_smooth=1.0, prox_model=prox)
+    assert dataclasses.replace(composite, domain=ball).prox_model is prox

@@ -310,6 +310,11 @@ class TestRestartedMp:
         assert 0.8 <= slope <= 1.2
 
 
+# one evaluation of a testbed operator (coupling_matvecs 1): one call of each
+# gradient and a matvec for each of the two coupling gradients
+ONE_EVALUATION = {"grad_r": 1, "grad_h": 1, "gradx_F": 1, "grady_F": 1, "matvec": 2}
+
+
 def _metered_op(tally, seed=0):
     inst = sk.gen_bilinear(3, 4, 10.0, seed=seed)
     return sk.assemble_saddle_operator(Metered(inst.problem(), tally))
@@ -344,14 +349,14 @@ class TestBlockBilling:
     def test_history_row_k_bills_2k_evaluations(self):
         tally = OracleTally()
         op = _metered_op(tally)
-        assert op.cost == {
-            OracleKind.GRAD_R: 1, OracleKind.GRAD_X_F: 1, OracleKind.GRAD_H: 1,
-            OracleKind.GRAD_Y_F: 1, OracleKind.MATVEC: 2,
-        }
+        op.charge(1)
+        assert tally.snapshot() == ONE_EVALUATION
+        tally = OracleTally()
+        op = _metered_op(tally)
         rep = sk.run_mirror_prox(op, np.ones(7), 9, record_every=1)
         assert [row.iteration for row in rep.history] == list(range(1, 10))
         for row in rep.history:
-            assert row.tally == {kind.value: 2 * row.iteration * n for kind, n in op.cost.items()}
+            assert row.tally == {key: 2 * row.iteration * n for key, n in ONE_EVALUATION.items()}
 
     @pytest.mark.parametrize("j", [1, 2, 5, 8])
     def test_raising_evaluation_bills_what_was_made(self, j):
@@ -371,7 +376,7 @@ class TestBlockBilling:
         op = sk.assemble_saddle_operator(Metered(p, tally))
         with pytest.raises(FloatingPointError):
             sk.run_mirror_prox(op, np.ones(7), 10, record_every=3)
-        assert tally.snapshot() == {kind.value: j * n for kind, n in op.cost.items()}
+        assert tally.snapshot() == {key: j * n for key, n in ONE_EVALUATION.items()}
 
     @pytest.mark.parametrize("bounded", [False, True])
     def test_matches_the_reference_loop_bytewise(self, bounded):
@@ -395,7 +400,7 @@ class TestBlockBilling:
 
     def test_evaluate_only_operator_runs(self):
         # an operator bound straight to an evaluate function that counts its
-        # own calls, returns a fresh array and ignores ``out``; it has no cost
+        # own calls, returns a fresh array and ignores ``out``; its charge bills nothing
         tally = OracleTally()
 
         def evaluate(z):
@@ -419,7 +424,7 @@ class TestBind:
         tally = OracleTally()
         op = sk.ViOperator(
             bind=lambda z, out: lambda: 3.0 * z - 1.0,
-            l=3.0, mu=3.0, tally=tally, cost={OracleKind.MATVEC: 2},
+            l=3.0, mu=3.0, tally=tally, charge=lambda k: tally.bump(OracleKind.MATVEC, 2 * k),
         )
         z = np.linspace(-1.0, 2.0, 5)
         assert op.bind(z, np.empty(5))().tobytes() == op.evaluate(z).tobytes()
@@ -439,4 +444,4 @@ class TestBind:
             assert got.tobytes() == op.evaluate(z).tobytes()
         assert op.bind(z, np.empty(7))().tobytes() == out.tobytes()
         # only the two evaluate calls were billed
-        assert tally.snapshot() == {kind.value: 2 * n for kind, n in op.cost.items()}
+        assert tally.snapshot() == {key: 2 * n for key, n in ONE_EVALUATION.items()}

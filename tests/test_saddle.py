@@ -6,7 +6,7 @@ import pytest
 
 import saddlekit as sk
 from saddlekit import inner_max, mirror_prox, saddle
-from saddlekit.core import Metered, OracleKind, SpectralInfo
+from saddlekit.core import Metered, OracleKind, OracleTally, SpectralInfo
 
 
 class TestSolveSaddle:
@@ -985,3 +985,48 @@ def test_structured_modulus_is_a_lower_bound(seed):
     assert pred.mu_x_substituted
     est1 = pred.formulas["grad_x_coupling"]
     assert (spec.l_xx + spec.l_xy**2 / spec.mu_y) / est1**2 == pytest.approx(mu, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", ["l_x", "l_y"])
+@pytest.mark.parametrize("engine", [e.value for e in sk.Engine])
+def test_undeclared_composite_constants_are_refused_before_any_call(engine, name):
+    # every route's certificate steps on grad_r and grad_h with these constants
+    problem = sk.gen_bilinear(4, 4, 5.0, seed=1).problem()
+    setattr(problem.spec, name, None)
+    tally = OracleTally()
+    with pytest.raises(sk.InvalidSpecError, match=f"{name} must be finite and positive, got None"):
+        sk.solve_saddle(Metered(problem, tally), 1e-6, engine=engine, r_x=3.0, r_y=3.0)
+    assert tally.snapshot() == {}
+
+
+def _smooth_h_game(l_y):
+    """``gen_bilinear(6, 6, 10, seed=1)`` with h = 1/2 y'Dy, D from 1 to 100, h smooth only."""
+    problem = sk.gen_bilinear(6, 6, 10.0, seed=1).problem()
+    d = np.geomspace(1.0, 100.0, 6)
+    problem.value_h = lambda y: 0.5 * float(y @ (d * y))
+    problem.grad_h = lambda y: d * y
+    problem.prox_h, problem.prox_friendly_h, problem.spectral, problem.operator_l = None, False, None, None
+    problem.spec.l_y = l_y
+    return problem
+
+
+def test_an_undeclared_l_y_is_refused_not_guessed():
+    # guessing l_y = mu_y = 1 for this h made the inner max step 100x too long
+    tally = OracleTally()
+    with pytest.raises(sk.InvalidSpecError, match="l_y"):
+        sk.solve_saddle(Metered(_smooth_h_game(None), tally), 1e-6, r_x=10.0, r_y=10.0)
+    assert tally.snapshot() == {}
+    for engine in ("auto", "case4", "mirror_prox"):
+        assert sk.solve_saddle(_smooth_h_game(100.0), 1e-6, engine=engine, r_x=10.0, r_y=10.0).converged
+
+
+def test_a_non_finite_lambda_min_plus_is_refused_before_any_call():
+    # with a trivial kernel the solve reads lambda_min_plus; inf once made the
+    # step rate NaN and math.ceil raised a bare ValueError
+    problem = sk.gen_bilinear(5, 5, 10.0, seed=1).problem()
+    assert problem.spectral.kernel_trivial
+    problem.spectral.lambda_min_plus = math.inf
+    tally = OracleTally()
+    with pytest.raises(sk.InvalidSpecError, match="lambda_min_plus must be finite and positive, got inf"):
+        sk.solve_saddle(Metered(problem, tally), 1e-6, r_x=3.0, r_y=3.0)
+    assert tally.snapshot() == {}

@@ -439,3 +439,27 @@ def test_a_heavier_r_is_refused_before_any_call(call):
     with pytest.raises(sk.InvalidSpecError, match="l_r <= l_g"):
         call(spec, obj, tally)
     assert tally.snapshot() == {}
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda spec, obj: dataclasses.replace(spec, mu_r=2.0).validate(), "modulus cannot exceed"),
+        (
+            lambda spec, obj: sk.apg_inexact_solve(
+                spec, dataclasses.replace(obj, prox_g=None), np.zeros(2), 1e-6, exact_inner=True
+            ),
+            "exact_inner requires a prox_g",
+        ),
+        (
+            lambda spec, obj: sk.sliding_solve(spec, obj, np.zeros(2), 1e-6, engine="nope"),
+            "unknown sliding engine 'nope'",
+        ),
+    ],
+    ids=["modulus-above-smoothness", "exact-inner-without-prox_g", "unknown-engine"],
+)
+def test_unsupported_requests_are_refused_before_any_call(call, message):
+    spec, obj, tally = _sliding_case()
+    with pytest.raises(sk.InvalidSpecError, match=message):
+        call(spec, obj)
+    assert tally.snapshot() == {}
